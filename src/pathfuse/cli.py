@@ -113,9 +113,7 @@ def cmd_synth(args):
         # selection matches a protocol cell, else a flat 200 per model
         points = BAND_POINTS.get((args.scenario, band), 200)
     spec = SynthesisSpec(
-        points_per_model=points,
-        distance_sampling=args.distance_sampling,
-        seed=args.seed,
+        points_per_model=points, distance_sampling=args.distance_sampling
     )
     samples = synthesize_corpus(models, spec, substream(args.seed, "synth"))
     save_samples(samples, args.out)

@@ -12,6 +12,12 @@ or frequencies.  All solvers share three conventions:
   streams from ``RegressorConfig.seed`` only, so repeated calls are
   bit-identical.
 
+``solve_wls`` can also report the leverages of its own SVD, which give exact
+leave-one-out residuals without a second factorization.  Penalty strengths
+are arguments of the penalized fits, not config fields; k-fold tuning
+standardizes each fold's training rows once and solves every candidate
+penalty on them.
+
 Penalty conventions (important for cross-checking against other software):
 
 * ridge:       minimize ||Y - X w||^2 + lam * ||w_pen||^2
@@ -31,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +65,6 @@ __all__ = [
     "fit_elasticnet",
     "fit_ransac",
     "fit_theilsen",
-    "fit_regressor",
     "tune_penalty_kfold",
 ]
 
@@ -76,12 +81,10 @@ DEFAULT_PENALTY_GRID = (0.0,) + tuple(np.logspace(-4.0, 0.0, 21))
 
 @dataclass(frozen=True)
 class RegressorConfig:
-    """Estimator selection plus every knob the estimators accept."""
+    """Estimator selection plus the knobs of the robust and tuned fits."""
 
     kind: str = "OLS"
-    lam: float = 0.0  # ridge/lasso penalty strength
     lam1: float = 0.5  # elastic-net L1 fraction, in [0, 1]
-    lam2: float = 0.0  # elastic-net overall strength
     ransac_iters: int = 1000
     ransac_inlier_threshold: float | None = None  # dB; None -> auto from prefit
     theilsen_subsets: int = 10000
@@ -93,12 +96,8 @@ class RegressorConfig:
     def __post_init__(self):
         if self.kind not in REGRESSOR_KINDS:
             raise ConfigError(f"unknown regressor kind {self.kind!r}")
-        if not (np.isfinite(self.lam) and self.lam >= 0.0):
-            raise ConfigError(f"lam must be >= 0, got {self.lam!r}")
         if not (np.isfinite(self.lam1) and 0.0 <= self.lam1 <= 1.0):
             raise ConfigError(f"lam1 must be in [0, 1], got {self.lam1!r}")
-        if not (np.isfinite(self.lam2) and self.lam2 >= 0.0):
-            raise ConfigError(f"lam2 must be >= 0, got {self.lam2!r}")
         for name in ("ransac_iters", "theilsen_subsets", "kfold_k", "max_iters"):
             v = getattr(self, name)
             if not (isinstance(v, int) and v >= 1):
@@ -221,6 +220,11 @@ def solve_wls(
     below ``RANK_RTOL`` (relative) are truncated instead and the minimal-norm
     solution is returned -- callers that knowingly fit collinear designs
     (e.g. two-frequency corpora under a quadratic surface) opt in explicitly.
+
+    ``info`` (with ``return_info=True``) holds the condition number, rank,
+    shape and ``leverage``: the hat-matrix diagonal h_ii of the weighted
+    system over the retained singular directions.  The exact leave-one-out
+    residual of row i is r_i / (1 - h_ii) (Hoaglin & Welsch 1978).
     """
     X, Y, w = _as_system(X, Y, w)
     n, p = X.shape
@@ -261,7 +265,13 @@ def solve_wls(
     beta = (Vt[:r].T @ t) / col_scale
 
     if return_info:
-        info = {"condition": cond, "rank": rank, "n": n, "p": p}
+        info = {
+            "condition": cond,
+            "rank": rank,
+            "n": n,
+            "p": p,
+            "leverage": np.einsum("ij,ij->i", U[:, :rank], U[:, :rank]),
+        }
         return beta, info
     return beta
 
@@ -318,14 +328,16 @@ def fit_ridge(X, Y, lam: float) -> np.ndarray:
     Solved as an augmented least-squares system [X; sqrt(lam) I], which keeps
     lam = 0 exactly equivalent to OLS and avoids normal equations.
     """
+    X, Y, _ = _as_system(X, Y)
+    return _ridge_standardized(_Standardizer(X, Y), lam)
+
+
+def _ridge_standardized(std, lam):
     if not (np.isfinite(lam) and lam >= 0.0):
         raise ConfigError(f"lam must be >= 0, got {lam!r}")
-    X, Y, _ = _as_system(X, Y)
-    std = _Standardizer(X, Y)
-    Xs, Ys = std.Xs, std.Ys
-    k = Xs.shape[1]
-    A = np.vstack([Xs, math.sqrt(lam) * np.eye(k)])
-    rhs = np.concatenate([Ys, np.zeros(k)])
+    k = std.Xs.shape[1]
+    A = np.vstack([std.Xs, math.sqrt(lam) * np.eye(k)])
+    rhs = np.concatenate([std.Ys, np.zeros(k)])
     b_std, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     return std.restore(b_std)
 
@@ -370,12 +382,8 @@ def fit_lasso(X, Y, lam: float, *, tol: float = 1e-10, max_iters: int = 10000):
     Objective ||Y - Xw||^2 + lam*||w_pen||_1, so on an orthonormal design the
     solution is soft_threshold(X^T Y, lam/2) exactly.
     """
-    if not (np.isfinite(lam) and lam >= 0.0):
-        raise ConfigError(f"lam must be >= 0, got {lam!r}")
     X, Y, _ = _as_system(X, Y)
-    std = _Standardizer(X, Y)
-    b_std, _ = _coordinate_descent(std.Xs, std.Ys, lam, 0.0, tol, max_iters)
-    return std.restore(b_std)
+    return _elasticnet_standardized(_Standardizer(X, Y), 1.0, lam, tol, max_iters)
 
 
 def fit_elasticnet(
@@ -386,12 +394,16 @@ def fit_elasticnet(
     lam1=0 matches :func:`fit_ridge` and lam1=1 matches :func:`fit_lasso`
     (same lam2), because the L2 term is the squared norm.
     """
+    X, Y, _ = _as_system(X, Y)
+    return _elasticnet_standardized(_Standardizer(X, Y), lam1, lam2, tol, max_iters)
+
+
+def _elasticnet_standardized(std, lam1, lam2, tol, max_iters):
+    """Coordinate descent on a prepared standardizer; lam1=1 is the lasso."""
     if not (np.isfinite(lam1) and 0.0 <= lam1 <= 1.0):
         raise ConfigError(f"lam1 must be in [0, 1], got {lam1!r}")
     if not (np.isfinite(lam2) and lam2 >= 0.0):
-        raise ConfigError(f"lam2 must be >= 0, got {lam2!r}")
-    X, Y, _ = _as_system(X, Y)
-    std = _Standardizer(X, Y)
+        raise ConfigError(f"penalty must be >= 0, got {lam2!r}")
     b_std, _ = _coordinate_descent(
         std.Xs, std.Ys, lam1 * lam2, (1.0 - lam1) * lam2, tol, max_iters
     )
@@ -567,62 +579,20 @@ def fit_theilsen(X, Y, cfg: RegressorConfig, *, column_names=None) -> FitDiagnos
 
 
 # ---------------------------------------------------------------------------
-# dispatch + penalty tuning
+# penalty tuning
 # ---------------------------------------------------------------------------
 
 
-def fit_regressor(X, Y, cfg: RegressorConfig, w=None, *, column_names=None):
-    """Run the estimator selected by ``cfg.kind``; always FitDiagnostics."""
-    if cfg.kind in ("OLS", "WLS"):
-        weights = w if cfg.kind == "WLS" else None
-        coeffs, info = solve_wls(
-            X, Y, weights, column_names=column_names, return_info=True
-        )
-        Xv = np.asarray(X, dtype=float)
-        resid = np.asarray(Y, dtype=float) - Xv @ coeffs
-        return FitDiagnostics(
-            coefficients=coeffs,
-            inlier_mask=np.ones(Xv.shape[0], dtype=bool),
-            residual_wsd=weighted_rms(resid, weights),
-            condition_estimate=info["condition"],
-            iterations_used=1,
-        )
-    if cfg.kind == "RANSAC":
-        return fit_ransac(X, Y, cfg, column_names=column_names)
-    if cfg.kind == "TheilSen":
-        return fit_theilsen(X, Y, cfg, column_names=column_names)
-
-    if cfg.kind == "Ridge":
-        coeffs = fit_ridge(X, Y, cfg.lam)
-    elif cfg.kind == "Lasso":
-        coeffs = fit_lasso(X, Y, cfg.lam, tol=cfg.tol, max_iters=cfg.max_iters)
-    else:  # ElasticNet
-        coeffs = fit_elasticnet(
-            X, Y, cfg.lam1, cfg.lam2, tol=cfg.tol, max_iters=cfg.max_iters
-        )
-    Xv = np.asarray(X, dtype=float)
-    resid = np.asarray(Y, dtype=float) - Xv @ coeffs
-    return FitDiagnostics(
-        coefficients=np.asarray(coeffs),
-        inlier_mask=np.ones(Xv.shape[0], dtype=bool),
-        residual_wsd=weighted_rms(resid),
-        condition_estimate=_condition(Xv),
-        iterations_used=1,
-    )
-
-
-def _fit_for_tuning(X, Y, kind, candidate, cfg):
+def _fit_for_tuning(std, kind, candidate, cfg):
     if kind == "Ridge":
-        return fit_ridge(X, Y, candidate)
+        return _ridge_standardized(std, candidate)
     if kind == "Lasso":
-        return fit_lasso(X, Y, candidate, tol=cfg.tol, max_iters=cfg.max_iters)
-    if kind == "ElasticNet":
-        if np.ndim(candidate) == 0:
-            lam1, lam2 = cfg.lam1, float(candidate)
-        else:
-            lam1, lam2 = (float(candidate[0]), float(candidate[1]))
-        return fit_elasticnet(X, Y, lam1, lam2, tol=cfg.tol, max_iters=cfg.max_iters)
-    raise ConfigError(f"penalty tuning does not apply to kind {kind!r}")
+        return _elasticnet_standardized(std, 1.0, candidate, cfg.tol, cfg.max_iters)
+    if np.ndim(candidate) == 0:
+        lam1, lam2 = cfg.lam1, float(candidate)
+    else:
+        lam1, lam2 = (float(candidate[0]), float(candidate[1]))
+    return _elasticnet_standardized(std, lam1, lam2, cfg.tol, cfg.max_iters)
 
 
 def _candidate_sort_key(candidate):
@@ -634,11 +604,14 @@ def tune_penalty_kfold(X, Y, kind: str, grid, cfg: RegressorConfig):
 
     Ties go to the smallest penalty.  Candidates are scalars for Ridge/Lasso;
     for ElasticNet either scalars (lam2, with lam1 from cfg) or (lam1, lam2)
-    pairs.  Returns the winning candidate unchanged.
+    pairs.  Returns the winning candidate unchanged.  Each fold's training
+    rows are standardized once and shared by every candidate.
     """
     grid = list(grid)
     if not grid:
         raise ConfigError("penalty grid must not be empty")
+    if kind not in ("Ridge", "Lasso", "ElasticNet"):
+        raise ConfigError(f"penalty tuning does not apply to kind {kind!r}")
     X, Y, _ = _as_system(X, Y)
     n = X.shape[0]
     k = cfg.kfold_k
@@ -647,16 +620,15 @@ def tune_penalty_kfold(X, Y, kind: str, grid, cfg: RegressorConfig):
 
     rng = substream(cfg.seed, "kfold")
     folds = np.array_split(rng.permutation(n), k)
-    scores = []
-    for candidate in grid:
-        ssq, count = 0.0, 0
-        for fold in folds:
-            train = np.setdiff1d(np.arange(n), fold, assume_unique=False)
-            coeffs = _fit_for_tuning(X[train], Y[train], kind, candidate, cfg)
-            err = Y[fold] - X[fold] @ coeffs
-            ssq += float(err @ err)
-            count += fold.size
-        scores.append(math.sqrt(ssq / count))
+    ssq = [0.0] * len(grid)
+    for fold in folds:
+        train = np.setdiff1d(np.arange(n), fold, assume_unique=False)
+        std = _Standardizer(X[train], Y[train])
+        Xf, Yf = X[fold], Y[fold]
+        for i, candidate in enumerate(grid):
+            err = Yf - Xf @ _fit_for_tuning(std, kind, candidate, cfg)
+            ssq[i] += float(err @ err)
+    scores = [math.sqrt(v / n) for v in ssq]
 
     order = sorted(
         range(len(grid)), key=lambda i: (scores[i], _candidate_sort_key(grid[i]))

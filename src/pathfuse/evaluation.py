@@ -10,7 +10,15 @@ Every runner follows the same discipline:
 * published benchmark numbers are attached to the report rows for
   juxtaposition only -- they never enter any computation;
 * ``evaluate_gates`` turns a finished study into pass/fail checks against
-  pinned tolerances (the CLI maps failures to exit code 5).
+  pinned tolerances (the CLI maps failures to exit code 5).  Each gate is
+  one of four comparisons: within a tolerance of a target, ordered, at most
+  a limit, or above a floor.
+
+The integration and outlier studies share one loop: ``_study_cells`` walks
+every scenario x band cell and synthesizes each trial's corpus, and
+``_fit_arms`` fits the three comparison arms on a corpus.  The outlier study
+differs only by its substream label and by refitting each trial's corpus
+after injecting outliers into it.
 
 Protocol constants that are calibration targets (ambient scattering scale,
 outlier magnitudes, the robust filter multiplier) are module constants here
@@ -152,6 +160,8 @@ ARM_CUBIC = "cubic-abg"
 
 #: order-study arms: surface order is the only thing that varies
 ORDER_ARMS = ((ARM_LINEAR, 1), (ARM_QUADRATIC, 2), (ARM_CUBIC, 3))
+#: the three standing comparison arms of the integration and outlier studies
+STUDY_ARMS = (ARM_POOLED, ARM_WEIGHTED, ARM_QUADRATIC)
 
 
 # ---------------------------------------------------------------------------
@@ -268,20 +278,11 @@ def _loo_residuals(X, Y, w):
     """Exact leave-one-sample-out residuals of the weighted fit on (X, Y, w).
 
     Uses the standard deletion identity r_i/(1 - h_ii), where h_ii is the
-    leverage of row i in the weighted system -- no refitting.  Leverages come
-    from the SVD of the weighted, column-equilibrated design, with the same
-    rank cutoff the solver uses.
+    leverage of row i in the weighted system -- no refitting.  The solver
+    reports the leverages from its own SVD and rank cutoff.
     """
-    sw = np.sqrt(np.asarray(w, dtype=float))
-    Xw = X * sw[:, None]
-    scale = np.linalg.norm(Xw, axis=0)
-    scale[scale == 0.0] = 1.0
-    U, S, _ = np.linalg.svd(Xw / scale, full_matrices=False)
-    rank = int(np.count_nonzero(S > S[0] * 1e-10)) if S.size else 0
-    h = np.einsum("ij,ij->i", U[:, :rank], U[:, :rank])
-    coef = solve_wls(X, Y, w, allow_rank_deficient=True)
-    resid = Y - X @ coef
-    return resid / np.maximum(1.0 - h, 1e-12)
+    coef, info = solve_wls(X, Y, w, allow_rank_deficient=True, return_info=True)
+    return (Y - X @ coef) / np.maximum(1.0 - info["leverage"], 1e-12)
 
 
 def loocv(
@@ -372,33 +373,6 @@ def _registry_scenario(registry, scenario):
     return models
 
 
-def _band_models(models, band):
-    lo, hi = band
-    out = [m for m in models if lo <= m.frequency <= hi]
-    if not out:
-        raise DataError(f"no source models inside band {band}")
-    return out
-
-
-def _arm_configs(seed):
-    """The three standing comparison arms, sharing one seed."""
-    return {
-        ARM_POOLED: PipelineConfig(
-            order=1, weighting="Identity", robust=None, gas_correction=False, seed=seed
-        ),
-        ARM_WEIGHTED: PipelineConfig(
-            order=1, weighting="Mixture", robust=None, gas_correction=False, seed=seed
-        ),
-        ARM_QUADRATIC: PipelineConfig(
-            order=2,
-            weighting="Mixture",
-            robust=RegressorConfig(kind="TheilSen", theilsen_subsets=STUDY_TS_SUBSETS),
-            gas_correction=True,
-            seed=seed,
-        ),
-    }
-
-
 def _order_arm_configs(seed):
     """One configuration per surface order, everything else held equal.
 
@@ -462,7 +436,7 @@ def run_order_study(spec: ExperimentSpec, *, registry=None, gas_table=None):
 
     arms = list(_order_arm_configs(0))
     sigma18 = {a: [] for a in arms}
-    coeff_sums = {a: None for a in arms}
+    coeffs = {a: [] for a in arms}
     for t in range(spec.trials):
         corpus = synthesize_corpus(
             train_models, synth, substream(spec.seed, "order", "train", t)
@@ -478,10 +452,7 @@ def run_order_study(spec: ExperimentSpec, *, registry=None, gas_table=None):
             )
             resid = y18 - predict_total(fitted, d, heldout.frequency, gas_table)
             sigma18[arm].append(weighted_rms(resid))
-            vals = fitted.coefficients.as_array()
-            coeff_sums[arm] = (
-                vals.copy() if coeff_sums[arm] is None else coeff_sums[arm] + vals
-            )
+            coeffs[arm].append(fitted.coefficients.as_array())
 
     loocv_means = {}
     loocv_raw = {}
@@ -500,7 +471,7 @@ def run_order_study(spec: ExperimentSpec, *, registry=None, gas_table=None):
 
     # surface scan on the trial-mean coefficients: the polynomial alone (no
     # gas term is fitted here; resonances would be legitimately non-monotone)
-    mean_coeffs = {a: coeff_sums[a] / spec.trials for a in arms}
+    mean_coeffs = {a: sum(coeffs[a]) / spec.trials for a in arms}
     scan = {}
     grids = {}
     low = (GRID_FREQS_GHZ >= LOW_BAND_SCAN_GHZ[0]) & (
@@ -728,25 +699,88 @@ def run_robust_study(spec: ExperimentSpec, *, registry=None):
 
 
 # ---------------------------------------------------------------------------
-# integration study
+# integration and outlier studies: one scenario x band x trial loop
 # ---------------------------------------------------------------------------
 
 
-def _published_cell(targets, scenario, band):
-    for cell in targets["integration_study"]["cells"]:
-        if cell["scenario"] == scenario and tuple(cell["band_ghz"]) == band:
-            return cell
-    return None
+def _band_models(models, band):
+    lo, hi = band
+    out = [m for m in models if lo <= m.frequency <= hi]
+    if not out:
+        raise DataError(f"no source models inside band {band}")
+    return out
 
 
-def _published_coeffs(targets, scenario, band, method):
-    for row in targets["published_coefficients"]:
+def _arm_configs(seed, band):
+    """The three standing comparison arms on one band, sharing one seed."""
+    return {
+        ARM_POOLED: PipelineConfig(
+            order=1, weighting="Identity", robust=None, gas_correction=False,
+            freq_band=band, seed=seed,
+        ),
+        ARM_WEIGHTED: PipelineConfig(
+            order=1, weighting="Mixture", robust=None, gas_correction=False,
+            freq_band=band, seed=seed,
+        ),
+        ARM_QUADRATIC: PipelineConfig(
+            order=2,
+            weighting="Mixture",
+            robust=RegressorConfig(kind="TheilSen", theilsen_subsets=STUDY_TS_SUBSETS),
+            gas_correction=True,
+            freq_band=band,
+            seed=seed,
+        ),
+    }
+
+
+def _band_label(band):
+    return f"{band[0]:g}-{band[1]:g}"
+
+
+def _study_cells(spec, registry, label):
+    """The scenario x band x trial loop shared by the multi-band studies.
+
+    Yields ``(scenario, band, sigmas, trials)`` per cell, in report order.
+    ``trials`` yields ``(t, corpus)``; each corpus is synthesized from the
+    substream ``(seed, label, scenario, lo, hi, t)`` when it is reached.
+    """
+
+    def trials(models, synth, scenario, band):
+        for t in range(spec.trials):
+            rng = substream(spec.seed, label, scenario, band[0], band[1], t)
+            yield t, synthesize_corpus(models, synth, rng)
+
+    for scenario, bands in SCENARIO_BANDS.items():
+        scenario_models = _registry_scenario(registry, scenario)
+        sigmas = sigma_map(scenario_models)
+        for band in bands:
+            band_models = _band_models(scenario_models, band)
+            synth = SynthesisSpec(
+                points_per_model=spec.points_per_model or BAND_POINTS[(scenario, band)],
+                distance_sampling=STUDY_DISTANCE_SAMPLING,
+            )
+            yield scenario, band, sigmas, trials(band_models, synth, scenario, band)
+
+
+def _fit_arms(corpus, band, sigmas, seed, gas_table):
+    """The three comparison arms fitted on one corpus: ``{arm: FittedModel}``."""
+    return {
+        arm: fit_pathloss_model(
+            corpus, cfg, sigma_by_source=sigmas, gas_table=gas_table
+        )[0]
+        for arm, cfg in _arm_configs(seed, band).items()
+    }
+
+
+def _published(rows, scenario, band, method=None):
+    """The published row for one cell and, when rows name one, one method."""
+    for row in rows:
         if (
             row["scenario"] == scenario
             and tuple(row["band_ghz"]) == band
-            and row["method"] == method
+            and row.get("method") == method
         ):
-            return row["values"]
+            return row
     return None
 
 
@@ -758,89 +792,42 @@ def run_integration_study(spec: ExperimentSpec, *, registry=None, gas_table=None
     targets = load_reference_targets()
     reports = []
     raw_sigma = {}
-    coeff_means = {}
-    for scenario, bands in SCENARIO_BANDS.items():
-        scenario_models = _registry_scenario(registry, scenario)
-        sigmas = sigma_map(scenario_models)
-        for band in bands:
-            band_models = _band_models(scenario_models, band)
-            points = spec.points_per_model or BAND_POINTS[(scenario, band)]
-            synth = SynthesisSpec(
-                points_per_model=points, distance_sampling=STUDY_DISTANCE_SAMPLING
+    published_coeffs = {}
+    for scenario, band, sigmas, trials in _study_cells(spec, registry, "integration"):
+        fits = [
+            _fit_arms(corpus, band, sigmas, spec.seed * 1000 + t, gas_table)
+            for t, corpus in trials
+        ]
+        cell_key = f"{scenario}|{_band_label(band)}"
+        raw_sigma[cell_key] = {a: [fit[a].sigma for fit in fits] for a in STUDY_ARMS}
+        published = _published(targets["integration_study"]["cells"], scenario, band)
+        for arm in STUDY_ARMS:
+            row = _published(targets["published_coefficients"], scenario, band, arm)
+            published_coeffs[f"{cell_key}|{arm}"] = row["values"] if row else None
+            coeffs = [fit[arm].coefficients.as_array() for fit in fits]
+            mean_coeffs = sum(coeffs) / spec.trials
+            names = coefficient_names(fits[0][arm].order)
+            reports.append(
+                EvaluationReport(
+                    study="IntegrationStudy",
+                    method=arm,
+                    scenario=scenario,
+                    band_ghz=band,
+                    sigma_db=float(np.mean(raw_sigma[cell_key][arm])),
+                    sigma_published_db=(
+                        published["sigma_db"].get(arm) if published else None
+                    ),
+                    coefficients=dict(zip(names, (float(v) for v in mean_coeffs))),
+                    n_trials=spec.trials,
+                )
             )
-            cell_key = f"{scenario}|{band[0]:g}-{band[1]:g}"
-            raw_sigma[cell_key] = {a: [] for a in _arm_configs(0)}
-            coeff_sums = {a: None for a in _arm_configs(0)}
-            for t in range(spec.trials):
-                corpus = synthesize_corpus(
-                    band_models,
-                    synth,
-                    substream(spec.seed, "integration", scenario, band[0], band[1], t),
-                )
-                for arm, cfg in _arm_configs(spec.seed * 1000 + t).items():
-                    fitted, _ = fit_pathloss_model(
-                        corpus,
-                        replace(cfg, freq_band=band),
-                        sigma_by_source=sigmas,
-                        gas_table=gas_table,
-                    )
-                    raw_sigma[cell_key][arm].append(fitted.sigma)
-                    vals = fitted.coefficients.as_array()
-                    if coeff_sums[arm] is None:
-                        coeff_sums[arm] = vals.copy()
-                    else:
-                        coeff_sums[arm] += vals
-            published = _published_cell(targets, scenario, band)
-            for arm in _arm_configs(0):
-                mean_coeffs = coeff_sums[arm] / spec.trials
-                coeff_means[f"{cell_key}|{arm}"] = mean_coeffs
-                names = coefficient_names(2 if arm == ARM_QUADRATIC else 1)
-                reports.append(
-                    EvaluationReport(
-                        study="IntegrationStudy",
-                        method=arm,
-                        scenario=scenario,
-                        band_ghz=band,
-                        sigma_db=float(np.mean(raw_sigma[cell_key][arm])),
-                        sigma_published_db=(
-                            published["sigma_db"].get(arm) if published else None
-                        ),
-                        coefficients=dict(
-                            zip(names, (float(v) for v in mean_coeffs))
-                        ),
-                        n_trials=spec.trials,
-                    )
-                )
     return StudyResult(
         study="IntegrationStudy",
         config={"seed": spec.seed, "trials": spec.trials},
         reports=reports,
         raw={"sigma_db": raw_sigma},
-        extras={
-            "published_coefficients": {
-                f"{r.scenario}|{r.band_ghz[0]:g}-{r.band_ghz[1]:g}|{r.method}": (
-                    _published_coeffs(targets, r.scenario, r.band_ghz, r.method)
-                )
-                for r in reports
-            }
-        },
+        extras={"published_coefficients": published_coeffs},
     )
-
-
-# ---------------------------------------------------------------------------
-# outlier study
-# ---------------------------------------------------------------------------
-
-
-def _published_outlier(targets, scenario, band, method):
-    for row in targets["outlier_study"]["published"]:
-        if (
-            row["scenario"] == scenario
-            and tuple(row["band_ghz"]) == band
-            and row["method"] == method
-        ):
-            return row
-    return None
 
 
 def run_outlier_study(spec: ExperimentSpec, *, registry=None, gas_table=None):
@@ -853,92 +840,62 @@ def run_outlier_study(spec: ExperimentSpec, *, registry=None, gas_table=None):
     registry = registry or load_registry()
     if gas_table is None:
         gas_table = load_default_table()
-    targets = load_reference_targets()
+    published_rows = load_reference_targets()["outlier_study"]["published"]
     reports = []
     raw = {}
-    for scenario, bands in SCENARIO_BANDS.items():
-        scenario_models = _registry_scenario(registry, scenario)
-        sigmas = sigma_map(scenario_models)
-        for band in bands:
-            band_models = _band_models(scenario_models, band)
-            points = spec.points_per_model or BAND_POINTS[(scenario, band)]
-            synth = SynthesisSpec(
-                points_per_model=points, distance_sampling=STUDY_DISTANCE_SAMPLING
-            )
-            cell_key = f"{scenario}|{band[0]:g}-{band[1]:g}"
-            cell_raw = {
-                ob: {a: {"sigma": [], "clean": [], "ratio": []} for a in _arm_configs(0)}
-                for ob in spec.outlier_bands
-            }
-            for t in range(spec.trials):
-                corpus = synthesize_corpus(
-                    band_models,
-                    synth,
-                    substream(spec.seed, "outlier", scenario, band[0], band[1], t),
-                )
-                clean_sigma = {}
-                for arm, cfg in _arm_configs(spec.seed * 1000 + t).items():
-                    fitted, _ = fit_pathloss_model(
-                        corpus,
-                        replace(cfg, freq_band=band),
-                        sigma_by_source=sigmas,
-                        gas_table=gas_table,
-                    )
-                    clean_sigma[arm] = fitted.sigma
-                for ob in spec.outlier_bands:
-                    contaminated, _mask = inject_outliers(
-                        corpus,
-                        OutlierSpec(
-                            rho=STUDY_RHO,
-                            band_width=float(ob),
-                            contamination_fraction=STUDY_CONTAMINATION,
-                            magnitude_scale=OUTLIER_STUDY_MAGNITUDE_DB,
-                        ),
-                        substream(
-                            spec.seed, "outlier", scenario, band[0], band[1],
-                            "inject", ob, t,
-                        ),
-                    )
-                    for arm, cfg in _arm_configs(spec.seed * 1000 + t).items():
-                        fitted, _ = fit_pathloss_model(
-                            contaminated,
-                            replace(cfg, freq_band=band),
-                            sigma_by_source=sigmas,
-                            gas_table=gas_table,
-                        )
-                        slot = cell_raw[ob][arm]
-                        slot["sigma"].append(fitted.sigma)
-                        slot["clean"].append(clean_sigma[arm])
-                        slot["ratio"].append(
-                            error_ratio(fitted.sigma, clean_sigma[arm])
-                        )
-            raw[cell_key] = cell_raw
+    for scenario, band, sigmas, trials in _study_cells(spec, registry, "outlier"):
+        cell_raw = {
+            ob: {a: {"sigma": [], "clean": [], "ratio": []} for a in STUDY_ARMS}
+            for ob in spec.outlier_bands
+        }
+        for t, corpus in trials:
+            seed = spec.seed * 1000 + t
+            clean = _fit_arms(corpus, band, sigmas, seed, gas_table)
             for ob in spec.outlier_bands:
-                for arm in _arm_configs(0):
+                contaminated, _mask = inject_outliers(
+                    corpus,
+                    OutlierSpec(
+                        rho=STUDY_RHO,
+                        band_width=float(ob),
+                        contamination_fraction=STUDY_CONTAMINATION,
+                        magnitude_scale=OUTLIER_STUDY_MAGNITUDE_DB,
+                    ),
+                    substream(
+                        spec.seed, "outlier", scenario, band[0], band[1],
+                        "inject", ob, t,
+                    ),
+                )
+                fits = _fit_arms(contaminated, band, sigmas, seed, gas_table)
+                for arm, fitted in fits.items():
                     slot = cell_raw[ob][arm]
-                    published = _published_outlier(targets, scenario, band, arm)
-                    key = f"{ob:g}"
-                    reports.append(
-                        EvaluationReport(
-                            study="OutlierStudy",
-                            method=arm,
-                            scenario=scenario,
-                            band_ghz=band,
-                            outlier_band_m=float(ob),
-                            sigma_db=float(np.mean(slot["sigma"])),
-                            sigma_clean_db=float(np.mean(slot["clean"])),
-                            error_ratio_percent=float(np.mean(slot["ratio"])),
-                            sigma_published_db=(
-                                published["sigma_db"].get(key) if published else None
-                            ),
-                            ratio_published_percent=(
-                                published["ratio_percent"].get(key)
-                                if published
-                                else None
-                            ),
-                            n_trials=spec.trials,
-                        )
+                    slot["sigma"].append(fitted.sigma)
+                    slot["clean"].append(clean[arm].sigma)
+                    slot["ratio"].append(error_ratio(fitted.sigma, clean[arm].sigma))
+        raw[f"{scenario}|{_band_label(band)}"] = cell_raw
+        for ob in spec.outlier_bands:
+            for arm in STUDY_ARMS:
+                slot = cell_raw[ob][arm]
+                published = _published(published_rows, scenario, band, arm)
+                key = f"{ob:g}"
+                reports.append(
+                    EvaluationReport(
+                        study="OutlierStudy",
+                        method=arm,
+                        scenario=scenario,
+                        band_ghz=band,
+                        outlier_band_m=float(ob),
+                        sigma_db=float(np.mean(slot["sigma"])),
+                        sigma_clean_db=float(np.mean(slot["clean"])),
+                        error_ratio_percent=float(np.mean(slot["ratio"])),
+                        sigma_published_db=(
+                            published["sigma_db"].get(key) if published else None
+                        ),
+                        ratio_published_percent=(
+                            published["ratio_percent"].get(key) if published else None
+                        ),
+                        n_trials=spec.trials,
                     )
+                )
     return StudyResult(
         study="OutlierStudy",
         config={
@@ -971,115 +928,112 @@ def _gate(name, passed, detail):
     return GateCheck(name=name, passed=bool(passed), detail=detail)
 
 
+def _within(name, value, target, tol):
+    """|value - target| <= tol."""
+    return _gate(
+        name, abs(value - target) <= tol, f"{value:.3f} vs {target:.3f} (tol {tol})"
+    )
+
+
+def _ordered(name, series, *, strict=False):
+    """Every sequence in ``series`` increases (strictly, or never decreases)."""
+    ok = all(
+        a < b if strict else a <= b
+        for seq in series.values()
+        for a, b in zip(seq, seq[1:])
+    )
+    shown = ", ".join(f"{k} {[round(v, 3) for v in seq]}" for k, seq in series.items())
+    expect = "increasing" if strict else "nondecreasing"
+    return _gate(name, ok, f"{shown} (expect {expect})")
+
+
+def _at_most(name, value, limit):
+    return _gate(name, value <= limit, f"{value:.4g} (limit {limit})")
+
+
+def _above(name, value, floor):
+    return _gate(name, value > floor, f"{value:.4g} (must exceed {floor})")
+
+
+def _same_cell(report, cell):
+    return (
+        report.scenario == cell["scenario"]
+        and report.band_ghz == tuple(cell["band_ghz"])
+        and report.outlier_band_m == cell["outlier_band_m"]
+    )
+
+
 def evaluate_gates(result: StudyResult):
     """Pass/fail checks of a study against the pinned published targets."""
     targets = load_reference_targets()
+    by_method = {r.method: r for r in result.reports}
     gates = []
     if result.study == "OrderStudy":
         t = targets["order_study"]
-        tol = t["tolerance_db"]
-        by_method = {r.method: r for r in result.reports}
         for method, r in by_method.items():
             gates.append(
-                _gate(
-                    f"order/{method}/sigma18",
-                    abs(r.sigma_db - r.sigma_published_db) <= tol,
-                    f"{r.sigma_db:.3f} vs {r.sigma_published_db:.3f} (tol {tol})",
-                )
+                _within(f"order/{method}/sigma18", r.sigma_db,
+                        r.sigma_published_db, t["tolerance_db"])
             )
             gates.append(
-                _gate(
-                    f"order/{method}/loocv",
-                    abs(r.loocv_db - r.loocv_published_db) <= tol,
-                    f"{r.loocv_db:.3f} vs {r.loocv_published_db:.3f} (tol {tol})",
-                )
+                _within(f"order/{method}/loocv", r.loocv_db,
+                        r.loocv_published_db, t["tolerance_db"])
             )
-        order = t["require_ordering"]
-        s = [by_method[m].sigma_db for m in order]
-        c = [by_method[m].loocv_db for m in order]
+        ordered = [by_method[m] for m in t["require_ordering"]]
         gates.append(
-            _gate(
+            _ordered(
                 "order/ordering",
-                s[0] < s[1] < s[2] and c[0] < c[1] < c[2],
-                f"sigma18 {s}, loocv {c} (expect increasing)",
+                {
+                    "sigma18": [r.sigma_db for r in ordered],
+                    "loocv": [r.loocv_db for r in ordered],
+                },
+                strict=True,
             )
         )
         scan = result.extras["surface_scan"]
         for method, need in t["nonmonotone_cells_required"].items():
-            cells = scan[method]["freq_decreasing_cells_low_band"]
-            ok = cells > 0 if need else (
-                cells == 0
-                and scan[method]["freq_decreasing_cells"] == 0
-                and scan[method]["dist_decreasing_cells"] == 0
-            )
-            gates.append(
-                _gate(
-                    f"order/{method}/monotonicity",
-                    ok,
-                    f"{cells} low-band frequency-decreasing cells "
-                    f"(expected {'some' if need else 'none'})",
-                )
-            )
+            name = f"order/{method}/monotonicity"
+            counts = scan[method]
+            if need:
+                gates.append(_above(name, counts["freq_decreasing_cells_low_band"], 0))
+            else:
+                # counts are never negative: at most 0 everywhere means none
+                gates.append(_at_most(name, max(counts.values()), 0))
     elif result.study == "RobustStudy":
         t = targets["robust_study"]
-        by_method = {r.method: r for r in result.reports}
-        ts = by_method["theil-sen"]
-        gates.append(
-            _gate(
-                "robust/theil-sen/sigma",
-                abs(ts.sigma_db - t["sigma_with_outliers_db"]["theil-sen"])
-                <= t["theil_sen_with_tolerance_db"],
-                f"{ts.sigma_db:.3f} vs {t['sigma_with_outliers_db']['theil-sen']:.3f}",
+        for method, tol_key in (
+            ("theil-sen", "theil_sen_with_tolerance_db"),
+            ("ols", "ols_with_tolerance_db"),
+        ):
+            gates.append(
+                _within(f"robust/{method}/sigma", by_method[method].sigma_db,
+                        t["sigma_with_outliers_db"][method], t[tol_key])
             )
-        )
-        ols = by_method["ols"]
-        gates.append(
-            _gate(
-                "robust/ols/sigma",
-                abs(ols.sigma_db - t["sigma_with_outliers_db"]["ols"])
-                <= t["ols_with_tolerance_db"],
-                f"{ols.sigma_db:.3f} vs {t['sigma_with_outliers_db']['ols']:.3f}",
-            )
-        )
         lo, hi = t["clean_band_db"]
-        clean_ok = all(lo <= r.sigma_clean_db <= hi for r in result.reports)
         gates.append(
-            _gate(
+            _ordered(
                 "robust/clean-band",
-                clean_ok,
-                f"clean sigmas {[round(r.sigma_clean_db, 3) for r in result.reports]} "
-                f"within [{lo}, {hi}]",
+                {r.method: [lo, r.sigma_clean_db, hi] for r in result.reports},
             )
         )
         minimal = result.raw["theil_sen_minimal_per_trial"]
-        gates.append(
-            _gate(
-                "robust/theil-sen-minimal",
-                all(minimal),
-                f"median-fit arm smallest in {sum(minimal)}/{len(minimal)} trials",
-            )
-        )
+        gates.append(_at_most("robust/theil-sen-minimal", minimal.count(False), 0))
     elif result.study == "IntegrationStudy":
         t = targets["integration_study"]
-        tol = t["tolerance_quadratic_db"]
         cells: dict = {}
         for r in result.reports:
             cells.setdefault((r.scenario, r.band_ghz), {})[r.method] = r
         for (scenario, band), methods in cells.items():
+            name = f"integration/{scenario}/{_band_label(band)}"
             quad = methods[ARM_QUADRATIC]
             gates.append(
-                _gate(
-                    f"integration/{scenario}/{band[0]:g}-{band[1]:g}/quadratic",
-                    abs(quad.sigma_db - quad.sigma_published_db) <= tol,
-                    f"{quad.sigma_db:.3f} vs {quad.sigma_published_db:.3f} (tol {tol})",
-                )
+                _within(f"{name}/quadratic", quad.sigma_db,
+                        quad.sigma_published_db, t["tolerance_quadratic_db"])
             )
-            trio = [methods[m].sigma_db for m in t["require_ordering"]]
             gates.append(
-                _gate(
-                    f"integration/{scenario}/{band[0]:g}-{band[1]:g}/ordering",
-                    trio[0] <= trio[1] <= trio[2],
-                    f"{[round(v, 3) for v in trio]} (expect nondecreasing)",
+                _ordered(
+                    f"{name}/ordering",
+                    {"sigma": [methods[m].sigma_db for m in t["require_ordering"]]},
                 )
             )
     else:  # OutlierStudy
@@ -1087,37 +1041,28 @@ def evaluate_gates(result: StudyResult):
         exc = t["quadratic_exception"]
         for r in result.reports:
             if r.method == ARM_QUADRATIC:
-                limit = t["quadratic_max_abs_ratio_percent"]
-                if (
-                    r.scenario == exc["scenario"]
-                    and r.band_ghz == tuple(exc["band_ghz"])
-                    and r.outlier_band_m == exc["outlier_band_m"]
-                ):
-                    limit = exc["max_abs_ratio_percent"]
+                limit = (
+                    exc["max_abs_ratio_percent"]
+                    if _same_cell(r, exc)
+                    else t["quadratic_max_abs_ratio_percent"]
+                )
                 gates.append(
-                    _gate(
-                        f"outlier/{r.scenario}/{r.band_ghz[0]:g}-{r.band_ghz[1]:g}/"
+                    _at_most(
+                        f"outlier/{r.scenario}/{_band_label(r.band_ghz)}/"
                         f"{r.outlier_band_m:g}m/quadratic",
-                        abs(r.error_ratio_percent) <= limit,
-                        f"ratio {r.error_ratio_percent:+.2f}% (limit {limit}%)",
+                        abs(r.error_ratio_percent),
+                        limit,
                     )
                 )
         for cell in t["pooled_min_ratio_cells"]:
             for r in result.reports:
-                if (
-                    r.method == ARM_POOLED
-                    and r.scenario == cell["scenario"]
-                    and r.band_ghz == tuple(cell["band_ghz"])
-                    and r.outlier_band_m == cell["outlier_band_m"]
-                ):
+                if r.method == ARM_POOLED and _same_cell(r, cell):
                     gates.append(
-                        _gate(
-                            f"outlier/{r.scenario}/"
-                            f"{r.band_ghz[0]:g}-{r.band_ghz[1]:g}/"
+                        _above(
+                            f"outlier/{r.scenario}/{_band_label(r.band_ghz)}/"
                             f"{r.outlier_band_m:g}m/pooled-degrades",
-                            r.error_ratio_percent > t["pooled_min_ratio_percent"],
-                            f"ratio {r.error_ratio_percent:+.2f}% "
-                            f"(must exceed {t['pooled_min_ratio_percent']}%)",
+                            r.error_ratio_percent,
+                            t["pooled_min_ratio_percent"],
                         )
                     )
     return gates

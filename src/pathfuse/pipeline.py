@@ -94,7 +94,6 @@ class PipelineConfig:
     gas_correction: bool = True
     freq_band: tuple | None = None  # (GHz, GHz) inclusive; None = keep all
     residual_multiplier: float = 3.0
-    per_group_scale: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -105,8 +104,14 @@ class PipelineConfig:
                 f"weighting must be one of {WEIGHTING_POLICIES}, "
                 f"got {self.weighting!r}"
             )
-        if self.robust is not None and not isinstance(self.robust, RegressorConfig):
-            raise ConfigError("robust must be a RegressorConfig or None")
+        if self.robust is not None and not (
+            isinstance(self.robust, RegressorConfig)
+            and self.robust.kind in ("TheilSen", "RANSAC")
+        ):
+            raise ConfigError(
+                f"robust must be a TheilSen or RANSAC RegressorConfig or None, "
+                f"got {self.robust!r}"
+            )
         if self.freq_band is not None:
             lo, hi = self.freq_band
             if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 < lo < hi):
@@ -174,9 +179,7 @@ def _robust_filter(samples, X, Y, cfg: PipelineConfig):
     keep = np.ones(len(samples), dtype=bool)
     line_cols = [0, 1]  # the [10*log10(d), 1] columns of every design order
     names = [column_names(cfg.order)[j] for j in line_cols]
-    resid = np.full(len(samples), np.nan)
     iterations = 0
-    fitted_groups = []
     for sid, ix_list in groups.items():
         ix = np.asarray(ix_list)
         if ix.size < _MIN_GROUP_FOR_FILTER:
@@ -187,22 +190,12 @@ def _robust_filter(samples, X, Y, cfg: PipelineConfig):
             prefit = fit_ransac(Xg, Yg, robust, column_names=names)
         else:
             prefit = fit_theilsen(Xg, Yg, robust, column_names=names)
-        resid[ix] = Yg - Xg @ prefit.coefficients
         iterations += prefit.iterations_used
-        fitted_groups.append(ix)
-
-    if cfg.per_group_scale:
-        scale_sets = fitted_groups
-    else:
-        pooled = np.concatenate(fitted_groups) if fitted_groups else np.empty(0, int)
-        scale_sets = [pooled] if pooled.size else []
-    for ix in scale_sets:
-        r = resid[ix]
+        r = Yg - Xg @ prefit.coefficients
         med = float(np.median(r))
         scale = mad_scale(r)
-        if scale <= _SCALE_FLOOR:
-            continue
-        keep[ix] = np.abs(r - med) <= cfg.residual_multiplier * scale
+        if scale > _SCALE_FLOOR:
+            keep[ix] = np.abs(r - med) <= cfg.residual_multiplier * scale
     return keep, iterations
 
 
@@ -233,8 +226,7 @@ def _prepare_system(samples, cfg: PipelineConfig, *, sigma_by_source=None,
 
     X, Y, _ = build_design_system(work, cfg.order)
 
-    filtering = cfg.robust is not None and cfg.robust.kind in ("RANSAC", "TheilSen")
-    if filtering:
+    if cfg.robust is not None:
         keep, prefit_iters = _robust_filter(work, X, Y, cfg)
         survivors = [s for s, k in zip(work, keep) if k]
         Xs, Ys = X[keep], Y[keep]
@@ -270,7 +262,7 @@ def fit_pathloss_model(
     survivors, Xs, Ys, w, keep, n_in_band, prefit_iters = _prepare_system(
         samples, cfg, sigma_by_source=sigma_by_source, gas_table=gas_table
     )
-    filtering = cfg.robust is not None and cfg.robust.kind in ("RANSAC", "TheilSen")
+    filtering = cfg.robust is not None
     coeffs, info = solve_wls(
         Xs,
         Ys,
@@ -297,7 +289,6 @@ def fit_pathloss_model(
             "freq_band": list(cfg.freq_band) if cfg.freq_band else None,
             "robust": cfg.robust.kind if filtering else None,
             "residual_multiplier": cfg.residual_multiplier if filtering else None,
-            "per_group_scale": cfg.per_group_scale if filtering else None,
             "seed": cfg.seed,
             "n_input": len(samples),
             "n_in_band": n_in_band,

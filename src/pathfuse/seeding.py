@@ -18,7 +18,7 @@ import zlib
 
 import numpy as np
 
-__all__ = ["substream", "derive_seed", "spawn_children"]
+__all__ = ["substream", "spawn_children"]
 
 
 def _label_key(label: object) -> int:
@@ -30,11 +30,6 @@ def substream(seed: int, *labels: object) -> np.random.Generator:
     entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF]
     entropy.extend(_label_key(lab) for lab in labels)
     return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-def derive_seed(seed: int, *labels: object) -> int:
-    """A stable 63-bit integer seed for components that take int seeds."""
-    return int(substream(seed, *labels).integers(0, 2**63))
 
 
 def spawn_children(rng: np.random.Generator, n: int) -> list[np.random.Generator]:

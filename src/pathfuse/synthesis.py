@@ -7,9 +7,11 @@ the model's predicted loss, plus Gaussian shadow fading.  On top of that it
 can contaminate a distance band with positive Rayleigh-distributed excess
 loss (blocker-style outliers) and add ambient small-scale scattering.
 
-Draw-order contract (what makes runs bit-identical for a fixed stream): each
-model consumes its distances first, then its noise; the outlier injector
-consumes the victim choice first, then the excess magnitudes.
+The specs carry no seed: every draw comes from the Generator the caller
+passes (see :mod:`pathfuse.seeding`).  Draw-order contract (what makes runs
+bit-identical for a fixed stream): each model consumes its distances first,
+then its Gaussian shadow noise; the outlier injector consumes the victim
+choice first, then the excess magnitudes.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from .seeding import spawn_children, substream
 
 __all__ = [
     "DISTANCE_SAMPLINGS",
-    "NOISE_KINDS",
-    "OUTLIER_SIGNS",
     "DEFAULT_OUTLIER_MAGNITUDE_DB",
     "SynthesisSpec",
     "OutlierSpec",
@@ -38,8 +38,6 @@ __all__ = [
 ]
 
 DISTANCE_SAMPLINGS = ("UniformDistance", "UniformLogDistance")
-NOISE_KINDS = ("Gaussian",)
-OUTLIER_SIGNS = ("Positive",)
 
 #: calibrated so that an OLS refit of a contaminated single-frequency corpus
 #: (20% of a 50 m band hit, rho=0.75) lands near the benchmark sigma; see the
@@ -53,8 +51,6 @@ class SynthesisSpec:
 
     points_per_model: int = 200
     distance_sampling: str = "UniformLogDistance"
-    noise: str = "Gaussian"
-    seed: int = 0
 
     def __post_init__(self):
         if not (isinstance(self.points_per_model, int) and self.points_per_model >= 1):
@@ -67,8 +63,6 @@ class SynthesisSpec:
                 f"distance_sampling must be one of {DISTANCE_SAMPLINGS}, "
                 f"got {self.distance_sampling!r}"
             )
-        if self.noise not in NOISE_KINDS:
-            raise ConfigError(f"noise must be one of {NOISE_KINDS}")
 
 
 @dataclass(frozen=True)
@@ -78,7 +72,7 @@ class OutlierSpec:
     ``band_center=None`` means the linear midpoint of the corpus's distance
     range.  Excess loss per contaminated sample is
     ``magnitude_scale + Rayleigh(rho)`` dB — a fixed blocker loss plus a
-    Rayleigh fading term — always added (sign ``Positive``).  A pure
+    Rayleigh fading term — always added, never subtracted.  A pure
     Rayleigh(0.75) draw is ~1 dB and cannot push a clean 3.6 dB fit anywhere
     near the contaminated benchmark (~4.75 dB), so the blocker offset carries
     the magnitude and the Rayleigh term the spread.
@@ -89,8 +83,6 @@ class OutlierSpec:
     band_center: float | None = None  # m
     contamination_fraction: float = 0.2
     magnitude_scale: float = DEFAULT_OUTLIER_MAGNITUDE_DB
-    sign: str = "Positive"
-    seed: int = 0
 
     def __post_init__(self):
         if not (np.isfinite(self.rho) and self.rho > 0.0):
@@ -110,8 +102,6 @@ class OutlierSpec:
             raise ConfigError(
                 f"magnitude_scale must be >= 0, got {self.magnitude_scale!r}"
             )
-        if self.sign not in OUTLIER_SIGNS:
-            raise ConfigError(f"sign must be one of {OUTLIER_SIGNS}")
 
 
 def sample_rayleigh(rho: float, rng: np.random.Generator, size=None):

@@ -17,12 +17,10 @@ from pathfuse.errors import (
     SingularSystemError,
 )
 from pathfuse.estimators import (
-    FitDiagnostics,
     RegressorConfig,
     fit_elasticnet,
     fit_lasso,
     fit_ransac,
-    fit_regressor,
     fit_ridge,
     fit_theilsen,
     mad_scale,
@@ -163,8 +161,6 @@ def test_regressor_config_validation():
     with pytest.raises(ConfigError):
         RegressorConfig(kind="Huber")
     with pytest.raises(ConfigError):
-        RegressorConfig(lam=-0.1)
-    with pytest.raises(ConfigError):
         RegressorConfig(lam1=1.5)
     with pytest.raises(ConfigError):
         RegressorConfig(kfold_k=1)
@@ -260,19 +256,6 @@ class TestRansac:
         X = np.eye(2)
         with pytest.raises(ConsensusFailureError):
             fit_ransac(X, np.ones(2), RegressorConfig(kind="RANSAC"))
-
-
-def test_fit_regressor_dispatch_returns_diagnostics_for_every_kind():
-    rng = np.random.default_rng(37)
-    x = rng.uniform(1, 50, 40)
-    X = np.column_stack([x, np.ones_like(x)])
-    Y = 3.0 * x + 7.0 + rng.normal(0, 0.5, 40)
-    for kind in ("OLS", "WLS", "Ridge", "Lasso", "ElasticNet", "RANSAC", "TheilSen"):
-        fit = fit_regressor(X, Y, RegressorConfig(kind=kind, lam=0.1, lam2=0.1))
-        assert isinstance(fit, FitDiagnostics)
-        assert fit.coefficients.shape == (2,)
-        assert fit.inlier_mask.shape == (40,)
-        assert fit.coefficients[0] == pytest.approx(3.0, abs=0.2)
 
 
 # ---------------------------------------------------------------------------

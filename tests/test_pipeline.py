@@ -111,6 +111,8 @@ def test_pipeline_config_validation():
         PipelineConfig(residual_multiplier=0.0)
     with pytest.raises(ConfigError):
         PipelineConfig(robust="theil-sen")  # must be a RegressorConfig
+    with pytest.raises(ConfigError):
+        PipelineConfig(robust=RegressorConfig(kind="Lasso"))  # cannot prefilter
 
 
 # ---------------------------------------------------------------------------

@@ -181,7 +181,7 @@ def test_regressor_config_round_trips_through_dict(seed):
 
     rng = np.random.default_rng(seed)
     cfg = RegressorConfig(
-        kind="Ridge", lam=float(rng.uniform(0.0, 5.0)), seed=int(seed % 997)
+        kind="ElasticNet", lam1=float(rng.uniform(0.0, 1.0)), seed=int(seed % 997)
     )
     clone = RegressorConfig(**dataclasses.asdict(cfg))
     assert clone == cfg

@@ -64,8 +64,6 @@ def test_synthesis_spec_validation():
         SynthesisSpec(points_per_model=0)
     with pytest.raises(ConfigError):
         SynthesisSpec(distance_sampling="Halton")
-    with pytest.raises(ConfigError):
-        SynthesisSpec(noise="Laplace")
 
 
 def test_synthesize_from_model_basics():
@@ -141,8 +139,6 @@ def test_outlier_spec_validation():
         OutlierSpec(contamination_fraction=1.5)
     with pytest.raises(ConfigError):
         OutlierSpec(magnitude_scale=-1.0)
-    with pytest.raises(ConfigError):
-        OutlierSpec(sign="Negative")
     with pytest.raises(ConfigError):
         OutlierSpec(band_center=-10.0)
 
