@@ -59,7 +59,7 @@ def _clean_corpus(model, ambient_scale, trial):
 
 
 def _ols_sigma(samples):
-    X, Y, _ = build_design_system(samples, order=1, pin_gamma=ev.ROBUST_STUDY_PINNED_GAMMA)
+    X, Y = build_design_system(samples, order=1, pin_gamma=ev.ROBUST_STUDY_PINNED_GAMMA)
     sigma, _ = ev._robust_method_sigma("ols", X, Y, seed=0)
     return sigma
 

@@ -61,7 +61,9 @@ from .models import (
     CoefficientSet,
     FittedModel,
     PathLossSample,
+    SampleBatch,
     SourceModel,
+    as_batch,
     build_design_system,
     design_matrix,
     design_row,

@@ -13,11 +13,12 @@
 
 import csv
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, DataError, GasRangeError
+from .models import as_batch
 
 __all__ = [
     "GasAttenuationTable",
@@ -141,35 +142,34 @@ def load_default_table(data_dir=None):
         return GasAttenuationTable.from_csv(path)
 
 
-def _sample_losses(table, samples):
-    d = np.array([s.distance for s in samples])
-    f = np.array([s.frequency for s in samples])
+def _gas_losses(table, batch):
+    """Gaseous loss (dB) of every row; a row outside the table raises, named."""
+    f = batch.frequency
     lo, hi = table.freqs_ghz[0], table.freqs_ghz[-1]
     bad = np.nonzero((f < lo) | (f > hi))[0]
     if bad.size:
         i = int(bad[0])
-        s = samples[i]
         raise GasRangeError(
-            f"sample {i} (source {s.source_id!r}): frequency {s.frequency:g} GHz "
-            f"outside table range [{lo:g}, {hi:g}] GHz"
+            f"sample {i} (source {str(batch.source_id[i])!r}): frequency "
+            f"{f[i]:g} GHz outside table range [{lo:g}, {hi:g}] GHz"
         )
-    return table.gas_loss(d, f) if len(samples) else np.empty(0)
+    return table.gas_loss(batch.distance, f) if len(batch) else np.empty(0)
 
 
 def remove_gas_loss(table, samples):
-    """New sample list with each path loss reduced by its gaseous component.
+    """New batch with each path loss reduced by its gaseous component.
 
-    Sample order and all other fields are preserved.  A sample whose
-    frequency falls outside the table raises GasRangeError naming it.
+    Row order and the other columns are kept.  A sample whose frequency
+    falls outside the table raises GasRangeError naming it.
     """
-    g = _sample_losses(table, samples)
-    return [replace(s, path_loss=s.path_loss - g[i]) for i, s in enumerate(samples)]
+    batch = as_batch(samples)
+    return batch.with_path_loss(batch.path_loss - _gas_losses(table, batch))
 
 
 def reapply_gas_loss(table, samples):
     """Exact inverse of :func:`remove_gas_loss` (adds the same loss back)."""
-    g = _sample_losses(table, samples)
-    return [replace(s, path_loss=s.path_loss + g[i]) for i, s in enumerate(samples)]
+    batch = as_batch(samples)
+    return batch.with_path_loss(batch.path_loss + _gas_losses(table, batch))
 
 
 def restore_gas_loss(table, model, d_m, f_ghz):

@@ -10,6 +10,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .atmosphere import load_default_table, restore_gas_loss
 from .errors import ConfigError, PathfuseError
 from .evaluation import (
@@ -117,9 +119,8 @@ def cmd_synth(args):
     )
     samples = synthesize_corpus(models, spec, substream(args.seed, "synth"))
     save_samples(samples, args.out)
-    counts = {}
-    for s in samples:
-        counts[s.source_id] = counts.get(s.source_id, 0) + 1
+    ids, group = samples.groups()
+    counts = dict(zip(ids.tolist(), np.bincount(group).tolist()))
     for m in models:
         print(f"  {m.id}: {counts.get(m.id, 0)} samples")
     print(f"wrote {len(samples)} samples from {len(models)} models to {args.out}")

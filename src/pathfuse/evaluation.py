@@ -47,12 +47,7 @@ from .estimators import (
     weighted_rms,
 )
 from .io import load_registry, load_reference_targets, sigma_map
-from .models import (
-    build_design_system,
-    coefficient_names,
-    design_matrix,
-    samples_to_arrays,
-)
+from .models import as_batch, build_design_system, coefficient_names, design_matrix
 from .pipeline import PipelineConfig, _prepare_system, fit_pathloss_model
 from .seeding import substream
 from .synthesis import (
@@ -250,21 +245,21 @@ def weighted_std(model, samples, weights=None, *, gas_table=None) -> float:
     sqrt(sum(w_i r_i^2) / sum(w_i)); weights default to 1.  Gas-corrected
     models are compared in total-loss units (their gas term is added back).
     """
-    if not len(samples):
+    batch = as_batch(samples)
+    if not len(batch):
         raise MetricError("cannot evaluate a model on an empty sample list")
-    d, f, y, _, _ = samples_to_arrays(samples)
     if weights is None:
-        w = np.ones(len(samples))
+        w = np.ones(len(batch))
     else:
         w = np.asarray(weights, dtype=float)
-        if w.shape[0] != len(samples):
-            raise MetricError(f"{w.shape[0]} weights for {len(samples)} samples")
+        if w.shape[0] != len(batch):
+            raise MetricError(f"{w.shape[0]} weights for {len(batch)} samples")
         if not np.isfinite(w).all() or np.any(w < 0):
             raise MetricError("weights must be finite and >= 0")
         if w.sum() <= 0.0:
             raise MetricError("weights must not all be zero")
-    resid = y - predict_total(model, d, f, gas_table)
-    return weighted_rms(resid, w)
+    pred = predict_total(model, batch.distance, batch.frequency, gas_table)
+    return weighted_rms(batch.path_loss - pred, w)
 
 
 def error_ratio(sigma_contaminated: float, sigma_clean: float) -> float:
@@ -293,71 +288,36 @@ def loocv(
     trials: int = 1,
     seed: int = 0,
     gas_table=None,
-    scheme: str = "sample",
     return_details: bool = False,
 ):
-    """Leave-one-out cross-validation error (dB), averaged over trials.
+    """Leave-one-sample-out cross-validation error (dB), averaged over trials.
 
-    ``scheme="sample"`` (default): synthesize one pooled corpus from all
-    models per trial, fit once, and take the weighted RMS of the exact
-    leave-one-sample-out residuals (deletion identity; no refitting).
-
-    ``scheme="model"``: classic grouped folds -- for each held-out model fit
-    on the other models' samples and score RMS prediction error on the
-    held-out model's samples; fold errors are averaged weighted by each
-    held-out model's published sample count.  Group folds measure
-    extrapolation to a whole unseen campaign rather than noise-level
-    generalization, so their errors run far above the sample scheme whenever
-    one campaign sits off the shared trend.
+    Per trial, synthesize one pooled corpus from all models, fit once, and
+    take the weighted RMS of the exact leave-one-sample-out residuals
+    (deletion identity; no refitting).
     """
     models = sorted(models, key=lambda m: m.id)
-    if scheme not in ("sample", "model"):
-        raise ConfigError(f"scheme must be 'sample' or 'model', got {scheme!r}")
     if len(models) < 3:
         raise ConfigError(f"leave-one-out needs at least 3 models, got {len(models)}")
     if synthesis is None:
         synthesis = SynthesisSpec()
     sigmas = sigma_map(models)
     per_trial = []
-    details = {"scheme": scheme}
-
-    if scheme == "sample":
-        for t in range(trials):
-            corpus = synthesize_corpus(
-                models, synthesis, substream(seed, "loocv", "synth", t)
-            )
-            _, X, Y, w, _, _, _ = _prepare_system(
-                corpus, cfg, sigma_by_source=sigmas, gas_table=gas_table
-            )
-            per_trial.append(weighted_rms(_loo_residuals(X, Y, w), w))
-        details["n_samples"] = int(len(models) * synthesis.points_per_model)
-    else:
-        counts = np.array([float(m.n_points) for m in models])
-        fold_matrix = np.empty((trials, len(models)))
-        for t in range(trials):
-            corpus = synthesize_corpus(
-                models, synthesis, substream(seed, "loocv", "synth", t)
-            )
-            by_source = {m.id: [] for m in models}
-            for s in corpus:
-                by_source[s.source_id].append(s)
-            for k, m in enumerate(models):
-                train = [s for s in corpus if s.source_id != m.id]
-                fitted, _ = fit_pathloss_model(
-                    train, cfg, sigma_by_source=sigmas, gas_table=gas_table
-                )
-                d, f, y, _, _ = samples_to_arrays(by_source[m.id])
-                resid = y - predict_total(fitted, d, f, gas_table)
-                fold_matrix[t, k] = weighted_rms(resid)
-            per_trial.append(float(np.average(fold_matrix[t], weights=counts)))
-        details["fold_sigmas_db"] = fold_matrix
-        details["fold_ids"] = [m.id for m in models]
-        details["fold_weights"] = counts
+    for t in range(trials):
+        corpus = synthesize_corpus(
+            models, synthesis, substream(seed, "loocv", "synth", t)
+        )
+        _, X, Y, w, _, _, _ = _prepare_system(
+            corpus, cfg, sigma_by_source=sigmas, gas_table=gas_table
+        )
+        per_trial.append(weighted_rms(_loo_residuals(X, Y, w), w))
 
     mean = float(np.mean(per_trial))
     if return_details:
-        details["per_trial_db"] = per_trial
-        return mean, details
+        return mean, {
+            "n_samples": int(len(models) * synthesis.points_per_model),
+            "per_trial_db": per_trial,
+        }
     return mean
 
 
@@ -441,7 +401,7 @@ def run_order_study(spec: ExperimentSpec, *, registry=None, gas_table=None):
         corpus = synthesize_corpus(
             train_models, synth, substream(spec.seed, "order", "train", t)
         )
-        d, _, _, _, _ = samples_to_arrays(corpus)
+        d = corpus.distance
         noise = substream(spec.seed, "order", "test", t).normal(
             0.0, heldout.sigma, d.size
         )
@@ -638,7 +598,7 @@ def run_robust_study(spec: ExperimentSpec, *, registry=None):
             substream(spec.seed, "robust", "inject", t),
         )
         for arm, samples in (("clean", corpus), ("contaminated", contaminated)):
-            X, Y, _ = build_design_system(
+            X, Y = build_design_system(
                 samples, order=1, pin_gamma=ROBUST_STUDY_PINNED_GAMMA
             )
             for method in ROBUST_METHODS:

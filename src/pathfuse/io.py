@@ -11,7 +11,14 @@ from importlib import resources
 import numpy as np
 
 from .errors import DataError
-from .models import CoefficientSet, FittedModel, PathLossSample, SourceModel
+from .models import (
+    CoefficientSet,
+    FittedModel,
+    InvalidSampleError,
+    SampleBatch,
+    SourceModel,
+    as_batch,
+)
 
 __all__ = [
     "data_path",
@@ -29,7 +36,7 @@ __all__ = [
 _REGISTRY_FILE = "table1_nlos.csv"
 _TARGETS_FILE = "reference_targets.json"
 
-_SAMPLE_FIELDS = ("distance_m", "freq_ghz", "path_loss_db", "source_id", "weight")
+_SAMPLE_FIELDS = ("distance_m", "freq_ghz", "path_loss_db", "source_id")
 
 
 def data_path(name):
@@ -87,44 +94,53 @@ def sigma_map(models):
 
 
 def load_samples(path):
-    samples = []
+    """A SampleBatch from a samples CSV; a bad row raises DataError at ``path:line``.
+
+    An optional ``weight`` column is accepted only with the value 1 (or
+    empty): no fit reads per-sample weights.
+    """
+    d, f, y, ids, lines = [], [], [], [], []
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 try:
-                    samples.append(
-                        PathLossSample(
-                            distance=float(row["distance_m"]),
-                            frequency=float(row["freq_ghz"]),
-                            path_loss=float(row["path_loss_db"]),
-                            source_id=row["source_id"].strip(),
-                            weight=float(row.get("weight") or 1.0),
-                        )
-                    )
-                except (KeyError, ValueError, TypeError) as exc:
-                    raise DataError(f"{path}:{lineno}: bad sample row: {exc}") from exc
+                    d.append(float(row["distance_m"]))
+                    f.append(float(row["freq_ghz"]))
+                    y.append(float(row["path_loss_db"]))
+                    ids.append(row["source_id"].strip())
+                    weight = row.get("weight")
+                    if weight and float(weight) != 1.0:
+                        raise ValueError(f"weight {weight!r} is not 1; no fit reads it")
+                except (KeyError, ValueError, TypeError, AttributeError) as exc:
+                    raise DataError(
+                        f"{path}:{reader.line_num}: bad sample row: {exc}"
+                    ) from exc
+                lines.append(reader.line_num)
     except OSError as exc:
         raise DataError(f"cannot read samples {path}: {exc}") from exc
-    if not samples:
+    if not d:
         raise DataError(f"{path} contains no samples")
-    return samples
+    try:
+        return SampleBatch(d, f, y, ids)
+    except InvalidSampleError as exc:
+        raise DataError(f"{path}:{lines[exc.row]}: bad sample row: {exc}") from exc
 
 
 def save_samples(samples, path):
+    """Write samples as CSV, each float as its shortest round-tripping repr."""
+    batch = as_batch(samples)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_SAMPLE_FIELDS)
-        for s in samples:
-            writer.writerow(
-                [
-                    f"{s.distance!r}",
-                    f"{s.frequency!r}",
-                    f"{s.path_loss!r}",
-                    s.source_id,
-                    f"{s.weight!r}",
-                ]
+        writer.writerows(
+            zip(
+                map(repr, batch.distance.tolist()),
+                map(repr, batch.frequency.tolist()),
+                map(repr, batch.path_loss.tolist()),
+                batch.source_id.tolist(),
             )
+        )
 
 
 def _jsonable(obj):

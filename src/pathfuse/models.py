@@ -21,11 +21,21 @@ Column convention (shared by every fit and prediction in the package):
 
 ``predict`` is implemented as the dot product of ``design_row`` with the
 coefficient vector, so the two are consistent by construction.
+
+Samples travel as columns: a ``SampleBatch`` holds float64 ``distance`` (m),
+``frequency`` (GHz) and ``path_loss`` (dB) columns and a ``source_id``
+column.  It is checked once, with vector operations, when built (the rules
+of ``PathLossSample``) and never changed: ``take`` and ``with_path_loss``
+build new batches, which inherit its source groups (one ``np.unique``).
+Rows exist only at the edges: ``PathLossSample`` is the single validated
+row, public functions that take samples also accept a list of rows
+(``as_batch`` converts it once), and indexing a batch hands out rows.
+Nothing in the package iterates a batch row by row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +48,9 @@ __all__ = [
     "ORDER_SIZES",
     "SourceModel",
     "PathLossSample",
+    "SampleBatch",
+    "InvalidSampleError",
+    "as_batch",
     "CoefficientSet",
     "FittedModel",
     "predict_abg",
@@ -46,7 +59,6 @@ __all__ = [
     "column_names",
     "coefficient_names",
     "build_design_system",
-    "samples_to_arrays",
 ]
 
 ENVIRONMENTS = frozenset({"NLOS"})
@@ -172,19 +184,108 @@ class PathLossSample:
     frequency: float  # GHz
     path_loss: float  # dB
     source_id: str
-    weight: float = 1.0
 
     def __post_init__(self):
         _check_positive_finite("distance", self.distance)
         _check_positive_finite("frequency", self.frequency)
         if not np.isfinite(self.path_loss):
             raise ValueError(f"path_loss must be finite, got {self.path_loss!r}")
-        if not (np.isfinite(self.weight) and self.weight >= 0.0):
-            raise ValueError(f"weight must be finite and >= 0, got {self.weight!r}")
 
-    def shifted(self, delta_db: float) -> "PathLossSample":
-        """Copy with ``delta_db`` added to the path loss."""
-        return replace(self, path_loss=self.path_loss + delta_db)
+
+class InvalidSampleError(ValueError):
+    """A batch row that ``PathLossSample`` would reject; ``row`` is its index."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"sample {row}: {reason}")
+        self.row = row
+
+
+class SampleBatch:
+    """Path-loss observations as columns; see the module docstring.
+
+    Indexing with an integer (and so iterating) gives ``PathLossSample`` rows;
+    a slice, mask or index array gives a batch, as ``take`` does.
+    """
+
+    __slots__ = ("distance", "frequency", "path_loss", "source_id", "_groups")
+
+    def __init__(self, distance, frequency, path_loss, source_id):
+        self.distance = np.asarray(distance, dtype=float)
+        self.frequency = np.asarray(frequency, dtype=float)
+        self.path_loss = np.asarray(path_loss, dtype=float)
+        self.source_id = np.asarray(source_id, dtype=str)
+        self._groups = None
+        columns = (self.distance, self.frequency, self.path_loss, self.source_id)
+        if self.distance.ndim != 1 or len({c.shape for c in columns}) != 1:
+            raise ValueError("sample columns must be 1-D and of one length")
+        bad = ~(
+            np.isfinite(self.distance) & (self.distance > 0.0)
+            & np.isfinite(self.frequency) & (self.frequency > 0.0)
+            & np.isfinite(self.path_loss)
+        )
+        if bad.any():
+            row = int(np.argmax(bad))
+            try:
+                self[row]  # the row type's own check gives the reason
+            except ValueError as exc:
+                raise InvalidSampleError(row, str(exc)) from None
+
+    def __len__(self) -> int:
+        return self.distance.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return PathLossSample(
+                float(self.distance[index]),
+                float(self.frequency[index]),
+                float(self.path_loss[index]),
+                str(self.source_id[index]),
+            )
+        return self.take(index)
+
+    def groups(self):
+        """``(ids, group)``: sorted distinct source ids, each row's index into them.
+
+        Batches taken from this one, or with its losses replaced, inherit it.
+        """
+        if self._groups is None:
+            self._groups = np.unique(self.source_id, return_inverse=True)
+        return self._groups
+
+    def take(self, index) -> "SampleBatch":
+        """The rows selected by ``index`` (a slice, boolean mask or index array)."""
+        out = SampleBatch(
+            self.distance[index],
+            self.frequency[index],
+            self.path_loss[index],
+            self.source_id[index],
+        )
+        ids, group = self.groups()
+        group = group[index]
+        present = np.bincount(group, minlength=ids.size) > 0
+        if not present.all():
+            ids, group = ids[present], (np.cumsum(present) - 1)[group]
+        out._groups = ids, group
+        return out
+
+    def with_path_loss(self, path_loss) -> "SampleBatch":
+        """The same rows with ``path_loss`` as their loss column."""
+        out = SampleBatch(self.distance, self.frequency, path_loss, self.source_id)
+        out._groups = self._groups
+        return out
+
+
+def as_batch(samples) -> SampleBatch:
+    """``samples`` (a SampleBatch, or PathLossSample rows) as a SampleBatch."""
+    if isinstance(samples, SampleBatch):
+        return samples
+    rows = list(samples)
+    return SampleBatch(
+        [s.distance for s in rows],
+        [s.frequency for s in rows],
+        [s.path_loss for s in rows],
+        [s.source_id for s in rows],
+    )
 
 
 def predict_abg(alpha: float, beta: float, gamma: float, d, f):
@@ -280,25 +381,8 @@ class FittedModel:
         )
 
 
-def samples_to_arrays(samples) -> tuple:
-    """Unpack samples into (d, f, y, w, source_ids) numpy arrays."""
-    n = len(samples)
-    d = np.empty(n)
-    f = np.empty(n)
-    y = np.empty(n)
-    w = np.empty(n)
-    ids = np.empty(n, dtype=object)
-    for i, s in enumerate(samples):
-        d[i] = s.distance
-        f[i] = s.frequency
-        y[i] = s.path_loss
-        w[i] = s.weight
-        ids[i] = s.source_id
-    return d, f, y, w, ids
-
-
 def build_design_system(samples, order: int, pin_gamma: float | None = None):
-    """Assemble (X, Y, w) for a least-squares fit of ``order``.
+    """Assemble (X, Y) for a least-squares fit of ``order``.
 
     With ``pin_gamma`` set (order 1 only), the frequency slope is fixed at the
     given value: the Lf column is dropped and its contribution moved to the
@@ -309,13 +393,14 @@ def build_design_system(samples, order: int, pin_gamma: float | None = None):
     _check_order(order)
     if pin_gamma is not None and order != 1:
         raise ValueError("pin_gamma is only meaningful for order-1 fits")
-    d, f, y, w, _ = samples_to_arrays(samples)
-    X = design_matrix(order, d, f)
+    batch = as_batch(samples)
+    X = design_matrix(order, batch.distance, batch.frequency)
+    y = batch.path_loss
     if pin_gamma is not None:
         y = y - pin_gamma * X[:, 2]
         X = X[:, :2]
-    if len(samples) < X.shape[1]:
+    if len(batch) < X.shape[1]:
         raise InsufficientDataError(
-            f"{len(samples)} samples cannot determine {X.shape[1]} coefficients"
+            f"{len(batch)} samples cannot determine {X.shape[1]} coefficients"
         )
-    return X, y, w
+    return X, y

@@ -25,12 +25,14 @@ Group weighting policies (normalized to mean 1 over the corpus):
 
 where sigma_j is the published shadow-fading std of the sample's source and
 n_j the number of samples that source contributed to this fit.
+
+The corpus travels as one ``SampleBatch``; its source groups are computed
+once per corpus (one ``np.unique``) and shared by the prefilter and weights.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,9 +52,9 @@ from .models import (
     ORDER_SIZES,
     CoefficientSet,
     FittedModel,
+    as_batch,
     build_design_system,
     column_names,
-    samples_to_arrays,
 )
 
 __all__ = [
@@ -126,37 +128,39 @@ def compute_weights(samples, policy: str, sigma_by_source=None) -> np.ndarray:
     """Per-sample weights under ``policy``, normalized to mean 1."""
     if policy not in WEIGHTING_POLICIES:
         raise ConfigError(f"unknown weighting policy {policy!r}")
-    if not samples:
+    batch = as_batch(samples)
+    n = len(batch)
+    if not n:
         raise ConfigError("cannot weight an empty corpus")
-    n = len(samples)
     if policy == "Identity":
         return np.ones(n)
 
-    ids = [s.source_id for s in samples]
-    counts = Counter(ids)
+    ids, group = batch.groups()
+    ids = ids.tolist()
     if policy in ("InverseVariance", "Mixture"):
         if sigma_by_source is None:
             raise ConfigError(f"{policy} weighting needs per-source sigmas")
-        missing = sorted(set(ids) - set(sigma_by_source))
+        missing = [sid for sid in ids if sid not in sigma_by_source]
         if missing:
             raise DataError(f"no sigma known for source(s): {', '.join(missing)}")
-        for sid in counts:
+        for sid in ids:
             s = sigma_by_source[sid]
             if not (np.isfinite(s) and s > 0.0):
                 raise DataError(f"sigma for source {sid!r} must be > 0, got {s!r}")
+        sigma2 = np.array([sigma_by_source[sid] ** 2 for sid in ids])
 
-    w = np.empty(n)
-    for i, sid in enumerate(ids):
-        if policy == "BalanceCount":
-            w[i] = 1.0 / counts[sid]
-        elif policy == "InverseVariance":
-            w[i] = 1.0 / sigma_by_source[sid] ** 2
-        else:  # Mixture
-            w[i] = 1.0 / (counts[sid] * sigma_by_source[sid] ** 2)
+    counts = np.bincount(group)
+    if policy == "BalanceCount":
+        per_group = 1.0 / counts
+    elif policy == "InverseVariance":
+        per_group = 1.0 / sigma2
+    else:  # Mixture
+        per_group = 1.0 / (counts * sigma2)
+    w = per_group[group]
     return w / (w.sum() / n)
 
 
-def _robust_filter(samples, X, Y, cfg: PipelineConfig):
+def _robust_filter(batch, X, Y, cfg: PipelineConfig):
     """Outlier mask from per-group robust reference lines; True = keep.
 
     Every source group is single-frequency, so within a group the surface
@@ -172,16 +176,15 @@ def _robust_filter(samples, X, Y, cfg: PipelineConfig):
     and groups with no measurable scatter are kept whole.
     """
     robust = replace(cfg.robust, seed=cfg.seed)
-    groups: dict = {}
-    for i, s in enumerate(samples):
-        groups.setdefault(s.source_id, []).append(i)
+    _, group = batch.groups()
+    by_group = np.argsort(group, kind="stable")  # each group's rows stay ascending
+    rows = np.split(by_group, np.cumsum(np.bincount(group))[:-1])
 
-    keep = np.ones(len(samples), dtype=bool)
+    keep = np.ones(len(batch), dtype=bool)
     line_cols = [0, 1]  # the [10*log10(d), 1] columns of every design order
     names = [column_names(cfg.order)[j] for j in line_cols]
     iterations = 0
-    for sid, ix_list in groups.items():
-        ix = np.asarray(ix_list)
+    for ix in rows:
         if ix.size < _MIN_GROUP_FOR_FILTER:
             continue
         Xg = X[np.ix_(ix, line_cols)]
@@ -206,14 +209,15 @@ def _prepare_system(samples, cfg: PipelineConfig, *, sigma_by_source=None,
     Band-filters, removes gas loss, applies the robust rejection, and
     computes the sample weights.  Returns
     ``(survivors, X, Y, w, keep_mask, n_in_band, prefit_iters)`` where ``Y``
-    is in the (possibly gas-corrected) units the solver sees.
+    is in the (possibly gas-corrected) units the solver sees.  ``samples``
+    is a SampleBatch.
     """
     p = ORDER_SIZES[cfg.order]
     if cfg.freq_band is not None:
         lo, hi = cfg.freq_band
-        work = [s for s in samples if lo <= s.frequency <= hi]
+        work = samples.take((samples.frequency >= lo) & (samples.frequency <= hi))
     else:
-        work = list(samples)
+        work = samples
     n_in_band = len(work)
     if n_in_band < p:
         raise InsufficientDataError(
@@ -224,11 +228,11 @@ def _prepare_system(samples, cfg: PipelineConfig, *, sigma_by_source=None,
         table = gas_table if gas_table is not None else _default_table()
         work = remove_gas_loss(table, work)
 
-    X, Y, _ = build_design_system(work, cfg.order)
+    X, Y = build_design_system(work, cfg.order)
 
     if cfg.robust is not None:
         keep, prefit_iters = _robust_filter(work, X, Y, cfg)
-        survivors = [s for s, k in zip(work, keep) if k]
+        survivors = work.take(keep)
         Xs, Ys = X[keep], Y[keep]
     else:
         keep = np.ones(n_in_band, dtype=bool)
@@ -258,6 +262,7 @@ def fit_pathloss_model(
     prefits draw from ``cfg.seed`` (one-seed policy: the ``robust`` config's
     own seed is overridden).
     """
+    samples = as_batch(samples)
     p = ORDER_SIZES[cfg.order]
     survivors, Xs, Ys, w, keep, n_in_band, prefit_iters = _prepare_system(
         samples, cfg, sigma_by_source=sigma_by_source, gas_table=gas_table
@@ -274,7 +279,7 @@ def fit_pathloss_model(
     resid = Ys - Xs @ coeffs
     sigma = weighted_rms(resid, w)
 
-    d, f, *_ = samples_to_arrays(survivors)
+    d, f = survivors.distance, survivors.frequency
     model = FittedModel(
         coefficients=CoefficientSet(cfg.order, tuple(coeffs)),
         sigma=sigma,

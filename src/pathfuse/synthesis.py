@@ -7,11 +7,16 @@ the model's predicted loss, plus Gaussian shadow fading.  On top of that it
 can contaminate a distance band with positive Rayleigh-distributed excess
 loss (blocker-style outliers) and add ambient small-scale scattering.
 
+Every function returns a ``SampleBatch`` and accepts a batch or a list of
+``PathLossSample`` rows.
+
 The specs carry no seed: every draw comes from the Generator the caller
 passes (see :mod:`pathfuse.seeding`).  Draw-order contract (what makes runs
-bit-identical for a fixed stream): each model consumes its distances first,
-then its Gaussian shadow noise; the outlier injector consumes the victim
-choice first, then the excess magnitudes.
+bit-identical for a fixed stream), per column: each model, in id order on its
+own child stream, draws its whole ``distance`` column, then one shadow-noise
+value per row for ``path_loss`` (``frequency`` and ``source_id`` take no
+draw); the outlier injector draws the victim rows, then one excess per victim
+in draw order; ambient scattering draws one excess per row.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .models import PathLossSample, SourceModel, predict_abg
+from .models import SampleBatch, SourceModel, as_batch, predict_abg
 from .seeding import spawn_children, substream
 
 __all__ = [
@@ -133,25 +138,17 @@ def _draw_distances(m: SourceModel, spec: SynthesisSpec, rng) -> np.ndarray:
 
 def synthesize_from_model(
     m: SourceModel, spec: SynthesisSpec, rng: np.random.Generator
-) -> list[PathLossSample]:
+) -> SampleBatch:
     """Samples for one source model: distances, predicted loss, shadow noise."""
     d = _draw_distances(m, spec, rng)
     noise = rng.normal(0.0, m.sigma, spec.points_per_model)
     y = predict_abg(m.alpha, m.beta, m.gamma, d, m.frequency) + noise
-    return [
-        PathLossSample(
-            distance=float(d[i]),
-            frequency=m.frequency,
-            path_loss=float(y[i]),
-            source_id=m.id,
-        )
-        for i in range(spec.points_per_model)
-    ]
+    return SampleBatch(d, np.full(d.size, m.frequency), y, np.full(d.size, m.id))
 
 
 def synthesize_corpus(
     models, spec: SynthesisSpec, rng: np.random.Generator
-) -> list[PathLossSample]:
+) -> SampleBatch:
     """Concatenated samples for all models (sorted by id for determinism).
 
     Each model gets its own child stream, so adding or removing one model
@@ -161,23 +158,29 @@ def synthesize_corpus(
     if len({m.id for m in ordered}) != len(ordered):
         raise ConfigError("source model ids must be unique within a corpus")
     children = spawn_children(rng, len(ordered))
-    out: list[PathLossSample] = []
-    for m, child in zip(ordered, children):
-        out.extend(synthesize_from_model(m, spec, child))
-    return out
+    parts = [synthesize_from_model(m, spec, c) for m, c in zip(ordered, children)]
+    if not parts:
+        return as_batch([])
+    return SampleBatch(
+        np.concatenate([b.distance for b in parts]),
+        np.concatenate([b.frequency for b in parts]),
+        np.concatenate([b.path_loss for b in parts]),
+        np.concatenate([b.source_id for b in parts]),
+    )
 
 
 def inject_outliers(samples, spec: OutlierSpec, rng: np.random.Generator):
-    """Contaminate a distance band; returns ``(new_samples, outlier_mask)``.
+    """Contaminate a distance band; returns ``(new_batch, outlier_mask)``.
 
     The contaminated count is exactly ``round(fraction * in-band count)``;
-    victims are a seeded choice among in-band samples.  Untouched samples are
-    copied bit-identically, so a zero fraction (or zero in-band samples) is a
-    no-op apart from list identity.
+    victims are a seeded choice among in-band samples.  Untouched samples
+    keep their losses bit for bit, and a zero fraction (or zero in-band
+    samples) returns the input batch itself.
     """
-    if not samples:
+    batch = as_batch(samples)
+    if not len(batch):
         raise ConfigError("cannot inject outliers into an empty corpus")
-    d = np.array([s.distance for s in samples])
+    d = batch.distance
     dmin, dmax = float(d.min()), float(d.max())
     center = spec.band_center if spec.band_center is not None else (dmin + dmax) / 2.0
     half = spec.band_width / 2.0
@@ -188,16 +191,15 @@ def inject_outliers(samples, spec: OutlierSpec, rng: np.random.Generator):
         )
     in_band = np.nonzero(np.abs(d - center) <= half)[0]
     k = int(round(spec.contamination_fraction * in_band.size))
-    mask = np.zeros(len(samples), dtype=bool)
+    mask = np.zeros(len(batch), dtype=bool)
     if k == 0:
-        return list(samples), mask
+        return batch, mask
     victims = rng.choice(in_band, size=k, replace=False)
     excess = spec.magnitude_scale + sample_rayleigh(spec.rho, rng, size=k)
     mask[victims] = True
-    out = list(samples)
-    for idx, e in zip(victims, excess):
-        out[idx] = samples[idx].shifted(float(e))
-    return out, mask
+    y = batch.path_loss.copy()
+    y[victims] = y[victims] + excess
+    return batch.with_path_loss(y), mask
 
 
 def add_scattering_noise(samples, scale: float, rho: float, rng: np.random.Generator):
@@ -208,7 +210,8 @@ def add_scattering_noise(samples, scale: float, rho: float, rng: np.random.Gener
     """
     if not (np.isfinite(scale) and scale >= 0.0):
         raise ConfigError(f"scale must be >= 0, got {scale!r}")
+    batch = as_batch(samples)
     if scale == 0.0:
-        return list(samples)
-    excess = scale * sample_rayleigh(rho, rng, size=len(samples))
-    return [s.shifted(float(excess[i])) for i, s in enumerate(samples)]
+        return batch
+    excess = scale * sample_rayleigh(rho, rng, size=len(batch))
+    return batch.with_path_loss(batch.path_loss + excess)

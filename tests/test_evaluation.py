@@ -110,7 +110,7 @@ def test_sample_scheme_matches_explicit_refits():
     got = loocv(models, cfg, synthesis=spec, trials=1, seed=5)
 
     corpus = synthesize_corpus(models, spec, substream(5, "loocv", "synth", 0))
-    X, Y, _ = build_design_system(corpus, order=1)
+    X, Y = build_design_system(corpus, order=1)
     w = compute_weights(corpus, "Mixture", {m.id: m.sigma for m in models})
     resid = np.empty(len(Y))
     for i in range(len(Y)):
@@ -127,27 +127,8 @@ def test_loocv_vanishes_on_noiseless_models():
     assert loocv(models, cfg, synthesis=SynthesisSpec(points_per_model=40)) < 1e-6
 
 
-def test_model_scheme_details_and_weighting():
-    models = _trio()
-    cfg = PipelineConfig(order=1, weighting="Identity", robust=None,
-                         gas_correction=False)
-    mean, details = loocv(
-        models, cfg, synthesis=SynthesisSpec(points_per_model=40),
-        trials=2, seed=3, scheme="model", return_details=True,
-    )
-    assert details["scheme"] == "model"
-    assert details["fold_sigmas_db"].shape == (2, 3)
-    assert details["fold_ids"] == ["a-2ghz", "b-9ghz", "c-28ghz"]
-    assert details["fold_weights"].tolist() == [50.0, 50.0, 50.0]
-    assert len(details["per_trial_db"]) == 2
-    # equal fold weights -> the average is the plain mean of fold errors
-    assert mean == pytest.approx(float(details["fold_sigmas_db"].mean()), rel=1e-12)
-
-
 def test_loocv_rejects_bad_arguments():
     cfg = PipelineConfig(order=1, robust=None, gas_correction=False)
-    with pytest.raises(ConfigError):
-        loocv(_trio(), cfg, scheme="jackknife")
     with pytest.raises(ConfigError):
         loocv(_trio()[:2], cfg)
 

@@ -1,9 +1,10 @@
 """Study numbers pinned against recorded snapshots.
 
-Order and Robust at their pinned seeds must reproduce the benchmark's golden
-snapshot (``perfbench/golden.json``) and pass every gate.  Integration and
-Outlier are pinned on a reduced protocol (one trial, 30 samples per model)
-recorded in ``tests/data/golden_studies_small.json``.
+Order, Robust and Integration at their pinned seeds must reproduce the
+benchmark's golden snapshot (``perfbench/golden.json``), and all four
+studies must pass every one of their 60 gates at the pinned seeds.
+Integration and Outlier are also pinned on a reduced protocol (one trial,
+30 samples per model) recorded in ``tests/data/golden_studies_small.json``.
 """
 
 import json
@@ -20,7 +21,7 @@ from pathfuse.evaluation import (
 )
 from perfbench.workloads import load_golden, report_values
 
-from conftest import ORDER_SEED, ROBUST_SEED
+from conftest import INTEGRATION_SEED, ORDER_SEED, ROBUST_SEED
 
 TOLERANCE_DB = 1e-12
 SMALL_GOLDEN = Path(__file__).with_name("data") / "golden_studies_small.json"
@@ -32,6 +33,12 @@ def _assert_matches(expected, actual):
         assert set(actual[key]) == set(values), key
         for name, want in values.items():
             assert abs(actual[key][name] - want) <= TOLERANCE_DB, (key, name)
+
+
+def _assert_gates_pass(result, count):
+    gates = evaluate_gates(result)
+    assert len(gates) == count
+    assert all(g.passed for g in gates), [g for g in gates if not g.passed]
 
 
 def _study_values(result):
@@ -54,10 +61,19 @@ def test_order_and_robust_match_the_benchmark_snapshot(order_result, robust_resu
     assert golden["seed"] == ORDER_SEED == ROBUST_SEED - 1
     actual = {**_study_values(order_result), **_study_values(robust_result)}
     _assert_matches(golden["reports"], actual)
-    for result, count in ((order_result, 9), (robust_result, 4)):
-        gates = evaluate_gates(result)
-        assert len(gates) == count
-        assert all(g.passed for g in gates), [g for g in gates if not g.passed]
+    _assert_gates_pass(order_result, 9)
+    _assert_gates_pass(robust_result, 4)
+
+
+def test_integration_matches_the_benchmark_snapshot(integration_result):
+    golden = load_golden()["integration"]
+    assert golden["seed"] == INTEGRATION_SEED
+    _assert_matches(golden["reports"], report_values(integration_result))
+    _assert_gates_pass(integration_result, 18)
+
+
+def test_outlier_study_passes_every_gate(outlier_result):
+    _assert_gates_pass(outlier_result, 29)
 
 
 @pytest.mark.parametrize(

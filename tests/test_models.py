@@ -9,6 +9,7 @@ from pathfuse.models import (
     CoefficientSet,
     FittedModel,
     PathLossSample,
+    SampleBatch,
     build_design_system,
     coefficient_names,
     column_names,
@@ -117,13 +118,45 @@ def test_sample_validation_and_shift():
         PathLossSample(distance=-1.0, frequency=2.0, path_loss=90.0, source_id="x")
     with pytest.raises(ValueError):
         PathLossSample(distance=10.0, frequency=2.0, path_loss=np.inf, source_id="x")
-    with pytest.raises(ValueError):
-        PathLossSample(
-            distance=10.0, frequency=2.0, path_loss=90.0, source_id="x", weight=-0.5
-        )
-    s = PathLossSample(distance=10.0, frequency=2.0, path_loss=90.0, source_id="x")
-    assert s.shifted(5.0).path_loss == 95.0
-    assert s.shifted(5.0).distance == s.distance
+    batch = SampleBatch([10.0, 20.0], [2.0, 2.0], [90.0, 91.0], ["x", "x"])
+    shifted = batch.with_path_loss(batch.path_loss + 5.0)
+    assert shifted.path_loss.tolist() == [95.0, 96.0]
+    assert shifted.distance.tolist() == batch.distance.tolist()
+    assert batch.path_loss.tolist() == [90.0, 91.0]
+
+
+@pytest.mark.parametrize(
+    "column, value, reason",
+    [
+        ("distance", 0.0, "distance must be > 0"),
+        ("distance", np.nan, "distance must be finite"),
+        ("frequency", -2.0, "frequency must be > 0"),
+        ("path_loss", np.inf, "path_loss must be finite"),
+    ],
+)
+def test_sample_batch_names_its_first_bad_row(column, value, reason):
+    columns = {
+        "distance": [10.0, 20.0, 30.0, 40.0],
+        "frequency": [2.0, 2.0, 28.0, 28.0],
+        "path_loss": [80.0, 90.0, 100.0, 110.0],
+        "source_id": ["a", "a", "b", "b"],
+    }
+    columns[column][2] = value
+    columns[column][3] = value
+    with pytest.raises(ValueError, match=f"^sample 2: {reason}"):
+        SampleBatch(**columns)
+
+
+def test_taken_batch_groups_match_its_own_ids():
+    batch = SampleBatch(
+        [10.0, 20.0, 30.0, 40.0], [2.0, 9.0, 28.0, 9.0], [80.0] * 4, ["c", "a", "b", "a"]
+    )
+    batch.groups()
+    taken = batch.take(batch.frequency > 5.0)  # source "c" drops out
+    ids, group = taken.groups()
+    want_ids, want_group = np.unique(taken.source_id, return_inverse=True)
+    assert ids.tolist() == want_ids.tolist() == ["a", "b"]
+    assert group.tolist() == want_group.tolist() == [0, 1, 0]
 
 
 def _samples(d, f, y, sid="m"):
@@ -138,10 +171,9 @@ def test_build_design_system_shapes():
     d = [10.0, 50.0, 100.0, 200.0, 20.0, 80.0, 150.0, 60.0]
     f = [2.0, 2.0, 28.0, 28.0, 9.0, 9.0, 2.0, 28.0]
     y = [80.0, 95.0, 110.0, 120.0, 85.0, 102.0, 99.0, 107.0]
-    X, Y, w = build_design_system(_samples(d, f, y), order=2)
+    X, Y = build_design_system(_samples(d, f, y), order=2)
     assert X.shape == (8, 6)
     assert Y.tolist() == y
-    assert w.tolist() == [1.0] * 8
 
 
 def test_build_design_system_pinned_frequency_slope():
@@ -151,7 +183,7 @@ def test_build_design_system_pinned_frequency_slope():
     f = [4.0, 4.0, 4.0]
     y = [80.0, 95.0, 110.0]
     gamma = 2.0
-    X, Y, _ = build_design_system(_samples(d, f, y), order=1, pin_gamma=gamma)
+    X, Y = build_design_system(_samples(d, f, y), order=1, pin_gamma=gamma)
     assert X.shape == (3, 2)
     lf = 10.0 * np.log10(4.0)
     assert np.allclose(Y, np.asarray(y) - gamma * lf)

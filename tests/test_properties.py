@@ -19,8 +19,10 @@ from pathfuse.models import (
     ORDER_SIZES,
     CoefficientSet,
     PathLossSample,
+    SampleBatch,
     design_row,
 )
+from pathfuse.pipeline import WEIGHTING_POLICIES, PipelineConfig, fit_pathloss_model
 from pathfuse.seeding import substream
 from pathfuse.synthesis import sample_rayleigh
 
@@ -114,6 +116,32 @@ def test_absorption_removal_round_trips(d, f, loss):
     (clean,) = remove_gas_loss(TABLE, [s])
     back = clean.path_loss + TABLE.gas_loss(d, f)
     assert abs(back - loss) <= 1e-12 * max(1.0, abs(loss))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, order=orders, policy=st.sampled_from(WEIGHTING_POLICIES),
+       robust=st.sampled_from([None, RegressorConfig(kind="TheilSen")]),
+       gas=st.booleans())
+def test_row_list_and_batch_fit_identically(seed, order, policy, robust, gas):
+    rng = np.random.default_rng(seed)
+    sources = {f"src{k}": float(rng.uniform(1.0, 100.0)) for k in range(4)}
+    ids = rng.choice(list(sources), size=40)
+    d = rng.uniform(10.0, 500.0, 40)
+    f = np.array([sources[i] for i in ids])
+    y = rng.normal(100.0, 8.0, 40)
+    rows = [
+        PathLossSample(di, fi, yi, sid)
+        for di, fi, yi, sid in zip(d.tolist(), f.tolist(), y.tolist(), ids.tolist())
+    ]
+    batch = SampleBatch(d, f, y, ids)
+    cfg = PipelineConfig(order=order, weighting=policy, robust=robust,
+                         gas_correction=gas, seed=seed % 997)
+    sigmas = {sid: 1.0 + k for k, sid in enumerate(sources)}
+    a, _ = fit_pathloss_model(rows, cfg, sigma_by_source=sigmas, gas_table=TABLE)
+    b, _ = fit_pathloss_model(batch, cfg, sigma_by_source=sigmas, gas_table=TABLE)
+    assert a.coefficients.values == b.coefficients.values
+    assert a.sigma == b.sigma
+    assert a.provenance == b.provenance
 
 
 @settings(max_examples=40, deadline=None)

@@ -187,7 +187,7 @@ def test_injection_zero_fraction_is_a_noop():
         samples, OutlierSpec(contamination_fraction=0.0), substream(17, "inject")
     )
     assert not mask.any()
-    assert out == samples
+    assert out.path_loss.tolist() == [s.path_loss for s in samples]
 
 
 def test_injection_is_deterministic():
@@ -214,6 +214,6 @@ def test_scattering_noise_lifts_every_sample():
     assert len(noisy) == len(samples)
     assert all(n.path_loss > s.path_loss for n, s in zip(noisy, samples))
     same = add_scattering_noise(samples, 0.0, 0.75, substream(23, "amb"))
-    assert same == samples
+    assert same.path_loss.tolist() == [s.path_loss for s in samples]
     with pytest.raises(ConfigError):
         add_scattering_noise(samples, -1.0, 0.75, substream(23, "amb"))
