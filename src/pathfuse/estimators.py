@@ -18,6 +18,13 @@ are arguments of the penalized fits, not config fields; k-fold tuning
 standardizes each fold's training rows once and solves every candidate
 penalty on them.
 
+The exact Theil-Sen line selects its median slope without building all
+n(n-1)/2 slopes: the slopes below t are the inversions of ``y - t*x`` in x
+order (Matousek 1991; Dillencourt, Mount & Netanyahu 1992).  At most
+``PAIR_BUDGET`` slopes exist at a time, and a rounding guard on every slope
+bound keeps the result ``np.median``'s to the bit.  Elemental draws and
+RANSAC scoring run in row blocks of ``ROW_BLOCK`` numbers.
+
 Penalty conventions (important for cross-checking against other software):
 
 * ridge:       minimize ||Y - X w||^2 + lam * ||w_pen||^2
@@ -77,6 +84,13 @@ RANK_RTOL = 1e-10
 
 #: default search grid for penalty tuning: 0 plus 21 log-spaced points
 DEFAULT_PENALTY_GRID = (0.0,) + tuple(np.logspace(-4.0, 0.0, 21))
+
+#: the most pairwise slopes the exact Theil-Sen line builds at one time
+PAIR_BUDGET = 1 << 16
+#: slope-bound rounding guard, in eps * (max|y| + |t| max|x| + 1) / min x gap
+SLOPE_GUARD = 16.0
+#: uniforms (or residuals) per row block of elemental draws and RANSAC scoring
+ROW_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -416,9 +430,14 @@ def _elasticnet_standardized(std, lam1, lam2, tol, max_iters):
 
 
 def _draw_subsets(rng, n, p, count):
-    """``count`` random p-subsets of range(n), one per row (batched)."""
-    u = rng.random((count, n))
-    return np.argpartition(u, p, axis=1)[:, :p]
+    """``count`` random p-subsets of range(n), one per row, drawn in row
+    blocks of ``ROW_BLOCK`` uniforms (the same stream as one big fill)."""
+    rows = max(1, ROW_BLOCK // n)
+    out = np.empty((count, p), dtype=np.intp)
+    for k in range(0, count, rows):
+        u = rng.random((min(rows, count - k), n))
+        out[k:k + rows] = np.argpartition(u, p, axis=1)[:, :p]
+    return out
 
 
 def _solve_elemental(X, Y, subsets):
@@ -462,16 +481,18 @@ def fit_ransac(X, Y, cfg: RegressorConfig, *, column_names=None) -> FitDiagnosti
     subsets = _draw_subsets(rng, n, p, cfg.ransac_iters)
     coefs, good = _solve_elemental(X, Y, subsets)
 
-    resid = np.abs(Y[None, :] - coefs @ X.T)  # (iters, n)
-    counts = np.where(good, np.sum(resid <= threshold, axis=1), -1)
-    best = int(np.argmax(counts))
-    if counts[best] < p + 1:
+    rows, best, mask = max(1, ROW_BLOCK // n), -1, None
+    for k in range(0, cfg.ransac_iters, rows):  # the first largest consensus wins
+        inliers = np.abs(Y[None, :] - coefs[k:k + rows] @ X.T) <= threshold
+        counts = np.where(good[k:k + rows], np.sum(inliers, axis=1), -1)
+        if counts.max() > best:
+            best, mask = int(counts.max()), inliers[np.argmax(counts)]
+    if best < p + 1:
         raise ConsensusFailureError(
-            f"largest consensus set has {max(counts[best], 0)} samples; "
+            f"largest consensus set has {max(best, 0)} samples; "
             f"need at least {p + 1} (threshold {threshold:.3g} dB)"
         )
 
-    mask = resid[best] <= threshold
     coeffs, info = solve_wls(
         X[mask], Y[mask], column_names=column_names, return_info=True
     )
@@ -484,40 +505,188 @@ def fit_ransac(X, Y, cfg: RegressorConfig, *, column_names=None) -> FitDiagnosti
     )
 
 
-def _theilsen_line(X, Y, const_col, var_col):
+def _slopes(x, y, i, j):
+    return (y[i] - y[j]) / (x[i] - x[j])  # the slopes whose median Theil-Sen takes
+
+
+def _inversions(seq):
+    """Count the strict inversions of ``seq``, a permutation of range(n).
+
+    Level b holds the pairs that first differ in bit b: after a stable sort
+    on the higher bits, each 0 bit after a 1 of its group is one inversion.
+    Also returns ``pairs``: inversion ranks -> (earlier, later) positions.
+    Its O(n log n) index arrays stay alive as long as ``pairs`` does.
+    """
+    n = seq.size
+    levels = np.arange(max(n - 1, 1).bit_length())
+    key = np.uint16 if n <= 1 << 17 else seq.dtype  # 16-bit keys sort by radix
+    order = np.concatenate(
+        [np.argsort((seq >> (b + 1)).astype(key), kind="stable") for b in levels]
+    )
+    val, shift = seq[order], np.repeat(levels, n)
+    bit = (val >> shift) & 1
+    ones = np.cumsum(bit) - bit  # 1 bits before each entry, all levels in a row
+    start = np.repeat(levels * n, n) + (val >> (shift + 1) << (shift + 1))
+    weight = np.where(bit == 0, ones - ones[start], 0)
+    cum, one_at = np.cumsum(weight), np.flatnonzero(bit)
+
+    def pairs(ranks):
+        k = np.searchsorted(cum, ranks, side="right")
+        first = one_at[ones[start[k]] + ranks - cum[k] + weight[k]]
+        return order[first], order[k]
+
+    return int(cum[-1]), pairs
+
+
+def _select(values, count, ranks, rng):
+    """Values ``ranks`` of ``values(range(count))``, ``PAIR_BUDGET`` at a time.
+
+    Past the budget, a quickselect per rank streams the values in blocks:
+    two pivots drawn just below and above the rank split the window [a, b]
+    that holds the answer, and the values between them are kept if they fit.
+    """
+    if count <= PAIR_BUDGET:
+        return np.partition(values(np.arange(count)), ranks)[ranks]
+    found = {}
+    for q in ranks:
+        a, b, r, inside = -np.inf, np.inf, q, count  # r ranks the answer in [a, b]
+        while q not in found:
+            v = np.array([a, b])  # so a window that fits is kept whole
+            if inside > PAIR_BUDGET:
+                s = values(np.sort(rng.integers(0, count, PAIR_BUDGET)))
+                s = np.sort(s[(a <= s) & (s <= b)])
+                at = r / inside * s.size + np.array([-2.0, 2.0]) * math.sqrt(s.size)
+                v = s[np.clip(at.astype(int), 0, s.size - 1)] if s.size else v
+            kept, inside, middle = [], 0, 0
+            less, equal = np.zeros(2, int), np.zeros(2, int)
+            for k in range(0, count, PAIR_BUDGET):
+                s = values(np.arange(k, min(k + PAIR_BUDGET, count)))
+                s = s[(a <= s) & (s <= b)]
+                inside += s.size
+                less += np.sum(s < v[:, None], axis=1)
+                equal += np.sum(s == v[:, None], axis=1)
+                s = s[(v[0] < s) & (s < v[1])]
+                middle += s.size
+                kept += [s] if middle <= PAIR_BUDGET else []
+            (l0, l1), (e0, e1) = less, equal
+            for p in ranks:  # settle each rank that ties a pivot or lies kept
+                j = p - q + r  # between them (j ranks p in [a, b])
+                if l0 <= j < l0 + e0 or l1 <= j < l1 + e1:
+                    found[p] = v[0] if j < l0 + e0 else v[1]
+                elif l0 + e0 <= j < l1 and middle <= PAIR_BUDGET:
+                    j -= l0 + e0
+                    found[p] = np.partition(np.concatenate(kept), j)[j]
+            if r < l0:
+                b, inside = np.nextafter(v[0], -np.inf), l0
+            elif r < l1:
+                a, b = np.nextafter(v[0], np.inf), np.nextafter(v[1], -np.inf)
+                r, inside = r - l0 - e0, middle
+            else:
+                a, r, inside = np.nextafter(v[1], np.inf), r - l1 - e1, inside - l1 - e1
+    return [found[q] for q in ranks]
+
+
+def _middle_slopes(xs, ys, ranks, count, rng):
+    """Slopes ``ranks`` among the ``count`` of rows sorted by (x, y).
+
+    c(t), the count of slopes below t, is the inversion count of the order
+    of ``ys - t*xs``; [lo, hi) holds the pairs ordered unlike at lo and hi.
+    Rounds of 16n draws move each bound just outside the draws' middle while
+    it keeps its rank, until [lo, hi) fits ``PAIR_BUDGET`` or stops shrinking.
+    Bounds are widened by a rounding guard, which doubles until [lo, hi)
+    holds c(hi) - c(lo) pairs and both slopes lie a guard inside it, or
+    until it reaches |t|/2 (abscissae a few ulps apart): then bounds prove
+    nothing, and None sends the caller to every pair.
+    """
+    n = xs.size
+    gap = float(np.min(np.diff(np.unique(xs))))
+    ymax, xmax = float(np.max(np.abs(ys))), float(np.max(np.abs(xs)))
+    tol = SLOPE_GUARD * np.finfo(float).eps / gap
+
+    def guard(t):
+        return tol * (ymax + abs(t) * xmax + 1.0)
+
+    def bound(t, below=None):  # (t, order of ys - t*xs, c(t))
+        order = np.argsort(ys - t * xs, kind="stable")
+        return t, order, _inversions(order)[0] if below is None else below
+
+    def interval(lo, hi):  # (pairs in [lo, hi), their slopes by rank)
+        rank = np.empty(n, dtype=np.intp)
+        rank[lo[1]] = np.arange(n)
+        inside, pairs = _inversions(rank[hi[1]])
+        return inside, lambda k: _slopes(xs, ys, *(hi[1][e] for e in pairs(k)))
+
+    reach = 2.0 * (ys.max() - ys.min()) / gap + 1.0
+    if 2.0 * tol * xmax >= 1.0 or not math.isfinite(reach):
+        return None
+    lo, hi = bound(-reach, 0), bound(reach, count)  # every slope lies inside
+    inside, slopes = interval(lo, hi)
+    while inside > PAIR_BUDGET:
+        s = np.sort(slopes(np.sort(rng.integers(0, inside, 16 * n))))
+        at = np.subtract(ranks, lo[2]) / inside + np.array([-2, 2]) / math.sqrt(s.size)
+        t_lo, t_hi = s[np.clip((at * s.size).astype(int), 0, s.size - 1)]
+        new_lo, new_hi = bound(t_lo - guard(t_lo)), bound(t_hi + guard(t_hi))
+        lo = new_lo if lo[0] < new_lo[0] and new_lo[2] <= ranks[0] else lo
+        hi = new_hi if new_hi[0] < hi[0] and new_hi[2] > ranks[1] else hi
+        before, (inside, slopes) = inside, interval(lo, hi)
+        if 2 * inside > before:
+            break  # many equal slopes: stream the interval
+    while True:
+        if inside == hi[2] - lo[2] and lo[2] <= ranks[0] <= ranks[1] < hi[2]:
+            low, high = _select(slopes, inside, np.subtract(ranks, lo[2]), rng)
+            if lo[0] + guard(lo[0]) <= low and high <= hi[0] - guard(hi[0]):
+                return low, high
+        tol *= 2.0
+        t_lo, t_hi = lo[0] - guard(lo[0]), hi[0] + guard(hi[0])
+        if 2.0 * tol * xmax >= 1.0 or not math.isfinite(t_hi - t_lo):
+            return None
+        lo, hi = bound(t_lo), bound(t_hi)
+        inside, slopes = interval(lo, hi)
+
+
+def _theilsen_line(X, Y, const_col, var_col, seed):
     """Exact pairwise-median line fit for the two-column case.
 
-    The i-index is chunked so the pairwise workspace stays bounded even for
-    large corpora; pairs sharing an abscissa contribute no slope.
+    The slope is ``np.median`` of every pair's ``(Y[i] - Y[j]) / (x[i] - x[j])``
+    (pairs sharing an abscissa give none), bit for bit, but in O(n log n +
+    ``PAIR_BUDGET``) memory: past the budget ``_middle_slopes`` selects the
+    middle two, its pivots from ``substream(seed, "theilsen", "pivots")``;
+    otherwise they are selected among every pair, streamed past the budget.
     """
     x = X[:, var_col]
     n = x.shape[0]
-    pieces = []
-    chunk = max(1, 4_000_000 // max(n, 2))
-    cols = np.arange(n)
-    for start in range(0, n - 1, chunk):
-        i = np.arange(start, min(start + chunk, n - 1))
-        dx = x[i, None] - x[None, :]
-        keep = (cols[None, :] > i[:, None]) & (dx != 0.0)
-        if np.any(keep):
-            dy = Y[i, None] - Y[None, :]
-            pieces.append(dy[keep] / dx[keep])
-    if not pieces:
+    order = np.lexsort((Y, x))
+    xs, ys = x[order], Y[order]
+    ties = np.unique(xs, return_counts=True)[1]
+    count = n * (n - 1) // 2 - int(np.sum(ties * (ties - 1) // 2))
+    if count == 0:
         raise DegenerateDataError("all sample pairs share the same abscissa")
-    slopes = np.concatenate(pieces)
-    slope = float(np.median(slopes))
+    ranks = [(count - 1) // 2, count // 2]
+    rng = substream(seed, "theilsen", "pivots")
+    found = _middle_slopes(xs, ys, ranks, count, rng) if count > PAIR_BUDGET else None
+    if found is None:  # row i pairs with its last rows; its ranks end at end[i]
+        end = np.cumsum(n - np.searchsorted(xs, xs, side="right"))
+
+        def every(k):
+            i = np.searchsorted(end, k, side="right")
+            return _slopes(xs, ys, i, n - end[i] + k)
+
+        found = _select(every, count, ranks, rng)
+    low, high = found
+    slope = float((low + high) / 2) + 0.0  # np.median's mean; -0.0 becomes 0.0
     intercept = float(np.median(Y - slope * x)) / X[0, const_col]
     beta = np.zeros(2)
     beta[var_col] = slope
     beta[const_col] = intercept
-    return beta, int(slopes.size)
+    return beta, count
 
 
 def fit_theilsen(X, Y, cfg: RegressorConfig, *, column_names=None) -> FitDiagnostics:
     """Median-of-elemental-fits regression.
 
     Two-column systems with a constant column use the exact pairwise-median
-    slope plus median intercept.  Wider systems take the coordinate-wise
+    slope (selected, see ``_theilsen_line``) plus median intercept, and count
+    the pairs with distinct x.  Wider systems take the coordinate-wise
     median over elemental p-subsets: every subset when C(n, p) is within
     ``cfg.theilsen_subsets``, otherwise that many seeded random subsets
     (singular subsets are skipped and do not count toward the budget).
@@ -531,31 +700,22 @@ def fit_theilsen(X, Y, cfg: RegressorConfig, *, column_names=None) -> FitDiagnos
 
     const_col = _find_intercept_column(X)
     if p == 2 and const_col is not None:
-        beta, used = _theilsen_line(X, Y, const_col, 1 - const_col)
+        beta, used = _theilsen_line(X, Y, const_col, 1 - const_col, cfg.seed)
     else:
-        total = math.comb(n, p)
-        if total <= cfg.theilsen_subsets:
+        if math.comb(n, p) <= cfg.theilsen_subsets:
             subsets = np.array(
                 list(itertools.combinations(range(n), p)), dtype=np.intp
             )
             coefs, good = _solve_elemental(X, Y, subsets)
             solutions = coefs[good]
         else:
-            rng = substream(cfg.seed, "theilsen")
-            budget = cfg.theilsen_subsets
-            collected = []
-            have = 0
+            rng, solutions = substream(cfg.seed, "theilsen"), np.empty((0, p))
             for _ in range(50):
-                need = budget - have
+                need = cfg.theilsen_subsets - solutions.shape[0]
                 if need <= 0:
                     break
-                batch = _draw_subsets(rng, n, p, need)
-                coefs, good = _solve_elemental(X, Y, batch)
-                collected.append(coefs[good])
-                have += int(np.count_nonzero(good))
-            solutions = (
-                np.concatenate(collected)[:budget] if collected else np.empty((0, p))
-            )
+                coefs, good = _solve_elemental(X, Y, _draw_subsets(rng, n, p, need))
+                solutions = np.concatenate([solutions, coefs[good]])
         if solutions.shape[0] < p + 1:
             raise DegenerateDataError(
                 f"only {solutions.shape[0]} nonsingular elemental subsets; "

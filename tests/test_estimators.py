@@ -4,11 +4,14 @@ Hand-checkable oracles are frozen as exact constants; randomized checks pin
 their seeds.  A couple of algebraic identities run under hypothesis.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathfuse import estimators
 from pathfuse.errors import (
     ConfigError,
     ConsensusFailureError,
@@ -17,6 +20,7 @@ from pathfuse.errors import (
     SingularSystemError,
 )
 from pathfuse.estimators import (
+    ROW_BLOCK,
     RegressorConfig,
     fit_elasticnet,
     fit_lasso,
@@ -256,6 +260,186 @@ class TestRansac:
         X = np.eye(2)
         with pytest.raises(ConsensusFailureError):
             fit_ransac(X, np.ones(2), RegressorConfig(kind="RANSAC"))
+
+
+# ---------------------------------------------------------------------------
+# exact Theil-Sen selection and bounded memory
+# ---------------------------------------------------------------------------
+
+
+def pairwise_median_line(x, y):
+    """Reference: build every pair's slope, then take np.median of them all."""
+    i, j = np.triu_indices(x.size, 1)
+    dx = x[i] - x[j]
+    keep = dx != 0.0
+    slopes = (y[i] - y[j])[keep] / dx[keep]
+    slope = float(np.median(slopes))
+    return slope, float(np.median(y - slope * x)), int(slopes.size)
+
+
+def line_data(family, n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(1.0, 3.0, n)
+    y = 30.0 * x + rng.normal(0.0, 5.0, n)
+    if family == "exact-ties":
+        x, y = np.round(x, 1), np.round(y)
+    elif family == "near-ties":
+        x[1::2] = x[: n // 2] + 1e-12
+        y[1::2] = y[: n // 2] + 1e-12
+    elif family == "integer-x":
+        x = rng.integers(1, 300, n).astype(float)
+        y = np.round(0.1 * x + rng.normal(0.0, 5.0, n), 1)
+    elif family == "duplicated-rows":
+        k = n // 3
+        x[n - k:], y[n - k:] = x[:k], y[:k]
+    elif family == "offset-x":
+        x = 1e6 + 50.0 * x
+    return x, y
+
+
+def negative_ties(n):
+    rng = np.random.default_rng(n)
+    x = rng.integers(1, 1000, n).astype(float)
+    return x, np.where(rng.random(n) < 0.6, -0.5 * x, rng.normal(-300.0, 200.0, n))
+
+
+def fit_line(x, y, seed=0):
+    X = np.column_stack([x, np.ones_like(x)])
+    return fit_theilsen(X, y, RegressorConfig(kind="TheilSen", seed=seed))
+
+
+LINE_FAMILIES = (
+    "continuous", "exact-ties", "near-ties", "integer-x", "duplicated-rows", "offset-x"
+)
+
+
+@pytest.mark.parametrize("n", [3, 40, 362, 363, 700, 2000])
+@pytest.mark.parametrize("family", LINE_FAMILIES)
+def test_selected_line_equals_the_pairwise_median(family, n):
+    x, y = line_data(family, n, seed=n)
+    fit = fit_line(x, y)
+    slope, intercept, pairs = pairwise_median_line(x, y)
+    assert fit.coefficients[0] == slope
+    assert fit.coefficients[1] == intercept
+    assert fit.iterations_used == pairs
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        line_data("continuous", 1500, seed=5),
+        # one slope value holds most pairs, so the interval is streamed
+        (np.arange(1500.0), 2.0 * np.arange(1500.0)),
+        (np.random.default_rng(6).integers(1, 10, 2000).astype(float),
+         np.random.default_rng(7).integers(0, 5, 2000).astype(float)),
+        # a tied negative median within a guard of the first bounds: the
+        # guard doubles once before the result is accepted
+        negative_ties(600),
+    ],
+    ids=["continuous", "one-slope", "small-integers", "negative-ties"],
+)
+def test_pivot_seed_never_changes_the_line(x, y):
+    a, b = fit_line(x, y, seed=0), fit_line(x, y, seed=12345)
+    assert a.coefficients.tolist() == b.coefficients.tolist()
+    assert a.iterations_used == b.iterations_used
+    assert a.coefficients[0] == pairwise_median_line(x, y)[0]
+
+
+@pytest.mark.filterwarnings("error")  # no bound may overflow on the way
+@pytest.mark.parametrize("ulps", [1, 80])
+def test_abscissae_a_few_ulps_apart_select_among_every_pair(ulps):
+    # two abscissae `ulps` apart make the rounding guard outgrow every slope
+    # bound, at once (1) or after doubling (80), so all 79,800 pairs stream
+    rng = np.random.default_rng(11)
+    x = 10.0 * np.log10(rng.uniform(10.0, 500.0, 400))
+    x[1] = x[0] + ulps * np.spacing(x[0])
+    y = 2.0 * x + 30.0 + rng.normal(0.0, 6.0, 400)
+    fit = fit_line(x, y)
+    slope, intercept, pairs = pairwise_median_line(x, y)
+    assert fit.coefficients.tolist() == [slope, intercept]
+    assert fit.iterations_used == pairs == 79_800
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("family", ["continuous", "few-values", "one-value-dominates"])
+def test_streamed_selection_equals_a_full_sort(family, seed, monkeypatch):
+    # a 64-value budget makes the selection narrow its window over many passes
+    monkeypatch.setattr(estimators, "PAIR_BUDGET", 64)
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(65, 3000))
+    values = {
+        "continuous": rng.normal(size=count),
+        "few-values": rng.integers(0, 5, count).astype(float),
+        "one-value-dominates": np.where(
+            rng.random(count) < 0.7, 1.5, rng.normal(size=count)
+        ),
+    }[family]
+    ordered = np.sort(values)
+    for ranks in ([(count - 1) // 2, count // 2], [0, count - 1], [count // 3] * 2):
+        got = estimators._select(lambda k: values[k], count, ranks, rng)
+        assert list(got) == list(ordered[ranks])
+
+
+def test_even_pair_count_takes_the_mean_of_the_middle_two():
+    # slopes 1, 1.5, 2, 7/3, 3, 4: six pairs, so the median is (2 + 7/3) / 2
+    fit = fit_line(np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 1.0, 3.0, 7.0]))
+    assert fit.iterations_used == 6
+    assert fit.coefficients[0] == (2.0 + 7.0 / 3.0) / 2.0
+    # and through the selection: 1,000 rows give 499,500 pairs
+    x, y = line_data("continuous", 1000, seed=8)
+    i, j = np.triu_indices(1000, 1)
+    slopes = np.sort((y[i] - y[j]) / (x[i] - x[j]))
+    assert fit_line(x, y).coefficients[0] == (slopes[249749] + slopes[249750]) / 2
+
+
+def peak_mb(fit):
+    tracemalloc.start()
+    try:
+        result = fit()
+        return result, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def contaminated_campaign(n, seed):
+    rng = np.random.default_rng(seed)
+    x = 10.0 * np.log10(rng.uniform(10.0, 500.0, n))
+    y = 2.0 * x + 30.0 + rng.normal(0.0, 6.0, n)
+    hit = rng.random(n) < 0.2
+    y[hit] += rng.uniform(20.0, 55.0, hit.sum())
+    return x, y
+
+
+def test_line_of_25k_rows_fits_in_bounded_memory():
+    n = 25_000
+    x, y = contaminated_campaign(n, seed=3)
+    fit, peak = peak_mb(lambda: fit_line(x, y))
+    assert peak < 100.0
+    assert fit.iterations_used == n * (n - 1) // 2
+
+
+def test_ransac_and_wide_median_fits_score_in_row_blocks():
+    # values recorded from the unblocked implementation: blocking changes
+    # neither the random subsets nor the consensus
+    n = 8_000
+    assert ROW_BLOCK // n < 1000  # so the blocks really split
+    x, y = contaminated_campaign(n, seed=3)
+    X = np.column_stack([x, np.ones(n)])
+    cfg = RegressorConfig(kind="RANSAC", ransac_iters=1000, seed=4)
+    fit, peak = peak_mb(lambda: fit_ransac(X, y, cfg))
+    assert peak < 64.0
+    assert fit.coefficients.tolist() == [1.9825483479765529, 30.65705877260331]
+    assert fit.inlier_mask.sum() == 6490
+
+    W = np.column_stack([X, (x - 20.0) ** 2 / 10.0])
+    cfg = RegressorConfig(kind="TheilSen", seed=4)
+    fit, peak = peak_mb(lambda: fit_theilsen(W, y, cfg))
+    assert peak < 64.0
+    assert fit.coefficients.tolist() == [
+        1.5248465549765025, 41.937050827091696, 1.812838364531734
+    ]
+    assert fit.inlier_mask.sum() == 6953
+    assert fit.iterations_used == 10_000
 
 
 # ---------------------------------------------------------------------------
