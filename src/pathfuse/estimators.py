@@ -14,9 +14,13 @@ or frequencies.  All solvers share three conventions:
 
 ``solve_wls`` can also report the leverages of its own SVD, which give exact
 leave-one-out residuals without a second factorization.  Penalty strengths
-are arguments of the penalized fits, not config fields; k-fold tuning
-standardizes each fold's training rows once and solves every candidate
-penalty on them.
+are arguments of the penalized fits, not config fields.  The penalized
+kernels solve a whole grid of candidates at once, and a single fit is a
+grid of one: Ridge takes every lam from one SVD of the standardized design
+(Golub, Heath & Wahba 1979); Lasso and ElasticNet run one cyclic coordinate
+descent whose coefficients and residuals carry a candidate axis (Friedman,
+Hastie & Tibshirani 2010).  K-fold tuning standardizes each fold's training
+rows once and scores every candidate with one product.
 
 The exact Theil-Sen line selects its median slope without building all
 n(n-1)/2 slopes: the slopes below t are the inversions of ``y - t*x`` in x
@@ -308,15 +312,12 @@ class _Standardizer:
     """Center/scale the non-intercept columns; map coefficients back."""
 
     def __init__(self, X, Y):
-        self.n, self.p = X.shape
+        self.p = X.shape[1]
         self.icol = _find_intercept_column(X)
         if self.icol is None:
-            self.keep = np.arange(self.p)
-            self.Xs = X
-            self.Ys = Y
-            self.mx = None
+            self.Xs, self.Ys = X, Y
         else:
-            self.keep = np.array([j for j in range(self.p) if j != self.icol])
+            self.keep = np.flatnonzero(np.arange(self.p) != self.icol)
             sub = X[:, self.keep]
             self.mx = sub.mean(axis=0)
             sx = sub.std(axis=0)
@@ -327,67 +328,105 @@ class _Standardizer:
             self.ival = X[0, self.icol]
 
     def restore(self, b_std) -> np.ndarray:
+        """Map (k, G) standardized coefficients to (p, G), one column each."""
         if self.icol is None:
-            return np.asarray(b_std, dtype=float)
-        beta = np.zeros(self.p)
-        b = np.asarray(b_std, dtype=float) / self.sx
+            return b_std
+        b = b_std / self.sx[:, None]
+        beta = np.zeros((self.p, b.shape[1]))
         beta[self.keep] = b
-        beta[self.icol] = (self.ymean - float(b @ self.mx)) / self.ival
+        beta[self.icol] = (self.ymean - self.mx @ b) / self.ival
         return beta
+
+
+def _penalties(kind, grid, lam1):
+    """(l1, l2) weights of every candidate, checked before anything is solved.
+
+    Ridge candidates are lam >= 0 (l1 = 0), Lasso ones lam >= 0 (l2 = 0);
+    ElasticNet takes lam2 >= 0 with ``lam1`` or a (lam1, lam2) pair.
+    """
+    mix, lam = np.empty(len(grid)), np.empty(len(grid))
+    for i, candidate in enumerate(grid):
+        c = np.asarray(candidate, dtype=float)
+        if kind == "ElasticNet" and c.shape == (2,):
+            mix[i], lam[i] = c
+        else:
+            mix[i] = {"Ridge": 0.0, "Lasso": 1.0}.get(kind, lam1)
+            lam[i] = c if c.ndim == 0 else math.nan
+        if not (0.0 <= mix[i] <= 1.0 and 0.0 <= lam[i] < math.inf):
+            en = f" with lam1 {lam1!r} in [0, 1], or a pair (lam1, lam2)"
+            raise ConfigError(f"{kind} penalty candidate {candidate!r} is invalid: "
+                              f"need lam >= 0{en if kind == 'ElasticNet' else ''}")
+    return mix * lam, (1.0 - mix) * lam
+
+
+def _ridge_path(Xs, Ys, lam):
+    """Ridge coefficients for every lam from one thin SVD (Golub, Heath &
+    Wahba 1979): b(lam) = V diag(s / (s^2 + lam)) U^T y.
+
+    At lam = 0 singular values up to eps*(m+k)*s_max count as zero, the cutoff
+    of ``lstsq(rcond=None)`` on [Xs; sqrt(lam) I]: the minimum-norm answer.
+    """
+    m, k = Xs.shape
+    U, s, Vt = np.linalg.svd(Xs, full_matrices=False)
+    s = s[:, None]
+    cut = np.finfo(float).eps * (m + k) * s.max(initial=0.0)
+    denom = s * s + lam
+    f = np.divide(s, denom, out=np.zeros_like(denom), where=(lam > 0.0) | (s > cut))
+    return Vt.T @ (f * (U.T @ Ys)[:, None])
+
+
+def _descent_path(Xs, Ys, l1, l2, tol, max_iters):
+    """Cyclic coordinate descent for ||Y-Xw||^2 + l1*||w||_1 + l2*||w||^2,
+    one column of ``omega`` and of the residual per (l1, l2) candidate.
+
+    Every candidate starts from zero and stops once its largest update is at
+    most tol * max(1, max|w|); converged candidates leave the active block.
+    """
+    k = Xs.shape[1]
+    col_sq = np.einsum("ij,ij->j", Xs, Xs)
+    out = np.zeros((k, l1.size))
+    live, half = np.arange(l1.size), l1 / 2.0
+    omega, resid = out.copy(), np.repeat(Ys[:, None], l1.size, axis=1)
+    for _ in range(max_iters):
+        delta = np.zeros(live.size)
+        for j in np.flatnonzero(col_sq):
+            old = omega[j]
+            z = Xs[:, j] @ resid + col_sq[j] * old
+            new = soft_threshold(z, half) / (col_sq[j] + l2)
+            step = old - new
+            resid += Xs[:, j, None] * step
+            omega[j] = new
+            delta = np.maximum(delta, np.abs(step))
+        done = delta <= tol * np.max(np.abs(omega), axis=0, initial=1.0)
+        out[:, live[done]] = omega[:, done]
+        live, omega, resid = live[~done], omega[:, ~done], resid[:, ~done]
+        half, l2, delta = half[~done], l2[~done], delta[~done]
+        if not live.size:
+            return out
+    raise ConvergenceError(f"coordinate descent did not converge in {max_iters} "
+                           f"sweeps (last max update {delta[0]:.3g})", omega[:, 0])
+
+
+def _solve_grid(std, kind, l1, l2, tol, max_iters):
+    """Coefficients (p, G) of every candidate on one standardized system."""
+    if kind == "Ridge":
+        return std.restore(_ridge_path(std.Xs, std.Ys, l2))
+    return std.restore(_descent_path(std.Xs, std.Ys, l1, l2, tol, max_iters))
+
+
+def _fit_one(X, Y, kind, lam, lam1=None, tol=1e-10, max_iters=10000):
+    X, Y, _ = _as_system(X, Y)
+    l1, l2 = _penalties(kind, [lam], lam1)
+    return _solve_grid(_Standardizer(X, Y), kind, l1, l2, tol, max_iters)[:, 0]
 
 
 def fit_ridge(X, Y, lam: float) -> np.ndarray:
     """L2-penalized least squares; the intercept is never penalized.
 
-    Solved as an augmented least-squares system [X; sqrt(lam) I], which keeps
-    lam = 0 exactly equivalent to OLS and avoids normal equations.
+    Solved from one SVD of the standardized design: lam = 0 gives the
+    minimum-norm least-squares answer, with no normal equations formed.
     """
-    X, Y, _ = _as_system(X, Y)
-    return _ridge_standardized(_Standardizer(X, Y), lam)
-
-
-def _ridge_standardized(std, lam):
-    if not (np.isfinite(lam) and lam >= 0.0):
-        raise ConfigError(f"lam must be >= 0, got {lam!r}")
-    k = std.Xs.shape[1]
-    A = np.vstack([std.Xs, math.sqrt(lam) * np.eye(k)])
-    rhs = np.concatenate([std.Ys, np.zeros(k)])
-    b_std, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    return std.restore(b_std)
-
-
-# ---------------------------------------------------------------------------
-# coordinate descent (lasso / elastic net)
-# ---------------------------------------------------------------------------
-
-
-def _coordinate_descent(Xs, Ys, l1, l2, tol, max_iters):
-    """Cyclic coordinate descent for ||Y-Xw||^2 + l1*||w||_1 + l2*||w||^2."""
-    n, k = Xs.shape
-    col_sq = np.einsum("ij,ij->j", Xs, Xs)
-    omega = np.zeros(k)
-    resid = Ys.copy()
-    iters = 0
-    for sweep in range(max_iters):
-        iters = sweep + 1
-        delta = 0.0
-        for j in range(k):
-            if col_sq[j] == 0.0:
-                continue
-            old = omega[j]
-            zj = Xs[:, j] @ resid + col_sq[j] * old
-            new = soft_threshold(zj, l1 / 2.0) / (col_sq[j] + l2)
-            if new != old:
-                resid += Xs[:, j] * (old - new)
-                omega[j] = new
-                delta = max(delta, abs(new - old))
-        if delta <= tol * max(1.0, float(np.max(np.abs(omega)))):
-            return omega, iters
-    raise ConvergenceError(
-        f"coordinate descent did not converge in {max_iters} sweeps "
-        f"(last max update {delta:.3g})",
-        last_iterate=omega,
-    )
+    return _fit_one(X, Y, "Ridge", lam)
 
 
 def fit_lasso(X, Y, lam: float, *, tol: float = 1e-10, max_iters: int = 10000):
@@ -396,8 +435,7 @@ def fit_lasso(X, Y, lam: float, *, tol: float = 1e-10, max_iters: int = 10000):
     Objective ||Y - Xw||^2 + lam*||w_pen||_1, so on an orthonormal design the
     solution is soft_threshold(X^T Y, lam/2) exactly.
     """
-    X, Y, _ = _as_system(X, Y)
-    return _elasticnet_standardized(_Standardizer(X, Y), 1.0, lam, tol, max_iters)
+    return _fit_one(X, Y, "Lasso", lam, tol=tol, max_iters=max_iters)
 
 
 def fit_elasticnet(
@@ -408,20 +446,7 @@ def fit_elasticnet(
     lam1=0 matches :func:`fit_ridge` and lam1=1 matches :func:`fit_lasso`
     (same lam2), because the L2 term is the squared norm.
     """
-    X, Y, _ = _as_system(X, Y)
-    return _elasticnet_standardized(_Standardizer(X, Y), lam1, lam2, tol, max_iters)
-
-
-def _elasticnet_standardized(std, lam1, lam2, tol, max_iters):
-    """Coordinate descent on a prepared standardizer; lam1=1 is the lasso."""
-    if not (np.isfinite(lam1) and 0.0 <= lam1 <= 1.0):
-        raise ConfigError(f"lam1 must be in [0, 1], got {lam1!r}")
-    if not (np.isfinite(lam2) and lam2 >= 0.0):
-        raise ConfigError(f"penalty must be >= 0, got {lam2!r}")
-    b_std, _ = _coordinate_descent(
-        std.Xs, std.Ys, lam1 * lam2, (1.0 - lam1) * lam2, tol, max_iters
-    )
-    return std.restore(b_std)
+    return _fit_one(X, Y, "ElasticNet", lam2, lam1, tol, max_iters)
 
 
 # ---------------------------------------------------------------------------
@@ -743,20 +768,32 @@ def fit_theilsen(X, Y, cfg: RegressorConfig, *, column_names=None) -> FitDiagnos
 # ---------------------------------------------------------------------------
 
 
-def _fit_for_tuning(std, kind, candidate, cfg):
-    if kind == "Ridge":
-        return _ridge_standardized(std, candidate)
-    if kind == "Lasso":
-        return _elasticnet_standardized(std, 1.0, candidate, cfg.tol, cfg.max_iters)
-    if np.ndim(candidate) == 0:
-        lam1, lam2 = cfg.lam1, float(candidate)
-    else:
-        lam1, lam2 = (float(candidate[0]), float(candidate[1]))
-    return _elasticnet_standardized(std, lam1, lam2, cfg.tol, cfg.max_iters)
-
-
 def _candidate_sort_key(candidate):
     return tuple(np.atleast_1d(np.asarray(candidate, dtype=float))[::-1])
+
+
+def _kfold_scores(X, Y, kind, grid, cfg):
+    """Held-out RMSE of every candidate over the seeded K folds."""
+    if not grid:
+        raise ConfigError("penalty grid must not be empty")
+    if kind not in ("Ridge", "Lasso", "ElasticNet"):
+        raise ConfigError(f"penalty tuning does not apply to kind {kind!r}")
+    l1, l2 = _penalties(kind, grid, cfg.lam1)
+    X, Y, _ = _as_system(X, Y)
+    n = X.shape[0]
+    if n < 2 * cfg.kfold_k:
+        raise ConfigError(f"k-fold tuning needs n >= {2 * cfg.kfold_k}, got {n}")
+
+    rng = substream(cfg.seed, "kfold")
+    ssq = np.zeros(len(grid))
+    for fold in np.array_split(rng.permutation(n), cfg.kfold_k):
+        train = np.ones(n, dtype=bool)
+        train[fold] = False
+        std = _Standardizer(X[train], Y[train])
+        B = _solve_grid(std, kind, l1, l2, cfg.tol, cfg.max_iters)
+        err = Y[fold, None] - X[fold] @ B
+        ssq += np.einsum("ij,ij->j", err, err)
+    return np.sqrt(ssq / n)
 
 
 def tune_penalty_kfold(X, Y, kind: str, grid, cfg: RegressorConfig):
@@ -764,32 +801,13 @@ def tune_penalty_kfold(X, Y, kind: str, grid, cfg: RegressorConfig):
 
     Ties go to the smallest penalty.  Candidates are scalars for Ridge/Lasso;
     for ElasticNet either scalars (lam2, with lam1 from cfg) or (lam1, lam2)
-    pairs.  Returns the winning candidate unchanged.  Each fold's training
-    rows are standardized once and shared by every candidate.
+    pairs.  Returns the winning candidate unchanged.  The whole grid is
+    checked before any fold runs; each fold then solves every candidate at
+    once, from one SVD (Ridge) or one coordinate descent with a candidate
+    axis (Lasso/ElasticNet), and scores them with one product.
     """
     grid = list(grid)
-    if not grid:
-        raise ConfigError("penalty grid must not be empty")
-    if kind not in ("Ridge", "Lasso", "ElasticNet"):
-        raise ConfigError(f"penalty tuning does not apply to kind {kind!r}")
-    X, Y, _ = _as_system(X, Y)
-    n = X.shape[0]
-    k = cfg.kfold_k
-    if n < 2 * k:
-        raise ConfigError(f"k-fold tuning needs n >= {2 * k}, got {n}")
-
-    rng = substream(cfg.seed, "kfold")
-    folds = np.array_split(rng.permutation(n), k)
-    ssq = [0.0] * len(grid)
-    for fold in folds:
-        train = np.setdiff1d(np.arange(n), fold, assume_unique=False)
-        std = _Standardizer(X[train], Y[train])
-        Xf, Yf = X[fold], Y[fold]
-        for i, candidate in enumerate(grid):
-            err = Yf - Xf @ _fit_for_tuning(std, kind, candidate, cfg)
-            ssq[i] += float(err @ err)
-    scores = [math.sqrt(v / n) for v in ssq]
-
+    scores = _kfold_scores(X, Y, kind, grid, cfg)
     order = sorted(
         range(len(grid)), key=lambda i: (scores[i], _candidate_sort_key(grid[i]))
     )

@@ -15,6 +15,7 @@ from pathfuse import estimators
 from pathfuse.errors import (
     ConfigError,
     ConsensusFailureError,
+    ConvergenceError,
     DegenerateDataError,
     InsufficientDataError,
     SingularSystemError,
@@ -150,6 +151,7 @@ def test_wls_rank_deficient_optin_returns_minimal_norm():
     Y = 3.0 * x
     beta = solve_wls(X, Y, allow_rank_deficient=True)
     assert beta == pytest.approx([1.5, 1.5], abs=1e-10)
+    assert fit_ridge(X, Y, 0.0) == pytest.approx([1.5, 1.5], abs=1e-10)
 
 
 def test_wls_validates_inputs():
@@ -474,6 +476,62 @@ def test_tuning_validates_grid_and_size():
         tune_penalty_kfold(X[:10], Y[:10], "Ridge", [0.0], cfg)
     with pytest.raises(ConfigError):
         tune_penalty_kfold(X, Y, "OLS", [0.0], cfg)
+    bad = {
+        "Ridge": [(0.5, 0.1), -1.0, np.nan, np.inf, [0.1, 0.2, 0.3]],
+        "Lasso": [(0.5, 0.1), -1e-12, np.nan],
+        "ElasticNet": [-1.0, np.nan, (1.5, 0.1), (-0.1, 0.1), (0.5, -1.0),
+                       (np.nan, 0.1)],
+    }
+    for kind, candidates in bad.items():
+        for candidate in candidates:
+            with pytest.raises(ConfigError, match=f"{kind} penalty candidate"):
+                tune_penalty_kfold(X, Y, kind, [0.0, 0.1, candidate], cfg)
+    # the grid is checked before any fold runs: one sweep cannot converge on
+    # these data, yet the bad last candidate is what gets reported
+    with pytest.raises(ConfigError, match=r"candidate -1\.0"):
+        tune_penalty_kfold(X, Y, "Lasso", [0.1, -1.0], RegressorConfig(max_iters=1))
+    with pytest.raises(ConfigError, match="lam1 1.5"):
+        fit_elasticnet(X, Y, 1.5, 0.1)
+    with pytest.raises(ConfigError):
+        fit_ridge(X, Y, -0.5)
+
+
+def test_intercept_only_designs_fit_the_scaled_mean():
+    Y = np.random.default_rng(53).normal(7.0, 2.0, 30)
+    X = np.full((30, 1), 2.5)
+    want = Y.mean() / 2.5
+    assert fit_ridge(X, Y, 0.3) == pytest.approx([want], rel=1e-14)
+    assert fit_lasso(X, Y, 0.3) == pytest.approx([want], rel=1e-14)
+    assert fit_elasticnet(X, Y, 0.5, 0.3) == pytest.approx([want], rel=1e-14)
+    for kind in ("Ridge", "Lasso", "ElasticNet"):
+        # every candidate predicts the same fold means, so the smallest wins
+        assert tune_penalty_kfold(X, Y, kind, [0.3, 0.0, 1.0], RegressorConfig()) == 0.0
+
+
+def test_tied_lasso_penalties_go_to_the_smallest():
+    # no slope: the large penalties zero every coefficient in every fold, so
+    # their held-out scores tie exactly and beat the unpenalized fit
+    rng = np.random.default_rng(59)
+    X = np.column_stack([rng.uniform(1, 10, 40), np.ones(40), rng.uniform(0, 5, 40)])
+    Y = 5.0 + rng.normal(0.0, 1.0, 40)
+    grid = [1e5, 0.0, 3e3, 1e4]
+    cfg = RegressorConfig()
+    scores = estimators._kfold_scores(X, Y, "Lasso", grid, cfg)
+    assert scores[0] == scores[2] == scores[3] < scores[1]
+    assert tune_penalty_kfold(X, Y, "Lasso", grid, cfg) == 3e3
+
+
+def test_descent_that_runs_out_of_sweeps_raises_with_its_last_iterate():
+    rng = np.random.default_rng(61)
+    x = rng.uniform(1, 10, 40)
+    X = np.column_stack([x, np.ones(40), x + rng.normal(0.0, 0.1, 40)])
+    Y = X @ np.array([2.0, 5.0, -1.0]) + rng.normal(0.0, 0.5, 40)
+    with pytest.raises(ConvergenceError) as info:
+        fit_lasso(X, Y, 0.1, max_iters=1)
+    assert info.value.last_iterate.shape == (2,)
+    with pytest.raises(ConvergenceError) as info:
+        tune_penalty_kfold(X, Y, "ElasticNet", [0.1, 1.0], RegressorConfig(max_iters=1))
+    assert info.value.last_iterate.shape == (2,)
 
 
 def test_tuning_selection_is_stable_under_reseeding():

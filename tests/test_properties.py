@@ -1,17 +1,22 @@
 """Randomized invariants of the numerical core."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathfuse import estimators
 from pathfuse.atmosphere import load_default_table, remove_gas_loss
-from pathfuse.errors import MetricError
+from pathfuse.errors import ConvergenceError, MetricError
 from pathfuse.estimators import (
     RegressorConfig,
+    fit_elasticnet,
+    fit_lasso,
     fit_ridge,
     mad_scale,
     soft_threshold,
     solve_wls,
+    tune_penalty_kfold,
     weighted_rms,
 )
 from pathfuse.evaluation import error_ratio
@@ -74,6 +79,65 @@ def test_unpenalized_ridge_is_ordinary_least_squares(seed):
     np.testing.assert_allclose(
         fit_ridge(X, Y, lam=0.0), solve_wls(X, Y), rtol=1e-8, atol=1e-8
     )
+
+
+def reference_kfold_scores(X, Y, kind, grid, cfg):
+    """Held-out RMSE per candidate, one public fit per fold and candidate."""
+    n = Y.size
+    folds = np.array_split(substream(cfg.seed, "kfold").permutation(n), cfg.kfold_k)
+    ssq = np.zeros(len(grid))
+    for fold in folds:
+        train = np.setdiff1d(np.arange(n), fold)
+        Xt, Yt = X[train], Y[train]
+        for i, c in enumerate(grid):
+            if kind == "Ridge":
+                beta = fit_ridge(Xt, Yt, c)
+            elif kind == "Lasso":
+                beta = fit_lasso(Xt, Yt, c, tol=cfg.tol, max_iters=cfg.max_iters)
+            else:
+                lam1, lam2 = (cfg.lam1, c) if np.ndim(c) == 0 else c
+                beta = fit_elasticnet(
+                    Xt, Yt, lam1, lam2, tol=cfg.tol, max_iters=cfg.max_iters
+                )
+            err = Y[fold] - X[fold] @ beta
+            ssq[i] += err @ err
+    return np.sqrt(ssq / n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, kind=st.sampled_from(["Ridge", "Lasso", "ElasticNet"]),
+       n_pen=st.integers(min_value=0, max_value=3), intercept=st.booleans(),
+       duplicate=st.booleans(), pairs=st.booleans())
+def test_batched_tuning_matches_one_fit_per_candidate(
+    seed, kind, n_pen, intercept, duplicate, pairs
+):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 41))
+    cols = [rng.normal(rng.uniform(-5, 5), rng.uniform(0.1, 3), n)
+            for _ in range(n_pen)]
+    if duplicate and n_pen >= 2:
+        cols[-1] = cols[0]
+    if intercept:
+        cols.insert(int(rng.integers(0, n_pen + 1)), np.full(n, rng.uniform(0.5, 3)))
+    X = np.column_stack(cols) if cols else np.empty((n, 0))
+    Y = X @ rng.uniform(-2, 2, X.shape[1]) + rng.normal(0, 1, n)
+    lam = [0.0] + list(10.0 ** rng.uniform(-4, 2, 4))
+    grid = lam
+    if kind == "ElasticNet" and pairs:
+        grid = [(float(a), b) for a, b in zip(rng.choice([0.0, 0.3, 1.0], 5), lam)]
+    cfg = RegressorConfig(kfold_k=int(rng.integers(2, 11)), seed=seed % 997,
+                          lam1=float(rng.uniform()), max_iters=300)
+    try:
+        want = reference_kfold_scores(X, Y, kind, grid, cfg)
+    except ConvergenceError:
+        with pytest.raises(ConvergenceError):
+            tune_penalty_kfold(X, Y, kind, grid, cfg)
+        return
+    got = estimators._kfold_scores(X, Y, kind, grid, cfg)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    key = estimators._candidate_sort_key
+    best = min(range(len(grid)), key=lambda i: (want[i], key(grid[i])))
+    assert tune_penalty_kfold(X, Y, kind, grid, cfg) == grid[best]
 
 
 @settings(max_examples=60, deadline=None)
