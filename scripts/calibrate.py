@@ -60,8 +60,7 @@ def _clean_corpus(model, ambient_scale, trial):
 
 def _ols_sigma(samples):
     X, Y = build_design_system(samples, order=1, pin_gamma=ev.ROBUST_STUDY_PINNED_GAMMA)
-    sigma, _ = ev._robust_method_sigma("ols", X, Y, seed=0)
-    return sigma
+    return ev._robust_method_sigma("ols", X, Y, seed=0)
 
 
 def section_ambient():

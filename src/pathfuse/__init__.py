@@ -10,15 +10,12 @@ log-polynomial surface over distance and frequency.
 from .atmosphere import (
     GasAttenuationTable,
     load_default_table,
-    reapply_gas_loss,
+    predict_total,
     remove_gas_loss,
-    restore_gas_loss,
 )
 from .errors import (
-    AcceptanceError,
     ConfigError,
     ConsensusFailureError,
-    ContractError,
     ConvergenceError,
     DataError,
     DegenerateDataError,
@@ -54,7 +51,6 @@ from .evaluation import (
     run_order_study,
     run_outlier_study,
     run_robust_study,
-    weighted_std,
 )
 from .io import load_registry, load_samples, save_model, save_samples, sigma_map
 from .models import (
@@ -63,10 +59,8 @@ from .models import (
     PathLossSample,
     SampleBatch,
     SourceModel,
-    as_batch,
     build_design_system,
     design_matrix,
-    design_row,
     predict_abg,
 )
 from .pipeline import (
@@ -74,7 +68,6 @@ from .pipeline import (
     PipelineConfig,
     compute_weights,
     fit_pathloss_model,
-    fit_wabg,
 )
 from .seeding import substream
 from .synthesis import (

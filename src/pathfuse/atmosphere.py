@@ -3,13 +3,14 @@
 # Millimetre-wave measurements absorb extra loss from oxygen and water-vapour
 # resonances (the 60 GHz oxygen complex being the dominant feature).  Fitting
 # a smooth surface across frequency bands works better when that non-smooth
-# physical term is removed first and added back at prediction time.
+# physical term is removed first and added back at prediction time, which
+# ``predict_total`` does for exactly the models fitted on corrected samples.
 #
 # The bundled table gives specific attenuation (dB/km) on a fine frequency
 # grid at standard surface conditions; lookups interpolate linearly in
 # log10(attenuation), which tracks the resonance flanks far better than
 # linear interpolation.  Requests outside the tabulated range raise rather
-# than extrapolate.
+# than extrapolate.  ``load_default_table`` reads each table once per process.
 
 import csv
 import os
@@ -17,15 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DataError, GasRangeError
-from .models import as_batch
+from .errors import DataError, GasRangeError
+from .io import data_path
 
 __all__ = [
     "GasAttenuationTable",
     "load_default_table",
     "remove_gas_loss",
-    "reapply_gas_loss",
-    "restore_gas_loss",
+    "predict_total",
 ]
 
 _DEFAULT_TABLE_FILE = "itu_p676_standard.csv"
@@ -127,19 +127,18 @@ class GasAttenuationTable:
         return float(out) if np.ndim(d_m) == 0 and np.ndim(f_ghz) == 0 else out
 
 
-def load_default_table(data_dir=None):
-    """Load the bundled table (or the one in PATHFUSE_DATA_DIR, if set)."""
-    if data_dir is None:
-        data_dir = os.environ.get("PATHFUSE_DATA_DIR")
-    if data_dir is not None:
-        return GasAttenuationTable.from_csv(
-            os.path.join(data_dir, _DEFAULT_TABLE_FILE)
-        )
-    from importlib import resources
+_tables: dict = {}
 
-    ref = resources.files("pathfuse").joinpath("data", _DEFAULT_TABLE_FILE)
-    with resources.as_file(ref) as path:
-        return GasAttenuationTable.from_csv(path)
+
+def load_default_table():
+    """The table of the data directory: ``PATHFUSE_DATA_DIR`` if set, else bundled.
+
+    Each value of the variable reads its file once per process.
+    """
+    key = os.environ.get("PATHFUSE_DATA_DIR")
+    if key not in _tables:
+        _tables[key] = GasAttenuationTable.from_csv(data_path(_DEFAULT_TABLE_FILE))
+    return _tables[key]
 
 
 def _gas_losses(table, batch):
@@ -156,31 +155,22 @@ def _gas_losses(table, batch):
     return table.gas_loss(batch.distance, f) if len(batch) else np.empty(0)
 
 
-def remove_gas_loss(table, samples):
+def remove_gas_loss(table, batch):
     """New batch with each path loss reduced by its gaseous component.
 
     Row order and the other columns are kept.  A sample whose frequency
     falls outside the table raises GasRangeError naming it.
     """
-    batch = as_batch(samples)
     return batch.with_path_loss(batch.path_loss - _gas_losses(table, batch))
 
 
-def reapply_gas_loss(table, samples):
-    """Exact inverse of :func:`remove_gas_loss` (adds the same loss back)."""
-    batch = as_batch(samples)
-    return batch.with_path_loss(batch.path_loss + _gas_losses(table, batch))
+def predict_total(model, d_m, f_ghz):
+    """Total path loss (dB) of a fitted model at (d_m, f_ghz).
 
-
-def restore_gas_loss(table, model, d_m, f_ghz):
-    """Predict total path loss from a gas-corrected model: fit + gas term.
-
-    Only meaningful for models fitted on gas-corrected data; anything else
-    raises ContractError (adding gas on top of a raw fit double-counts it).
+    A model fitted on gas-corrected samples gets the default table's gas
+    loss added back; any other model's surface already includes it.
     """
-    if not getattr(model, "gas_corrected", False):
-        raise ContractError(
-            "restore_gas_loss needs a gas-corrected model; this fit already "
-            "includes gaseous loss"
-        )
-    return model.predict(d_m, f_ghz) + table.gas_loss(d_m, f_ghz)
+    pred = model.predict(d_m, f_ghz)
+    if model.gas_corrected:
+        pred = pred + load_default_table().gas_loss(d_m, f_ghz)
+    return pred

@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
-failure (singular/degenerate fits), 5 benchmark gate failure.
+failure (singular/degenerate fits).  Codes 2-4 come from the error classes
+in :mod:`pathfuse.errors`; ``experiment`` itself returns 5 when its study
+runs but a benchmark gate fails.
 """
 
 import argparse
@@ -12,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .atmosphere import load_default_table, restore_gas_loss
+from .atmosphere import load_default_table, predict_total
 from .errors import ConfigError, PathfuseError
 from .evaluation import (
     BAND_POINTS,
@@ -33,7 +35,6 @@ from .io import (
     sigma_map,
     write_study_csv,
 )
-from .estimators import RegressorConfig
 from .models import SCENARIOS
 from .pipeline import PipelineConfig, fit_pathloss_model
 from .seeding import substream
@@ -59,6 +60,8 @@ _WHICH_ALIASES = {
     "table5": "OutlierStudy",
     "outlier": "OutlierStudy",
 }
+
+_PREFILTERS = {"none": None, "theil-sen": "TheilSen", "ransac": "RANSAC"}
 
 _WEIGHTINGS = {
     "identity": "Identity",
@@ -129,15 +132,10 @@ def cmd_synth(args):
 
 def cmd_fit(args):
     samples = load_samples(args.samples)
-    robust = None
-    if args.robust == "theil-sen":
-        robust = RegressorConfig(kind="TheilSen")
-    elif args.robust == "ransac":
-        robust = RegressorConfig(kind="RANSAC")
     cfg = PipelineConfig(
         order=args.order,
         weighting=_WEIGHTINGS[args.weighting],
-        robust=robust,
+        robust=_PREFILTERS[args.robust],
         gas_correction=args.gas == "on",
         freq_band=_parse_band(args.band) if args.band else None,
         seed=args.seed,
@@ -175,11 +173,7 @@ def cmd_predict(args):
             print(f"error: {msg} (pass --extrapolate to override)", file=sys.stderr)
             return 2
         print(f"warning: extrapolating: {msg}", file=sys.stderr)
-    if model.gas_corrected:
-        value = restore_gas_loss(load_default_table(), model, args.d, args.f)
-    else:
-        value = model.predict(args.d, args.f)
-    print(f"{value:.2f}")
+    print(f"{predict_total(model, args.d, args.f):.2f}")
     return 0
 
 
@@ -299,7 +293,7 @@ def build_parser():
         "--weighting", choices=sorted(_WEIGHTINGS), default="mixture"
     )
     p.add_argument(
-        "--robust", choices=("none", "theil-sen", "ransac"), default="theil-sen"
+        "--robust", choices=list(_PREFILTERS), default="theil-sen"
     )
     p.add_argument("--gas", choices=("on", "off"), default="on")
     p.add_argument("--band", help="fit only samples inside LO:HI GHz")

@@ -7,7 +7,9 @@ process exit codes without string matching:
     2  configuration error (bad flags, bad config values, out-of-range request)
     3  data error (unparseable/invalid input rows, unknown source ids)
     4  numeric error (singular systems, non-convergence, insufficient data)
-    5  acceptance-gate violation (benchmark outside pinned tolerance)
+
+Exit code 5 belongs to no error class: ``pathfuse experiment`` returns it
+when a study finishes but one of its benchmark gates fails.
 """
 
 from __future__ import annotations
@@ -31,10 +33,6 @@ class NumericError(PathfuseError):
 
 class GasRangeError(ConfigError):
     """Requested frequency lies outside the attenuation table's coverage."""
-
-
-class ContractError(ConfigError):
-    """An operation was invoked on an object that does not support it."""
 
 
 class MetricError(NumericError):
@@ -69,8 +67,4 @@ class ConsensusFailureError(NumericError):
 
 
 class DegenerateDataError(NumericError):
-    """Too few nonsingular elemental subsets to form a median estimate."""
-
-
-class AcceptanceError(PathfuseError):
-    exit_code = 5
+    """Too few samples, or pairs with distinct abscissae, for a median line."""

@@ -12,6 +12,10 @@ or frequencies.  All solvers share three conventions:
   streams from ``RegressorConfig.seed`` only, so repeated calls are
   bit-identical.
 
+The caller picks the estimator by function; ``RegressorConfig`` holds the
+knobs they read: ElasticNet mix, RANSAC draws and threshold, fold count,
+seed and the coordinate-descent stopping rule.
+
 ``solve_wls`` can also report the leverages of its own SVD, which give exact
 leave-one-out residuals without a second factorization.  Penalty strengths
 are arguments of the penalized fits, not config fields.  The penalized
@@ -22,12 +26,13 @@ descent whose coefficients and residuals carry a candidate axis (Friedman,
 Hastie & Tibshirani 2010).  K-fold tuning standardizes each fold's training
 rows once and scores every candidate with one product.
 
-The exact Theil-Sen line selects its median slope without building all
-n(n-1)/2 slopes: the slopes below t are the inversions of ``y - t*x`` in x
-order (Matousek 1991; Dillencourt, Mount & Netanyahu 1992).  At most
-``PAIR_BUDGET`` slopes exist at a time, and a rounding guard on every slope
-bound keeps the result ``np.median``'s to the bit.  Elemental draws and
-RANSAC scoring run in row blocks of ``ROW_BLOCK`` numbers.
+Theil-Sen fits lines only: a two-column [x, constant] design.  The exact
+line selects its median slope without building all n(n-1)/2 slopes: the
+slopes below t are the inversions of ``y - t*x`` in x order (Matousek 1991;
+Dillencourt, Mount & Netanyahu 1992).  At most ``PAIR_BUDGET`` slopes exist
+at a time, and a rounding guard on every slope bound keeps the result
+``np.median``'s to the bit.  RANSAC's subset draws and consensus scoring run
+in row blocks of ``ROW_BLOCK`` numbers.
 
 Penalty conventions (important for cross-checking against other software):
 
@@ -46,7 +51,6 @@ elastic net reduces to ridge at lam1=0 and to lasso at lam1=1.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -63,7 +67,6 @@ from .errors import (
 from .seeding import substream
 
 __all__ = [
-    "REGRESSOR_KINDS",
     "RegressorConfig",
     "FitDiagnostics",
     "DEFAULT_PENALTY_GRID",
@@ -79,8 +82,6 @@ __all__ = [
     "tune_penalty_kfold",
 ]
 
-REGRESSOR_KINDS = ("OLS", "WLS", "Ridge", "Lasso", "ElasticNet", "RANSAC", "TheilSen")
-
 #: condition number above which a strict solve refuses to proceed
 CONDITION_LIMIT = 1e12
 #: relative singular-value cutoff used for rank counting / minimal-norm solves
@@ -93,30 +94,26 @@ DEFAULT_PENALTY_GRID = (0.0,) + tuple(np.logspace(-4.0, 0.0, 21))
 PAIR_BUDGET = 1 << 16
 #: slope-bound rounding guard, in eps * (max|y| + |t| max|x| + 1) / min x gap
 SLOPE_GUARD = 16.0
-#: uniforms (or residuals) per row block of elemental draws and RANSAC scoring
+#: uniforms (or residuals) per row block of RANSAC's draws and scoring
 ROW_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
 class RegressorConfig:
-    """Estimator selection plus the knobs of the robust and tuned fits."""
+    """The knobs of the robust and tuned fits."""
 
-    kind: str = "OLS"
     lam1: float = 0.5  # elastic-net L1 fraction, in [0, 1]
     ransac_iters: int = 1000
     ransac_inlier_threshold: float | None = None  # dB; None -> auto from prefit
-    theilsen_subsets: int = 10000
     kfold_k: int = 10
     seed: int = 0
     tol: float = 1e-10
     max_iters: int = 10000
 
     def __post_init__(self):
-        if self.kind not in REGRESSOR_KINDS:
-            raise ConfigError(f"unknown regressor kind {self.kind!r}")
         if not (np.isfinite(self.lam1) and 0.0 <= self.lam1 <= 1.0):
             raise ConfigError(f"lam1 must be in [0, 1], got {self.lam1!r}")
-        for name in ("ransac_iters", "theilsen_subsets", "kfold_k", "max_iters"):
+        for name in ("ransac_iters", "kfold_k", "max_iters"):
             v = getattr(self, name)
             if not (isinstance(v, int) and v >= 1):
                 raise ConfigError(f"{name} must be a positive integer, got {v!r}")
@@ -485,7 +482,8 @@ def fit_ransac(X, Y, cfg: RegressorConfig, *, column_names=None) -> FitDiagnosti
     ``substream(cfg.seed, "ransac")``.  A sample is an inlier of a candidate
     when its absolute residual is at most the inlier threshold; when the
     threshold is not configured it defaults to twice the MAD scale of a
-    Theil-Sen prefit's residuals.
+    Theil-Sen prefit's residuals, which needs a line design [x, constant];
+    on any other design the caller sets ``cfg.ransac_inlier_threshold``.
     """
     X, Y, _ = _as_system(X, Y)
     n, p = X.shape
@@ -496,7 +494,10 @@ def fit_ransac(X, Y, cfg: RegressorConfig, *, column_names=None) -> FitDiagnosti
 
     threshold = cfg.ransac_inlier_threshold
     if threshold is None:
-        prefit = fit_theilsen(X, Y, cfg, column_names=column_names)
+        if p != 2 or _find_intercept_column(X) is None:
+            raise ConfigError("RANSAC needs ransac_inlier_threshold unless the "
+                              "design is a line [x, constant]")
+        prefit = fit_theilsen(X, Y, cfg)
         scale = mad_scale(Y - X @ prefit.coefficients)
         if scale <= 0.0:
             scale = np.finfo(float).eps
@@ -706,15 +707,12 @@ def _theilsen_line(X, Y, const_col, var_col, seed):
     return beta, count
 
 
-def fit_theilsen(X, Y, cfg: RegressorConfig, *, column_names=None) -> FitDiagnostics:
-    """Median-of-elemental-fits regression.
+def fit_theilsen(X, Y, cfg: RegressorConfig) -> FitDiagnostics:
+    """Median line fit of a two-column [x, constant] design.
 
-    Two-column systems with a constant column use the exact pairwise-median
-    slope (selected, see ``_theilsen_line``) plus median intercept, and count
-    the pairs with distinct x.  Wider systems take the coordinate-wise
-    median over elemental p-subsets: every subset when C(n, p) is within
-    ``cfg.theilsen_subsets``, otherwise that many seeded random subsets
-    (singular subsets are skipped and do not count toward the budget).
+    The slope is the exact median of the pairwise slopes (selected, see
+    ``_theilsen_line``), the intercept the median residual; the pairs with
+    distinct x are counted.  Any other design raises ConfigError.
     """
     X, Y, _ = _as_system(X, Y)
     n, p = X.shape
@@ -722,32 +720,11 @@ def fit_theilsen(X, Y, cfg: RegressorConfig, *, column_names=None) -> FitDiagnos
         raise DegenerateDataError(
             f"need more than {p} samples for a median fit, got {n}"
         )
-
-    const_col = _find_intercept_column(X)
-    if p == 2 and const_col is not None:
-        beta, used = _theilsen_line(X, Y, const_col, 1 - const_col, cfg.seed)
-    else:
-        if math.comb(n, p) <= cfg.theilsen_subsets:
-            subsets = np.array(
-                list(itertools.combinations(range(n), p)), dtype=np.intp
-            )
-            coefs, good = _solve_elemental(X, Y, subsets)
-            solutions = coefs[good]
-        else:
-            rng, solutions = substream(cfg.seed, "theilsen"), np.empty((0, p))
-            for _ in range(50):
-                need = cfg.theilsen_subsets - solutions.shape[0]
-                if need <= 0:
-                    break
-                coefs, good = _solve_elemental(X, Y, _draw_subsets(rng, n, p, need))
-                solutions = np.concatenate([solutions, coefs[good]])
-        if solutions.shape[0] < p + 1:
-            raise DegenerateDataError(
-                f"only {solutions.shape[0]} nonsingular elemental subsets; "
-                f"need at least {p + 1}"
-            )
-        beta = np.median(solutions, axis=0)
-        used = solutions.shape[0]
+    const_col = _find_intercept_column(X) if p == 2 else None
+    if const_col is None:
+        raise ConfigError(f"Theil-Sen fits lines only: the design must be "
+                          f"[x, constant], got {p} columns")
+    beta, used = _theilsen_line(X, Y, const_col, 1 - const_col, cfg.seed)
 
     resid = Y - X @ beta
     scale = mad_scale(resid)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .atmosphere import load_default_table
+from .atmosphere import predict_total
 from .errors import ConfigError, DataError, MetricError
 from .estimators import (
     DEFAULT_PENALTY_GRID,
@@ -47,7 +47,7 @@ from .estimators import (
     weighted_rms,
 )
 from .io import load_registry, load_reference_targets, sigma_map
-from .models import as_batch, build_design_system, coefficient_names, design_matrix
+from .models import build_design_system, coefficient_names, design_matrix
 from .pipeline import PipelineConfig, _prepare_system, fit_pathloss_model
 from .seeding import substream
 from .synthesis import (
@@ -65,7 +65,6 @@ __all__ = [
     "EvaluationReport",
     "StudyResult",
     "GateCheck",
-    "weighted_std",
     "error_ratio",
     "loocv",
     "run_order_study",
@@ -103,10 +102,6 @@ BAND_POINTS = {
     ("UMa", (28.0, 73.5)): 927,
     ("UMa", (2.0, 73.5)): 1080,
 }
-
-#: elemental-subset budget for the robust prefilter inside studies (plenty
-#: for a rejection threshold; the library default of 10000 is for final fits)
-STUDY_TS_SUBSETS = 1000
 
 ORDER_STUDY_SCENARIO = "UMiSC"
 ORDER_STUDY_HELDOUT = "umisc-18ghz-nokia-aau"
@@ -146,6 +141,8 @@ STUDY_CONTAMINATION = 0.2
 #: deliberately severe; unfiltered fits then degrade visibly while the
 #: filtered pipeline stays within its resilience bound.
 OUTLIER_STUDY_MAGNITUDE_DB = 55.0
+#: widths (m) of the distance bands the outlier-resilience study contaminates
+OUTLIER_STUDY_BANDS_M = (50.0, 30.0, 5.0)
 
 ARM_POOLED = "pooled-abg"
 ARM_WEIGHTED = "weighted-abg"
@@ -170,7 +167,6 @@ class ExperimentSpec:
 
     which: str
     trials: int = 10
-    outlier_bands: tuple = (50.0, 30.0, 5.0)
     points_per_model: int | None = None  # None -> per-study protocol default
     seed: int = 0
 
@@ -179,10 +175,6 @@ class ExperimentSpec:
             raise ConfigError(f"which must be one of {STUDIES}, got {self.which!r}")
         if not (isinstance(self.trials, int) and self.trials >= 1):
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
-        if not self.outlier_bands or any(
-            not (np.isfinite(b) and b > 0) for b in self.outlier_bands
-        ):
-            raise ConfigError("outlier_bands must be positive widths in metres")
         if self.points_per_model is not None and not (
             isinstance(self.points_per_model, int) and self.points_per_model >= 1
         ):
@@ -230,38 +222,6 @@ class GateCheck:
 # ---------------------------------------------------------------------------
 
 
-def predict_total(model, d, f, gas_table=None):
-    """Model prediction in the samples' units: gas added back if removed."""
-    pred = model.predict(d, f)
-    if getattr(model, "gas_corrected", False):
-        table = gas_table if gas_table is not None else load_default_table()
-        pred = pred + table.gas_loss(d, f)
-    return pred
-
-
-def weighted_std(model, samples, weights=None, *, gas_table=None) -> float:
-    """Weighted residual std of ``model`` against ``samples`` (dB).
-
-    sqrt(sum(w_i r_i^2) / sum(w_i)); weights default to 1.  Gas-corrected
-    models are compared in total-loss units (their gas term is added back).
-    """
-    batch = as_batch(samples)
-    if not len(batch):
-        raise MetricError("cannot evaluate a model on an empty sample list")
-    if weights is None:
-        w = np.ones(len(batch))
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape[0] != len(batch):
-            raise MetricError(f"{w.shape[0]} weights for {len(batch)} samples")
-        if not np.isfinite(w).all() or np.any(w < 0):
-            raise MetricError("weights must be finite and >= 0")
-        if w.sum() <= 0.0:
-            raise MetricError("weights must not all be zero")
-    pred = predict_total(model, batch.distance, batch.frequency, gas_table)
-    return weighted_rms(batch.path_loss - pred, w)
-
-
 def error_ratio(sigma_contaminated: float, sigma_clean: float) -> float:
     """Percent growth of sigma under contamination, vs the clean baseline."""
     if not (np.isfinite(sigma_clean) and sigma_clean > 0.0):
@@ -280,17 +240,8 @@ def _loo_residuals(X, Y, w):
     return (Y - X @ coef) / np.maximum(1.0 - info["leverage"], 1e-12)
 
 
-def loocv(
-    models,
-    cfg: PipelineConfig,
-    *,
-    synthesis: SynthesisSpec | None = None,
-    trials: int = 1,
-    seed: int = 0,
-    gas_table=None,
-    return_details: bool = False,
-):
-    """Leave-one-sample-out cross-validation error (dB), averaged over trials.
+def loocv(models, cfg: PipelineConfig, *, synthesis: SynthesisSpec, trials=1, seed=0):
+    """Leave-one-sample-out cross-validation error (dB) of each trial, as a list.
 
     Per trial, synthesize one pooled corpus from all models, fit once, and
     take the weighted RMS of the exact leave-one-sample-out residuals
@@ -299,26 +250,15 @@ def loocv(
     models = sorted(models, key=lambda m: m.id)
     if len(models) < 3:
         raise ConfigError(f"leave-one-out needs at least 3 models, got {len(models)}")
-    if synthesis is None:
-        synthesis = SynthesisSpec()
     sigmas = sigma_map(models)
     per_trial = []
     for t in range(trials):
         corpus = synthesize_corpus(
             models, synthesis, substream(seed, "loocv", "synth", t)
         )
-        _, X, Y, w, _, _, _ = _prepare_system(
-            corpus, cfg, sigma_by_source=sigmas, gas_table=gas_table
-        )
+        _, X, Y, w, _, _, _ = _prepare_system(corpus, cfg, sigma_by_source=sigmas)
         per_trial.append(weighted_rms(_loo_residuals(X, Y, w), w))
-
-    mean = float(np.mean(per_trial))
-    if return_details:
-        return mean, {
-            "n_samples": int(len(models) * synthesis.points_per_model),
-            "per_trial_db": per_trial,
-        }
-    return mean
+    return per_trial
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +301,7 @@ def _count_decreasing(P, axis, tol=1e-9):
 # ---------------------------------------------------------------------------
 
 
-def run_order_study(spec: ExperimentSpec, *, registry=None, gas_table=None):
+def run_order_study(spec: ExperimentSpec, *, registry=None):
     """Surface-order comparison on the small-cell scenario.
 
     Per trial, each order is fitted on samples from every small-cell model
@@ -407,27 +347,16 @@ def run_order_study(spec: ExperimentSpec, *, registry=None, gas_table=None):
         )
         y18 = heldout.predict(d) + noise
         for arm, cfg in _order_arm_configs(spec.seed * 1000 + t).items():
-            fitted, _ = fit_pathloss_model(
-                corpus, cfg, sigma_by_source=sigmas, gas_table=gas_table
-            )
-            resid = y18 - predict_total(fitted, d, heldout.frequency, gas_table)
+            fitted, _ = fit_pathloss_model(corpus, cfg, sigma_by_source=sigmas)
+            resid = y18 - predict_total(fitted, d, heldout.frequency)
             sigma18[arm].append(weighted_rms(resid))
             coeffs[arm].append(fitted.coefficients.as_array())
 
-    loocv_means = {}
-    loocv_raw = {}
-    for arm, cfg in _order_arm_configs(spec.seed).items():
-        mean, details = loocv(
-            span_models,
-            cfg,
-            synthesis=synth,
-            trials=spec.trials,
-            seed=spec.seed,
-            gas_table=gas_table,
-            return_details=True,
-        )
-        loocv_means[arm] = mean
-        loocv_raw[arm] = details["per_trial_db"]
+    loocv_raw = {
+        arm: loocv(span_models, cfg, synthesis=synth, trials=spec.trials,
+                   seed=spec.seed)
+        for arm, cfg in _order_arm_configs(spec.seed).items()
+    }
 
     # surface scan on the trial-mean coefficients: the polynomial alone (no
     # gas term is fitted here; resonances would be legitimately non-monotone)
@@ -461,7 +390,7 @@ def run_order_study(spec: ExperimentSpec, *, registry=None, gas_table=None):
                 scenario=ORDER_STUDY_SCENARIO,
                 sigma_db=float(np.mean(sigma18[arm])),
                 sigma_published_db=targets["sigma_18ghz_db"].get(arm),
-                loocv_db=loocv_means[arm],
+                loocv_db=float(np.mean(loocv_raw[arm])),
                 loocv_published_db=targets["loocv_db"].get(arm),
                 coefficients=dict(
                     zip(
@@ -500,8 +429,20 @@ def run_order_study(spec: ExperimentSpec, *, registry=None, gas_table=None):
 # ---------------------------------------------------------------------------
 
 
+#: the robust study's penalized methods: (tuning kind, fit at the tuned
+#: penalty); each fit is looked up when called, so a wrapped one is used
+_PENALIZED_METHODS = {
+    "ridge": ("Ridge", lambda X, Y, lam: fit_ridge(X, Y, lam)),
+    "lasso": ("Lasso", lambda X, Y, lam: fit_lasso(X, Y, lam)),
+    "elastic-net": (
+        "ElasticNet",
+        lambda X, Y, lam: fit_elasticnet(X, Y, ROBUST_ELASTICNET_MIX, float(lam)),
+    ),
+}
+
+
 def _robust_method_sigma(method, X, Y, seed, *, reject=True):
-    """Fit one method; return (sigma over its evaluation set, coefficients).
+    """Fit one method; return its sigma over its evaluation set.
 
     The plain and shrinkage fits are scored over the full corpus.  With
     ``reject=True`` the two rejection arms are scored over what they keep —
@@ -513,48 +454,30 @@ def _robust_method_sigma(method, X, Y, seed, *, reject=True):
     is scored over the full corpus, which is why the benchmark's clean
     column is flat across methods.
     """
-    cfg = RegressorConfig(seed=seed)
+    cfg = RegressorConfig(seed=seed, lam1=ROBUST_ELASTICNET_MIX,
+                          ransac_inlier_threshold=ROBUST_STUDY_RANSAC_INLIER_DB)
+    keep = slice(None)  # the rows the method is scored over
     if method == "ols":
         coef = solve_wls(X, Y)
-    elif method == "ridge":
-        lam = tune_penalty_kfold(X, Y, "Ridge", DEFAULT_PENALTY_GRID, cfg)
-        coef = fit_ridge(X, Y, lam)
-    elif method == "lasso":
-        lam = tune_penalty_kfold(X, Y, "Lasso", DEFAULT_PENALTY_GRID, cfg)
-        coef = fit_lasso(X, Y, lam)
-    elif method == "elastic-net":
-        encfg = RegressorConfig(seed=seed, lam1=ROBUST_ELASTICNET_MIX)
-        lam2 = tune_penalty_kfold(X, Y, "ElasticNet", DEFAULT_PENALTY_GRID, encfg)
-        coef = fit_elasticnet(X, Y, ROBUST_ELASTICNET_MIX, float(lam2))
+    elif method in _PENALIZED_METHODS:
+        kind, fit = _PENALIZED_METHODS[method]
+        coef = fit(X, Y, tune_penalty_kfold(X, Y, kind, DEFAULT_PENALTY_GRID, cfg))
     elif method == "ransac":
-        fit = fit_ransac(
-            X,
-            Y,
-            RegressorConfig(
-                kind="RANSAC",
-                seed=seed,
-                ransac_inlier_threshold=ROBUST_STUDY_RANSAC_INLIER_DB,
-            ),
-        )
-        if not reject:
-            return weighted_rms(Y - X @ fit.coefficients), fit.coefficients
-        keep = fit.inlier_mask
-        return weighted_rms(Y[keep] - X[keep] @ fit.coefficients), fit.coefficients
+        fit = fit_ransac(X, Y, cfg)
+        coef = fit.coefficients
+        if reject:
+            keep = fit.inlier_mask
     elif method == "theil-sen":
-        fit = fit_theilsen(X, Y, RegressorConfig(kind="TheilSen", seed=seed))
-        if not reject:
-            return weighted_rms(Y - X @ fit.coefficients), fit.coefficients
-        resid = Y - X @ fit.coefficients
-        scale = mad_scale(resid)
-        if scale > 1e-12:
-            keep = np.abs(resid) <= ROBUST_STUDY_FILTER_MULTIPLIER * scale
-        else:
-            keep = np.ones(Y.size, dtype=bool)
-        coef = solve_wls(X[keep], Y[keep])
-        return weighted_rms(Y[keep] - X[keep] @ coef), coef
+        coef = fit_theilsen(X, Y, cfg).coefficients
+        if reject:
+            resid = Y - X @ coef
+            scale = mad_scale(resid)
+            if scale > 1e-12:
+                keep = np.abs(resid) <= ROBUST_STUDY_FILTER_MULTIPLIER * scale
+            coef = solve_wls(X[keep], Y[keep])
     else:
         raise ConfigError(f"unknown robust-study method {method!r}")
-    return weighted_rms(Y - X @ coef), coef
+    return weighted_rms(Y[keep] - X[keep] @ coef)
 
 
 def run_robust_study(spec: ExperimentSpec, *, registry=None):
@@ -602,11 +525,10 @@ def run_robust_study(spec: ExperimentSpec, *, registry=None):
                 samples, order=1, pin_gamma=ROBUST_STUDY_PINNED_GAMMA
             )
             for method in ROBUST_METHODS:
-                sigma, _coef = _robust_method_sigma(
+                raw[arm][method].append(_robust_method_sigma(
                     method, X, Y, seed=spec.seed * 1000 + t,
                     reject=(arm == "contaminated"),
-                )
-                raw[arm][method].append(sigma)
+                ))
 
     targets = load_reference_targets()["robust_study"]
     reports = []
@@ -683,12 +605,8 @@ def _arm_configs(seed, band):
             freq_band=band, seed=seed,
         ),
         ARM_QUADRATIC: PipelineConfig(
-            order=2,
-            weighting="Mixture",
-            robust=RegressorConfig(kind="TheilSen", theilsen_subsets=STUDY_TS_SUBSETS),
-            gas_correction=True,
-            freq_band=band,
-            seed=seed,
+            order=2, weighting="Mixture", robust="TheilSen", gas_correction=True,
+            freq_band=band, seed=seed,
         ),
     }
 
@@ -722,12 +640,10 @@ def _study_cells(spec, registry, label):
             yield scenario, band, sigmas, trials(band_models, synth, scenario, band)
 
 
-def _fit_arms(corpus, band, sigmas, seed, gas_table):
+def _fit_arms(corpus, band, sigmas, seed):
     """The three comparison arms fitted on one corpus: ``{arm: FittedModel}``."""
     return {
-        arm: fit_pathloss_model(
-            corpus, cfg, sigma_by_source=sigmas, gas_table=gas_table
-        )[0]
+        arm: fit_pathloss_model(corpus, cfg, sigma_by_source=sigmas)[0]
         for arm, cfg in _arm_configs(seed, band).items()
     }
 
@@ -744,18 +660,16 @@ def _published(rows, scenario, band, method=None):
     return None
 
 
-def run_integration_study(spec: ExperimentSpec, *, registry=None, gas_table=None):
+def run_integration_study(spec: ExperimentSpec, *, registry=None):
     """Fuse every scenario's models over low/high/full bands, three ways."""
     registry = registry or load_registry()
-    if gas_table is None:
-        gas_table = load_default_table()
     targets = load_reference_targets()
     reports = []
     raw_sigma = {}
     published_coeffs = {}
     for scenario, band, sigmas, trials in _study_cells(spec, registry, "integration"):
         fits = [
-            _fit_arms(corpus, band, sigmas, spec.seed * 1000 + t, gas_table)
+            _fit_arms(corpus, band, sigmas, spec.seed * 1000 + t)
             for t, corpus in trials
         ]
         cell_key = f"{scenario}|{_band_label(band)}"
@@ -790,7 +704,7 @@ def run_integration_study(spec: ExperimentSpec, *, registry=None, gas_table=None
     )
 
 
-def run_outlier_study(spec: ExperimentSpec, *, registry=None, gas_table=None):
+def run_outlier_study(spec: ExperimentSpec, *, registry=None):
     """Contamination resilience: sigma growth when a distance band is hit.
 
     Per cell and trial, each arm is fitted on the clean corpus and on the
@@ -798,20 +712,18 @@ def run_outlier_study(spec: ExperimentSpec, *, registry=None, gas_table=None):
     as the baseline.  The clean corpus is shared across outlier band widths.
     """
     registry = registry or load_registry()
-    if gas_table is None:
-        gas_table = load_default_table()
     published_rows = load_reference_targets()["outlier_study"]["published"]
     reports = []
     raw = {}
     for scenario, band, sigmas, trials in _study_cells(spec, registry, "outlier"):
         cell_raw = {
             ob: {a: {"sigma": [], "clean": [], "ratio": []} for a in STUDY_ARMS}
-            for ob in spec.outlier_bands
+            for ob in OUTLIER_STUDY_BANDS_M
         }
         for t, corpus in trials:
             seed = spec.seed * 1000 + t
-            clean = _fit_arms(corpus, band, sigmas, seed, gas_table)
-            for ob in spec.outlier_bands:
+            clean = _fit_arms(corpus, band, sigmas, seed)
+            for ob in OUTLIER_STUDY_BANDS_M:
                 contaminated, _mask = inject_outliers(
                     corpus,
                     OutlierSpec(
@@ -825,14 +737,14 @@ def run_outlier_study(spec: ExperimentSpec, *, registry=None, gas_table=None):
                         "inject", ob, t,
                     ),
                 )
-                fits = _fit_arms(contaminated, band, sigmas, seed, gas_table)
+                fits = _fit_arms(contaminated, band, sigmas, seed)
                 for arm, fitted in fits.items():
                     slot = cell_raw[ob][arm]
                     slot["sigma"].append(fitted.sigma)
                     slot["clean"].append(clean[arm].sigma)
                     slot["ratio"].append(error_ratio(fitted.sigma, clean[arm].sigma))
         raw[f"{scenario}|{_band_label(band)}"] = cell_raw
-        for ob in spec.outlier_bands:
+        for ob in OUTLIER_STUDY_BANDS_M:
             for arm in STUDY_ARMS:
                 slot = cell_raw[ob][arm]
                 published = _published(published_rows, scenario, band, arm)
@@ -861,7 +773,7 @@ def run_outlier_study(spec: ExperimentSpec, *, registry=None, gas_table=None):
         config={
             "seed": spec.seed,
             "trials": spec.trials,
-            "outlier_bands_m": list(spec.outlier_bands),
+            "outlier_bands_m": list(OUTLIER_STUDY_BANDS_M),
             "magnitude_db": OUTLIER_STUDY_MAGNITUDE_DB,
         },
         reports=reports,
@@ -874,14 +786,10 @@ def run_outlier_study(spec: ExperimentSpec, *, registry=None, gas_table=None):
 # ---------------------------------------------------------------------------
 
 
-def run_experiment(spec: ExperimentSpec, *, registry=None, gas_table=None):
-    if spec.which == "OrderStudy":
-        return run_order_study(spec, registry=registry, gas_table=gas_table)
-    if spec.which == "RobustStudy":
-        return run_robust_study(spec, registry=registry)
-    if spec.which == "IntegrationStudy":
-        return run_integration_study(spec, registry=registry, gas_table=gas_table)
-    return run_outlier_study(spec, registry=registry, gas_table=gas_table)
+def run_experiment(spec: ExperimentSpec, *, registry=None):
+    runners = dict(zip(STUDIES, (run_order_study, run_robust_study,
+                                 run_integration_study, run_outlier_study)))
+    return runners[spec.which](spec, registry=registry)
 
 
 def _gate(name, passed, detail):

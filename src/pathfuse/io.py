@@ -17,7 +17,6 @@ from .models import (
     InvalidSampleError,
     SampleBatch,
     SourceModel,
-    as_batch,
 )
 
 __all__ = [
@@ -127,9 +126,8 @@ def load_samples(path):
         raise DataError(f"{path}:{lines[exc.row]}: bad sample row: {exc}") from exc
 
 
-def save_samples(samples, path):
-    """Write samples as CSV, each float as its shortest round-tripping repr."""
-    batch = as_batch(samples)
+def save_samples(batch, path):
+    """Write a SampleBatch as CSV, each float as its shortest round-tripping repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_SAMPLE_FIELDS)
@@ -222,6 +220,11 @@ def save_grid_csv(distances_m, freqs_ghz, grid_db, path):
                 writer.writerow([f"{d:.6g}", f"{f:.6g}", f"{grid[i, j]:.4f}"])
 
 
+def _keys(rows):
+    """Every key of the dicts ``rows``, in first-seen order (CSV columns)."""
+    return list(dict.fromkeys(key for row in rows for key in row))
+
+
 def save_coefficients_csv(result, path):
     """One row per fitted cell: scenario, band, method, then coefficients."""
     rows = []
@@ -235,13 +238,8 @@ def save_coefficients_csv(result, path):
         rows.append(row)
     if not rows:
         raise DataError("study reports carry no coefficients")
-    fields = []
-    for row in rows:
-        for key in row:
-            if key not in fields:
-                fields.append(key)
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, restval="")
+        writer = csv.DictWriter(fh, fieldnames=_keys(rows), restval="")
         writer.writeheader()
         writer.writerows(rows)
 
@@ -251,12 +249,7 @@ def write_study_csv(result, fh):
     rows = [_jsonable(r) for r in result.reports]
     if not rows:
         raise DataError("study produced no report rows")
-    fields = []
-    for row in rows:
-        for key in row:
-            if key not in fields:
-                fields.append(key)
-    writer = csv.DictWriter(fh, fieldnames=fields)
+    writer = csv.DictWriter(fh, fieldnames=_keys(rows))
     writer.writeheader()
     for row in rows:
         flat = {}

@@ -19,7 +19,7 @@ Column convention (shared by every fit and prediction in the package):
     order 2: [Ld, 1, Lf, Ld^2, Ld*Lf, Lf^2]
     order 3: [Ld, 1, Lf, Ld^2, Ld*Lf, Lf^2, Ld^3, Ld^2*Lf, Ld*Lf^2, Lf^3]
 
-``predict`` is implemented as the dot product of ``design_row`` with the
+``predict`` is implemented as the product of ``design_matrix`` with the
 coefficient vector, so the two are consistent by construction.
 
 Samples travel as columns: a ``SampleBatch`` holds float64 ``distance`` (m),
@@ -27,10 +27,9 @@ Samples travel as columns: a ``SampleBatch`` holds float64 ``distance`` (m),
 column.  It is checked once, with vector operations, when built (the rules
 of ``PathLossSample``) and never changed: ``take`` and ``with_path_loss``
 build new batches, which inherit its source groups (one ``np.unique``).
-Rows exist only at the edges: ``PathLossSample`` is the single validated
-row, public functions that take samples also accept a list of rows
-(``as_batch`` converts it once), and indexing a batch hands out rows.
-Nothing in the package iterates a batch row by row.
+Every function in the package that takes samples takes a batch.
+``PathLossSample`` is only the row that indexing a batch hands out, and
+nothing in the package iterates a batch row by row.
 """
 
 from __future__ import annotations
@@ -50,11 +49,9 @@ __all__ = [
     "PathLossSample",
     "SampleBatch",
     "InvalidSampleError",
-    "as_batch",
     "CoefficientSet",
     "FittedModel",
     "predict_abg",
-    "design_row",
     "design_matrix",
     "column_names",
     "coefficient_names",
@@ -275,19 +272,6 @@ class SampleBatch:
         return out
 
 
-def as_batch(samples) -> SampleBatch:
-    """``samples`` (a SampleBatch, or PathLossSample rows) as a SampleBatch."""
-    if isinstance(samples, SampleBatch):
-        return samples
-    rows = list(samples)
-    return SampleBatch(
-        [s.distance for s in rows],
-        [s.frequency for s in rows],
-        [s.path_loss for s in rows],
-        [s.source_id for s in rows],
-    )
-
-
 def predict_abg(alpha: float, beta: float, gamma: float, d, f):
     """Order-1 surface: alpha*10*log10(d) + beta + gamma*10*log10(f)."""
     _check_positive_finite("d", d)
@@ -316,11 +300,6 @@ def design_matrix(order: int, d, f) -> np.ndarray:
     if order >= 3:
         cols += [ld**3, ld * ld * lf, ld * lf * lf, lf**3]
     return np.column_stack(cols)
-
-
-def design_row(order: int, d: float, f: float) -> np.ndarray:
-    """Single design row; ``dot(design_row(order, d, f), values)`` == predict."""
-    return design_matrix(order, d, f)[0]
 
 
 @dataclass(frozen=True)
@@ -381,8 +360,8 @@ class FittedModel:
         )
 
 
-def build_design_system(samples, order: int, pin_gamma: float | None = None):
-    """Assemble (X, Y) for a least-squares fit of ``order``.
+def build_design_system(batch, order: int, pin_gamma: float | None = None):
+    """Assemble (X, Y) for a least-squares fit of ``order`` to a SampleBatch.
 
     With ``pin_gamma`` set (order 1 only), the frequency slope is fixed at the
     given value: the Lf column is dropped and its contribution moved to the
@@ -393,7 +372,6 @@ def build_design_system(samples, order: int, pin_gamma: float | None = None):
     _check_order(order)
     if pin_gamma is not None and order != 1:
         raise ValueError("pin_gamma is only meaningful for order-1 fits")
-    batch = as_batch(samples)
     X = design_matrix(order, batch.distance, batch.frequency)
     y = batch.path_loss
     if pin_gamma is not None:

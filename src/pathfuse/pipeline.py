@@ -6,8 +6,9 @@ several frequencies) and produces a single log-polynomial surface:
 1. keep samples inside the requested frequency band (inclusive);
 2. optionally subtract gaseous attenuation from each sample;
 3. optionally reject outliers: per source group, a robust reference line
-   (Theil-Sen by default) gives residuals, and samples beyond
-   ``residual_multiplier`` times the group's MAD residual scale are dropped
+   gives residuals (``robust`` names it: "TheilSen", the default, or
+   "RANSAC"; None skips the step), and samples beyond
+   ``RESIDUAL_MULTIPLIER`` times the group's MAD residual scale are dropped
    -- per-group scales keep a high-variance campaign from being clipped by a
    low-variance one;
 4. weight the survivors by the configured policy;
@@ -32,8 +33,7 @@ once per corpus (one ``np.unique``) and shared by the prefilter and weights.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,6 @@ from .models import (
     ORDER_SIZES,
     CoefficientSet,
     FittedModel,
-    as_batch,
     build_design_system,
     column_names,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "PipelineConfig",
     "compute_weights",
     "fit_pathloss_model",
-    "fit_wabg",
 ]
 
 WEIGHTING_POLICIES = ("Identity", "InverseVariance", "BalanceCount", "Mixture")
@@ -74,14 +72,8 @@ _SCALE_FLOOR = 1e-12
 #: groups smaller than this keep all samples (no meaningful scale estimate)
 _MIN_GROUP_FOR_FILTER = 3
 
-_table_cache: dict = {}
-
-
-def _default_table():
-    key = os.environ.get("PATHFUSE_DATA_DIR")
-    if key not in _table_cache:
-        _table_cache[key] = load_default_table()
-    return _table_cache[key]
+#: the prefilter cuts samples beyond this many MAD scales of their group
+RESIDUAL_MULTIPLIER = 3.0
 
 
 @dataclass(frozen=True)
@@ -90,12 +82,9 @@ class PipelineConfig:
 
     order: int = 2
     weighting: str = "Mixture"
-    robust: RegressorConfig | None = field(
-        default_factory=lambda: RegressorConfig(kind="TheilSen")
-    )
+    robust: str | None = "TheilSen"  # prefilter line: "TheilSen", "RANSAC" or None
     gas_correction: bool = True
     freq_band: tuple | None = None  # (GHz, GHz) inclusive; None = keep all
-    residual_multiplier: float = 3.0
     seed: int = 0
 
     def __post_init__(self):
@@ -106,29 +95,20 @@ class PipelineConfig:
                 f"weighting must be one of {WEIGHTING_POLICIES}, "
                 f"got {self.weighting!r}"
             )
-        if self.robust is not None and not (
-            isinstance(self.robust, RegressorConfig)
-            and self.robust.kind in ("TheilSen", "RANSAC")
-        ):
+        if self.robust not in ("TheilSen", "RANSAC", None):
             raise ConfigError(
-                f"robust must be a TheilSen or RANSAC RegressorConfig or None, "
-                f"got {self.robust!r}"
+                f"robust must be 'TheilSen', 'RANSAC' or None, got {self.robust!r}"
             )
         if self.freq_band is not None:
             lo, hi = self.freq_band
             if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 < lo < hi):
                 raise ConfigError(f"freq_band must be 0 < lo < hi, got {self.freq_band}")
-        if not (
-            np.isfinite(self.residual_multiplier) and self.residual_multiplier > 0.0
-        ):
-            raise ConfigError("residual_multiplier must be > 0")
 
 
-def compute_weights(samples, policy: str, sigma_by_source=None) -> np.ndarray:
-    """Per-sample weights under ``policy``, normalized to mean 1."""
+def compute_weights(batch, policy: str, sigma_by_source=None) -> np.ndarray:
+    """Per-sample weights of a SampleBatch under ``policy``, normalized to mean 1."""
     if policy not in WEIGHTING_POLICIES:
         raise ConfigError(f"unknown weighting policy {policy!r}")
-    batch = as_batch(samples)
     n = len(batch)
     if not n:
         raise ConfigError("cannot weight an empty corpus")
@@ -171,11 +151,11 @@ def _robust_filter(batch, X, Y, cfg: PipelineConfig):
     and stays meaningful on corpora whose pooled design is collinear (an
     elemental-subset estimator cannot fit those at all).
 
-    Samples are cut at ``residual_multiplier`` times the group's MAD scale
+    Samples are cut at ``RESIDUAL_MULTIPLIER`` times the group's MAD scale
     about the group's median residual; groups too small for a scale estimate
     and groups with no measurable scatter are kept whole.
     """
-    robust = replace(cfg.robust, seed=cfg.seed)
+    line_cfg = RegressorConfig(seed=cfg.seed)
     _, group = batch.groups()
     by_group = np.argsort(group, kind="stable")  # each group's rows stay ascending
     rows = np.split(by_group, np.cumsum(np.bincount(group))[:-1])
@@ -189,21 +169,20 @@ def _robust_filter(batch, X, Y, cfg: PipelineConfig):
             continue
         Xg = X[np.ix_(ix, line_cols)]
         Yg = Y[ix]
-        if robust.kind == "RANSAC":
-            prefit = fit_ransac(Xg, Yg, robust, column_names=names)
+        if cfg.robust == "RANSAC":
+            prefit = fit_ransac(Xg, Yg, line_cfg, column_names=names)
         else:
-            prefit = fit_theilsen(Xg, Yg, robust, column_names=names)
+            prefit = fit_theilsen(Xg, Yg, line_cfg)
         iterations += prefit.iterations_used
         r = Yg - Xg @ prefit.coefficients
         med = float(np.median(r))
         scale = mad_scale(r)
         if scale > _SCALE_FLOOR:
-            keep[ix] = np.abs(r - med) <= cfg.residual_multiplier * scale
+            keep[ix] = np.abs(r - med) <= RESIDUAL_MULTIPLIER * scale
     return keep, iterations
 
 
-def _prepare_system(samples, cfg: PipelineConfig, *, sigma_by_source=None,
-                    gas_table=None):
+def _prepare_system(samples, cfg: PipelineConfig, *, sigma_by_source=None):
     """Front half of the pipeline, shared with the cross-validation code.
 
     Band-filters, removes gas loss, applies the robust rejection, and
@@ -225,8 +204,7 @@ def _prepare_system(samples, cfg: PipelineConfig, *, sigma_by_source=None,
         )
 
     if cfg.gas_correction:
-        table = gas_table if gas_table is not None else _default_table()
-        work = remove_gas_loss(table, work)
+        work = remove_gas_loss(load_default_table(), work)
 
     X, Y = build_design_system(work, cfg.order)
 
@@ -248,26 +226,17 @@ def _prepare_system(samples, cfg: PipelineConfig, *, sigma_by_source=None,
     return survivors, Xs, Ys, w, keep, n_in_band, prefit_iters
 
 
-def fit_pathloss_model(
-    samples,
-    cfg: PipelineConfig,
-    *,
-    sigma_by_source=None,
-    gas_table=None,
-):
-    """Run the full pipeline; returns ``(FittedModel, FitDiagnostics)``.
+def fit_pathloss_model(samples, cfg: PipelineConfig, *, sigma_by_source=None):
+    """Run the pipeline on a SampleBatch; returns ``(FittedModel, FitDiagnostics)``.
 
     ``sigma_by_source`` maps source ids to published shadow-fading sigmas and
     is required for the variance-aware weighting policies.  Randomized robust
-    prefits draw from ``cfg.seed`` (one-seed policy: the ``robust`` config's
-    own seed is overridden).
+    prefits draw from ``cfg.seed``.  Gas correction uses the default table.
     """
-    samples = as_batch(samples)
     p = ORDER_SIZES[cfg.order]
     survivors, Xs, Ys, w, keep, n_in_band, prefit_iters = _prepare_system(
-        samples, cfg, sigma_by_source=sigma_by_source, gas_table=gas_table
+        samples, cfg, sigma_by_source=sigma_by_source
     )
-    filtering = cfg.robust is not None
     coeffs, info = solve_wls(
         Xs,
         Ys,
@@ -292,8 +261,8 @@ def fit_pathloss_model(
             "weighting": cfg.weighting,
             "gas_correction": cfg.gas_correction,
             "freq_band": list(cfg.freq_band) if cfg.freq_band else None,
-            "robust": cfg.robust.kind if filtering else None,
-            "residual_multiplier": cfg.residual_multiplier if filtering else None,
+            "robust": cfg.robust,
+            "residual_multiplier": RESIDUAL_MULTIPLIER if cfg.robust else None,
             "seed": cfg.seed,
             "n_input": len(samples),
             "n_in_band": n_in_band,
@@ -313,15 +282,3 @@ def fit_pathloss_model(
     )
     return model, diagnostics
 
-
-def fit_wabg(samples, policy: str = "Mixture", sigma_by_source=None) -> FittedModel:
-    """Plain weighted order-1 fit: no band filter, no gas, no rejection."""
-    cfg = PipelineConfig(
-        order=1,
-        weighting=policy,
-        robust=None,
-        gas_correction=False,
-        freq_band=None,
-    )
-    model, _ = fit_pathloss_model(samples, cfg, sigma_by_source=sigma_by_source)
-    return model

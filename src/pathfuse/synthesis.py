@@ -7,8 +7,8 @@ the model's predicted loss, plus Gaussian shadow fading.  On top of that it
 can contaminate a distance band with positive Rayleigh-distributed excess
 loss (blocker-style outliers) and add ambient small-scale scattering.
 
-Every function returns a ``SampleBatch`` and accepts a batch or a list of
-``PathLossSample`` rows.
+Every function that takes samples takes a ``SampleBatch``, and every one
+that makes samples returns one.
 
 The specs carry no seed: every draw comes from the Generator the caller
 passes (see :mod:`pathfuse.seeding`).  Draw-order contract (what makes runs
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .models import SampleBatch, SourceModel, as_batch, predict_abg
+from .models import SampleBatch, SourceModel, predict_abg
 from .seeding import spawn_children, substream
 
 __all__ = [
@@ -74,7 +74,7 @@ class SynthesisSpec:
 class OutlierSpec:
     """Blocker-style contamination of a distance band.
 
-    ``band_center=None`` means the linear midpoint of the corpus's distance
+    The band is centred on the linear midpoint of the corpus's distance
     range.  Excess loss per contaminated sample is
     ``magnitude_scale + Rayleigh(rho)`` dB — a fixed blocker loss plus a
     Rayleigh fading term — always added, never subtracted.  A pure
@@ -85,7 +85,6 @@ class OutlierSpec:
 
     rho: float = 0.75
     band_width: float = 50.0  # m
-    band_center: float | None = None  # m
     contamination_fraction: float = 0.2
     magnitude_scale: float = DEFAULT_OUTLIER_MAGNITUDE_DB
 
@@ -94,10 +93,6 @@ class OutlierSpec:
             raise ConfigError(f"rho must be > 0, got {self.rho!r}")
         if not (np.isfinite(self.band_width) and self.band_width > 0.0):
             raise ConfigError(f"band_width must be > 0, got {self.band_width!r}")
-        if self.band_center is not None and not (
-            np.isfinite(self.band_center) and self.band_center > 0.0
-        ):
-            raise ConfigError(f"band_center must be > 0, got {self.band_center!r}")
         if not 0.0 <= self.contamination_fraction <= 1.0:
             raise ConfigError(
                 f"contamination_fraction must be in [0, 1], "
@@ -160,7 +155,7 @@ def synthesize_corpus(
     children = spawn_children(rng, len(ordered))
     parts = [synthesize_from_model(m, spec, c) for m, c in zip(ordered, children)]
     if not parts:
-        return as_batch([])
+        return SampleBatch([], [], [], [])
     return SampleBatch(
         np.concatenate([b.distance for b in parts]),
         np.concatenate([b.frequency for b in parts]),
@@ -169,7 +164,7 @@ def synthesize_corpus(
     )
 
 
-def inject_outliers(samples, spec: OutlierSpec, rng: np.random.Generator):
+def inject_outliers(batch, spec: OutlierSpec, rng: np.random.Generator):
     """Contaminate a distance band; returns ``(new_batch, outlier_mask)``.
 
     The contaminated count is exactly ``round(fraction * in-band count)``;
@@ -177,19 +172,11 @@ def inject_outliers(samples, spec: OutlierSpec, rng: np.random.Generator):
     keep their losses bit for bit, and a zero fraction (or zero in-band
     samples) returns the input batch itself.
     """
-    batch = as_batch(samples)
     if not len(batch):
         raise ConfigError("cannot inject outliers into an empty corpus")
     d = batch.distance
-    dmin, dmax = float(d.min()), float(d.max())
-    center = spec.band_center if spec.band_center is not None else (dmin + dmax) / 2.0
-    half = spec.band_width / 2.0
-    if center + half < dmin or center - half > dmax:
-        raise ConfigError(
-            f"outlier band [{center - half:g}, {center + half:g}] m does not "
-            f"intersect the corpus distance range [{dmin:g}, {dmax:g}] m"
-        )
-    in_band = np.nonzero(np.abs(d - center) <= half)[0]
+    center = (float(d.min()) + float(d.max())) / 2.0
+    in_band = np.nonzero(np.abs(d - center) <= spec.band_width / 2.0)[0]
     k = int(round(spec.contamination_fraction * in_band.size))
     mask = np.zeros(len(batch), dtype=bool)
     if k == 0:
@@ -202,7 +189,7 @@ def inject_outliers(samples, spec: OutlierSpec, rng: np.random.Generator):
     return batch.with_path_loss(y), mask
 
 
-def add_scattering_noise(samples, scale: float, rho: float, rng: np.random.Generator):
+def add_scattering_noise(batch, scale: float, rho: float, rng: np.random.Generator):
     """Add ambient Rayleigh scattering excess to every sample.
 
     Models always-present small-scale multipath on top of shadow fading;
@@ -210,7 +197,6 @@ def add_scattering_noise(samples, scale: float, rho: float, rng: np.random.Gener
     """
     if not (np.isfinite(scale) and scale >= 0.0):
         raise ConfigError(f"scale must be >= 0, got {scale!r}")
-    batch = as_batch(samples)
     if scale == 0.0:
         return batch
     excess = scale * sample_rayleigh(rho, rng, size=len(batch))

@@ -1,17 +1,15 @@
 """Gas-attenuation table: loading, lookup, correction round trips."""
 
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from pathfuse.atmosphere import (
-    GasAttenuationTable,
-    load_default_table,
-    reapply_gas_loss,
-    remove_gas_loss,
-    restore_gas_loss,
-)
-from pathfuse.errors import ContractError, DataError, GasRangeError
-from pathfuse.models import CoefficientSet, FittedModel, PathLossSample
+import pathfuse
+from pathfuse.atmosphere import GasAttenuationTable, load_default_table, remove_gas_loss
+from pathfuse.errors import DataError, GasRangeError
+from pathfuse.models import SampleBatch
 
 
 @pytest.fixture(scope="module")
@@ -63,19 +61,17 @@ def test_out_of_range_frequency_raises(table):
 
 
 def _samples(freqs):
-    return [
-        PathLossSample(distance=100.0 * (i + 1), frequency=f,
-                       path_loss=100.0 + i, source_id="s")
-        for i, f in enumerate(freqs)
-    ]
+    i = np.arange(len(freqs))
+    return SampleBatch(100.0 * (i + 1), freqs, 100.0 + i, ["s"] * len(freqs))
 
 
 def test_remove_then_reapply_is_identity(table):
     samples = _samples([2.0, 28.0, 60.0, 73.5])
-    back = reapply_gas_loss(table, remove_gas_loss(table, samples))
-    for s0, s1 in zip(samples, back):
-        assert s1.path_loss == pytest.approx(s0.path_loss, abs=1e-12)
-        assert s1.distance == s0.distance
+    removed = remove_gas_loss(table, samples)
+    back = removed.path_loss + table.gas_loss(removed.distance, removed.frequency)
+    assert back == pytest.approx(samples.path_loss, abs=1e-12)
+    assert removed.distance.tolist() == samples.distance.tolist()
+    assert removed.source_id.tolist() == samples.source_id.tolist()
 
 
 def test_remove_names_the_offending_sample(table):
@@ -83,23 +79,6 @@ def test_remove_names_the_offending_sample(table):
     with pytest.raises(GasRangeError) as err:
         remove_gas_loss(table, samples)
     assert "sample 1" in str(err.value)
-
-
-def test_restore_requires_a_gas_corrected_model(table):
-    base = dict(
-        coefficients=CoefficientSet(1, (3.5, 25.0, 2.0)),
-        sigma=1.0,
-        freq_range=(1.0, 100.0),
-        dist_range=(1.0, 5000.0),
-    )
-    raw = FittedModel(gas_corrected=False, **base)
-    with pytest.raises(ContractError):
-        restore_gas_loss(table, raw, 1000.0, 60.0)
-    corrected = FittedModel(gas_corrected=True, **base)
-    total = restore_gas_loss(table, corrected, 1000.0, 60.0)
-    assert total == pytest.approx(
-        corrected.predict(1000.0, 60.0) + table.gas_loss(1000.0, 60.0), abs=1e-12
-    )
 
 
 def _write_table(path, rows, header="# T=288.15 P=1013.25 rho=7.5"):
@@ -144,3 +123,24 @@ def test_table_validation_rejects_bad_inputs(tmp_path):
         GasAttenuationTable.from_csv(p2)
     with pytest.raises(DataError):
         GasAttenuationTable.from_csv(tmp_path / "missing.csv")
+
+
+def test_data_dir_override_reads_its_own_table(tmp_path, monkeypatch):
+    # the cache is keyed by PATHFUSE_DATA_DIR, so a changed directory is read
+    # and unsetting the variable gives the bundled table back
+    bundled = Path(pathfuse.__file__).with_name("data")
+    shutil.copytree(bundled, tmp_path / "data")
+    path = tmp_path / "data" / "itu_p676_standard.csv"
+    lines = path.read_text().splitlines()
+    for k, line in enumerate(lines):
+        if line[:1].isdigit():
+            f, a = line.split(",")
+            lines[k] = f"{f},{2.0 * float(a)!r}"
+    path.write_text("\n".join(lines) + "\n")
+    d, f = np.array([100.0, 800.0]), np.array([28.0, 60.0])
+    base = load_default_table().gas_loss(d, f)
+
+    monkeypatch.setenv("PATHFUSE_DATA_DIR", str(tmp_path / "data"))
+    assert load_default_table().gas_loss(d, f) == pytest.approx(2.0 * base, rel=1e-12)
+    monkeypatch.delenv("PATHFUSE_DATA_DIR")
+    assert load_default_table().gas_loss(d, f).tolist() == base.tolist()

@@ -3,9 +3,12 @@
 import csv
 import json
 import re
+import shutil
+from pathlib import Path
 
 import pytest
 
+import pathfuse
 from pathfuse.cli import main
 from pathfuse.io import load_model, save_model
 from pathfuse.models import CoefficientSet, FittedModel
@@ -269,6 +272,21 @@ def test_experiment_headline_robustness_number(tmp_path, capsys):
     rows = read_csv(tmp_path / "table3.csv")
     ts = next(r for r in rows if r["method"] == "theil-sen")
     assert float(ts["sigma_db"]) == pytest.approx(3.90, abs=0.15)
+
+
+def test_experiment_failing_gate_exits_5(tmp_path, capsys, monkeypatch):
+    # a data directory whose median-fit target no sigma can meet: the study
+    # runs, its gate fails, and experiment returns 5
+    data = tmp_path / "data"
+    shutil.copytree(Path(pathfuse.__file__).with_name("data"), data)
+    targets = json.loads((data / "reference_targets.json").read_text())
+    targets["robust_study"]["theil_sen_with_tolerance_db"] = 0.0
+    (data / "reference_targets.json").write_text(json.dumps(targets))
+    monkeypatch.setenv("PATHFUSE_DATA_DIR", str(data))
+    rc, out, err = run(capsys, "experiment", "--which", "table3", "--trials", "1")
+    assert rc == 5
+    assert "[FAIL] robust/theil-sen/sigma" in out
+    assert "benchmark gate(s) failed" in err
 
 
 def test_experiment_unknown_table_is_rejected_by_argparse(capsys):

@@ -164,7 +164,7 @@ def test_wls_validates_inputs():
 
 
 def test_regressor_config_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(TypeError):  # the caller picks the estimator by function
         RegressorConfig(kind="Huber")
     with pytest.raises(ConfigError):
         RegressorConfig(lam1=1.5)
@@ -182,7 +182,7 @@ def test_regressor_config_validation():
 class TestTheilSen:
     def line(self, x, y):
         X = np.column_stack([x, np.ones_like(x)])
-        return fit_theilsen(X, np.asarray(y), RegressorConfig(kind="TheilSen"))
+        return fit_theilsen(X, np.asarray(y), RegressorConfig())
 
     def test_identity_line_is_exact(self):
         x = np.arange(1.0, 11.0)
@@ -205,26 +205,25 @@ class TestTheilSen:
         assert not fit.inlier_mask[[3, 11, 17]].any()
         assert fit.inlier_mask.sum() == 17
 
-    def test_wide_system_uses_elemental_medians(self):
+    def test_wide_system_is_a_config_error(self):
+        # Theil-Sen fits lines only: three columns, or two with no constant
         rng = np.random.default_rng(11)
-        X = np.column_stack(
-            [rng.uniform(1, 10, 25), np.ones(25), rng.uniform(0, 5, 25)]
-        )
-        beta_true = np.array([2.0, 5.0, -1.0])
-        Y = X @ beta_true
-        fit = fit_theilsen(X, Y, RegressorConfig(kind="TheilSen", theilsen_subsets=500))
-        assert fit.coefficients == pytest.approx(beta_true, abs=1e-8)
-        assert fit.iterations_used <= 500
+        x = rng.uniform(1, 10, 25)
+        wide = np.column_stack([x, np.ones(25), x**2])
+        no_constant = np.column_stack([x, x**2])
+        for X in (wide, no_constant):
+            with pytest.raises(ConfigError):
+                fit_theilsen(X, 2.0 * x + 5.0, RegressorConfig())
 
     def test_degenerate_abscissa_raises(self):
         X = np.column_stack([np.full(5, 3.0), np.ones(5)])
         with pytest.raises(DegenerateDataError):
-            fit_theilsen(X, np.arange(5.0), RegressorConfig(kind="TheilSen"))
+            fit_theilsen(X, np.arange(5.0), RegressorConfig())
 
     def test_too_few_samples_raise(self):
         X = np.column_stack([np.arange(2.0), np.ones(2)])
         with pytest.raises(DegenerateDataError):
-            fit_theilsen(X, np.arange(2.0), RegressorConfig(kind="TheilSen"))
+            fit_theilsen(X, np.arange(2.0), RegressorConfig())
 
 
 class TestRansac:
@@ -235,7 +234,7 @@ class TestRansac:
         Y = 4.0 * x + 10.0 + rng.normal(0, 0.1, 60)
         bad = rng.choice(60, size=18, replace=False)
         Y[bad] += rng.uniform(40.0, 120.0, 18)
-        fit = fit_ransac(X, Y, RegressorConfig(kind="RANSAC", seed=0))
+        fit = fit_ransac(X, Y, RegressorConfig(seed=0))
         assert fit.coefficients[0] == pytest.approx(4.0, abs=0.05)
         assert fit.coefficients[1] == pytest.approx(10.0, abs=1.0)
         assert not fit.inlier_mask[bad].any()
@@ -245,8 +244,8 @@ class TestRansac:
         x = rng.uniform(1.0, 50.0, 40)
         X = np.column_stack([x, np.ones_like(x)])
         Y = 2.0 * x + rng.normal(0, 1.0, 40)
-        a = fit_ransac(X, Y, RegressorConfig(kind="RANSAC", seed=5))
-        b = fit_ransac(X, Y, RegressorConfig(kind="RANSAC", seed=5))
+        a = fit_ransac(X, Y, RegressorConfig(seed=5))
+        b = fit_ransac(X, Y, RegressorConfig(seed=5))
         assert np.array_equal(a.inlier_mask, b.inlier_mask)
         assert a.coefficients == pytest.approx(b.coefficients, abs=0)
 
@@ -254,14 +253,26 @@ class TestRansac:
         rng = np.random.default_rng(31)
         X = np.column_stack([rng.uniform(1, 50, 30), np.ones(30)])
         Y = rng.uniform(0, 500, 30)
-        cfg = RegressorConfig(kind="RANSAC", ransac_inlier_threshold=1e-9)
+        cfg = RegressorConfig(ransac_inlier_threshold=1e-9)
         with pytest.raises(ConsensusFailureError):
             fit_ransac(X, Y, cfg)
 
     def test_needs_more_rows_than_columns(self):
         X = np.eye(2)
         with pytest.raises(ConsensusFailureError):
-            fit_ransac(X, np.ones(2), RegressorConfig(kind="RANSAC"))
+            fit_ransac(X, np.ones(2), RegressorConfig())
+
+    def test_automatic_threshold_needs_a_line(self):
+        rng = np.random.default_rng(37)
+        x = rng.uniform(1.0, 50.0, 60)
+        X = np.column_stack([x, np.ones(60), (x - 25.0) ** 2 / 10.0])
+        Y = X @ np.array([4.0, 10.0, -0.5]) + rng.normal(0, 0.1, 60)
+        Y[:6] += 80.0
+        with pytest.raises(ConfigError, match="ransac_inlier_threshold"):
+            fit_ransac(X, Y, RegressorConfig())
+        fit = fit_ransac(X, Y, RegressorConfig(ransac_inlier_threshold=1.0))
+        assert fit.coefficients == pytest.approx([4.0, 10.0, -0.5], abs=0.05)
+        assert not fit.inlier_mask[:6].any()
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +318,7 @@ def negative_ties(n):
 
 def fit_line(x, y, seed=0):
     X = np.column_stack([x, np.ones_like(x)])
-    return fit_theilsen(X, y, RegressorConfig(kind="TheilSen", seed=seed))
+    return fit_theilsen(X, y, RegressorConfig(seed=seed))
 
 
 LINE_FAMILIES = (
@@ -420,28 +431,18 @@ def test_line_of_25k_rows_fits_in_bounded_memory():
     assert fit.iterations_used == n * (n - 1) // 2
 
 
-def test_ransac_and_wide_median_fits_score_in_row_blocks():
+def test_ransac_scores_in_row_blocks():
     # values recorded from the unblocked implementation: blocking changes
     # neither the random subsets nor the consensus
     n = 8_000
     assert ROW_BLOCK // n < 1000  # so the blocks really split
     x, y = contaminated_campaign(n, seed=3)
     X = np.column_stack([x, np.ones(n)])
-    cfg = RegressorConfig(kind="RANSAC", ransac_iters=1000, seed=4)
+    cfg = RegressorConfig(ransac_iters=1000, seed=4)
     fit, peak = peak_mb(lambda: fit_ransac(X, y, cfg))
     assert peak < 64.0
     assert fit.coefficients.tolist() == [1.9825483479765529, 30.65705877260331]
     assert fit.inlier_mask.sum() == 6490
-
-    W = np.column_stack([X, (x - 20.0) ** 2 / 10.0])
-    cfg = RegressorConfig(kind="TheilSen", seed=4)
-    fit, peak = peak_mb(lambda: fit_theilsen(W, y, cfg))
-    assert peak < 64.0
-    assert fit.coefficients.tolist() == [
-        1.5248465549765025, 41.937050827091696, 1.812838364531734
-    ]
-    assert fit.inlier_mask.sum() == 6953
-    assert fit.iterations_used == 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +454,7 @@ def test_tuning_singleton_grid_returns_it():
     rng = np.random.default_rng(41)
     X = np.column_stack([rng.uniform(1, 10, 24), np.ones(24)])
     Y = X @ np.array([2.0, 5.0])
-    cfg = RegressorConfig(kind="Ridge")
+    cfg = RegressorConfig()
     assert tune_penalty_kfold(X, Y, "Ridge", [0.0], cfg) == 0.0
 
 
@@ -461,7 +462,7 @@ def test_tuning_noiseless_data_prefers_no_penalty():
     rng = np.random.default_rng(43)
     X = np.column_stack([rng.uniform(1, 10, 30), np.ones(30), rng.uniform(0, 5, 30)])
     Y = X @ np.array([2.0, 5.0, -1.0])
-    cfg = RegressorConfig(kind="Ridge")
+    cfg = RegressorConfig()
     assert tune_penalty_kfold(X, Y, "Ridge", [0.0, 0.5, 1.0], cfg) == 0.0
     assert tune_penalty_kfold(X, Y, "Lasso", [0.0, 0.5, 1.0], cfg) == 0.0
 
@@ -469,7 +470,7 @@ def test_tuning_noiseless_data_prefers_no_penalty():
 def test_tuning_validates_grid_and_size():
     X = np.column_stack([np.arange(1.0, 25.0), np.ones(24)])
     Y = np.arange(24.0)
-    cfg = RegressorConfig(kind="Ridge")
+    cfg = RegressorConfig()
     with pytest.raises(ConfigError):
         tune_penalty_kfold(X, Y, "Ridge", [], cfg)
     with pytest.raises(ConfigError):
@@ -545,7 +546,7 @@ def test_tuning_selection_is_stable_under_reseeding():
     grid = [0.0, 0.03, 0.1, 0.3, 1.0]
     picks = {
         grid.index(
-            tune_penalty_kfold(X, Y, "Ridge", grid, RegressorConfig(kind="Ridge", seed=s))
+            tune_penalty_kfold(X, Y, "Ridge", grid, RegressorConfig(seed=s))
         )
         for s in range(10)
     }
@@ -569,7 +570,7 @@ def test_median_line_intercept_is_shift_equivariant(ys, shift):
     # constant and leaves the slope untouched (medians commute with shifts)
     x = np.arange(1.0, len(ys) + 1.0)
     X = np.column_stack([x, np.ones_like(x)])
-    cfg = RegressorConfig(kind="TheilSen")
+    cfg = RegressorConfig()
     base = fit_theilsen(X, np.asarray(ys), cfg).coefficients
     moved = fit_theilsen(X, np.asarray(ys) + shift, cfg).coefficients
     assert moved[0] == pytest.approx(base[0], abs=1e-9)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pathfuse.atmosphere import load_default_table, predict_total
 from pathfuse.errors import ConfigError, MetricError
 from pathfuse.estimators import solve_wls, weighted_rms
 from pathfuse.evaluation import (
@@ -11,15 +12,13 @@ from pathfuse.evaluation import (
     error_ratio,
     evaluate_gates,
     loocv,
-    predict_total,
     run_robust_study,
     ExperimentSpec,
-    weighted_std,
 )
 from pathfuse.models import (
     CoefficientSet,
     FittedModel,
-    PathLossSample,
+    SampleBatch,
     build_design_system,
 )
 from pathfuse.pipeline import PipelineConfig, compute_weights
@@ -52,27 +51,20 @@ def _flat_zero_model():
 
 
 def test_weighted_std_hand_value():
-    # zero surface at d=f=1, losses {3, 0}, weights {1, 3}:
-    # sqrt((1*9 + 3*0) / 4) = 1.5
+    # the weighted residual std of the zero surface at d=f=1 against losses
+    # {3, 0} with weights {1, 3}: sqrt((1*9 + 3*0) / 4) = 1.5
     model = _flat_zero_model()
-    samples = [
-        PathLossSample(distance=1.0, frequency=1.0, path_loss=3.0, source_id="a"),
-        PathLossSample(distance=1.0, frequency=1.0, path_loss=0.0, source_id="b"),
-    ]
-    assert weighted_std(model, samples, np.array([1.0, 3.0])) == pytest.approx(
-        1.5, rel=1e-12
-    )
-    assert weighted_std(model, samples) == pytest.approx(
-        np.sqrt(4.5), rel=1e-12
-    )
+    samples = SampleBatch([1.0, 1.0], [1.0, 1.0], [3.0, 0.0], ["a", "b"])
+    pred = predict_total(model, samples.distance, samples.frequency)
+    resid = samples.path_loss - pred
+    assert weighted_rms(resid, np.array([1.0, 3.0])) == pytest.approx(1.5, rel=1e-12)
+    assert weighted_rms(resid) == pytest.approx(np.sqrt(4.5), rel=1e-12)
 
 
 def test_predict_total_adds_gas_only_when_removed():
-    from pathfuse.atmosphere import load_default_table
-
     table = load_default_table()
     raw = _flat_zero_model()
-    assert predict_total(raw, 100.0, 60.0, table) == raw.predict(100.0, 60.0)
+    assert predict_total(raw, 100.0, 60.0) == raw.predict(100.0, 60.0)
     corrected = FittedModel(
         coefficients=raw.coefficients,
         sigma=0.0,
@@ -82,7 +74,7 @@ def test_predict_total_adds_gas_only_when_removed():
         weighting="Identity",
         provenance={},
     )
-    lifted = predict_total(corrected, 1000.0, 60.0, table)
+    lifted = predict_total(corrected, 1000.0, 60.0)
     assert lifted == pytest.approx(table.gas_loss(1000.0, 60.0), rel=1e-12)
     assert lifted > 10.0
 
@@ -107,7 +99,7 @@ def test_sample_scheme_matches_explicit_refits():
     spec = SynthesisSpec(points_per_model=30)
     cfg = PipelineConfig(order=1, weighting="Mixture", robust=None,
                          gas_correction=False)
-    got = loocv(models, cfg, synthesis=spec, trials=1, seed=5)
+    (got,) = loocv(models, cfg, synthesis=spec, trials=1, seed=5)
 
     corpus = synthesize_corpus(models, spec, substream(5, "loocv", "synth", 0))
     X, Y = build_design_system(corpus, order=1)
@@ -124,13 +116,16 @@ def test_loocv_vanishes_on_noiseless_models():
     models = _trio(sigma=1e-9)
     cfg = PipelineConfig(order=1, weighting="Identity", robust=None,
                          gas_correction=False)
-    assert loocv(models, cfg, synthesis=SynthesisSpec(points_per_model=40)) < 1e-6
+    spec = SynthesisSpec(points_per_model=40)
+    per_trial = loocv(models, cfg, synthesis=spec, trials=2)
+    assert len(per_trial) == 2
+    assert max(per_trial) < 1e-6
 
 
 def test_loocv_rejects_bad_arguments():
     cfg = PipelineConfig(order=1, robust=None, gas_correction=False)
     with pytest.raises(ConfigError):
-        loocv(_trio()[:2], cfg)
+        loocv(_trio()[:2], cfg, synthesis=SynthesisSpec())
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from pathfuse.models import (
     coefficient_names,
     column_names,
     design_matrix,
-    design_row,
     predict_abg,
 )
 
@@ -38,6 +37,11 @@ def test_invalid_order_rejected():
         column_names(0)
     with pytest.raises(ValueError):
         design_matrix(4, [10.0], [2.0])
+
+
+def design_row(order, d, f):
+    """The design row of one (d, f) point: row 0 of ``design_matrix``."""
+    return design_matrix(order, d, f)[0]
 
 
 def test_design_row_at_ten_metres_ten_ghz():
@@ -160,11 +164,7 @@ def test_taken_batch_groups_match_its_own_ids():
 
 
 def _samples(d, f, y, sid="m"):
-    return [
-        PathLossSample(distance=float(di), frequency=float(fi),
-                       path_loss=float(yi), source_id=sid)
-        for di, fi, yi in zip(d, f, y)
-    ]
+    return SampleBatch(d, f, y, [sid] * len(d))
 
 
 def test_build_design_system_shapes():

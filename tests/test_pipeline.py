@@ -6,13 +6,9 @@ import pytest
 from pathfuse.atmosphere import load_default_table
 from pathfuse.errors import ConfigError, DataError, InsufficientDataError
 from pathfuse.estimators import RegressorConfig, weighted_rms
-from pathfuse.models import PathLossSample, build_design_system
-from pathfuse.pipeline import (
-    PipelineConfig,
-    compute_weights,
-    fit_pathloss_model,
-    fit_wabg,
-)
+from pathfuse.evaluation import ARM_WEIGHTED, _arm_configs
+from pathfuse.models import SampleBatch, build_design_system
+from pathfuse.pipeline import PipelineConfig, compute_weights, fit_pathloss_model
 from pathfuse.seeding import substream
 from pathfuse.synthesis import SynthesisSpec, synthesize_corpus, synthesize_from_model
 
@@ -45,12 +41,8 @@ def quiet_corpus(points=40, seed=0):
 
 
 def two_group_samples():
-    mk = lambda sid, n: [
-        PathLossSample(distance=10.0 * (i + 1), frequency=2.0,
-                       path_loss=100.0, source_id=sid)
-        for i in range(n)
-    ]
-    return mk("a", 2) + mk("b", 6)
+    d = 10.0 * np.array([1, 2, 1, 2, 3, 4, 5, 6])
+    return SampleBatch(d, np.full(8, 2.0), np.full(8, 100.0), ["a"] * 2 + ["b"] * 6)
 
 
 def test_identity_weights_are_flat():
@@ -86,7 +78,7 @@ def test_weighting_error_cases():
     with pytest.raises(ConfigError):
         compute_weights(samples, "Magic")
     with pytest.raises(ConfigError):
-        compute_weights([], "Identity")
+        compute_weights(SampleBatch([], [], [], []), "Identity")
     with pytest.raises(ConfigError):
         compute_weights(samples, "Mixture")  # sigmas required
     with pytest.raises(DataError):
@@ -107,12 +99,12 @@ def test_pipeline_config_validation():
         PipelineConfig(weighting="Equal")
     with pytest.raises(ConfigError):
         PipelineConfig(freq_band=(18.0, 2.0))
-    with pytest.raises(ConfigError):
-        PipelineConfig(residual_multiplier=0.0)
-    with pytest.raises(ConfigError):
-        PipelineConfig(robust="theil-sen")  # must be a RegressorConfig
-    with pytest.raises(ConfigError):
-        PipelineConfig(robust=RegressorConfig(kind="Lasso"))  # cannot prefilter
+    with pytest.raises(TypeError):  # the cut is the constant RESIDUAL_MULTIPLIER
+        PipelineConfig(residual_multiplier=2.0)
+    # the prefilter is named: "TheilSen", "RANSAC" or None, nothing else
+    for robust in (RegressorConfig(), "Lasso", "theil-sen"):
+        with pytest.raises(ConfigError):
+            PipelineConfig(robust=robust)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +150,7 @@ def test_robust_filter_rejects_planted_spikes():
     loss[hit] += 60.0
     spiked = corpus.with_path_loss(loss)
     cfg = PipelineConfig(order=1, weighting="Identity",
-                         robust=RegressorConfig(kind="TheilSen"),
+                         robust="TheilSen",
                          gas_correction=False, seed=3)
     model, diag = fit_pathloss_model(spiked, cfg)
     assert not diag.inlier_mask[hit].any()
@@ -173,13 +165,10 @@ def test_zero_scatter_groups_are_never_clipped():
     # exact, noiseless samples -> residual spread is degenerate and the
     # filter keeps every group whole rather than slicing at zero width
     m = make_model()
-    samples = [
-        PathLossSample(distance=d, frequency=m.frequency,
-                       path_loss=m.predict(d), source_id=m.id)
-        for d in np.linspace(30.0, 200.0, 25)
-    ]
+    d = np.linspace(30.0, 200.0, 25)
+    samples = SampleBatch(d, np.full(25, m.frequency), m.predict(d), [m.id] * 25)
     cfg = PipelineConfig(order=1, weighting="Identity",
-                         robust=RegressorConfig(kind="TheilSen"),
+                         robust="TheilSen",
                          gas_correction=False)
     model, diag = fit_pathloss_model(samples, cfg)
     assert diag.inlier_mask.all()
@@ -192,7 +181,7 @@ def test_ransac_prefilter_also_works():
     loss[[3, 17]] += 50.0
     spiked = corpus.with_path_loss(loss)
     cfg = PipelineConfig(order=1, weighting="Identity",
-                         robust=RegressorConfig(kind="RANSAC"),
+                         robust="RANSAC",
                          gas_correction=False, seed=9)
     model, diag = fit_pathloss_model(spiked, cfg)
     assert not diag.inlier_mask[[3, 17]].any()
@@ -202,7 +191,7 @@ def test_ransac_prefilter_also_works():
 def test_tiny_groups_skip_the_filter():
     corpus = quiet_corpus(points=2)  # below the minimum group size
     cfg = PipelineConfig(order=1, weighting="Identity",
-                         robust=RegressorConfig(kind="TheilSen"),
+                         robust="TheilSen",
                          gas_correction=False)
     model, diag = fit_pathloss_model(corpus, cfg)
     assert diag.inlier_mask.all()
@@ -225,7 +214,7 @@ def test_gas_correction_recovers_surface_under_absorption():
                         gas_correction=True)
     off = PipelineConfig(order=1, weighting="Identity", robust=None,
                          gas_correction=False)
-    with_gas, _ = fit_pathloss_model(lossy, on, gas_table=table)
+    with_gas, _ = fit_pathloss_model(lossy, on)
     named = with_gas.coefficients.named()
     assert named["alpha"] == pytest.approx(3.4, abs=1e-4)
     assert named["beta"] == pytest.approx(20.0, abs=1e-2)
@@ -283,9 +272,12 @@ def test_seed_changes_only_randomized_stages():
 
 
 def test_fit_wabg_is_the_plain_weighted_line_fit():
+    # the studies' weighted-abg arm: Mixture-weighted order-1 fit, no gas
+    # removal, no rejection
     corpus = quiet_corpus()
     sigmas = {m.id: m.sigma for m in quiet_models()}
-    model = fit_wabg(corpus, "Mixture", sigmas)
+    cfg = _arm_configs(0, (2.0, 28.0))[ARM_WEIGHTED]
+    model, _ = fit_pathloss_model(corpus, cfg, sigma_by_source=sigmas)
     assert model.order == 1
     assert not model.gas_corrected
     assert model.provenance["robust"] is None

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pathfuse.errors import ConfigError
-from pathfuse.models import PathLossSample
+from pathfuse.models import SampleBatch
 from pathfuse.seeding import substream
 from pathfuse.synthesis import (
     OutlierSpec,
@@ -139,18 +139,13 @@ def test_outlier_spec_validation():
         OutlierSpec(contamination_fraction=1.5)
     with pytest.raises(ConfigError):
         OutlierSpec(magnitude_scale=-1.0)
-    with pytest.raises(ConfigError):
-        OutlierSpec(band_center=-10.0)
+    with pytest.raises(TypeError):  # the band is always centred on the corpus
+        OutlierSpec(band_center=40.0)
 
 
 def _flat_corpus(n=200, lo=30.0, hi=230.0):
     d = np.linspace(lo, hi, n)
-    m = make_model()
-    return [
-        PathLossSample(distance=float(di), frequency=28.0,
-                       path_loss=float(m.predict(di)), source_id="flat")
-        for di in d
-    ]
+    return SampleBatch(d, np.full(n, 28.0), make_model().predict(d), ["flat"] * n)
 
 
 def test_injection_hits_the_requested_share_of_the_band():
@@ -170,15 +165,6 @@ def test_injection_hits_the_requested_share_of_the_band():
             assert s1.path_loss > s0.path_loss + 10.0
         else:
             assert s1.path_loss == s0.path_loss
-
-
-def test_injection_respects_explicit_band_center():
-    samples = _flat_corpus()
-    spec = OutlierSpec(band_width=20.0, band_center=40.0,
-                       contamination_fraction=1.0)
-    out, mask = inject_outliers(samples, spec, substream(13, "inject"))
-    d = np.array([s.distance for s in samples])
-    assert mask.sum() == np.count_nonzero(np.abs(d - 40.0) <= 10.0)
 
 
 def test_injection_zero_fraction_is_a_noop():
@@ -201,11 +187,7 @@ def test_injection_is_deterministic():
 
 def test_injection_error_cases():
     with pytest.raises(ConfigError):
-        inject_outliers([], OutlierSpec(), substream(0))
-    samples = _flat_corpus(50)
-    off_corpus = OutlierSpec(band_center=5000.0, band_width=10.0)
-    with pytest.raises(ConfigError):
-        inject_outliers(samples, off_corpus, substream(0))
+        inject_outliers(SampleBatch([], [], [], []), OutlierSpec(), substream(0))
 
 
 def test_scattering_noise_lifts_every_sample():
