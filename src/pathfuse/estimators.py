@@ -90,7 +90,8 @@ RANK_RTOL = 1e-10
 #: default search grid for penalty tuning: 0 plus 21 log-spaced points
 DEFAULT_PENALTY_GRID = (0.0,) + tuple(np.logspace(-4.0, 0.0, 21))
 
-#: the most pairwise slopes the exact Theil-Sen line builds at one time
+#: the most pairwise slopes the exact Theil-Sen line builds at one time: up to
+#: this many pairs are listed whole, more are drawn from or streamed in blocks
 PAIR_BUDGET = 1 << 16
 #: slope-bound rounding guard, in eps * (max|y| + |t| max|x| + 1) / min x gap
 SLOPE_GUARD = 16.0
@@ -536,43 +537,63 @@ def _slopes(x, y, i, j):
 
 
 def _inversions(seq):
-    """Count the strict inversions of ``seq``, a permutation of range(n).
+    """Count the strict inversions of ``seq``, a permutation of range(n), and rank them.
 
     Level b holds the pairs that first differ in bit b: after a stable sort
     on the higher bits, each 0 bit after a 1 of its group is one inversion.
-    Also returns ``pairs``: inversion ranks -> (earlier, later) positions.
-    Its O(n log n) index arrays stay alive as long as ``pairs`` does.
+    Also returns ``pairs``: inversion ranks (sorted, or ``slice(None)`` for
+    all in order) -> (earlier, later) positions.  Its O(n log n) index arrays
+    live as long as ``pairs``: ``_inversion_count`` only counts, in O(n).
     """
     n = seq.size
-    levels = np.arange(max(n - 1, 1).bit_length())
-    key = np.uint16 if n <= 1 << 17 else seq.dtype  # 16-bit keys sort by radix
+    levels = np.arange(max(n - 1, 1).bit_length(), dtype=np.int32)
+    key = np.uint16 if n <= 1 << 17 else np.int32  # 16-bit keys sort by radix
+    seq = seq.astype(np.int32)
     order = np.concatenate(
         [np.argsort((seq >> (b + 1)).astype(key), kind="stable") for b in levels]
     )
     val, shift = seq[order], np.repeat(levels, n)
     bit = (val >> shift) & 1
-    ones = np.cumsum(bit) - bit  # 1 bits before each entry, all levels in a row
+    ones = np.cumsum(bit, dtype=np.int32) - bit  # 1 bits before each, levels in a row
     start = np.repeat(levels * n, n) + (val >> (shift + 1) << (shift + 1))
     weight = np.where(bit == 0, ones - ones[start], 0)
     cum, one_at = np.cumsum(weight), np.flatnonzero(bit)
 
     def pairs(ranks):
-        k = np.searchsorted(cum, ranks, side="right")
-        first = one_at[ones[start[k]] + ranks - cum[k] + weight[k]]
+        if isinstance(ranks, slice):  # entry k holds the ranks below cum[k]
+            k, ranks = np.repeat(np.arange(weight.size), weight), np.arange(cum[-1])
+        else:
+            k = np.searchsorted(cum, ranks, side="right")
+        first = one_at[ones[k] + ranks - cum[k]]  # k's group's 1 bits end just before k
         return order[first], order[k]
 
     return int(cum[-1]), pairs
 
 
+def _inversion_count(seq):
+    """The count of ``_inversions``, one level at a time in O(n) memory."""
+    n = seq.size
+    levels = max(n - 1, 1).bit_length()
+    seq, total = seq.astype(np.uint16 if n <= 1 << 16 else np.int32), 0
+    bit = np.ones(1 << levels, dtype=np.int64)  # 1 bits, as no 0 follows, pad the end
+    for b in range(levels):
+        bit[:n] = (seq[np.argsort(seq >> (b + 1), kind="stable")] >> b) & 1
+        ones = np.cumsum(bit).reshape(-1, 2 << b)  # a group per aligned block
+        ones -= ones[:, :1] - bit[:: 2 << b, None]  # 1 bits so far in the group
+        total += int(ones.ravel() @ (1 - bit))  # summed over the 0 bits
+    return total
+
+
 def _select(values, count, ranks, rng):
     """Values ``ranks`` of ``values(range(count))``, ``PAIR_BUDGET`` at a time.
 
-    Past the budget, a quickselect per rank streams the values in blocks:
-    two pivots drawn just below and above the rank split the window [a, b]
-    that holds the answer, and the values between them are kept if they fit.
+    ``values`` takes sorted ranks, or ``slice(None)`` for all.  Past the
+    budget, a quickselect per rank streams the values in blocks: two pivots
+    drawn just below and above the rank split the window [a, b] that holds
+    the answer, and the values between them are kept if they fit.
     """
     if count <= PAIR_BUDGET:
-        return np.partition(values(np.arange(count)), ranks)[ranks]
+        return np.partition(values(slice(None)), ranks)[ranks]
     found = {}
     for q in ranks:
         a, b, r, inside = -np.inf, np.inf, q, count  # r ranks the answer in [a, b]
@@ -612,13 +633,15 @@ def _select(values, count, ranks, rng):
     return [found[q] for q in ranks]
 
 
-def _middle_slopes(xs, ys, ranks, count, rng):
+def _middle_slopes(xs, ys, ranks, count, every, rng):
     """Slopes ``ranks`` among the ``count`` of rows sorted by (x, y).
 
     c(t), the count of slopes below t, is the inversion count of the order
-    of ``ys - t*xs``; [lo, hi) holds the pairs ordered unlike at lo and hi.
-    Rounds of 16n draws move each bound just outside the draws' middle while
-    it keeps its rank, until [lo, hi) fits ``PAIR_BUDGET`` or stops shrinking.
+    of ``ys - t*xs`` (``_inversion_count``); [lo, hi) holds the pairs ordered
+    unlike at lo and hi, ranked by ``_inversions``.  Each round draws 16n of
+    its pairs, the first round straight from ``every`` (all ``count`` pairs
+    by rank), and moves each bound just outside the draws' middle while it
+    keeps its rank, until [lo, hi) fits ``PAIR_BUDGET`` or stops shrinking.
     Bounds are widened by a rounding guard, which doubles until [lo, hi)
     holds c(hi) - c(lo) pairs and both slopes lie a guard inside it, or
     until it reaches |t|/2 (abscissae a few ulps apart): then bounds prove
@@ -634,7 +657,7 @@ def _middle_slopes(xs, ys, ranks, count, rng):
 
     def bound(t, below=None):  # (t, order of ys - t*xs, c(t))
         order = np.argsort(ys - t * xs, kind="stable")
-        return t, order, _inversions(order)[0] if below is None else below
+        return t, order, _inversion_count(order) if below is None else below
 
     def interval(lo, hi):  # (pairs in [lo, hi), their slopes by rank)
         rank = np.empty(n, dtype=np.intp)
@@ -646,11 +669,12 @@ def _middle_slopes(xs, ys, ranks, count, rng):
     if 2.0 * tol * xmax >= 1.0 or not math.isfinite(reach):
         return None
     lo, hi = bound(-reach, 0), bound(reach, count)  # every slope lies inside
-    inside, slopes = interval(lo, hi)
+    inside, slopes = count, every
     while inside > PAIR_BUDGET:
-        s = np.sort(slopes(np.sort(rng.integers(0, inside, 16 * n))))
+        s = slopes(np.sort(rng.integers(0, inside, 16 * n)))
         at = np.subtract(ranks, lo[2]) / inside + np.array([-2, 2]) / math.sqrt(s.size)
-        t_lo, t_hi = s[np.clip((at * s.size).astype(int), 0, s.size - 1)]
+        at = np.clip((at * s.size).astype(int), 0, s.size - 1)
+        t_lo, t_hi = np.partition(s, at)[at]
         new_lo, new_hi = bound(t_lo - guard(t_lo)), bound(t_hi + guard(t_hi))
         lo = new_lo if lo[0] < new_lo[0] and new_lo[2] <= ranks[0] else lo
         hi = new_hi if new_hi[0] < hi[0] and new_hi[2] > ranks[1] else hi
@@ -678,6 +702,7 @@ def _theilsen_line(X, Y, const_col, var_col, seed):
     ``PAIR_BUDGET``) memory: past the budget ``_middle_slopes`` selects the
     middle two, its pivots from ``substream(seed, "theilsen", "pivots")``;
     otherwise they are selected among every pair, streamed past the budget.
+    Pairs are ranked by row (row i, then each row of larger x): ``every``.
     """
     x = X[:, var_col]
     n = x.shape[0]
@@ -688,15 +713,17 @@ def _theilsen_line(X, Y, const_col, var_col, seed):
     if count == 0:
         raise DegenerateDataError("all sample pairs share the same abscissa")
     ranks = [(count - 1) // 2, count // 2]
-    rng = substream(seed, "theilsen", "pivots")
-    found = _middle_slopes(xs, ys, ranks, count, rng) if count > PAIR_BUDGET else None
-    if found is None:  # row i pairs with its last rows; its ranks end at end[i]
-        end = np.cumsum(n - np.searchsorted(xs, xs, side="right"))
+    end = np.cumsum(n - np.searchsorted(xs, xs, side="right"))  # row i's ranks end
 
-        def every(k):
-            i = np.searchsorted(end, k, side="right")
-            return _slopes(xs, ys, i, n - end[i] + k)
+    def every(k):  # sorted ranks, or slice(None) for all of them
+        k = np.arange(count) if isinstance(k, slice) else k
+        i = np.repeat(np.arange(n), np.diff(np.searchsorted(k, end), prepend=0))
+        return _slopes(xs, ys, i, n - end[i] + k)
 
+    rng, found = substream(seed, "theilsen", "pivots"), None
+    if count > PAIR_BUDGET:
+        found = _middle_slopes(xs, ys, ranks, count, every, rng)
+    if found is None:
         found = _select(every, count, ranks, rng)
     low, high = found
     slope = float((low + high) / 2) + 0.0  # np.median's mean; -0.0 becomes 0.0

@@ -5,6 +5,7 @@
 import csv
 import dataclasses
 import json
+import operator
 import os
 from importlib import resources
 
@@ -101,17 +102,27 @@ def load_samples(path):
     d, f, y, ids, lines = [], [], [], [], []
     try:
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
+            reader = csv.reader(fh)
+            # a header name's last column wins; other columns are ignored
+            column = {name: i for i, name in enumerate(next(reader, []))}
+            missing = [k for k in _SAMPLE_FIELDS if k not in column]
+            fields = operator.itemgetter(*(column.get(k, 0) for k in _SAMPLE_FIELDS))
+            at_weight = column.get("weight", -1)
             for row in reader:
+                if not row:
+                    continue  # a blank line
                 try:
-                    d.append(float(row["distance_m"]))
-                    f.append(float(row["freq_ghz"]))
-                    y.append(float(row["path_loss_db"]))
-                    ids.append(row["source_id"].strip())
-                    weight = row.get("weight")
+                    if missing:
+                        raise ValueError(f"no {missing[0]!r} column")
+                    dist, freq, loss, source = fields(row)
+                    d.append(float(dist))
+                    f.append(float(freq))
+                    y.append(float(loss))
+                    ids.append(source.strip())
+                    weight = row[at_weight] if 0 <= at_weight < len(row) else ""
                     if weight and float(weight) != 1.0:
                         raise ValueError(f"weight {weight!r} is not 1; no fit reads it")
-                except (KeyError, ValueError, TypeError, AttributeError) as exc:
+                except (IndexError, ValueError) as exc:
                     raise DataError(
                         f"{path}:{reader.line_num}: bad sample row: {exc}"
                     ) from exc

@@ -326,7 +326,8 @@ LINE_FAMILIES = (
 )
 
 
-@pytest.mark.parametrize("n", [3, 40, 362, 363, 700, 2000])
+# at 3,000 rows every family takes two rounds of draws
+@pytest.mark.parametrize("n", [3, 40, 362, 363, 700, 2000, 3000])
 @pytest.mark.parametrize("family", LINE_FAMILIES)
 def test_selected_line_equals_the_pairwise_median(family, n):
     x, y = line_data(family, n, seed=n)

@@ -133,6 +133,40 @@ def test_batched_tuning_matches_one_fit_per_candidate(
     assert tune_penalty_kfold(X, Y, kind, grid, cfg) == grid[best]
 
 
+def check_inversions(seq):
+    """Both inversion routines against every pair, and whole-interval pairs by rank."""
+    i, j = np.triu_indices(seq.size, 1)
+    wrong = seq[i] > seq[j]
+    count, pairs = estimators._inversions(seq)
+    assert estimators._inversion_count(seq) == count == int(wrong.sum())
+    whole, by_rank = pairs(slice(None)), pairs(np.arange(count))
+    assert all(np.array_equal(a, b) for a, b in zip(whole, by_rank))
+    assert sorted(zip(*(a.tolist() for a in whole))) == list(zip(i[wrong], j[wrong]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seq=st.integers(min_value=1, max_value=300).flatmap(
+    lambda n: st.permutations(range(n))))
+def test_inversion_routines_match_every_pair(seq):
+    check_inversions(np.array(seq))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 256, 257])
+def test_inversion_routines_at_level_boundaries(n):
+    rng = np.random.default_rng(n)
+    for seq in (np.arange(n), np.arange(n)[::-1].copy(), rng.permutation(n)):
+        check_inversions(seq)
+
+
+@pytest.mark.parametrize("n", [1 << 16, (1 << 16) + 1])
+def test_inversion_count_around_its_key_width(n):
+    # past 2^16 values the count sorts 32-bit keys; reversed, every pair is inverted
+    assert estimators._inversion_count(np.arange(n)[::-1].copy()) == n * (n - 1) // 2
+    seq = np.arange(n)
+    seq[[0, -1]] = seq[[-1, 0]]  # one swap of the ends: 2(n-2) + 1 inversions
+    assert estimators._inversion_count(seq) == 2 * (n - 2) + 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=seeds, order=orders)
 def test_exactly_consistent_systems_are_recovered(seed, order):
