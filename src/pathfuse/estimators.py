@@ -30,9 +30,11 @@ Theil-Sen fits lines only: a two-column [x, constant] design.  The exact
 line selects its median slope without building all n(n-1)/2 slopes: the
 slopes below t are the inversions of ``y - t*x`` in x order (Matousek 1991;
 Dillencourt, Mount & Netanyahu 1992).  At most ``PAIR_BUDGET`` slopes exist
-at a time, and a rounding guard on every slope bound keeps the result
-``np.median``'s to the bit.  RANSAC's subset draws and consensus scoring run
-in row blocks of ``ROW_BLOCK`` numbers.
+at a time; the closest pairs are placed by their slopes and a rounding guard
+for one cutoff gap covers the rest, so the result is ``np.median``'s to the
+bit.  Each selection is one single-kth ``np.partition`` per rank: numpy
+selects one kth 5-9 times faster than several.  RANSAC's subset draws and
+consensus scoring run in row blocks of ``ROW_BLOCK`` numbers.
 
 Penalty conventions (important for cross-checking against other software):
 
@@ -93,7 +95,7 @@ DEFAULT_PENALTY_GRID = (0.0,) + tuple(np.logspace(-4.0, 0.0, 21))
 #: the most pairwise slopes the exact Theil-Sen line builds at one time: up to
 #: this many pairs are listed whole, more are drawn from or streamed in blocks
 PAIR_BUDGET = 1 << 16
-#: slope-bound rounding guard, in eps * (max|y| + |t| max|x| + 1) / min x gap
+#: rounding guard of a slope bound, eps * (max|y| + |t| max|x| + 1) / cutoff gap
 SLOPE_GUARD = 16.0
 #: uniforms (or residuals) per row block of RANSAC's draws and scoring
 ROW_BLOCK = 1 << 20
@@ -142,11 +144,35 @@ class FitDiagnostics:
 
 
 def mad_scale(residuals) -> float:
-    """Robust scale: 1.4826 * median absolute deviation about the median."""
+    """Robust scale: 1.4826 * median absolute deviation about the median.
+    Both are ``np.median``'s, each from one single-kth partition (``_median``)."""
     r = np.asarray(residuals, dtype=float)
     if r.size == 0:
         return 0.0
-    return 1.4826 * float(np.median(np.abs(r - np.median(r))))
+    return 1.4826 * float(_median(np.abs(r - _median(r))))
+
+
+def _kth(v, ranks):
+    """``np.partition(v, ranks)[ranks]`` (sorted ranks; a tie may give -0.0 for
+    0.0), one single-kth partition per rank, right of the rank before it."""
+    out, base = [], 0
+    for r in ranks:
+        if r <= base:  # a repeated rank, or the least value left
+            out.append(out[-1] if r < base else v.min())
+        else:
+            v = np.partition(v, r - base)
+            out.append(v[r - base])
+            v, base = v[r - base + 1:], r + 1
+    return out
+
+
+def _median(v):
+    """``np.median(v)`` of a non-empty 1-D array to the bit, from one single-kth
+    partition; like np.mean, it sums from +0.0 (a sum of zeros is +0.0)."""
+    k = (v.size - 1) // 2
+    part = np.partition(v, k)
+    hi = part[k + 1 - v.size % 2:].min()  # the next value up, or part[k]; nan if any
+    return hi + 0.0 if v.size % 2 else (part[k] + hi + 0.0) / 2
 
 
 def soft_threshold(z, t):
@@ -588,146 +614,159 @@ def _select(values, count, ranks, rng):
     """Values ``ranks`` of ``values(range(count))``, ``PAIR_BUDGET`` at a time.
 
     ``values`` takes sorted ranks, or ``slice(None)`` for all.  Past the
-    budget, a quickselect per rank streams the values in blocks: two pivots
-    drawn just below and above the rank split the window [a, b] that holds
-    the answer, and the values between them are kept if they fit.
+    budget, two pivots drawn just below and above each rank narrow a window
+    [a, b] that holds it, one streamed pass each, until its values fit.
     """
     if count <= PAIR_BUDGET:
-        return np.partition(values(slice(None)), ranks)[ranks]
-    found = {}
-    for q in ranks:
-        a, b, r, inside = -np.inf, np.inf, q, count  # r ranks the answer in [a, b]
-        while q not in found:
-            v = np.array([a, b])  # so a window that fits is kept whole
-            if inside > PAIR_BUDGET:
-                s = values(np.sort(rng.integers(0, count, PAIR_BUDGET)))
-                s = np.sort(s[(a <= s) & (s <= b)])
-                at = r / inside * s.size + np.array([-2.0, 2.0]) * math.sqrt(s.size)
-                v = s[np.clip(at.astype(int), 0, s.size - 1)] if s.size else v
-            kept, inside, middle = [], 0, 0
-            less, equal = np.zeros(2, int), np.zeros(2, int)
-            for k in range(0, count, PAIR_BUDGET):
-                s = values(np.arange(k, min(k + PAIR_BUDGET, count)))
-                s = s[(a <= s) & (s <= b)]
-                inside += s.size
-                less += np.sum(s < v[:, None], axis=1)
-                equal += np.sum(s == v[:, None], axis=1)
-                s = s[(v[0] < s) & (s < v[1])]
-                middle += s.size
-                kept += [s] if middle <= PAIR_BUDGET else []
-            (l0, l1), (e0, e1) = less, equal
-            for p in ranks:  # settle each rank that ties a pivot or lies kept
-                j = p - q + r  # between them (j ranks p in [a, b])
-                if l0 <= j < l0 + e0 or l1 <= j < l1 + e1:
-                    found[p] = v[0] if j < l0 + e0 else v[1]
-                elif l0 + e0 <= j < l1 and middle <= PAIR_BUDGET:
-                    j -= l0 + e0
-                    found[p] = np.partition(np.concatenate(kept), j)[j]
-            if r < l0:
-                b, inside = np.nextafter(v[0], -np.inf), l0
-            elif r < l1:
-                a, b = np.nextafter(v[0], np.inf), np.nextafter(v[1], -np.inf)
-                r, inside = r - l0 - e0, middle
+        return _kth(values(slice(None)), ranks)
+
+    def window(a, b):  # the values in [a, b], block by block
+        for k in range(0, count, PAIR_BUDGET):
+            s = values(np.arange(k, min(k + PAIR_BUDGET, count)))
+            yield s[(a <= s) & (s <= b)]
+
+    out = []
+    for r in ranks:
+        a, b, inside = -np.inf, np.inf, count  # r ranks the answer in [a, b]
+        while inside > PAIR_BUDGET:
+            s = values(np.sort(rng.integers(0, count, PAIR_BUDGET)))
+            s = np.sort(s[(a <= s) & (s <= b)])
+            at = r / inside * s.size + np.array([-2.0, 2.0]) * math.sqrt(s.size)
+            u, w = s[np.clip(at.astype(int), 0, s.size - 1)] if s.size else (a, b)
+            c0, c1, c2, c3 = sum(np.sum([s < u, s <= u, s < w, s <= w], axis=1)
+                                 for s in window(a, b))  # below and up to u, w
+            if c0 <= r < c1 or c2 <= r < c3:
+                out.append(u if r < c1 else w)
+                break
+            if r < c0:
+                b, inside = np.nextafter(u, -np.inf), c0
+            elif r < c2:
+                a, b = np.nextafter(u, np.inf), np.nextafter(w, -np.inf)
+                r, inside = r - c1, c2 - c1
             else:
-                a, r, inside = np.nextafter(v[1], np.inf), r - l1 - e1, inside - l1 - e1
-    return [found[q] for q in ranks]
+                a, r, inside = np.nextafter(w, np.inf), r - c3, inside - c3
+        else:
+            out += _kth(np.concatenate(list(window(a, b))), [r])
+    return out
 
 
-def _middle_slopes(xs, ys, ranks, count, every, rng):
+def _middle_slopes(xs, ys, ranks, count, rng):
     """Slopes ``ranks`` among the ``count`` of rows sorted by (x, y).
 
     c(t), the count of slopes below t, is the inversion count of the order
     of ``ys - t*xs`` (``_inversion_count``); [lo, hi) holds the pairs ordered
     unlike at lo and hi, ranked by ``_inversions``.  Each round draws 16n of
-    its pairs, the first round straight from ``every`` (all ``count`` pairs
-    by rank), and moves each bound just outside the draws' middle while it
-    keeps its rank, until [lo, hi) fits ``PAIR_BUDGET`` or stops shrinking.
-    Bounds are widened by a rounding guard, which doubles until [lo, hi)
-    holds c(hi) - c(lo) pairs and both slopes lie a guard inside it, or
-    until it reaches |t|/2 (abscissae a few ulps apart): then bounds prove
-    nothing, and None sends the caller to every pair.
+    its pairs (at first, random row pairs) and moves each bound just outside
+    the draws' middle while it keeps its rank, until [lo, hi) fits
+    ``PAIR_BUDGET`` or stops shrinking.  Rounding misorders a pair at t only
+    within about eps * (max|y| + |t| max|x|) / (its x gap) of its slope: the
+    at most n pairs closer than delta (a gap quantile) are placed by slope
+    unless [lo, hi) lists them, and the guard for gap delta covers the rest.
+    It doubles until [lo, hi) lists c(hi) - c(lo) far pairs and both slopes
+    lie a guard inside; at |t|/2, bounds at -inf and +inf list every pair.
     """
-    n = xs.size
-    gap = float(np.min(np.diff(np.unique(xs))))
+    n, after = xs.size, np.searchsorted(xs, xs, side="right")  # next larger x
+    gaps = np.diff(xs)
+    gaps = gaps[gaps > 0.0]
+    for k in (gaps.size // 4, gaps.size // 64, 0):  # none is closer than the least
+        delta = _kth(gaps, [k])[0]
+        near = np.maximum(np.searchsorted(xs, xs + delta) - after, 0)
+        if near.sum() <= n:
+            break
+    ci = np.repeat(np.arange(n), near)
+    cj = after[ci] + np.arange(ci.size) - np.repeat(near.cumsum() - near, near)
+    close = _slopes(xs, ys, ci, cj)
+    del after, gaps, near
     ymax, xmax = float(np.max(np.abs(ys))), float(np.max(np.abs(xs)))
-    tol = SLOPE_GUARD * np.finfo(float).eps / gap
+    tol = SLOPE_GUARD * np.finfo(float).eps / delta
 
     def guard(t):
         return tol * (ymax + abs(t) * xmax + 1.0)
 
-    def bound(t, below=None):  # (t, order of ys - t*xs, c(t))
-        order = np.argsort(ys - t * xs, kind="stable")
-        return t, order, _inversion_count(order) if below is None else below
+    def bound(t):  # (t, order of ys - t*xs, far pairs ordered, close ones ordered)
+        key = ys - t * xs if math.isfinite(t) else -np.sign(t) * xs  # exact at +-inf
+        order, ordered = np.argsort(key, kind="stable"), key[cj] < key[ci]
+        far = _inversion_count(order) if math.isfinite(t) else count * (t > 0)
+        return t, order, far - int(ordered.sum()), ordered
 
-    def interval(lo, hi):  # (pairs in [lo, hi), their slopes by rank)
+    def interval(lo, hi):  # (slopes below, in [lo, hi), theirs by rank, far ok)
         rank = np.empty(n, dtype=np.intp)
         rank[lo[1]] = np.arange(n)
         inside, pairs = _inversions(rank[hi[1]])
-        return inside, lambda k: _slopes(xs, ys, *(hi[1][e] for e in pairs(k)))
+        kept = lo[3] == hi[3]  # close pairs ordered alike: placed by slope
+        extra = close[kept & (lo[0] <= close) & (close < hi[0])]
 
-    reach = 2.0 * (ys.max() - ys.min()) / gap + 1.0
-    if 2.0 * tol * xmax >= 1.0 or not math.isfinite(reach):
-        return None
-    lo, hi = bound(-reach, 0), bound(reach, count)  # every slope lies inside
-    inside, slopes = count, every
-    while inside > PAIR_BUDGET:
-        s = slopes(np.sort(rng.integers(0, inside, 16 * n)))
-        at = np.subtract(ranks, lo[2]) / inside + np.array([-2, 2]) / math.sqrt(s.size)
-        at = np.clip((at * s.size).astype(int), 0, s.size - 1)
-        t_lo, t_hi = np.partition(s, at)[at]
+        def slopes(k):  # the listed pairs, then the extra ones
+            e = slice(None)
+            if not isinstance(k, slice):
+                k, e = np.split(k, [np.searchsorted(k, inside)])
+                e = e - inside
+            listed = _slopes(xs, ys, *(hi[1][j] for j in pairs(k)))
+            return np.concatenate([listed, extra[e]])
+
+        first = lo[2] + int(np.count_nonzero(kept & (close < lo[0])))
+        ok = inside - ci.size + kept.sum() == hi[2] - lo[2]
+        return first, inside + extra.size, slopes, ok
+
+    def pair_draws():  # 16n random row pairs, less those of equal x
+        i, j = rng.integers(0, n, (2, 16 * n))
+        keep = xs[i] != xs[j]
+        return _slopes(xs, ys, i[keep], j[keep])
+
+    lo, hi = bound(-math.inf), bound(math.inf)
+    rounds = count > PAIR_BUDGET and 2.0 * tol * xmax < 1.0  # else bounds prove nothing
+    first, size, slopes, ok = (0, count, None, True) if rounds else interval(lo, hi)
+    while rounds and size > PAIR_BUDGET:
+        s = slopes(np.sort(rng.integers(0, size, 16 * n))) if slopes else pair_draws()
+        at = np.subtract(ranks, first) / size
+        at = (at + np.array([-2, 2]) / math.sqrt(s.size)) * s.size
+        t_lo, t_hi = _kth(s, np.clip(at.astype(int), 0, s.size - 1))
         new_lo, new_hi = bound(t_lo - guard(t_lo)), bound(t_hi + guard(t_hi))
-        lo = new_lo if lo[0] < new_lo[0] and new_lo[2] <= ranks[0] else lo
-        hi = new_hi if new_hi[0] < hi[0] and new_hi[2] > ranks[1] else hi
-        before, (inside, slopes) = inside, interval(lo, hi)
-        if 2 * inside > before:
+        below = [b[2] + np.count_nonzero(close < b[0]) for b in (new_lo, new_hi)]
+        lo = new_lo if lo[0] < new_lo[0] and below[0] <= ranks[0] else lo
+        hi = new_hi if new_hi[0] < hi[0] and below[1] > ranks[1] else hi
+        before, (first, size, slopes, ok) = size, interval(lo, hi)
+        if 2 * size > before:
             break  # many equal slopes: stream the interval
     while True:
-        if inside == hi[2] - lo[2] and lo[2] <= ranks[0] <= ranks[1] < hi[2]:
-            low, high = _select(slopes, inside, np.subtract(ranks, lo[2]), rng)
-            if lo[0] + guard(lo[0]) <= low and high <= hi[0] - guard(hi[0]):
+        if ok and first <= ranks[0] <= ranks[1] < first + size:
+            low, high = _select(slopes, size, np.subtract(ranks, first), rng)
+            if guard(lo[0]) <= low - lo[0] and guard(hi[0]) <= hi[0] - high:
                 return low, high
         tol *= 2.0
-        t_lo, t_hi = lo[0] - guard(lo[0]), hi[0] + guard(hi[0])
-        if 2.0 * tol * xmax >= 1.0 or not math.isfinite(t_hi - t_lo):
-            return None
-        lo, hi = bound(t_lo), bound(t_hi)
-        inside, slopes = interval(lo, hi)
+        wide = 2.0 * tol * xmax >= 1.0
+        lo = bound(-math.inf if wide else lo[0] - guard(lo[0]))
+        hi = bound(math.inf if wide else hi[0] + guard(hi[0]))
+        first, size, slopes, ok = interval(lo, hi)
 
 
 def _theilsen_line(X, Y, const_col, var_col, seed):
     """Exact pairwise-median line fit for the two-column case.
 
     The slope is ``np.median`` of every pair's ``(Y[i] - Y[j]) / (x[i] - x[j])``
-    (pairs sharing an abscissa give none), bit for bit, but in O(n log n +
-    ``PAIR_BUDGET``) memory: past the budget ``_middle_slopes`` selects the
-    middle two, its pivots from ``substream(seed, "theilsen", "pivots")``;
-    otherwise they are selected among every pair, streamed past the budget.
-    Pairs are ranked by row (row i, then each row of larger x): ``every``.
+    (pairs sharing an abscissa give none), bit for bit, in O(n log n +
+    ``PAIR_BUDGET``) memory: one broadcast difference of the sorted rows if
+    all n(n-1)/2 pairs fit the budget, else ``_middle_slopes`` (its pivots
+    from ``substream(seed, "theilsen", "pivots")``).  Selections are single-kth.
     """
     x = X[:, var_col]
     n = x.shape[0]
     order = np.lexsort((Y, x))
     xs, ys = x[order], Y[order]
-    ties = np.unique(xs, return_counts=True)[1]
-    count = n * (n - 1) // 2 - int(np.sum(ties * (ties - 1) // 2))
+    ties = np.diff(np.flatnonzero(np.diff(xs, prepend=-np.inf, append=np.inf)))
+    count = (n * n - int(ties @ ties)) // 2  # the pairs of distinct x
     if count == 0:
         raise DegenerateDataError("all sample pairs share the same abscissa")
     ranks = [(count - 1) // 2, count // 2]
-    end = np.cumsum(n - np.searchsorted(xs, xs, side="right"))  # row i's ranks end
-
-    def every(k):  # sorted ranks, or slice(None) for all of them
-        k = np.arange(count) if isinstance(k, slice) else k
-        i = np.repeat(np.arange(n), np.diff(np.searchsorted(k, end), prepend=0))
-        return _slopes(xs, ys, i, n - end[i] + k)
-
-    rng, found = substream(seed, "theilsen", "pivots"), None
-    if count > PAIR_BUDGET:
-        found = _middle_slopes(xs, ys, ranks, count, every, rng)
-    if found is None:
-        found = _select(every, count, ranks, rng)
-    low, high = found
-    slope = float((low + high) / 2) + 0.0  # np.median's mean; -0.0 becomes 0.0
-    intercept = float(np.median(Y - slope * x)) / X[0, const_col]
+    if n * (n - 1) // 2 <= PAIR_BUDGET:
+        dx = xs - xs[:, None]
+        wide = dx > 0.0
+        low, high = _kth((ys - ys[:, None])[wide] / dx[wide], ranks)
+    else:
+        rng = substream(seed, "theilsen", "pivots")
+        low, high = _middle_slopes(xs, ys, ranks, count, rng)
+    slope = float((low + high + 0.0) / 2)  # np.median's mean: the sum from +0.0
+    intercept = float(_median(Y - slope * x)) / X[0, const_col]
     beta = np.zeros(2)
     beta[var_col] = slope
     beta[const_col] = intercept

@@ -42,6 +42,7 @@ from .errors import ConfigError, DataError, InsufficientDataError
 from .estimators import (
     RegressorConfig,
     FitDiagnostics,
+    _median,
     fit_ransac,
     fit_theilsen,
     mad_scale,
@@ -175,7 +176,7 @@ def _robust_filter(batch, X, Y, cfg: PipelineConfig):
             prefit = fit_theilsen(Xg, Yg, line_cfg)
         iterations += prefit.iterations_used
         r = Yg - Xg @ prefit.coefficients
-        med = float(np.median(r))
+        med = float(_median(r))
         scale = mad_scale(r)
         if scale > _SCALE_FLOOR:
             keep[ix] = np.abs(r - med) <= RESIDUAL_MULTIPLIER * scale

@@ -362,8 +362,9 @@ def test_pivot_seed_never_changes_the_line(x, y):
 @pytest.mark.filterwarnings("error")  # no bound may overflow on the way
 @pytest.mark.parametrize("ulps", [1, 80])
 def test_abscissae_a_few_ulps_apart_select_among_every_pair(ulps):
-    # two abscissae `ulps` apart make the rounding guard outgrow every slope
-    # bound, at once (1) or after doubling (80), so all 79,800 pairs stream
+    # two abscissae `ulps` apart: that pair is placed by its own slope, so the
+    # guard of every other pair stays small, and the median of all 79,800
+    # pairs comes out of the usual rounds
     rng = np.random.default_rng(11)
     x = 10.0 * np.log10(rng.uniform(10.0, 500.0, 400))
     x[1] = x[0] + ulps * np.spacing(x[0])
@@ -372,6 +373,40 @@ def test_abscissae_a_few_ulps_apart_select_among_every_pair(ulps):
     slope, intercept, pairs = pairwise_median_line(x, y)
     assert fit.coefficients.tolist() == [slope, intercept]
     assert fit.iterations_used == pairs == 79_800
+
+
+def close_abscissae(case, n=1500):
+    """A contaminated line with some abscissae moved 1-3 ulps from another."""
+    x, y = contaminated_campaign(n, seed=21)
+    rng = np.random.default_rng(22)
+    if case == "cluster":  # three abscissae within 2 ulps of each other
+        x[1], x[2] = x[0] + np.spacing(x[0]), x[0] + 2.0 * np.spacing(x[0])
+    elif case == "twins":  # 50 rows 16 ulps right of another, at the line's
+        # own slope (about 1.82): rounding decides their order at every bound
+        k = rng.choice(np.arange(1, n), size=50, replace=False)
+        dx, uy = 16.0 * np.spacing(x[k - 1]), np.spacing(y[k - 1])
+        x[k], y[k] = x[k - 1] + dx, y[k - 1] + np.round(1.82 * dx / uy) * uy
+    else:
+        for k in rng.choice(np.arange(1, n), size=case, replace=False):
+            x[k] = x[k - 1] + rng.integers(1, 4) * np.spacing(x[k - 1])
+    return x, y
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", [1, 5, 50, "cluster", "twins"])
+def test_abscissae_ulps_apart_keep_the_pairwise_median(case, monkeypatch):
+    # the close pairs are placed by their slopes, so the bounds still prove
+    # the result: no interval ever has to list every pair
+    listed, inversions = [], estimators._inversions
+    monkeypatch.setattr(estimators, "_inversions",
+                        lambda seq: listed.append(inversions(seq)) or listed[-1])
+    x, y = close_abscissae(case)
+    slope, intercept, pairs = pairwise_median_line(x, y)
+    for seed in (0, 12345):
+        fit = fit_line(x, y, seed=seed)
+        assert fit.coefficients.tolist() == [slope, intercept]
+        assert fit.iterations_used == pairs
+    assert listed and max(count for count, _ in listed) < pairs
 
 
 @pytest.mark.parametrize("seed", range(3))

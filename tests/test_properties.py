@@ -167,6 +167,53 @@ def test_inversion_count_around_its_key_width(n):
     assert estimators._inversion_count(seq) == 2 * (n - 2) + 1
 
 
+# values with many ties, both zeros and (for the median) nan and infinities
+tied = st.sampled_from([-3.0, -1.5, -0.0, 0.0, 0.5, 2.0, 1e300])
+finite_values = st.lists(tied | st.floats(-1e3, 1e3), min_size=1, max_size=70)
+any_values = st.lists(tied | st.floats(), min_size=1, max_size=70)
+
+
+def same_bits(a, b):
+    """Equal floats with equal bits; any nan equals any nan."""
+    a, b = np.float64(a), np.float64(b)
+    return a.tobytes() == b.tobytes() or bool(np.isnan(a) and np.isnan(b))
+
+
+@st.composite
+def values_and_ranks(draw):
+    v = np.array(draw(finite_values))
+    r = draw(st.integers(0, v.size - 1))
+    ranks = draw(st.sampled_from([
+        [r], [r, r], [r, min(r + 1, v.size - 1)], [0, v.size - 1],
+        sorted(draw(st.lists(st.integers(0, v.size - 1), min_size=1, max_size=4))),
+    ]))
+    return v, ranks
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=values_and_ranks())
+def test_kth_selects_what_one_partition_with_every_rank_selects(case):
+    v, ranks = case
+    before = v.copy()
+    got, want = estimators._kth(v, ranks), np.partition(v, ranks)[ranks]
+    assert v.tobytes() == before.tobytes()  # the input is left as it was
+    # the values agree; so do the bits, but for which of 0.0 and -0.0 a tie
+    # gives, which numpy's one-kth and several-kth selections do not agree on
+    assert [float(g) for g in got] == want.tolist()
+    assert all(same_bits(g, w) for g, w in zip(got, want) if w != 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=any_values)
+def test_median_and_mad_scale_keep_the_bits_of_np_median(values):
+    v = np.array(values)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert same_bits(estimators._median(v), np.median(v))
+        if np.isfinite(v).all():
+            want = 1.4826 * float(np.median(np.abs(v - np.median(v))))
+            assert same_bits(mad_scale(v), want)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=seeds, order=orders)
 def test_exactly_consistent_systems_are_recovered(seed, order):
