@@ -43,8 +43,8 @@ from .estimators import (
     RegressorConfig,
     FitDiagnostics,
     _median,
+    _theilsen_line,
     fit_ransac,
-    fit_theilsen,
     mad_scale,
     solve_wls,
     weighted_rms,
@@ -162,20 +162,20 @@ def _robust_filter(batch, X, Y, cfg: PipelineConfig):
     rows = np.split(by_group, np.cumsum(np.bincount(group))[:-1])
 
     keep = np.ones(len(batch), dtype=bool)
-    line_cols = [0, 1]  # the [10*log10(d), 1] columns of every design order
-    names = [column_names(cfg.order)[j] for j in line_cols]
+    names = column_names(cfg.order)[:2]  # [10*log10(d), 1] in every design order
     iterations = 0
     for ix in rows:
         if ix.size < _MIN_GROUP_FOR_FILTER:
             continue
-        Xg = X[np.ix_(ix, line_cols)]
+        Xg = X[ix, :2]
         Yg = Y[ix]
         if cfg.robust == "RANSAC":
             prefit = fit_ransac(Xg, Yg, line_cfg, column_names=names)
-        else:
-            prefit = fit_theilsen(Xg, Yg, line_cfg)
-        iterations += prefit.iterations_used
-        r = Yg - Xg @ prefit.coefficients
+            beta, used = prefit.coefficients, prefit.iterations_used
+        else:  # the line kernel alone: the filter needs no mask, RMS or condition
+            beta, used = _theilsen_line(Xg, Yg, 1, 0, cfg.seed)
+        iterations += used
+        r = Yg - Xg @ beta
         med = float(_median(r))
         scale = mad_scale(r)
         if scale > _SCALE_FLOOR:

@@ -4,6 +4,11 @@ Hand-checkable oracles are frozen as exact constants; randomized checks pin
 their seeds.  A couple of algebraic identities run under hypothesis.
 """
 
+import contextlib
+import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -172,6 +177,102 @@ def test_regressor_config_validation():
         RegressorConfig(kfold_k=1)
     with pytest.raises(ConfigError):
         RegressorConfig(ransac_inlier_threshold=0.0)
+
+
+# ---------------------------------------------------------------------------
+# LAPACK on one BLAS thread
+# ---------------------------------------------------------------------------
+
+
+def test_svd_runs_on_one_blas_thread_and_restores_the_pool(monkeypatch):
+    if estimators._openblas() is None:
+        pytest.skip("numpy's OpenBLAS was not found")
+    get = estimators._openblas()[0]
+    before, seen, svd = get(), [], np.linalg.svd
+
+    def spy(A, **kw):
+        seen.append(get())
+        return svd(A, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    estimators._svd(np.arange(12.0).reshape(4, 3), full_matrices=False)
+    assert get() == before
+    with pytest.raises(np.linalg.LinAlgError):
+        estimators._svd(np.full((4, 3), np.nan))
+    assert seen == [1, 1]
+    assert get() == before
+
+
+def test_svds_from_several_threads_take_turns(monkeypatch):
+    if estimators._openblas() is None:
+        pytest.skip("numpy's OpenBLAS was not found")
+    get = estimators._openblas()[0]
+    before, seen, svd = get(), [], np.linalg.svd
+
+    def spy(A, **kw):
+        seen.append(get())
+        return svd(A, **kw)
+
+    def work():
+        for _ in range(200):
+            estimators._svd(A, compute_uv=False)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    A = np.random.default_rng(1).normal(size=(2000, 6))
+    workers = [threading.Thread(target=work) for _ in range(4)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in workers)
+    assert seen == [1] * 800
+    assert get() == before
+
+
+def test_svd_without_openblas_is_numpys(monkeypatch):
+    monkeypatch.setattr(estimators, "_openblas", lambda: None)
+    A = np.random.default_rng(0).normal(size=(40, 5))
+    for kw in ({}, {"full_matrices": False}, {"compute_uv": False}):
+        got, want = estimators._svd(A, **kw), np.linalg.svd(A, **kw)
+        assert type(got) is type(want)
+        pairs = [(got, want)] if kw.get("compute_uv") is False else zip(got, want)
+        assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in pairs)
+
+
+def _helper_cpu_ns():
+    """Summed CPU time of every thread of this process but the calling one."""
+    me, total = threading.get_native_id(), 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) != me:
+            with contextlib.suppress(FileNotFoundError):  # the thread has ended
+                with open(f"/proc/self/task/{tid}/schedstat") as fh:
+                    total += int(fh.read().split()[0])
+    return total
+
+
+def test_solve_wls_leaves_the_blas_pool_asleep():
+    # an idle OpenBLAS worker busy-waits once a threaded call wakes it
+    if not os.path.exists(f"/proc/self/task/{threading.get_native_id()}/schedstat"):
+        pytest.skip("no /proc/self/task/<tid>/schedstat")
+    if estimators._openblas() is None:
+        pytest.skip("numpy's OpenBLAS was not found")
+    X = np.random.default_rng(0).normal(size=(8000, 6))
+    Y = X @ np.arange(6.0)
+    before = _helper_cpu_ns()
+    for _ in range(10):  # let workers an earlier test woke fall asleep
+        time.sleep(0.2)
+        before, last = _helper_cpu_ns(), before
+        if before == last:
+            break
+    for _ in range(3):
+        solve_wls(X, Y)
+    time.sleep(0.2)  # a woken worker would still be spinning
+    assert _helper_cpu_ns() == before
 
 
 # ---------------------------------------------------------------------------

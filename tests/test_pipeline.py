@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 from pathfuse.atmosphere import load_default_table
-from pathfuse.errors import ConfigError, DataError, InsufficientDataError
-from pathfuse.estimators import RegressorConfig, weighted_rms
+from pathfuse.errors import ConfigError, DataError, DegenerateDataError, InsufficientDataError
+from pathfuse.estimators import RegressorConfig, fit_theilsen, mad_scale, weighted_rms
 from pathfuse.evaluation import ARM_WEIGHTED, _arm_configs
 from pathfuse.models import SampleBatch, build_design_system
-from pathfuse.pipeline import PipelineConfig, compute_weights, fit_pathloss_model
+from pathfuse.pipeline import (
+    RESIDUAL_MULTIPLIER,
+    PipelineConfig,
+    compute_weights,
+    fit_pathloss_model,
+)
 from pathfuse.seeding import substream
 from pathfuse.synthesis import SynthesisSpec, synthesize_corpus, synthesize_from_model
 
@@ -173,6 +178,36 @@ def test_zero_scatter_groups_are_never_clipped():
     model, diag = fit_pathloss_model(samples, cfg)
     assert diag.inlier_mask.all()
     assert model.provenance["n_rejected"] == 0
+
+
+def test_theilsen_prefilter_cuts_about_the_public_line():
+    corpus = synthesize_corpus(
+        [make_model(id=f"m{f}ghz", frequency=f, sigma=6.0) for f in (2.0, 28.0)],
+        SynthesisSpec(points_per_model=80),
+        substream(5, "pipe"),
+    )
+    cfg = PipelineConfig(order=2, weighting="Identity", robust="TheilSen",
+                         gas_correction=False, seed=7)
+    _, diag = fit_pathloss_model(corpus, cfg)
+    X, Y = build_design_system(corpus, 2)
+    keep, pairs = np.ones(len(corpus), dtype=bool), 0
+    for source in ("m2.0ghz", "m28.0ghz"):
+        ix = np.flatnonzero(corpus.source_id == source)
+        line = fit_theilsen(X[ix, :2], Y[ix], RegressorConfig(seed=7))
+        r = Y[ix] - X[ix, :2] @ line.coefficients
+        keep[ix] = np.abs(r - np.median(r)) <= RESIDUAL_MULTIPLIER * mad_scale(r)
+        pairs += line.iterations_used
+    assert not keep.all()
+    assert np.array_equal(diag.inlier_mask, keep)
+    assert diag.iterations_used == pairs + 1  # + the final solve
+
+
+def test_theilsen_prefilter_rejects_a_single_distance_group():
+    m = make_model()
+    samples = SampleBatch(np.full(5, 50.0), np.full(5, m.frequency),
+                          np.arange(5.0) + 100.0, [m.id] * 5)
+    with pytest.raises(DegenerateDataError):
+        fit_pathloss_model(samples, PipelineConfig(order=1, gas_correction=False))
 
 
 def test_ransac_prefilter_also_works():
