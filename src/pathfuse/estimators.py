@@ -143,8 +143,6 @@ class FitDiagnostics:
     coefficients: np.ndarray
     inlier_mask: np.ndarray  # bool, len == rows of X; all-true unless the
     # estimator itself rejects samples (RANSAC, Theil-Sen)
-    residual_wsd: float  # dB, weighted residual std over the inlier set
-    condition_estimate: float  # of the equilibrated (weighted) design
     iterations_used: int
 
 
@@ -271,17 +269,6 @@ def _svd(A, **kw):
             return np.linalg.svd(A, **kw)
         finally:
             put(threads)
-
-
-def _condition(X) -> float:
-    """Condition number of the column-equilibrated design (inf if singular)."""
-    A = np.asarray(X, dtype=float)
-    norms = np.linalg.norm(A, axis=0)
-    norms = np.where(norms > 0.0, norms, 1.0)
-    s = _svd(A / norms, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return math.inf
-    return float(s[0] / s[-1]) if s[-1] > 0.0 else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -593,15 +580,9 @@ def fit_ransac(X, Y, cfg: RegressorConfig, *, column_names=None) -> FitDiagnosti
             f"need at least {p + 1} (threshold {threshold:.3g} dB)"
         )
 
-    coeffs, info = solve_wls(
-        X[mask], Y[mask], column_names=column_names, return_info=True
-    )
+    coeffs = solve_wls(X[mask], Y[mask], column_names=column_names)
     return FitDiagnostics(
-        coefficients=coeffs,
-        inlier_mask=mask,
-        residual_wsd=weighted_rms(Y[mask] - X[mask] @ coeffs),
-        condition_estimate=info["condition"],
-        iterations_used=cfg.ransac_iters,
+        coefficients=coeffs, inlier_mask=mask, iterations_used=cfg.ransac_iters
     )
 
 
@@ -844,13 +825,7 @@ def fit_theilsen(X, Y, cfg: RegressorConfig) -> FitDiagnostics:
     mask = (
         np.abs(resid) <= 3.0 * scale if scale > 0.0 else np.ones(n, dtype=bool)
     )
-    return FitDiagnostics(
-        coefficients=beta,
-        inlier_mask=mask,
-        residual_wsd=weighted_rms(resid[mask]),
-        condition_estimate=_condition(X),
-        iterations_used=used,
-    )
+    return FitDiagnostics(coefficients=beta, inlier_mask=mask, iterations_used=used)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ Every runner follows the same discipline:
 * published benchmark numbers are attached to the report rows for
   juxtaposition only -- they never enter any computation;
 * ``evaluate_gates`` turns a finished study into pass/fail checks against
-  pinned tolerances (the CLI maps failures to exit code 5).  Each gate is
-  one of four comparisons: within a tolerance of a target, ordered, at most
-  a limit, or above a floor.
+  pinned tolerances (the CLI maps failures to exit code 5).  ``_STUDY_TABLE``
+  gives each study its runner, its section of ``reference_targets.json`` and
+  a rule that yields ``(name, value, kind, bound)`` per gate; ``_GATE_KINDS``
+  gives each of the four kinds (within a tolerance of a target, ordered, at
+  most a limit, above a floor) its pass rule and its detail wording.
 
 The integration and outlier studies share one loop: ``_study_cells`` walks
 every scenario x band cell and synthesizes each trial's corpus, and
@@ -74,8 +76,6 @@ __all__ = [
     "run_experiment",
     "evaluate_gates",
 ]
-
-STUDIES = ("OrderStudy", "RobustStudy", "IntegrationStudy", "OutlierStudy")
 
 # ---------------------------------------------------------------------------
 # study protocol constants
@@ -167,7 +167,6 @@ class ExperimentSpec:
 
     which: str
     trials: int = 10
-    points_per_model: int | None = None  # None -> per-study protocol default
     seed: int = 0
 
     def __post_init__(self):
@@ -175,10 +174,6 @@ class ExperimentSpec:
             raise ConfigError(f"which must be one of {STUDIES}, got {self.which!r}")
         if not (isinstance(self.trials, int) and self.trials >= 1):
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
-        if self.points_per_model is not None and not (
-            isinstance(self.points_per_model, int) and self.points_per_model >= 1
-        ):
-            raise ConfigError("points_per_model must be a positive integer or None")
 
 
 @dataclass
@@ -281,10 +276,7 @@ def _order_arm_configs(seed):
     """
     return {
         arm: PipelineConfig(
-            order=k,
-            weighting="Identity",
-            robust=None,
-            gas_correction=False,
+            order=k, weighting="Identity", robust=None, gas_correction=False,
             seed=seed,
         )
         for arm, k in ORDER_ARMS
@@ -318,15 +310,14 @@ def run_order_study(spec: ExperimentSpec, *, registry=None):
     for cells where predicted loss decreases as frequency or distance grows.
     """
     models = _registry_scenario(registry, ORDER_STUDY_SCENARIO)
-    heldout = [m for m in models if m.id == ORDER_STUDY_HELDOUT]
-    if not heldout:
+    heldout = next((m for m in models if m.id == ORDER_STUDY_HELDOUT), None)
+    if heldout is None:
         raise DataError(f"registry is missing {ORDER_STUDY_HELDOUT!r}")
-    heldout = heldout[0]
     train_models = [m for m in models if m.id != heldout.id]
     sigmas = sigma_map(models)
-    points = spec.points_per_model or ORDER_STUDY_POINTS
     synth = SynthesisSpec(
-        points_per_model=points, distance_sampling=STUDY_DISTANCE_SAMPLING
+        points_per_model=ORDER_STUDY_POINTS,
+        distance_sampling=STUDY_DISTANCE_SAMPLING,
     )
     span = (min(m.dist_min for m in models), max(m.dist_max for m in models))
     span_models = [
@@ -363,9 +354,8 @@ def run_order_study(spec: ExperimentSpec, *, registry=None):
     mean_coeffs = {a: sum(coeffs[a]) / spec.trials for a in arms}
     scan = {}
     grids = {}
-    low = (GRID_FREQS_GHZ >= LOW_BAND_SCAN_GHZ[0]) & (
-        GRID_FREQS_GHZ <= LOW_BAND_SCAN_GHZ[1]
-    )
+    lo, hi = LOW_BAND_SCAN_GHZ
+    low = (GRID_FREQS_GHZ >= lo) & (GRID_FREQS_GHZ <= hi)
     for arm in arms:
         A = design_matrix(
             orders[arm], GRID_DISTANCES_M[:, None], GRID_FREQS_GHZ[None, :]
@@ -406,7 +396,7 @@ def run_order_study(spec: ExperimentSpec, *, registry=None):
         config={
             "seed": spec.seed,
             "trials": spec.trials,
-            "points_per_model": points,
+            "points_per_model": ORDER_STUDY_POINTS,
             "heldout": heldout.id,
             "heldout_freq_ghz": heldout.frequency,
             "heldout_sigma_db": heldout.sigma,
@@ -493,9 +483,9 @@ def run_robust_study(spec: ExperimentSpec, *, registry=None):
     model = next((m for m in models if m.id == ROBUST_STUDY_SOURCE), None)
     if model is None:
         raise DataError(f"registry is missing {ROBUST_STUDY_SOURCE!r}")
-    points = spec.points_per_model or ROBUST_STUDY_POINTS
     synth = SynthesisSpec(
-        points_per_model=points, distance_sampling=STUDY_DISTANCE_SAMPLING
+        points_per_model=ROBUST_STUDY_POINTS,
+        distance_sampling=STUDY_DISTANCE_SAMPLING,
     )
 
     raw = {
@@ -535,6 +525,8 @@ def run_robust_study(spec: ExperimentSpec, *, registry=None):
     for method in ROBUST_METHODS:
         with_mean = float(np.mean(raw["contaminated"][method]))
         clean_mean = float(np.mean(raw["clean"][method]))
+        pairs = zip(raw["contaminated"][method], raw["clean"][method])
+        ratio = float(np.mean([error_ratio(c, cl) for c, cl in pairs]))
         reports.append(
             EvaluationReport(
                 study="RobustStudy",
@@ -543,16 +535,7 @@ def run_robust_study(spec: ExperimentSpec, *, registry=None):
                 sigma_db=with_mean,
                 sigma_clean_db=clean_mean,
                 sigma_published_db=targets["sigma_with_outliers_db"].get(method),
-                error_ratio_percent=float(
-                    np.mean(
-                        [
-                            error_ratio(c, cl)
-                            for c, cl in zip(
-                                raw["contaminated"][method], raw["clean"][method]
-                            )
-                        ]
-                    )
-                ),
+                error_ratio_percent=ratio,
                 n_trials=spec.trials,
             )
         )
@@ -569,7 +552,7 @@ def run_robust_study(spec: ExperimentSpec, *, registry=None):
         config={
             "seed": spec.seed,
             "trials": spec.trials,
-            "points": points,
+            "points": ROBUST_STUDY_POINTS,
             "source": model.id,
             "pinned_gamma": ROBUST_STUDY_PINNED_GAMMA,
             "ambient_scale": ROBUST_STUDY_AMBIENT_SCALE,
@@ -583,14 +566,6 @@ def run_robust_study(spec: ExperimentSpec, *, registry=None):
 # ---------------------------------------------------------------------------
 # integration and outlier studies: one scenario x band x trial loop
 # ---------------------------------------------------------------------------
-
-
-def _band_models(models, band):
-    lo, hi = band
-    out = [m for m in models if lo <= m.frequency <= hi]
-    if not out:
-        raise DataError(f"no source models inside band {band}")
-    return out
 
 
 def _arm_configs(seed, band):
@@ -632,9 +607,13 @@ def _study_cells(spec, registry, label):
         scenario_models = _registry_scenario(registry, scenario)
         sigmas = sigma_map(scenario_models)
         for band in bands:
-            band_models = _band_models(scenario_models, band)
+            band_models = [
+                m for m in scenario_models if band[0] <= m.frequency <= band[1]
+            ]
+            if not band_models:
+                raise DataError(f"no source models inside band {band}")
             synth = SynthesisSpec(
-                points_per_model=spec.points_per_model or BAND_POINTS[(scenario, band)],
+                points_per_model=BAND_POINTS[(scenario, band)],
                 distance_sampling=STUDY_DISTANCE_SAMPLING,
             )
             yield scenario, band, sigmas, trials(band_models, synth, scenario, band)
@@ -648,13 +627,14 @@ def _fit_arms(corpus, band, sigmas, seed):
     }
 
 
-def _published(rows, scenario, band, method=None):
-    """The published row for one cell and, when rows name one, one method."""
+def _published(rows, scenario, band, **keys):
+    """The first row of ``rows`` for one cell whose ``keys`` (``method``,
+    ``outlier_band_m``) match too, else None: published rows and gate cells."""
     for row in rows:
         if (
             row["scenario"] == scenario
             and tuple(row["band_ghz"]) == band
-            and row.get("method") == method
+            and all(row.get(key) == value for key, value in keys.items())
         ):
             return row
     return None
@@ -676,7 +656,9 @@ def run_integration_study(spec: ExperimentSpec, *, registry=None):
         raw_sigma[cell_key] = {a: [fit[a].sigma for fit in fits] for a in STUDY_ARMS}
         published = _published(targets["integration_study"]["cells"], scenario, band)
         for arm in STUDY_ARMS:
-            row = _published(targets["published_coefficients"], scenario, band, arm)
+            row = _published(
+                targets["published_coefficients"], scenario, band, method=arm
+            )
             published_coeffs[f"{cell_key}|{arm}"] = row["values"] if row else None
             coeffs = [fit[arm].coefficients.as_array() for fit in fits]
             mean_coeffs = sum(coeffs) / spec.trials
@@ -747,7 +729,7 @@ def run_outlier_study(spec: ExperimentSpec, *, registry=None):
         for ob in OUTLIER_STUDY_BANDS_M:
             for arm in STUDY_ARMS:
                 slot = cell_raw[ob][arm]
-                published = _published(published_rows, scenario, band, arm)
+                published = _published(published_rows, scenario, band, method=arm)
                 key = f"{ob:g}"
                 reports.append(
                     EvaluationReport(
@@ -782,155 +764,136 @@ def run_outlier_study(spec: ExperimentSpec, *, registry=None):
 
 
 # ---------------------------------------------------------------------------
-# dispatch + gates
+# gates and dispatch
 # ---------------------------------------------------------------------------
 
 
-def run_experiment(spec: ExperimentSpec, *, registry=None):
-    runners = dict(zip(STUDIES, (run_order_study, run_robust_study,
-                                 run_integration_study, run_outlier_study)))
-    return runners[spec.which](spec, registry=registry)
+def _order_gates(result, t):
+    by_method = {r.method: r for r in result.reports}
+    for method, r in by_method.items():
+        bound = (r.sigma_published_db, t["tolerance_db"])
+        yield f"order/{method}/sigma18", r.sigma_db, "within", bound
+        bound = (r.loocv_published_db, t["tolerance_db"])
+        yield f"order/{method}/loocv", r.loocv_db, "within", bound
+    ordered = [by_method[m] for m in t["require_ordering"]]
+    series = {
+        "sigma18": [r.sigma_db for r in ordered],
+        "loocv": [r.loocv_db for r in ordered],
+    }
+    yield "order/ordering", series, "ordered", True
+    scan = result.extras["surface_scan"]
+    for method, need in t["nonmonotone_cells_required"].items():
+        name = f"order/{method}/monotonicity"
+        counts = scan[method]
+        if need:
+            yield name, counts["freq_decreasing_cells_low_band"], "above", 0
+        else:
+            # counts are never negative: at most 0 everywhere means none
+            yield name, max(counts.values()), "at_most", 0
 
 
-def _gate(name, passed, detail):
-    return GateCheck(name=name, passed=bool(passed), detail=detail)
+def _robust_gates(result, t):
+    by_method = {r.method: r for r in result.reports}
+    for method, tol_key in (
+        ("theil-sen", "theil_sen_with_tolerance_db"),
+        ("ols", "ols_with_tolerance_db"),
+    ):
+        bound = (t["sigma_with_outliers_db"][method], t[tol_key])
+        yield f"robust/{method}/sigma", by_method[method].sigma_db, "within", bound
+    lo, hi = t["clean_band_db"]
+    series = {r.method: [lo, r.sigma_clean_db, hi] for r in result.reports}
+    yield "robust/clean-band", series, "ordered", False
+    minimal = result.raw["theil_sen_minimal_per_trial"]
+    yield "robust/theil-sen-minimal", minimal.count(False), "at_most", 0
 
 
-def _within(name, value, target, tol):
-    """|value - target| <= tol."""
-    return _gate(
-        name, abs(value - target) <= tol, f"{value:.3f} vs {target:.3f} (tol {tol})"
-    )
+def _integration_gates(result, t):
+    cells: dict = {}
+    for r in result.reports:
+        cells.setdefault((r.scenario, r.band_ghz), {})[r.method] = r
+    for (scenario, band), methods in cells.items():
+        name = f"integration/{scenario}/{_band_label(band)}"
+        quad = methods[ARM_QUADRATIC]
+        bound = (quad.sigma_published_db, t["tolerance_quadratic_db"])
+        yield f"{name}/quadratic", quad.sigma_db, "within", bound
+        series = {"sigma": [methods[m].sigma_db for m in t["require_ordering"]]}
+        yield f"{name}/ordering", series, "ordered", False
 
 
-def _ordered(name, series, *, strict=False):
-    """Every sequence in ``series`` increases (strictly, or never decreases)."""
-    ok = all(
-        a < b if strict else a <= b
-        for seq in series.values()
-        for a, b in zip(seq, seq[1:])
-    )
+def _outlier_gates(result, t):
+    exception = t["quadratic_exception"]
+    quadratic, pooled = [], []  # every quadratic gate comes first
+    for r in result.reports:
+        cell = (r.scenario, r.band_ghz)
+        band = {"outlier_band_m": r.outlier_band_m}
+        name = f"outlier/{r.scenario}/{_band_label(r.band_ghz)}/{r.outlier_band_m:g}m"
+        if r.method == ARM_QUADRATIC:
+            limit = t["quadratic_max_abs_ratio_percent"]
+            if _published([exception], *cell, **band):
+                limit = exception["max_abs_ratio_percent"]
+            ratio = abs(r.error_ratio_percent)
+            quadratic.append((f"{name}/quadratic", ratio, "at_most", limit))
+        elif r.method == ARM_POOLED and _published(
+            t["pooled_min_ratio_cells"], *cell, **band
+        ):
+            floor = t["pooled_min_ratio_percent"]
+            ratio = r.error_ratio_percent
+            pooled.append((f"{name}/pooled-degrades", ratio, "above", floor))
+    return quadratic + pooled
+
+
+def _increasing(series, strict):
+    steps = [(a, b) for seq in series.values() for a, b in zip(seq, seq[1:])]
+    return all(a < b if strict else a <= b for a, b in steps)
+
+
+def _shown(series, strict):
     shown = ", ".join(f"{k} {[round(v, 3) for v in seq]}" for k, seq in series.items())
-    expect = "increasing" if strict else "nondecreasing"
-    return _gate(name, ok, f"{shown} (expect {expect})")
+    return f"{shown} (expect {'increasing' if strict else 'nondecreasing'})"
 
 
-def _at_most(name, value, limit):
-    return _gate(name, value <= limit, f"{value:.4g} (limit {limit})")
+#: gate kind -> (pass rule, detail wording), both of ``(value, bound)``; the
+#: bound of ``within`` is ``(target, tolerance)``, and ``ordered`` takes a
+#: dict of sequences that must each increase (``strict``) or never decrease
+_GATE_KINDS = {
+    "within": (
+        lambda value, bound: abs(value - bound[0]) <= bound[1],
+        lambda value, bound: f"{value:.3f} vs {bound[0]:.3f} (tol {bound[1]})",
+    ),
+    "ordered": (_increasing, _shown),
+    "at_most": (
+        lambda value, limit: value <= limit,
+        lambda value, limit: f"{value:.4g} (limit {limit})",
+    ),
+    "above": (
+        lambda value, floor: value > floor,
+        lambda value, floor: f"{value:.4g} (must exceed {floor})",
+    ),
+}
+
+#: study -> (runner, section of ``reference_targets.json``, gate rules); each
+#: rule yields ``(name, value, kind, bound)`` per gate from the result and
+#: the study's section
+_STUDY_TABLE = {
+    "OrderStudy": (run_order_study, "order_study", _order_gates),
+    "RobustStudy": (run_robust_study, "robust_study", _robust_gates),
+    "IntegrationStudy": (
+        run_integration_study, "integration_study", _integration_gates
+    ),
+    "OutlierStudy": (run_outlier_study, "outlier_study", _outlier_gates),
+}
+STUDIES = tuple(_STUDY_TABLE)
 
 
-def _above(name, value, floor):
-    return _gate(name, value > floor, f"{value:.4g} (must exceed {floor})")
-
-
-def _same_cell(report, cell):
-    return (
-        report.scenario == cell["scenario"]
-        and report.band_ghz == tuple(cell["band_ghz"])
-        and report.outlier_band_m == cell["outlier_band_m"]
-    )
+def run_experiment(spec: ExperimentSpec, *, registry=None):
+    return _STUDY_TABLE[spec.which][0](spec, registry=registry)
 
 
 def evaluate_gates(result: StudyResult):
     """Pass/fail checks of a study against the pinned published targets."""
-    targets = load_reference_targets()
-    by_method = {r.method: r for r in result.reports}
+    _, section, rules = _STUDY_TABLE[result.study]
     gates = []
-    if result.study == "OrderStudy":
-        t = targets["order_study"]
-        for method, r in by_method.items():
-            gates.append(
-                _within(f"order/{method}/sigma18", r.sigma_db,
-                        r.sigma_published_db, t["tolerance_db"])
-            )
-            gates.append(
-                _within(f"order/{method}/loocv", r.loocv_db,
-                        r.loocv_published_db, t["tolerance_db"])
-            )
-        ordered = [by_method[m] for m in t["require_ordering"]]
-        gates.append(
-            _ordered(
-                "order/ordering",
-                {
-                    "sigma18": [r.sigma_db for r in ordered],
-                    "loocv": [r.loocv_db for r in ordered],
-                },
-                strict=True,
-            )
-        )
-        scan = result.extras["surface_scan"]
-        for method, need in t["nonmonotone_cells_required"].items():
-            name = f"order/{method}/monotonicity"
-            counts = scan[method]
-            if need:
-                gates.append(_above(name, counts["freq_decreasing_cells_low_band"], 0))
-            else:
-                # counts are never negative: at most 0 everywhere means none
-                gates.append(_at_most(name, max(counts.values()), 0))
-    elif result.study == "RobustStudy":
-        t = targets["robust_study"]
-        for method, tol_key in (
-            ("theil-sen", "theil_sen_with_tolerance_db"),
-            ("ols", "ols_with_tolerance_db"),
-        ):
-            gates.append(
-                _within(f"robust/{method}/sigma", by_method[method].sigma_db,
-                        t["sigma_with_outliers_db"][method], t[tol_key])
-            )
-        lo, hi = t["clean_band_db"]
-        gates.append(
-            _ordered(
-                "robust/clean-band",
-                {r.method: [lo, r.sigma_clean_db, hi] for r in result.reports},
-            )
-        )
-        minimal = result.raw["theil_sen_minimal_per_trial"]
-        gates.append(_at_most("robust/theil-sen-minimal", minimal.count(False), 0))
-    elif result.study == "IntegrationStudy":
-        t = targets["integration_study"]
-        cells: dict = {}
-        for r in result.reports:
-            cells.setdefault((r.scenario, r.band_ghz), {})[r.method] = r
-        for (scenario, band), methods in cells.items():
-            name = f"integration/{scenario}/{_band_label(band)}"
-            quad = methods[ARM_QUADRATIC]
-            gates.append(
-                _within(f"{name}/quadratic", quad.sigma_db,
-                        quad.sigma_published_db, t["tolerance_quadratic_db"])
-            )
-            gates.append(
-                _ordered(
-                    f"{name}/ordering",
-                    {"sigma": [methods[m].sigma_db for m in t["require_ordering"]]},
-                )
-            )
-    else:  # OutlierStudy
-        t = targets["outlier_study"]
-        exc = t["quadratic_exception"]
-        for r in result.reports:
-            if r.method == ARM_QUADRATIC:
-                limit = (
-                    exc["max_abs_ratio_percent"]
-                    if _same_cell(r, exc)
-                    else t["quadratic_max_abs_ratio_percent"]
-                )
-                gates.append(
-                    _at_most(
-                        f"outlier/{r.scenario}/{_band_label(r.band_ghz)}/"
-                        f"{r.outlier_band_m:g}m/quadratic",
-                        abs(r.error_ratio_percent),
-                        limit,
-                    )
-                )
-        for cell in t["pooled_min_ratio_cells"]:
-            for r in result.reports:
-                if r.method == ARM_POOLED and _same_cell(r, cell):
-                    gates.append(
-                        _above(
-                            f"outlier/{r.scenario}/{_band_label(r.band_ghz)}/"
-                            f"{r.outlier_band_m:g}m/pooled-degrades",
-                            r.error_ratio_percent,
-                            t["pooled_min_ratio_percent"],
-                        )
-                    )
+    for name, value, kind, bound in rules(result, load_reference_targets()[section]):
+        passes, detail = _GATE_KINDS[kind]
+        gates.append(GateCheck(name, bool(passes(value, bound)), detail(value, bound)))
     return gates

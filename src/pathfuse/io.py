@@ -77,7 +77,9 @@ def load_registry(path=None):
                         )
                     )
                 except (KeyError, ValueError, TypeError) as exc:
-                    raise DataError(f"{path}:{lineno}: bad registry row: {exc}") from exc
+                    raise DataError(
+                        f"{path}:{lineno}: bad registry row: {exc}"
+                    ) from exc
     except OSError as exc:
         raise DataError(f"cannot read registry {path}: {exc}") from exc
     if not models:

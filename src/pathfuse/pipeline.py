@@ -103,7 +103,9 @@ class PipelineConfig:
         if self.freq_band is not None:
             lo, hi = self.freq_band
             if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 < lo < hi):
-                raise ConfigError(f"freq_band must be 0 < lo < hi, got {self.freq_band}")
+                raise ConfigError(
+                    f"freq_band must be 0 < lo < hi, got {self.freq_band}"
+                )
 
 
 def compute_weights(batch, policy: str, sigma_by_source=None) -> np.ndarray:
@@ -275,11 +277,7 @@ def fit_pathloss_model(samples, cfg: PipelineConfig, *, sigma_by_source=None):
         },
     )
     diagnostics = FitDiagnostics(
-        coefficients=coeffs,
-        inlier_mask=keep,
-        residual_wsd=sigma,
-        condition_estimate=info["condition"],
-        iterations_used=prefit_iters + 1,
+        coefficients=coeffs, inlier_mask=keep, iterations_used=prefit_iters + 1
     )
     return model, diagnostics
 

@@ -169,6 +169,40 @@ def test_minimality_gate_reads_per_trial_flags():
     assert failed == ["robust/theil-sen-minimal"]
 
 
+def _fabricated_outlier_gates(exception_ratio):
+    """Outlier gates of hand-made UMiSC reports: ``[(name, passed, detail)]``."""
+    high, low = (28.0, 73.5), (2.0, 18.0)
+    cells = [  # (arm, band, outlier band width, error ratio %)
+        ("quadratic-abg", high, 30.0, exception_ratio),
+        ("quadratic-abg", high, 50.0, 2.1),
+        ("pooled-abg", high, 50.0, 12.0),
+        ("pooled-abg", low, 50.0, 12.0),
+        ("pooled-abg", low, 30.0, 12.0),
+        ("weighted-abg", low, 50.0, 12.0),
+    ]
+    reports = [
+        EvaluationReport(study="OutlierStudy", method=arm, sigma_db=5.0,
+                         scenario="UMiSC", band_ghz=band, outlier_band_m=width,
+                         error_ratio_percent=ratio, n_trials=10)
+        for arm, band, width, ratio in cells
+    ]
+    result = StudyResult(study="OutlierStudy", config={}, reports=reports)
+    return [(g.name, g.passed, g.detail) for g in evaluate_gates(result)]
+
+
+def test_outlier_gates_match_cells_by_band_width():
+    # only the 30 m cell of 28-73.5 GHz has the 6% exception; its 50 m cell
+    # keeps the 2% limit, and only listed pooled cells get a degrade gate
+    assert _fabricated_outlier_gates(5.9) == [
+        ("outlier/UMiSC/28-73.5/30m/quadratic", True, "5.9 (limit 6.0)"),
+        ("outlier/UMiSC/28-73.5/50m/quadratic", False, "2.1 (limit 2.0)"),
+        ("outlier/UMiSC/2-18/50m/pooled-degrades", True, "12 (must exceed 10.0)"),
+    ]
+    assert _fabricated_outlier_gates(6.1)[0] == (
+        "outlier/UMiSC/28-73.5/30m/quadratic", False, "6.1 (limit 6.0)"
+    )
+
+
 # ---------------------------------------------------------------------------
 # stability of the headline robustness claim across seeds
 # ---------------------------------------------------------------------------

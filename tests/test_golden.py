@@ -2,9 +2,13 @@
 
 Order, Robust and Integration at their pinned seeds must reproduce the
 benchmark's golden snapshot (``perfbench/golden.json``), and all four
-studies must pass every one of their 60 gates at the pinned seeds.
+studies must pass every one of their 60 gates at the pinned seeds, with
+the names and details recorded in ``tests/data/golden_gates.json`` (the
+lines ``pathfuse experiment`` prints).
 Integration and Outlier are also pinned on a reduced protocol (one trial,
-30 samples per model) recorded in ``tests/data/golden_studies_small.json``.
+30 samples per model) recorded in ``tests/data/golden_studies_small.json``;
+the test sets every cell of ``evaluation.BAND_POINTS`` to the record's
+``points_per_model``.
 """
 
 import json
@@ -13,6 +17,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from pathfuse import evaluation
 from pathfuse.evaluation import (
     ExperimentSpec,
     evaluate_gates,
@@ -25,6 +30,7 @@ from conftest import INTEGRATION_SEED, ORDER_SEED, ROBUST_SEED
 
 TOLERANCE_DB = 1e-12
 SMALL_GOLDEN = Path(__file__).with_name("data") / "golden_studies_small.json"
+GOLDEN_GATES = Path(__file__).with_name("data") / "golden_gates.json"
 
 
 def _assert_matches(expected, actual):
@@ -76,14 +82,34 @@ def test_outlier_study_passes_every_gate(outlier_result):
     _assert_gates_pass(outlier_result, 29)
 
 
+def test_gates_match_the_record(
+    order_result, robust_result, integration_result, outlier_result
+):
+    with open(GOLDEN_GATES) as fh:
+        record = json.load(fh)
+    results = (order_result, robust_result, integration_result, outlier_result)
+    actual = {
+        result.study: [[g.name, g.passed, g.detail] for g in evaluate_gates(result)]
+        for result in results
+    }
+    assert list(actual) == list(record)
+    for study, gates in record.items():
+        assert actual[study] == gates, study
+
+
 @pytest.mark.parametrize(
     "which, runner",
     [("IntegrationStudy", run_integration_study), ("OutlierStudy", run_outlier_study)],
 )
-def test_reduced_multiband_studies_match_the_record(which, runner):
+def test_reduced_multiband_studies_match_the_record(which, runner, monkeypatch):
     with open(SMALL_GOLDEN) as fh:
         record = json.load(fh)
-    result = runner(ExperimentSpec(which=which, **record["spec"]))
+    spec = dict(record["spec"])
+    points = spec.pop("points_per_model")
+    monkeypatch.setattr(
+        evaluation, "BAND_POINTS", dict.fromkeys(evaluation.BAND_POINTS, points)
+    )
+    result = runner(ExperimentSpec(which=which, **spec))
     expected = {
         key: values
         for key, values in record["reports"].items()
