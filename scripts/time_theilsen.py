@@ -51,14 +51,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     for name, n, moved in CASES:
         X, y = campaign_line(n, moved)
-        beta, pairs = _theilsen_line(X, y, 1, 0, 0)
+        beta, pairs = _theilsen_line(X, y, 1, 0)
         times, stop = [], time.perf_counter() + args.seconds
         while len(times) < 3 or time.perf_counter() < stop:
             t0 = time.perf_counter()
-            _theilsen_line(X, y, 1, 0, 0)
+            _theilsen_line(X, y, 1, 0)
             times.append(time.perf_counter() - t0)
         tracemalloc.start()
-        _theilsen_line(X, y, 1, 0, 0)
+        _theilsen_line(X, y, 1, 0)
         peak = tracemalloc.get_traced_memory()[1] / 2**20
         tracemalloc.stop()
         q1, _, q3 = statistics.quantiles(times, n=4)

@@ -29,7 +29,6 @@ from .errors import (
 from .estimators import (
     DEFAULT_PENALTY_GRID,
     FitDiagnostics,
-    RegressorConfig,
     fit_elasticnet,
     fit_lasso,
     fit_ransac,

@@ -18,6 +18,7 @@ from .atmosphere import load_default_table, predict_total
 from .errors import ConfigError, PathfuseError
 from .evaluation import (
     BAND_POINTS,
+    STUDIES,
     ExperimentSpec,
     evaluate_gates,
     run_experiment,
@@ -317,7 +318,7 @@ def build_parser():
     p.add_argument(
         "--which",
         required=True,
-        choices=sorted(_WHICH_ALIASES) + list(_WHICH_ALIASES.values()),
+        choices=sorted(_WHICH_ALIASES) + list(STUDIES),
         help="study to run (tableN aliases map to the matching study)",
     )
     p.add_argument("--trials", type=int, default=10)

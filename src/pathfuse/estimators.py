@@ -8,13 +8,13 @@ or frequencies.  All solvers share three conventions:
   constant changes nothing (bit-for-bit);
 * no solver ever forms an explicit matrix inverse -- the core path is an SVD
   of the column-equilibrated weighted design;
-* randomized estimators (RANSAC, Theil-Sen, k-fold splits) derive their
-  streams from ``RegressorConfig.seed`` only, so repeated calls are
-  bit-identical.
+* RANSAC's draws and the k-fold splits come from the caller's ``seed``, so
+  repeated calls are bit-identical.  Theil-Sen takes no seed: its pivots
+  decide how fast the exact median slope is found, never which slope.
 
-The caller picks the estimator by function; ``RegressorConfig`` holds the
-knobs they read: ElasticNet mix, RANSAC draws and threshold, fold count,
-seed and the coordinate-descent stopping rule.
+The caller picks the estimator by function, and each function takes only
+the arguments that change its result; what no caller varies (RANSAC draws,
+folds, the descent's stopping rule, the tuned ElasticNet mix) is a constant.
 
 ``solve_wls`` can also report the leverages of its own SVD, which give exact
 leave-one-out residuals without a second factorization.  Penalty strengths
@@ -69,12 +69,12 @@ from .errors import (
     ConvergenceError,
     DegenerateDataError,
     InsufficientDataError,
+    NumericError,
     SingularSystemError,
 )
 from .seeding import substream
 
 __all__ = [
-    "RegressorConfig",
     "FitDiagnostics",
     "DEFAULT_PENALTY_GRID",
     "mad_scale",
@@ -105,35 +105,11 @@ SLOPE_GUARD = 16.0
 #: uniforms (or residuals) per row block of RANSAC's draws and scoring
 ROW_BLOCK = 1 << 20
 
-
-@dataclass(frozen=True)
-class RegressorConfig:
-    """The knobs of the robust and tuned fits."""
-
-    lam1: float = 0.5  # elastic-net L1 fraction, in [0, 1]
-    ransac_iters: int = 1000
-    ransac_inlier_threshold: float | None = None  # dB; None -> auto from prefit
-    kfold_k: int = 10
-    seed: int = 0
-    tol: float = 1e-10
-    max_iters: int = 10000
-
-    def __post_init__(self):
-        if not (np.isfinite(self.lam1) and 0.0 <= self.lam1 <= 1.0):
-            raise ConfigError(f"lam1 must be in [0, 1], got {self.lam1!r}")
-        for name in ("ransac_iters", "kfold_k", "max_iters"):
-            v = getattr(self, name)
-            if not (isinstance(v, int) and v >= 1):
-                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
-        if self.kfold_k < 2:
-            raise ConfigError(f"kfold_k must be >= 2, got {self.kfold_k!r}")
-        if self.ransac_inlier_threshold is not None and not (
-            np.isfinite(self.ransac_inlier_threshold)
-            and self.ransac_inlier_threshold > 0.0
-        ):
-            raise ConfigError("ransac_inlier_threshold must be positive or None")
-        if not (np.isfinite(self.tol) and self.tol > 0.0):
-            raise ConfigError(f"tol must be > 0, got {self.tol!r}")
+RANSAC_DRAWS = 1000  # minimal subsets per RANSAC fit
+KFOLD_K = 10  # folds of the penalty tuning
+DESCENT_TOL = 1e-10  # coordinate descent stops at updates <= this * max(1, max|w|)
+MAX_SWEEPS = 10000  # coordinate-descent sweeps before ConvergenceError
+ELASTICNET_MIX = 0.5  # L1 fraction of the tuned ElasticNet penalty
 
 
 @dataclass(frozen=True)
@@ -294,6 +270,7 @@ def solve_wls(
     solution is returned -- callers that knowingly fit collinear designs
     (e.g. two-frequency corpora under a quadratic surface) opt in explicitly.
 
+    A solution that overflows to inf or nan raises :class:`NumericError`.
     ``info`` (with ``return_info=True``) holds the condition number, rank,
     shape and ``leverage``: the hat-matrix diagonal h_ii of the weighted
     system over the retained singular directions.  The exact leave-one-out
@@ -339,6 +316,8 @@ def solve_wls(
     r = rank if allow_rank_deficient else p
     t = (U[:, :r].T @ b) / S[:r]
     beta = (Vt[:r].T @ t) / col_scale
+    if not np.isfinite(beta).all():
+        raise NumericError("least-squares solution is not finite: the data overflow")
 
     if return_info:
         info = {
@@ -396,24 +375,20 @@ class _Standardizer:
         return beta
 
 
-def _penalties(kind, grid, lam1):
+def _penalties(kind, grid, lam1=ELASTICNET_MIX):
     """(l1, l2) weights of every candidate, checked before anything is solved.
 
-    Ridge candidates are lam >= 0 (l1 = 0), Lasso ones lam >= 0 (l2 = 0);
-    ElasticNet takes lam2 >= 0 with ``lam1`` or a (lam1, lam2) pair.
+    Every candidate is one lam >= 0: Ridge puts it on the L2 term, Lasso on
+    the L1 term, and ElasticNet splits it by ``lam1`` in [0, 1].
     """
-    mix, lam = np.empty(len(grid)), np.empty(len(grid))
-    for i, candidate in enumerate(grid):
-        c = np.asarray(candidate, dtype=float)
-        if kind == "ElasticNet" and c.shape == (2,):
-            mix[i], lam[i] = c
-        else:
-            mix[i] = {"Ridge": 0.0, "Lasso": 1.0}.get(kind, lam1)
-            lam[i] = c if c.ndim == 0 else math.nan
-        if not (0.0 <= mix[i] <= 1.0 and 0.0 <= lam[i] < math.inf):
-            en = f" with lam1 {lam1!r} in [0, 1], or a pair (lam1, lam2)"
+    mix = {"Ridge": 0.0, "Lasso": 1.0}.get(kind, lam1)
+    if not 0.0 <= mix <= 1.0:
+        raise ConfigError(f"ElasticNet lam1 {lam1!r} is invalid: need 0 <= lam1 <= 1")
+    for candidate in grid:
+        if np.ndim(candidate) or not 0.0 <= float(candidate) < math.inf:
             raise ConfigError(f"{kind} penalty candidate {candidate!r} is invalid: "
-                              f"need lam >= 0{en if kind == 'ElasticNet' else ''}")
+                              f"need one lam >= 0")
+    lam = np.asarray(grid, dtype=float)
     return mix * lam, (1.0 - mix) * lam
 
 
@@ -433,19 +408,20 @@ def _ridge_path(Xs, Ys, lam):
     return Vt.T @ (f * (U.T @ Ys)[:, None])
 
 
-def _descent_path(Xs, Ys, l1, l2, tol, max_iters):
+def _descent_path(Xs, Ys, l1, l2):
     """Cyclic coordinate descent for ||Y-Xw||^2 + l1*||w||_1 + l2*||w||^2,
     one column of ``omega`` and of the residual per (l1, l2) candidate.
 
     Every candidate starts from zero and stops once its largest update is at
-    most tol * max(1, max|w|); converged candidates leave the active block.
+    most DESCENT_TOL * max(1, max|w|); converged candidates leave the active
+    block.  More than ``MAX_SWEEPS`` sweeps raise ConvergenceError.
     """
     k = Xs.shape[1]
     col_sq = np.einsum("ij,ij->j", Xs, Xs)
     out = np.zeros((k, l1.size))
     live, half = np.arange(l1.size), l1 / 2.0
     omega, resid = out.copy(), np.repeat(Ys[:, None], l1.size, axis=1)
-    for _ in range(max_iters):
+    for _ in range(MAX_SWEEPS):
         delta = np.zeros(live.size)
         for j in np.flatnonzero(col_sq):
             old = omega[j]
@@ -455,27 +431,27 @@ def _descent_path(Xs, Ys, l1, l2, tol, max_iters):
             resid += Xs[:, j, None] * step
             omega[j] = new
             delta = np.maximum(delta, np.abs(step))
-        done = delta <= tol * np.max(np.abs(omega), axis=0, initial=1.0)
+        done = delta <= DESCENT_TOL * np.max(np.abs(omega), axis=0, initial=1.0)
         out[:, live[done]] = omega[:, done]
         live, omega, resid = live[~done], omega[:, ~done], resid[:, ~done]
         half, l2, delta = half[~done], l2[~done], delta[~done]
         if not live.size:
             return out
-    raise ConvergenceError(f"coordinate descent did not converge in {max_iters} "
+    raise ConvergenceError(f"coordinate descent did not converge in {MAX_SWEEPS} "
                            f"sweeps (last max update {delta[0]:.3g})", omega[:, 0])
 
 
-def _solve_grid(std, kind, l1, l2, tol, max_iters):
+def _solve_grid(std, kind, l1, l2):
     """Coefficients (p, G) of every candidate on one standardized system."""
     if kind == "Ridge":
         return std.restore(_ridge_path(std.Xs, std.Ys, l2))
-    return std.restore(_descent_path(std.Xs, std.Ys, l1, l2, tol, max_iters))
+    return std.restore(_descent_path(std.Xs, std.Ys, l1, l2))
 
 
-def _fit_one(X, Y, kind, lam, lam1=None, tol=1e-10, max_iters=10000):
+def _fit_one(X, Y, kind, lam, lam1=ELASTICNET_MIX):
     X, Y, _ = _as_system(X, Y)
     l1, l2 = _penalties(kind, [lam], lam1)
-    return _solve_grid(_Standardizer(X, Y), kind, l1, l2, tol, max_iters)[:, 0]
+    return _solve_grid(_Standardizer(X, Y), kind, l1, l2)[:, 0]
 
 
 def fit_ridge(X, Y, lam: float) -> np.ndarray:
@@ -487,24 +463,22 @@ def fit_ridge(X, Y, lam: float) -> np.ndarray:
     return _fit_one(X, Y, "Ridge", lam)
 
 
-def fit_lasso(X, Y, lam: float, *, tol: float = 1e-10, max_iters: int = 10000):
+def fit_lasso(X, Y, lam: float):
     """L1-penalized least squares via coordinate descent.
 
     Objective ||Y - Xw||^2 + lam*||w_pen||_1, so on an orthonormal design the
     solution is soft_threshold(X^T Y, lam/2) exactly.
     """
-    return _fit_one(X, Y, "Lasso", lam, tol=tol, max_iters=max_iters)
+    return _fit_one(X, Y, "Lasso", lam)
 
 
-def fit_elasticnet(
-    X, Y, lam1: float, lam2: float, *, tol: float = 1e-10, max_iters: int = 10000
-):
+def fit_elasticnet(X, Y, lam1: float, lam2: float):
     """Mixed L1/L2 penalty: lam1*lam2*||w||_1 + (1-lam1)*lam2*||w||^2.
 
     lam1=0 matches :func:`fit_ridge` and lam1=1 matches :func:`fit_lasso`
     (same lam2), because the L2 term is the squared norm.
     """
-    return _fit_one(X, Y, "ElasticNet", lam2, lam1, tol, max_iters)
+    return _fit_one(X, Y, "ElasticNet", lam2, lam1)
 
 
 # ---------------------------------------------------------------------------
@@ -536,16 +510,20 @@ def _solve_elemental(X, Y, subsets):
     return coefs, good
 
 
-def fit_ransac(X, Y, cfg: RegressorConfig, *, column_names=None) -> FitDiagnostics:
+def fit_ransac(
+    X, Y, *, seed=0, inlier_threshold=None, column_names=None
+) -> FitDiagnostics:
     """Random-sample consensus: best inlier set, then a WLS refit on it.
 
-    Exactly ``cfg.ransac_iters`` minimal p-subsets are drawn from the stream
-    ``substream(cfg.seed, "ransac")``.  A sample is an inlier of a candidate
-    when its absolute residual is at most the inlier threshold; when the
-    threshold is not configured it defaults to twice the MAD scale of a
-    Theil-Sen prefit's residuals, which needs a line design [x, constant];
-    on any other design the caller sets ``cfg.ransac_inlier_threshold``.
+    Exactly ``RANSAC_DRAWS`` minimal p-subsets are drawn from the stream
+    ``substream(seed, "ransac")``.  A sample is an inlier of a candidate when
+    its absolute residual is at most ``inlier_threshold`` (dB, > 0); when it
+    is None it defaults to twice the MAD scale of a Theil-Sen prefit's
+    residuals, which needs a line design [x, constant].
     """
+    threshold = inlier_threshold
+    if threshold is not None and not (np.isfinite(threshold) and threshold > 0.0):
+        raise ConfigError(f"inlier_threshold must be > 0 or None, got {threshold!r}")
     X, Y, _ = _as_system(X, Y)
     n, p = X.shape
     if n <= p:
@@ -553,23 +531,22 @@ def fit_ransac(X, Y, cfg: RegressorConfig, *, column_names=None) -> FitDiagnosti
             f"need more than {p} samples to validate a consensus, got {n}"
         )
 
-    threshold = cfg.ransac_inlier_threshold
     if threshold is None:
         if p != 2 or _find_intercept_column(X) is None:
-            raise ConfigError("RANSAC needs ransac_inlier_threshold unless the "
+            raise ConfigError("RANSAC needs inlier_threshold unless the "
                               "design is a line [x, constant]")
-        prefit = fit_theilsen(X, Y, cfg)
+        prefit = fit_theilsen(X, Y)
         scale = mad_scale(Y - X @ prefit.coefficients)
         if scale <= 0.0:
             scale = np.finfo(float).eps
         threshold = 2.0 * scale
 
-    rng = substream(cfg.seed, "ransac")
-    subsets = _draw_subsets(rng, n, p, cfg.ransac_iters)
+    rng = substream(seed, "ransac")
+    subsets = _draw_subsets(rng, n, p, RANSAC_DRAWS)
     coefs, good = _solve_elemental(X, Y, subsets)
 
     rows, best, mask = max(1, ROW_BLOCK // n), -1, None
-    for k in range(0, cfg.ransac_iters, rows):  # the first largest consensus wins
+    for k in range(0, RANSAC_DRAWS, rows):  # the first largest consensus wins
         inliers = np.abs(Y[None, :] - coefs[k:k + rows] @ X.T) <= threshold
         counts = np.where(good[k:k + rows], np.sum(inliers, axis=1), -1)
         if counts.max() > best:
@@ -582,7 +559,7 @@ def fit_ransac(X, Y, cfg: RegressorConfig, *, column_names=None) -> FitDiagnosti
 
     coeffs = solve_wls(X[mask], Y[mask], column_names=column_names)
     return FitDiagnostics(
-        coefficients=coeffs, inlier_mask=mask, iterations_used=cfg.ransac_iters
+        coefficients=coeffs, inlier_mask=mask, iterations_used=RANSAC_DRAWS
     )
 
 
@@ -768,14 +745,15 @@ def _middle_slopes(xs, ys, ranks, count, rng):
         first, size, slopes, ok = interval(lo, hi)
 
 
-def _theilsen_line(X, Y, const_col, var_col, seed):
+def _theilsen_line(X, Y, const_col, var_col):
     """Exact pairwise-median line fit for the two-column case.
 
     The slope is ``np.median`` of every pair's ``(Y[i] - Y[j]) / (x[i] - x[j])``
     (pairs sharing an abscissa give none), bit for bit, in O(n log n +
     ``PAIR_BUDGET``) memory: one broadcast difference of the sorted rows if
-    all n(n-1)/2 pairs fit the budget, else ``_middle_slopes`` (its pivots
-    from ``substream(seed, "theilsen", "pivots")``).  Selections are single-kth.
+    all n(n-1)/2 pairs fit the budget, else ``_middle_slopes``.  Its pivots
+    come from the fixed stream ``substream(0, "theilsen", "pivots")``: any
+    draws give the same slope.  Selections are single-kth.
     """
     x = X[:, var_col]
     n = x.shape[0]
@@ -791,7 +769,7 @@ def _theilsen_line(X, Y, const_col, var_col, seed):
         wide = dx > 0.0
         low, high = _kth((ys - ys[:, None])[wide] / dx[wide], ranks)
     else:
-        rng = substream(seed, "theilsen", "pivots")
+        rng = substream(0, "theilsen", "pivots")
         low, high = _middle_slopes(xs, ys, ranks, count, rng)
     slope = float((low + high + 0.0) / 2)  # np.median's mean: the sum from +0.0
     intercept = float(_median(Y - slope * x)) / X[0, const_col]
@@ -801,7 +779,7 @@ def _theilsen_line(X, Y, const_col, var_col, seed):
     return beta, count
 
 
-def fit_theilsen(X, Y, cfg: RegressorConfig) -> FitDiagnostics:
+def fit_theilsen(X, Y) -> FitDiagnostics:
     """Median line fit of a two-column [x, constant] design.
 
     The slope is the exact median of the pairwise slopes (selected, see
@@ -818,7 +796,7 @@ def fit_theilsen(X, Y, cfg: RegressorConfig) -> FitDiagnostics:
     if const_col is None:
         raise ConfigError(f"Theil-Sen fits lines only: the design must be "
                           f"[x, constant], got {p} columns")
-    beta, used = _theilsen_line(X, Y, const_col, 1 - const_col, cfg.seed)
+    beta, used = _theilsen_line(X, Y, const_col, 1 - const_col)
 
     resid = Y - X @ beta
     scale = mad_scale(resid)
@@ -833,47 +811,40 @@ def fit_theilsen(X, Y, cfg: RegressorConfig) -> FitDiagnostics:
 # ---------------------------------------------------------------------------
 
 
-def _candidate_sort_key(candidate):
-    return tuple(np.atleast_1d(np.asarray(candidate, dtype=float))[::-1])
-
-
-def _kfold_scores(X, Y, kind, grid, cfg):
-    """Held-out RMSE of every candidate over the seeded K folds."""
+def _kfold_scores(X, Y, kind, grid, seed):
+    """Held-out RMSE of every candidate over the ``KFOLD_K`` seeded folds."""
     if not grid:
         raise ConfigError("penalty grid must not be empty")
     if kind not in ("Ridge", "Lasso", "ElasticNet"):
         raise ConfigError(f"penalty tuning does not apply to kind {kind!r}")
-    l1, l2 = _penalties(kind, grid, cfg.lam1)
+    l1, l2 = _penalties(kind, grid)
     X, Y, _ = _as_system(X, Y)
     n = X.shape[0]
-    if n < 2 * cfg.kfold_k:
-        raise ConfigError(f"k-fold tuning needs n >= {2 * cfg.kfold_k}, got {n}")
+    if n < 2 * KFOLD_K:
+        raise ConfigError(f"k-fold tuning needs n >= {2 * KFOLD_K}, got {n}")
 
-    rng = substream(cfg.seed, "kfold")
+    rng = substream(seed, "kfold")
     ssq = np.zeros(len(grid))
-    for fold in np.array_split(rng.permutation(n), cfg.kfold_k):
+    for fold in np.array_split(rng.permutation(n), KFOLD_K):
         train = np.ones(n, dtype=bool)
         train[fold] = False
         std = _Standardizer(X[train], Y[train])
-        B = _solve_grid(std, kind, l1, l2, cfg.tol, cfg.max_iters)
+        B = _solve_grid(std, kind, l1, l2)
         err = Y[fold, None] - X[fold] @ B
         ssq += np.einsum("ij,ij->j", err, err)
     return np.sqrt(ssq / n)
 
 
-def tune_penalty_kfold(X, Y, kind: str, grid, cfg: RegressorConfig):
-    """Pick the penalty minimizing mean held-out RMSE over seeded K folds.
+def tune_penalty_kfold(X, Y, kind: str, grid, *, seed=0):
+    """Pick the penalty minimizing mean held-out RMSE over ``KFOLD_K`` folds
+    drawn from ``substream(seed, "kfold")``; ties go to the smallest.
 
-    Ties go to the smallest penalty.  Candidates are scalars for Ridge/Lasso;
-    for ElasticNet either scalars (lam2, with lam1 from cfg) or (lam1, lam2)
-    pairs.  Returns the winning candidate unchanged.  The whole grid is
-    checked before any fold runs; each fold then solves every candidate at
-    once, from one SVD (Ridge) or one coordinate descent with a candidate
-    axis (Lasso/ElasticNet), and scores them with one product.
+    Every candidate is one lam >= 0 (for ElasticNet the lam2 at
+    ``ELASTICNET_MIX``) and the winner is returned unchanged.  The grid is
+    checked before any fold runs; each fold solves every candidate at once,
+    from one SVD (Ridge) or one coordinate descent with a candidate axis
+    (Lasso/ElasticNet), and scores them with one product.
     """
     grid = list(grid)
-    scores = _kfold_scores(X, Y, kind, grid, cfg)
-    order = sorted(
-        range(len(grid)), key=lambda i: (scores[i], _candidate_sort_key(grid[i]))
-    )
-    return grid[order[0]]
+    scores = _kfold_scores(X, Y, kind, grid, seed)
+    return grid[min(range(len(grid)), key=lambda i: (scores[i], float(grid[i])))]

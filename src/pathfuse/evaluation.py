@@ -37,7 +37,7 @@ from .atmosphere import predict_total
 from .errors import ConfigError, DataError, MetricError
 from .estimators import (
     DEFAULT_PENALTY_GRID,
-    RegressorConfig,
+    ELASTICNET_MIX,
     fit_elasticnet,
     fit_lasso,
     fit_ransac,
@@ -130,7 +130,6 @@ ROBUST_STUDY_FILTER_MULTIPLIER = 2.6
 #: the median-fit arm and below the unfiltered fits
 ROBUST_STUDY_RANSAC_INLIER_DB = 14.0
 ROBUST_METHODS = ("ols", "ridge", "lasso", "elastic-net", "ransac", "theil-sen")
-ROBUST_ELASTICNET_MIX = 0.5
 
 STUDY_RHO = 0.75
 STUDY_CONTAMINATION = 0.2
@@ -150,8 +149,11 @@ ARM_QUADRATIC = "quadratic-abg"
 ARM_LINEAR = "linear-abg"
 ARM_CUBIC = "cubic-abg"
 
-#: order-study arms: surface order is the only thing that varies
-ORDER_ARMS = ((ARM_LINEAR, 1), (ARM_QUADRATIC, 2), (ARM_CUBIC, 3))
+#: order-study arms: surface order is the only thing that varies, so the
+#: corpora are used as-is (unit weights, no gas removal, no rejection pass)
+_ORDER_CONFIGS = {arm: PipelineConfig(order=k, weighting="Identity", robust=None,
+                                      gas_correction=False)
+                  for arm, k in ((ARM_LINEAR, 1), (ARM_QUADRATIC, 2), (ARM_CUBIC, 3))}
 #: the three standing comparison arms of the integration and outlier studies
 STUDY_ARMS = (ARM_POOLED, ARM_WEIGHTED, ARM_QUADRATIC)
 
@@ -268,21 +270,6 @@ def _registry_scenario(registry, scenario):
     return models
 
 
-def _order_arm_configs(seed):
-    """One configuration per surface order, everything else held equal.
-
-    The comparison isolates the order itself, so the corpora are used as-is:
-    unit weights, no gas removal, no rejection pass (nothing is injected).
-    """
-    return {
-        arm: PipelineConfig(
-            order=k, weighting="Identity", robust=None, gas_correction=False,
-            seed=seed,
-        )
-        for arm, k in ORDER_ARMS
-    }
-
-
 def _count_decreasing(P, axis, tol=1e-9):
     """Adjacent grid cells where the surface strictly decreases along axis."""
     return int(np.count_nonzero(np.diff(P, axis=axis) < -tol))
@@ -323,9 +310,7 @@ def run_order_study(spec: ExperimentSpec, *, registry=None):
     span_models = [
         replace(m, dist_min=span[0], dist_max=span[1]) for m in models
     ]
-    orders = dict(ORDER_ARMS)
-
-    arms = list(_order_arm_configs(0))
+    arms = list(_ORDER_CONFIGS)
     sigma18 = {a: [] for a in arms}
     coeffs = {a: [] for a in arms}
     for t in range(spec.trials):
@@ -337,7 +322,7 @@ def run_order_study(spec: ExperimentSpec, *, registry=None):
             0.0, heldout.sigma, d.size
         )
         y18 = heldout.predict(d) + noise
-        for arm, cfg in _order_arm_configs(spec.seed * 1000 + t).items():
+        for arm, cfg in _ORDER_CONFIGS.items():
             fitted, _ = fit_pathloss_model(corpus, cfg, sigma_by_source=sigmas)
             resid = y18 - predict_total(fitted, d, heldout.frequency)
             sigma18[arm].append(weighted_rms(resid))
@@ -346,7 +331,7 @@ def run_order_study(spec: ExperimentSpec, *, registry=None):
     loocv_raw = {
         arm: loocv(span_models, cfg, synthesis=synth, trials=spec.trials,
                    seed=spec.seed)
-        for arm, cfg in _order_arm_configs(spec.seed).items()
+        for arm, cfg in _ORDER_CONFIGS.items()
     }
 
     # surface scan on the trial-mean coefficients: the polynomial alone (no
@@ -356,9 +341,9 @@ def run_order_study(spec: ExperimentSpec, *, registry=None):
     grids = {}
     lo, hi = LOW_BAND_SCAN_GHZ
     low = (GRID_FREQS_GHZ >= lo) & (GRID_FREQS_GHZ <= hi)
-    for arm in arms:
+    for arm, cfg in _ORDER_CONFIGS.items():
         A = design_matrix(
-            orders[arm], GRID_DISTANCES_M[:, None], GRID_FREQS_GHZ[None, :]
+            cfg.order, GRID_DISTANCES_M[:, None], GRID_FREQS_GHZ[None, :]
         )
         P = (A @ mean_coeffs[arm]).reshape(
             GRID_DISTANCES_M.size, GRID_FREQS_GHZ.size
@@ -370,9 +355,9 @@ def run_order_study(spec: ExperimentSpec, *, registry=None):
             "dist_decreasing_cells": _count_decreasing(P, axis=0),
         }
 
-    targets = load_reference_targets()["order_study"]
+    targets = load_reference_targets(_TARGET_KEYS)["order_study"]
     reports = []
-    for arm in arms:
+    for arm, cfg in _ORDER_CONFIGS.items():
         reports.append(
             EvaluationReport(
                 study="OrderStudy",
@@ -382,12 +367,8 @@ def run_order_study(spec: ExperimentSpec, *, registry=None):
                 sigma_published_db=targets["sigma_18ghz_db"].get(arm),
                 loocv_db=float(np.mean(loocv_raw[arm])),
                 loocv_published_db=targets["loocv_db"].get(arm),
-                coefficients=dict(
-                    zip(
-                        coefficient_names(orders[arm]),
-                        (float(v) for v in mean_coeffs[arm]),
-                    )
-                ),
+                coefficients=dict(zip(coefficient_names(cfg.order),
+                                      mean_coeffs[arm].tolist())),
                 n_trials=spec.trials,
             )
         )
@@ -426,7 +407,7 @@ _PENALIZED_METHODS = {
     "lasso": ("Lasso", lambda X, Y, lam: fit_lasso(X, Y, lam)),
     "elastic-net": (
         "ElasticNet",
-        lambda X, Y, lam: fit_elasticnet(X, Y, ROBUST_ELASTICNET_MIX, float(lam)),
+        lambda X, Y, lam: fit_elasticnet(X, Y, ELASTICNET_MIX, float(lam)),
     ),
 }
 
@@ -444,21 +425,22 @@ def _robust_method_sigma(method, X, Y, seed, *, reject=True):
     is scored over the full corpus, which is why the benchmark's clean
     column is flat across methods.
     """
-    cfg = RegressorConfig(seed=seed, lam1=ROBUST_ELASTICNET_MIX,
-                          ransac_inlier_threshold=ROBUST_STUDY_RANSAC_INLIER_DB)
     keep = slice(None)  # the rows the method is scored over
     if method == "ols":
         coef = solve_wls(X, Y)
     elif method in _PENALIZED_METHODS:
         kind, fit = _PENALIZED_METHODS[method]
-        coef = fit(X, Y, tune_penalty_kfold(X, Y, kind, DEFAULT_PENALTY_GRID, cfg))
+        lam = tune_penalty_kfold(X, Y, kind, DEFAULT_PENALTY_GRID, seed=seed)
+        coef = fit(X, Y, lam)
     elif method == "ransac":
-        fit = fit_ransac(X, Y, cfg)
+        fit = fit_ransac(
+            X, Y, seed=seed, inlier_threshold=ROBUST_STUDY_RANSAC_INLIER_DB
+        )
         coef = fit.coefficients
         if reject:
             keep = fit.inlier_mask
     elif method == "theil-sen":
-        coef = fit_theilsen(X, Y, cfg).coefficients
+        coef = fit_theilsen(X, Y).coefficients
         if reject:
             resid = Y - X @ coef
             scale = mad_scale(resid)
@@ -520,7 +502,7 @@ def run_robust_study(spec: ExperimentSpec, *, registry=None):
                     reject=(arm == "contaminated"),
                 ))
 
-    targets = load_reference_targets()["robust_study"]
+    targets = load_reference_targets(_TARGET_KEYS)["robust_study"]
     reports = []
     for method in ROBUST_METHODS:
         with_mean = float(np.mean(raw["contaminated"][method]))
@@ -568,20 +550,20 @@ def run_robust_study(spec: ExperimentSpec, *, registry=None):
 # ---------------------------------------------------------------------------
 
 
-def _arm_configs(seed, band):
-    """The three standing comparison arms on one band, sharing one seed."""
+def _arm_configs(band):
+    """The three standing comparison arms on one band (none reads a seed)."""
     return {
         ARM_POOLED: PipelineConfig(
             order=1, weighting="Identity", robust=None, gas_correction=False,
-            freq_band=band, seed=seed,
+            freq_band=band,
         ),
         ARM_WEIGHTED: PipelineConfig(
             order=1, weighting="Mixture", robust=None, gas_correction=False,
-            freq_band=band, seed=seed,
+            freq_band=band,
         ),
         ARM_QUADRATIC: PipelineConfig(
             order=2, weighting="Mixture", robust="TheilSen", gas_correction=True,
-            freq_band=band, seed=seed,
+            freq_band=band,
         ),
     }
 
@@ -619,11 +601,11 @@ def _study_cells(spec, registry, label):
             yield scenario, band, sigmas, trials(band_models, synth, scenario, band)
 
 
-def _fit_arms(corpus, band, sigmas, seed):
+def _fit_arms(corpus, band, sigmas):
     """The three comparison arms fitted on one corpus: ``{arm: FittedModel}``."""
     return {
         arm: fit_pathloss_model(corpus, cfg, sigma_by_source=sigmas)[0]
-        for arm, cfg in _arm_configs(seed, band).items()
+        for arm, cfg in _arm_configs(band).items()
     }
 
 
@@ -643,15 +625,12 @@ def _published(rows, scenario, band, **keys):
 def run_integration_study(spec: ExperimentSpec, *, registry=None):
     """Fuse every scenario's models over low/high/full bands, three ways."""
     registry = registry or load_registry()
-    targets = load_reference_targets()
+    targets = load_reference_targets(_TARGET_KEYS)
     reports = []
     raw_sigma = {}
     published_coeffs = {}
     for scenario, band, sigmas, trials in _study_cells(spec, registry, "integration"):
-        fits = [
-            _fit_arms(corpus, band, sigmas, spec.seed * 1000 + t)
-            for t, corpus in trials
-        ]
+        fits = [_fit_arms(corpus, band, sigmas) for _, corpus in trials]
         cell_key = f"{scenario}|{_band_label(band)}"
         raw_sigma[cell_key] = {a: [fit[a].sigma for fit in fits] for a in STUDY_ARMS}
         published = _published(targets["integration_study"]["cells"], scenario, band)
@@ -694,7 +673,7 @@ def run_outlier_study(spec: ExperimentSpec, *, registry=None):
     as the baseline.  The clean corpus is shared across outlier band widths.
     """
     registry = registry or load_registry()
-    published_rows = load_reference_targets()["outlier_study"]["published"]
+    published = load_reference_targets(_TARGET_KEYS)["outlier_study"]["published"]
     reports = []
     raw = {}
     for scenario, band, sigmas, trials in _study_cells(spec, registry, "outlier"):
@@ -703,8 +682,7 @@ def run_outlier_study(spec: ExperimentSpec, *, registry=None):
             for ob in OUTLIER_STUDY_BANDS_M
         }
         for t, corpus in trials:
-            seed = spec.seed * 1000 + t
-            clean = _fit_arms(corpus, band, sigmas, seed)
+            clean = _fit_arms(corpus, band, sigmas)
             for ob in OUTLIER_STUDY_BANDS_M:
                 contaminated, _mask = inject_outliers(
                     corpus,
@@ -719,7 +697,7 @@ def run_outlier_study(spec: ExperimentSpec, *, registry=None):
                         "inject", ob, t,
                     ),
                 )
-                fits = _fit_arms(contaminated, band, sigmas, seed)
+                fits = _fit_arms(contaminated, band, sigmas)
                 for arm, fitted in fits.items():
                     slot = cell_raw[ob][arm]
                     slot["sigma"].append(fitted.sigma)
@@ -729,7 +707,7 @@ def run_outlier_study(spec: ExperimentSpec, *, registry=None):
         for ob in OUTLIER_STUDY_BANDS_M:
             for arm in STUDY_ARMS:
                 slot = cell_raw[ob][arm]
-                published = _published(published_rows, scenario, band, method=arm)
+                row = _published(published, scenario, band, method=arm)
                 key = f"{ob:g}"
                 reports.append(
                     EvaluationReport(
@@ -741,11 +719,9 @@ def run_outlier_study(spec: ExperimentSpec, *, registry=None):
                         sigma_db=float(np.mean(slot["sigma"])),
                         sigma_clean_db=float(np.mean(slot["clean"])),
                         error_ratio_percent=float(np.mean(slot["ratio"])),
-                        sigma_published_db=(
-                            published["sigma_db"].get(key) if published else None
-                        ),
+                        sigma_published_db=row["sigma_db"].get(key) if row else None,
                         ratio_published_percent=(
-                            published["ratio_percent"].get(key) if published else None
+                            row["ratio_percent"].get(key) if row else None
                         ),
                         n_trials=spec.trials,
                     )
@@ -884,6 +860,26 @@ _STUDY_TABLE = {
 }
 STUDIES = tuple(_STUDY_TABLE)
 
+#: every key of ``reference_targets.json``, in the form ``io._check_keys`` reads
+_CELL = ("scenario", "band_ghz")
+_TARGET_KEYS = {
+    "_comment": None,
+    "order_study": ("sigma_18ghz_db", "loocv_db", "tolerance_db", "require_ordering",
+                    "nonmonotone_cells_required"),
+    "robust_study": ("sigma_with_outliers_db", "theil_sen_with_tolerance_db",
+                     "ols_with_tolerance_db", "clean_band_db"),
+    "integration_study": {"tolerance_quadratic_db": None, "require_ordering": None,
+                          "cells": [_CELL + ("sigma_db",)]},
+    "outlier_study": {
+        "quadratic_max_abs_ratio_percent": None,
+        "quadratic_exception": _CELL + ("outlier_band_m", "max_abs_ratio_percent"),
+        "pooled_min_ratio_percent": None,
+        "pooled_min_ratio_cells": [_CELL + ("outlier_band_m",)],
+        "published": [_CELL + ("method", "sigma_db", "ratio_percent")],
+    },
+    "published_coefficients": [_CELL + ("method", "values")],
+}
+
 
 def run_experiment(spec: ExperimentSpec, *, registry=None):
     return _STUDY_TABLE[spec.which][0](spec, registry=registry)
@@ -893,7 +889,8 @@ def evaluate_gates(result: StudyResult):
     """Pass/fail checks of a study against the pinned published targets."""
     _, section, rules = _STUDY_TABLE[result.study]
     gates = []
-    for name, value, kind, bound in rules(result, load_reference_targets()[section]):
+    targets = load_reference_targets(_TARGET_KEYS)[section]
+    for name, value, kind, bound in rules(result, targets):
         passes, detail = _GATE_KINDS[kind]
         gates.append(GateCheck(name, bool(passes(value, bound)), detail(value, bound)))
     return gates

@@ -98,8 +98,8 @@ def sigma_map(models):
 def load_samples(path):
     """A SampleBatch from a samples CSV; a bad row raises DataError at ``path:line``.
 
-    An optional ``weight`` column is accepted only with the value 1 (or
-    empty): no fit reads per-sample weights.
+    A ``source_id`` must not be blank.  An optional ``weight`` column is
+    accepted only with the value 1 (or empty): no fit reads per-sample weights.
     """
     d, f, y, ids, lines = [], [], [], [], []
     try:
@@ -121,6 +121,8 @@ def load_samples(path):
                     f.append(float(freq))
                     y.append(float(loss))
                     ids.append(source.strip())
+                    if not ids[-1]:
+                        raise ValueError("source_id is empty")
                     weight = row[at_weight] if 0 <= at_weight < len(row) else ""
                     if weight and float(weight) != 1.0:
                         raise ValueError(f"weight {weight!r} is not 1; no fit reads it")
@@ -206,9 +208,40 @@ def load_model(path):
         raise DataError(f"{path} is not a saved model: {exc}") from exc
 
 
-def load_reference_targets():
-    with open(data_path(_TARGETS_FILE)) as fh:
-        return json.load(fh)
+def load_reference_targets(keys=None):
+    """The bundled benchmark targets.  An unreadable file, malformed JSON or,
+    given ``keys`` (see ``_check_keys``), a key missing or unknown raises
+    DataError naming the file, the section and the key."""
+    path = data_path(_TARGETS_FILE)
+    try:
+        with open(path) as fh:
+            targets = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read reference targets {path}: {exc}") from exc
+    _check_keys(targets, keys, path)
+    return targets
+
+
+def _check_keys(value, keys, path, where=""):
+    """``keys`` lists an object's keys (a tuple), or maps each to the keys below
+    it (a dict; None takes any value); ``[keys]`` applies to every row of a list."""
+    if keys is None:
+        return
+    rows = isinstance(keys, list)
+    if not isinstance(value, list if rows else dict):
+        shape = "a JSON array" if rows else "a JSON object"
+        raise DataError(f"{path}: {where or 'the top level'} must be {shape}")
+    if rows:
+        for i, row in enumerate(value):
+            _check_keys(row, keys[0], path, f"{where}[{i}]")
+        return
+    keys = dict.fromkeys(keys) if isinstance(keys, tuple) else keys
+    wrong = [f"lacks the key {key!r}" for key in keys if key not in value]
+    wrong += [f"has an unknown key {key!r}" for key in value if key not in keys]
+    if wrong:
+        raise DataError(f"{path}: {where or 'the top level'} {wrong[0]}")
+    for key, below in keys.items():
+        _check_keys(value[key], below, path, f"{where}.{key}" if where else key)
 
 
 def save_study_json(result, path):

@@ -40,7 +40,6 @@ import numpy as np
 from .atmosphere import load_default_table, remove_gas_loss
 from .errors import ConfigError, DataError, InsufficientDataError
 from .estimators import (
-    RegressorConfig,
     FitDiagnostics,
     _median,
     _theilsen_line,
@@ -79,7 +78,7 @@ RESIDUAL_MULTIPLIER = 3.0
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything that determines a pipeline fit, seed included."""
+    """Everything that determines a pipeline fit; only RANSAC reads the seed."""
 
     order: int = 2
     weighting: str = "Mixture"
@@ -158,7 +157,6 @@ def _robust_filter(batch, X, Y, cfg: PipelineConfig):
     about the group's median residual; groups too small for a scale estimate
     and groups with no measurable scatter are kept whole.
     """
-    line_cfg = RegressorConfig(seed=cfg.seed)
     _, group = batch.groups()
     by_group = np.argsort(group, kind="stable")  # each group's rows stay ascending
     rows = np.split(by_group, np.cumsum(np.bincount(group))[:-1])
@@ -172,10 +170,10 @@ def _robust_filter(batch, X, Y, cfg: PipelineConfig):
         Xg = X[ix, :2]
         Yg = Y[ix]
         if cfg.robust == "RANSAC":
-            prefit = fit_ransac(Xg, Yg, line_cfg, column_names=names)
+            prefit = fit_ransac(Xg, Yg, seed=cfg.seed, column_names=names)
             beta, used = prefit.coefficients, prefit.iterations_used
         else:  # the line kernel alone: the filter needs no mask, RMS or condition
-            beta, used = _theilsen_line(Xg, Yg, 1, 0, cfg.seed)
+            beta, used = _theilsen_line(Xg, Yg, 1, 0)
         iterations += used
         r = Yg - Xg @ beta
         med = float(_median(r))
@@ -233,8 +231,8 @@ def fit_pathloss_model(samples, cfg: PipelineConfig, *, sigma_by_source=None):
     """Run the pipeline on a SampleBatch; returns ``(FittedModel, FitDiagnostics)``.
 
     ``sigma_by_source`` maps source ids to published shadow-fading sigmas and
-    is required for the variance-aware weighting policies.  Randomized robust
-    prefits draw from ``cfg.seed``.  Gas correction uses the default table.
+    is required for the variance-aware weighting policies.  The RANSAC
+    prefilter draws from ``cfg.seed``.  Gas correction uses the default table.
     """
     p = ORDER_SIZES[cfg.order]
     survivors, Xs, Ys, w, keep, n_in_band, prefit_iters = _prepare_system(

@@ -10,6 +10,7 @@ import pytest
 
 import pathfuse
 from pathfuse.cli import main
+from pathfuse.evaluation import STUDIES
 from pathfuse.io import load_model, save_model
 from pathfuse.models import CoefficientSet, FittedModel
 
@@ -117,6 +118,30 @@ def test_fit_with_too_few_samples_is_a_numeric_error(tmp_path, capsys):
 def test_fit_missing_samples_file_is_a_data_error(tmp_path, capsys):
     rc, _, err = run(capsys, "fit", "--samples", str(tmp_path / "nope.csv"))
     assert rc == 3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+def test_fit_whose_solution_overflows_is_a_numeric_error(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    rows = [f"{10 + 5 * i},28,{(-1) ** i * 1e308},a" for i in range(40)]
+    path.write_text("distance_m,freq_ghz,path_loss_db,source_id\n"
+                    + "\n".join(rows) + "\n")
+    rc, _, err = run(capsys, "fit", "--samples", str(path),
+                     "--weighting", "identity")
+    assert rc == 4
+    assert "solution is not finite" in err
+
+
+def test_fit_blank_source_id_is_a_data_error(tmp_path, capsys):
+    # a blank id would fit as a source of its own named ""
+    path = tmp_path / "blank.csv"
+    path.write_text(
+        "distance_m,freq_ghz,path_loss_db,source_id\n"
+        "50,28,100,umisc-28ghz-nyu\n60,28,104, \n70,28,107,umisc-28ghz-nyu\n"
+    )
+    rc, _, err = run(capsys, "fit", "--samples", str(path), "--order", "1")
+    assert rc == 3
+    assert f"{path}:3: bad sample row: source_id is empty" in err
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +312,55 @@ def test_experiment_failing_gate_exits_5(tmp_path, capsys, monkeypatch):
     assert rc == 5
     assert "[FAIL] robust/theil-sen/sigma" in out
     assert "benchmark gate(s) failed" in err
+
+
+def _edit_targets(data, case):
+    path = data / "reference_targets.json"
+    if case == "unreadable":
+        path.unlink()
+    elif case == "malformed":
+        path.write_text(path.read_text()[:-2])
+    else:
+        targets = json.loads(path.read_text())
+        if case == "missing":
+            del targets["robust_study"]["clean_band_db"]
+        elif case == "unknown":
+            targets["integration_study"]["cells"][1]["points"] = 396
+        else:
+            targets["integration_study"]["cells"] = {}
+        path.write_text(json.dumps(targets))
+
+
+#: how ``_edit_targets`` breaks the targets file -> what the error then says
+TARGET_FAULTS = {
+    "missing": "robust_study lacks the key 'clean_band_db'",
+    "unknown": "integration_study.cells[1] has an unknown key 'points'",
+    "unreadable": "cannot read reference targets",
+    "malformed": "cannot read reference targets",
+    "wrong-type": "integration_study.cells must be a JSON array",
+}
+
+
+@pytest.mark.parametrize("case", list(TARGET_FAULTS))
+def test_experiment_bad_reference_targets_exit_3(case, tmp_path, capsys, monkeypatch):
+    data = tmp_path / "data"
+    shutil.copytree(Path(pathfuse.__file__).with_name("data"), data)
+    _edit_targets(data, case)
+    monkeypatch.setenv("PATHFUSE_DATA_DIR", str(data))
+    rc, _, err = run(capsys, "experiment", "--which", "table3", "--trials", "1")
+    assert rc == 3
+    assert f"{data / 'reference_targets.json'}" in err
+    assert TARGET_FAULTS[case] in err
+
+
+def test_experiment_usage_lists_each_study_once(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    choices = re.search(r"--which \{([^}]*)\}", usage).group(1).split(",")
+    assert len(choices) == len(set(choices))
+    assert [c for c in choices if c in STUDIES] == list(STUDIES)
 
 
 def test_experiment_unknown_table_is_rejected_by_argparse(capsys):

@@ -27,7 +27,6 @@ from pathfuse.errors import (
 )
 from pathfuse.estimators import (
     ROW_BLOCK,
-    RegressorConfig,
     fit_elasticnet,
     fit_lasso,
     fit_ransac,
@@ -39,6 +38,7 @@ from pathfuse.estimators import (
     tune_penalty_kfold,
     weighted_rms,
 )
+from pathfuse.seeding import substream
 
 
 # ---------------------------------------------------------------------------
@@ -168,17 +168,6 @@ def test_wls_validates_inputs():
         solve_wls(np.ones((3, 1)), np.ones(2))
 
 
-def test_regressor_config_validation():
-    with pytest.raises(TypeError):  # the caller picks the estimator by function
-        RegressorConfig(kind="Huber")
-    with pytest.raises(ConfigError):
-        RegressorConfig(lam1=1.5)
-    with pytest.raises(ConfigError):
-        RegressorConfig(kfold_k=1)
-    with pytest.raises(ConfigError):
-        RegressorConfig(ransac_inlier_threshold=0.0)
-
-
 # ---------------------------------------------------------------------------
 # LAPACK on one BLAS thread
 # ---------------------------------------------------------------------------
@@ -283,7 +272,7 @@ def test_solve_wls_leaves_the_blas_pool_asleep():
 class TestTheilSen:
     def line(self, x, y):
         X = np.column_stack([x, np.ones_like(x)])
-        return fit_theilsen(X, np.asarray(y), RegressorConfig())
+        return fit_theilsen(X, np.asarray(y))
 
     def test_identity_line_is_exact(self):
         x = np.arange(1.0, 11.0)
@@ -314,17 +303,17 @@ class TestTheilSen:
         no_constant = np.column_stack([x, x**2])
         for X in (wide, no_constant):
             with pytest.raises(ConfigError):
-                fit_theilsen(X, 2.0 * x + 5.0, RegressorConfig())
+                fit_theilsen(X, 2.0 * x + 5.0)
 
     def test_degenerate_abscissa_raises(self):
         X = np.column_stack([np.full(5, 3.0), np.ones(5)])
         with pytest.raises(DegenerateDataError):
-            fit_theilsen(X, np.arange(5.0), RegressorConfig())
+            fit_theilsen(X, np.arange(5.0))
 
     def test_too_few_samples_raise(self):
         X = np.column_stack([np.arange(2.0), np.ones(2)])
         with pytest.raises(DegenerateDataError):
-            fit_theilsen(X, np.arange(2.0), RegressorConfig())
+            fit_theilsen(X, np.arange(2.0))
 
 
 class TestRansac:
@@ -335,7 +324,7 @@ class TestRansac:
         Y = 4.0 * x + 10.0 + rng.normal(0, 0.1, 60)
         bad = rng.choice(60, size=18, replace=False)
         Y[bad] += rng.uniform(40.0, 120.0, 18)
-        fit = fit_ransac(X, Y, RegressorConfig(seed=0))
+        fit = fit_ransac(X, Y, seed=0)
         assert fit.coefficients[0] == pytest.approx(4.0, abs=0.05)
         assert fit.coefficients[1] == pytest.approx(10.0, abs=1.0)
         assert not fit.inlier_mask[bad].any()
@@ -345,8 +334,8 @@ class TestRansac:
         x = rng.uniform(1.0, 50.0, 40)
         X = np.column_stack([x, np.ones_like(x)])
         Y = 2.0 * x + rng.normal(0, 1.0, 40)
-        a = fit_ransac(X, Y, RegressorConfig(seed=5))
-        b = fit_ransac(X, Y, RegressorConfig(seed=5))
+        a = fit_ransac(X, Y, seed=5)
+        b = fit_ransac(X, Y, seed=5)
         assert np.array_equal(a.inlier_mask, b.inlier_mask)
         assert a.coefficients == pytest.approx(b.coefficients, abs=0)
 
@@ -354,14 +343,24 @@ class TestRansac:
         rng = np.random.default_rng(31)
         X = np.column_stack([rng.uniform(1, 50, 30), np.ones(30)])
         Y = rng.uniform(0, 500, 30)
-        cfg = RegressorConfig(ransac_inlier_threshold=1e-9)
         with pytest.raises(ConsensusFailureError):
-            fit_ransac(X, Y, cfg)
+            fit_ransac(X, Y, inlier_threshold=1e-9)
+
+    def test_threshold_must_be_positive(self):
+        rng = np.random.default_rng(31)
+        X = np.column_stack([rng.uniform(1, 50, 30), np.ones(30)])
+        Y = rng.uniform(0, 500, 30)
+        for threshold in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ConfigError, match="inlier_threshold must be > 0"):
+                fit_ransac(X, Y, inlier_threshold=threshold)
+        # checked before the rows are: a one-row system still fails on it
+        with pytest.raises(ConfigError):
+            fit_ransac(X[:1], Y[:1], inlier_threshold=0.0)
 
     def test_needs_more_rows_than_columns(self):
         X = np.eye(2)
         with pytest.raises(ConsensusFailureError):
-            fit_ransac(X, np.ones(2), RegressorConfig())
+            fit_ransac(X, np.ones(2))
 
     def test_automatic_threshold_needs_a_line(self):
         rng = np.random.default_rng(37)
@@ -369,9 +368,9 @@ class TestRansac:
         X = np.column_stack([x, np.ones(60), (x - 25.0) ** 2 / 10.0])
         Y = X @ np.array([4.0, 10.0, -0.5]) + rng.normal(0, 0.1, 60)
         Y[:6] += 80.0
-        with pytest.raises(ConfigError, match="ransac_inlier_threshold"):
-            fit_ransac(X, Y, RegressorConfig())
-        fit = fit_ransac(X, Y, RegressorConfig(ransac_inlier_threshold=1.0))
+        with pytest.raises(ConfigError, match="inlier_threshold"):
+            fit_ransac(X, Y)
+        fit = fit_ransac(X, Y, inlier_threshold=1.0)
         assert fit.coefficients == pytest.approx([4.0, 10.0, -0.5], abs=0.05)
         assert not fit.inlier_mask[:6].any()
 
@@ -417,21 +416,46 @@ def negative_ties(n):
     return x, np.where(rng.random(n) < 0.6, -0.5 * x, rng.normal(-300.0, 200.0, n))
 
 
-def fit_line(x, y, seed=0):
+def fit_line(x, y):
     X = np.column_stack([x, np.ones_like(x)])
-    return fit_theilsen(X, y, RegressorConfig(seed=seed))
+    return fit_theilsen(X, y)
+
+
+def pivots_from(monkeypatch, seed):
+    """Draw the Theil-Sen pivots from ``seed``'s stream, not the fixed one."""
+    monkeypatch.setattr(
+        estimators, "substream", lambda _, *labels: substream(seed, *labels)
+    )
 
 
 LINE_FAMILIES = (
     "continuous", "exact-ties", "near-ties", "integer-x", "duplicated-rows", "offset-x"
 )
 
+#: lines whose pivot draws take unusual paths, named by what they exercise
+PIVOT_LINES = {
+    "continuous": lambda: line_data("continuous", 1500, seed=5),
+    # one slope value holds most pairs, so the interval is streamed
+    "one-slope": lambda: (np.arange(1500.0), 2.0 * np.arange(1500.0)),
+    "small-integers": lambda: (
+        np.random.default_rng(6).integers(1, 10, 2000).astype(float),
+        np.random.default_rng(7).integers(0, 5, 2000).astype(float),
+    ),
+    # a tied negative median within a guard of the first bounds: the guard
+    # doubles once before the result is accepted
+    "negative-ties": lambda: negative_ties(600),
+}
+
 
 # at 3,000 rows every family takes two rounds of draws
-@pytest.mark.parametrize("n", [3, 40, 362, 363, 700, 2000, 3000])
-@pytest.mark.parametrize("family", LINE_FAMILIES)
+@pytest.mark.parametrize(
+    "family, n",
+    [(family, n) for family in LINE_FAMILIES
+     for n in (3, 40, 362, 363, 700, 2000, 3000)]
+    + [pytest.param(name, None, id=f"pivots-{name}") for name in PIVOT_LINES],
+)
 def test_selected_line_equals_the_pairwise_median(family, n):
-    x, y = line_data(family, n, seed=n)
+    x, y = PIVOT_LINES[family]() if n is None else line_data(family, n, seed=n)
     fit = fit_line(x, y)
     slope, intercept, pairs = pairwise_median_line(x, y)
     assert fit.coefficients[0] == slope
@@ -439,25 +463,16 @@ def test_selected_line_equals_the_pairwise_median(family, n):
     assert fit.iterations_used == pairs
 
 
-@pytest.mark.parametrize(
-    "x, y",
-    [
-        line_data("continuous", 1500, seed=5),
-        # one slope value holds most pairs, so the interval is streamed
-        (np.arange(1500.0), 2.0 * np.arange(1500.0)),
-        (np.random.default_rng(6).integers(1, 10, 2000).astype(float),
-         np.random.default_rng(7).integers(0, 5, 2000).astype(float)),
-        # a tied negative median within a guard of the first bounds: the
-        # guard doubles once before the result is accepted
-        negative_ties(600),
-    ],
-    ids=["continuous", "one-slope", "small-integers", "negative-ties"],
-)
-def test_pivot_seed_never_changes_the_line(x, y):
-    a, b = fit_line(x, y, seed=0), fit_line(x, y, seed=12345)
+@pytest.mark.parametrize("name", list(PIVOT_LINES))
+def test_pivot_seed_never_changes_the_line(name, monkeypatch):
+    # the fixed pivot stream is as good as any: another seed's draws take
+    # other rounds to the same line, bit for bit
+    x, y = PIVOT_LINES[name]()
+    a = fit_line(x, y)
+    pivots_from(monkeypatch, 12345)
+    b = fit_line(x, y)
     assert a.coefficients.tolist() == b.coefficients.tolist()
     assert a.iterations_used == b.iterations_used
-    assert a.coefficients[0] == pairwise_median_line(x, y)[0]
 
 
 @pytest.mark.filterwarnings("error")  # no bound may overflow on the way
@@ -504,7 +519,8 @@ def test_abscissae_ulps_apart_keep_the_pairwise_median(case, monkeypatch):
     x, y = close_abscissae(case)
     slope, intercept, pairs = pairwise_median_line(x, y)
     for seed in (0, 12345):
-        fit = fit_line(x, y, seed=seed)
+        pivots_from(monkeypatch, seed)
+        fit = fit_line(x, y)
         assert fit.coefficients.tolist() == [slope, intercept]
         assert fit.iterations_used == pairs
     assert listed and max(count for count, _ in listed) < pairs
@@ -575,8 +591,7 @@ def test_ransac_scores_in_row_blocks():
     assert ROW_BLOCK // n < 1000  # so the blocks really split
     x, y = contaminated_campaign(n, seed=3)
     X = np.column_stack([x, np.ones(n)])
-    cfg = RegressorConfig(ransac_iters=1000, seed=4)
-    fit, peak = peak_mb(lambda: fit_ransac(X, y, cfg))
+    fit, peak = peak_mb(lambda: fit_ransac(X, y, seed=4))
     assert peak < 64.0
     assert fit.coefficients.tolist() == [1.9825483479765529, 30.65705877260331]
     assert fit.inlier_mask.sum() == 6490
@@ -591,43 +606,42 @@ def test_tuning_singleton_grid_returns_it():
     rng = np.random.default_rng(41)
     X = np.column_stack([rng.uniform(1, 10, 24), np.ones(24)])
     Y = X @ np.array([2.0, 5.0])
-    cfg = RegressorConfig()
-    assert tune_penalty_kfold(X, Y, "Ridge", [0.0], cfg) == 0.0
+    assert tune_penalty_kfold(X, Y, "Ridge", [0.0]) == 0.0
 
 
 def test_tuning_noiseless_data_prefers_no_penalty():
     rng = np.random.default_rng(43)
     X = np.column_stack([rng.uniform(1, 10, 30), np.ones(30), rng.uniform(0, 5, 30)])
     Y = X @ np.array([2.0, 5.0, -1.0])
-    cfg = RegressorConfig()
-    assert tune_penalty_kfold(X, Y, "Ridge", [0.0, 0.5, 1.0], cfg) == 0.0
-    assert tune_penalty_kfold(X, Y, "Lasso", [0.0, 0.5, 1.0], cfg) == 0.0
+    assert tune_penalty_kfold(X, Y, "Ridge", [0.0, 0.5, 1.0]) == 0.0
+    assert tune_penalty_kfold(X, Y, "Lasso", [0.0, 0.5, 1.0]) == 0.0
 
 
-def test_tuning_validates_grid_and_size():
+def test_tuning_validates_grid_and_size(monkeypatch):
     X = np.column_stack([np.arange(1.0, 25.0), np.ones(24)])
     Y = np.arange(24.0)
-    cfg = RegressorConfig()
     with pytest.raises(ConfigError):
-        tune_penalty_kfold(X, Y, "Ridge", [], cfg)
+        tune_penalty_kfold(X, Y, "Ridge", [])
     with pytest.raises(ConfigError):
-        tune_penalty_kfold(X[:10], Y[:10], "Ridge", [0.0], cfg)
+        tune_penalty_kfold(X[:10], Y[:10], "Ridge", [0.0])
     with pytest.raises(ConfigError):
-        tune_penalty_kfold(X, Y, "OLS", [0.0], cfg)
+        tune_penalty_kfold(X, Y, "OLS", [0.0])
+    # a candidate is one lam >= 0 for every kind: a (lam1, lam2) pair is invalid
+    pairs = [(0.5, 0.1), (1.5, 0.1), (-0.1, 0.1), (0.5, -1.0), (np.nan, 0.1)]
     bad = {
-        "Ridge": [(0.5, 0.1), -1.0, np.nan, np.inf, [0.1, 0.2, 0.3]],
-        "Lasso": [(0.5, 0.1), -1e-12, np.nan],
-        "ElasticNet": [-1.0, np.nan, (1.5, 0.1), (-0.1, 0.1), (0.5, -1.0),
-                       (np.nan, 0.1)],
+        "Ridge": [-1.0, np.nan, np.inf, [0.1, 0.2, 0.3]] + pairs,
+        "Lasso": [-1e-12, np.nan] + pairs,
+        "ElasticNet": [-1.0, np.nan] + pairs,
     }
     for kind, candidates in bad.items():
         for candidate in candidates:
             with pytest.raises(ConfigError, match=f"{kind} penalty candidate"):
-                tune_penalty_kfold(X, Y, kind, [0.0, 0.1, candidate], cfg)
+                tune_penalty_kfold(X, Y, kind, [0.0, 0.1, candidate])
     # the grid is checked before any fold runs: one sweep cannot converge on
     # these data, yet the bad last candidate is what gets reported
+    monkeypatch.setattr(estimators, "MAX_SWEEPS", 1)
     with pytest.raises(ConfigError, match=r"candidate -1\.0"):
-        tune_penalty_kfold(X, Y, "Lasso", [0.1, -1.0], RegressorConfig(max_iters=1))
+        tune_penalty_kfold(X, Y, "Lasso", [0.1, -1.0])
     with pytest.raises(ConfigError, match="lam1 1.5"):
         fit_elasticnet(X, Y, 1.5, 0.1)
     with pytest.raises(ConfigError):
@@ -643,7 +657,7 @@ def test_intercept_only_designs_fit_the_scaled_mean():
     assert fit_elasticnet(X, Y, 0.5, 0.3) == pytest.approx([want], rel=1e-14)
     for kind in ("Ridge", "Lasso", "ElasticNet"):
         # every candidate predicts the same fold means, so the smallest wins
-        assert tune_penalty_kfold(X, Y, kind, [0.3, 0.0, 1.0], RegressorConfig()) == 0.0
+        assert tune_penalty_kfold(X, Y, kind, [0.3, 0.0, 1.0]) == 0.0
 
 
 def test_tied_lasso_penalties_go_to_the_smallest():
@@ -653,22 +667,22 @@ def test_tied_lasso_penalties_go_to_the_smallest():
     X = np.column_stack([rng.uniform(1, 10, 40), np.ones(40), rng.uniform(0, 5, 40)])
     Y = 5.0 + rng.normal(0.0, 1.0, 40)
     grid = [1e5, 0.0, 3e3, 1e4]
-    cfg = RegressorConfig()
-    scores = estimators._kfold_scores(X, Y, "Lasso", grid, cfg)
+    scores = estimators._kfold_scores(X, Y, "Lasso", grid, 0)
     assert scores[0] == scores[2] == scores[3] < scores[1]
-    assert tune_penalty_kfold(X, Y, "Lasso", grid, cfg) == 3e3
+    assert tune_penalty_kfold(X, Y, "Lasso", grid) == 3e3
 
 
-def test_descent_that_runs_out_of_sweeps_raises_with_its_last_iterate():
+def test_descent_that_runs_out_of_sweeps_raises_with_its_last_iterate(monkeypatch):
     rng = np.random.default_rng(61)
     x = rng.uniform(1, 10, 40)
     X = np.column_stack([x, np.ones(40), x + rng.normal(0.0, 0.1, 40)])
     Y = X @ np.array([2.0, 5.0, -1.0]) + rng.normal(0.0, 0.5, 40)
-    with pytest.raises(ConvergenceError) as info:
-        fit_lasso(X, Y, 0.1, max_iters=1)
+    monkeypatch.setattr(estimators, "MAX_SWEEPS", 1)
+    with pytest.raises(ConvergenceError, match="in 1 sweeps") as info:
+        fit_lasso(X, Y, 0.1)
     assert info.value.last_iterate.shape == (2,)
     with pytest.raises(ConvergenceError) as info:
-        tune_penalty_kfold(X, Y, "ElasticNet", [0.1, 1.0], RegressorConfig(max_iters=1))
+        tune_penalty_kfold(X, Y, "ElasticNet", [0.1, 1.0])
     assert info.value.last_iterate.shape == (2,)
 
 
@@ -683,7 +697,7 @@ def test_tuning_selection_is_stable_under_reseeding():
     grid = [0.0, 0.03, 0.1, 0.3, 1.0]
     picks = {
         grid.index(
-            tune_penalty_kfold(X, Y, "Ridge", grid, RegressorConfig(seed=s))
+            tune_penalty_kfold(X, Y, "Ridge", grid, seed=s)
         )
         for s in range(10)
     }
@@ -707,9 +721,8 @@ def test_median_line_intercept_is_shift_equivariant(ys, shift):
     # constant and leaves the slope untouched (medians commute with shifts)
     x = np.arange(1.0, len(ys) + 1.0)
     X = np.column_stack([x, np.ones_like(x)])
-    cfg = RegressorConfig()
-    base = fit_theilsen(X, np.asarray(ys), cfg).coefficients
-    moved = fit_theilsen(X, np.asarray(ys) + shift, cfg).coefficients
+    base = fit_theilsen(X, np.asarray(ys)).coefficients
+    moved = fit_theilsen(X, np.asarray(ys) + shift).coefficients
     assert moved[0] == pytest.approx(base[0], abs=1e-9)
     assert moved[1] == pytest.approx(base[1] + shift, abs=1e-9)
 

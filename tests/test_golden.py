@@ -8,7 +8,9 @@ lines ``pathfuse experiment`` prints).
 Integration and Outlier are also pinned on a reduced protocol (one trial,
 30 samples per model) recorded in ``tests/data/golden_studies_small.json``;
 the test sets every cell of ``evaluation.BAND_POINTS`` to the record's
-``points_per_model``.
+``points_per_model``.  The Outlier study's full report at its pinned seed
+(sigma, clean sigma and ratio of all 81 rows) is pinned in
+``tests/data/golden_outlier_study.json``.
 """
 
 import json
@@ -26,11 +28,12 @@ from pathfuse.evaluation import (
 )
 from perfbench.workloads import load_golden, report_values
 
-from conftest import INTEGRATION_SEED, ORDER_SEED, ROBUST_SEED
+from conftest import INTEGRATION_SEED, ORDER_SEED, OUTLIER_SEED, ROBUST_SEED
 
 TOLERANCE_DB = 1e-12
 SMALL_GOLDEN = Path(__file__).with_name("data") / "golden_studies_small.json"
 GOLDEN_GATES = Path(__file__).with_name("data") / "golden_gates.json"
+OUTLIER_GOLDEN = Path(__file__).with_name("data") / "golden_outlier_study.json"
 
 
 def _assert_matches(expected, actual):
@@ -80,6 +83,15 @@ def test_integration_matches_the_benchmark_snapshot(integration_result):
 
 def test_outlier_study_passes_every_gate(outlier_result):
     _assert_gates_pass(outlier_result, 29)
+
+
+def test_outlier_study_matches_the_record(outlier_result):
+    with open(OUTLIER_GOLDEN) as fh:
+        record = json.load(fh)
+    spec = {"which": "OutlierStudy", "trials": 10, "seed": OUTLIER_SEED}
+    assert record["spec"] == spec
+    assert len(record["reports"]) == 81
+    _assert_matches(record["reports"], _study_values(outlier_result))
 
 
 def test_gates_match_the_record(

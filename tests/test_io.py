@@ -33,6 +33,8 @@ def test_unit_weights_load(tmp_path):
         "30.0,2.0,inf,a,1.0",  # non-finite loss
         "30.0,2.0,95.0,a,5.0",  # a weight no fit would read
         "30.0,2.0,95.0",  # no source id
+        "30.0,2.0,95.0,,1.0",  # an empty source id
+        "30.0,2.0,95.0, ,1.0",  # a blank one
     ],
 )
 def test_bad_sample_row_names_its_line(tmp_path, bad_row):
