@@ -34,6 +34,7 @@ from .estimators import (
     fit_ransac,
     fit_ridge,
     fit_theilsen,
+    mad_inliers,
     mad_scale,
     solve_wls,
     tune_penalty_kfold,

@@ -299,7 +299,7 @@ def build_parser():
     p.add_argument("--gas", choices=("on", "off"), default="on")
     p.add_argument("--band", help="fit only samples inside LO:HI GHz")
     p.add_argument("--registry", help="registry CSV for per-source sigmas")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seeds --robust ransac only")
     p.add_argument("--out", help="write fitted model JSON here")
     p.set_defaults(func=cmd_fit)
 

@@ -26,6 +26,9 @@ descent whose coefficients and residuals carry a candidate axis (Friedman,
 Hastie & Tibshirani 2010).  K-fold tuning standardizes each fold's training
 rows once and scores every candidate with one product.
 
+``mad_inliers`` is the package's one outlier cut, about the median residual:
+``fit_theilsen``'s mask, the pipeline's prefilter and the Robust study use it.
+
 Theil-Sen fits lines only: a two-column [x, constant] design.  The exact
 line selects its median slope without building all n(n-1)/2 slopes: the
 slopes below t are the inversions of ``y - t*x`` in x order (Matousek 1991;
@@ -78,6 +81,7 @@ __all__ = [
     "FitDiagnostics",
     "DEFAULT_PENALTY_GRID",
     "mad_scale",
+    "mad_inliers",
     "soft_threshold",
     "weighted_rms",
     "solve_wls",
@@ -110,6 +114,7 @@ KFOLD_K = 10  # folds of the penalty tuning
 DESCENT_TOL = 1e-10  # coordinate descent stops at updates <= this * max(1, max|w|)
 MAX_SWEEPS = 10000  # coordinate-descent sweeps before ConvergenceError
 ELASTICNET_MIX = 0.5  # L1 fraction of the tuned ElasticNet penalty
+RESIDUAL_MULTIPLIER = 3.0  # MAD scales of ``fit_theilsen``'s and the prefilter's cut
 
 
 @dataclass(frozen=True)
@@ -129,6 +134,19 @@ def mad_scale(residuals) -> float:
     if r.size == 0:
         return 0.0
     return 1.4826 * float(_median(np.abs(r - _median(r))))
+
+
+def mad_inliers(residuals, multiplier) -> np.ndarray:
+    """Rows within ``multiplier`` MAD scales of the median residual: all if the
+    scale is <= 1e-12 (no scatter), NumericError if it is not finite."""
+    r = np.asarray(residuals, dtype=float)
+    scale = mad_scale(r)
+    if not math.isfinite(scale):
+        raise NumericError(f"residual MAD scale is {scale}: the residuals "
+                           f"overflow or are not finite")
+    if scale <= 1e-12:
+        return np.ones(r.shape, dtype=bool)
+    return np.abs(r - _median(r)) <= multiplier * scale
 
 
 def _kth(v, ranks):
@@ -784,7 +802,8 @@ def fit_theilsen(X, Y) -> FitDiagnostics:
 
     The slope is the exact median of the pairwise slopes (selected, see
     ``_theilsen_line``), the intercept the median residual; the pairs with
-    distinct x are counted.  Any other design raises ConfigError.
+    distinct x are counted; the mask is ``mad_inliers`` at RESIDUAL_MULTIPLIER.
+    Any other design raises ConfigError; a line that is not finite, NumericError.
     """
     X, Y, _ = _as_system(X, Y)
     n, p = X.shape
@@ -797,12 +816,10 @@ def fit_theilsen(X, Y) -> FitDiagnostics:
         raise ConfigError(f"Theil-Sen fits lines only: the design must be "
                           f"[x, constant], got {p} columns")
     beta, used = _theilsen_line(X, Y, const_col, 1 - const_col)
-
-    resid = Y - X @ beta
-    scale = mad_scale(resid)
-    mask = (
-        np.abs(resid) <= 3.0 * scale if scale > 0.0 else np.ones(n, dtype=bool)
-    )
+    if not np.isfinite(beta).all():
+        raise NumericError(f"Theil-Sen line is not finite: slope "
+                           f"{beta[1 - const_col]}, intercept {beta[const_col]}")
+    mask = mad_inliers(Y - X @ beta, RESIDUAL_MULTIPLIER)
     return FitDiagnostics(coefficients=beta, inlier_mask=mask, iterations_used=used)
 
 

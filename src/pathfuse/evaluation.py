@@ -43,7 +43,7 @@ from .estimators import (
     fit_ransac,
     fit_ridge,
     fit_theilsen,
-    mad_scale,
+    mad_inliers,
     solve_wls,
     tune_penalty_kfold,
     weighted_rms,
@@ -442,10 +442,7 @@ def _robust_method_sigma(method, X, Y, seed, *, reject=True):
     elif method == "theil-sen":
         coef = fit_theilsen(X, Y).coefficients
         if reject:
-            resid = Y - X @ coef
-            scale = mad_scale(resid)
-            if scale > 1e-12:
-                keep = np.abs(resid) <= ROBUST_STUDY_FILTER_MULTIPLIER * scale
+            keep = mad_inliers(Y - X @ coef, ROBUST_STUDY_FILTER_MULTIPLIER)
             coef = solve_wls(X[keep], Y[keep])
     else:
         raise ConfigError(f"unknown robust-study method {method!r}")

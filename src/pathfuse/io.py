@@ -191,14 +191,17 @@ def load_model(path):
     try:
         with open(path) as fh:
             payload = json.load(fh)
+        if not isinstance(payload["gas_corrected"], bool):
+            raise ValueError(f"gas_corrected must be true or false, "
+                             f"got {payload['gas_corrected']!r}")
         return FittedModel(
             coefficients=CoefficientSet(
                 int(payload["order"]), tuple(payload["coefficients"])
             ),
             sigma=float(payload["sigma_db"]),
-            gas_corrected=bool(payload["gas_corrected"]),
-            freq_range=tuple(payload["freq_range_ghz"]),
-            dist_range=tuple(payload["dist_range_m"]),
+            gas_corrected=payload["gas_corrected"],
+            freq_range=_span(payload, "freq_range_ghz"),
+            dist_range=_span(payload, "dist_range_m"),
             weighting=payload.get("weighting", "Identity"),
             provenance=payload.get("provenance", {}),
         )
@@ -206,6 +209,16 @@ def load_model(path):
         raise DataError(f"cannot read model {path}: {exc}") from exc
     except (KeyError, ValueError, TypeError) as exc:
         raise DataError(f"{path} is not a saved model: {exc}") from exc
+
+
+def _span(payload, key):
+    """``payload[key]`` as (lo, hi) if it is two finite numbers with lo <= hi."""
+    span = payload[key]
+    if not (isinstance(span, list) and len(span) == 2
+            and all(type(v) in (int, float) and np.isfinite(v) for v in span)
+            and span[0] <= span[1]):
+        raise ValueError(f"{key} must be two finite numbers lo <= hi, got {span!r}")
+    return tuple(span)
 
 
 def load_reference_targets(keys=None):

@@ -65,50 +65,28 @@ DATA_TYPES = frozenset({"Measurement", "RayTracing", "Mixed"})
 #: number of free coefficients per polynomial order
 ORDER_SIZES = {1: 3, 2: 6, 3: 10}
 
-_COEFF_NAMES = {
-    1: ("alpha", "beta", "gamma"),
-    2: ("alpha", "beta", "gamma", "alpha2", "delta", "gamma2"),
-    3: (
-        "alpha",
-        "beta",
-        "gamma",
-        "alpha2",
-        "delta",
-        "gamma2",
-        "alpha3",
-        "eta",
-        "zeta",
-        "gamma3",
-    ),
-}
-
-_COLUMN_NAMES = {
-    1: ("Ld", "1", "Lf"),
-    2: ("Ld", "1", "Lf", "Ld^2", "Ld*Lf", "Lf^2"),
-    3: (
-        "Ld",
-        "1",
-        "Lf",
-        "Ld^2",
-        "Ld*Lf",
-        "Lf^2",
-        "Ld^3",
-        "Ld^2*Lf",
-        "Ld*Lf^2",
-        "Lf^3",
-    ),
-}
+#: an order's coefficient and design-column names are a prefix of these
+_COEFF_NAMES = (
+    "alpha", "beta", "gamma",  # order 1
+    "alpha2", "delta", "gamma2",  # order 2
+    "alpha3", "eta", "zeta", "gamma3",  # order 3
+)
+_COLUMN_NAMES = (
+    "Ld", "1", "Lf",
+    "Ld^2", "Ld*Lf", "Lf^2",
+    "Ld^3", "Ld^2*Lf", "Ld*Lf^2", "Lf^3",
+)
 
 
 def column_names(order: int) -> tuple[str, ...]:
     """Design-column labels for ``order`` (used in error messages/reports)."""
     _check_order(order)
-    return _COLUMN_NAMES[order]
+    return _COLUMN_NAMES[:ORDER_SIZES[order]]
 
 
 def coefficient_names(order: int) -> tuple[str, ...]:
     _check_order(order)
-    return _COEFF_NAMES[order]
+    return _COEFF_NAMES[:ORDER_SIZES[order]]
 
 
 def _check_order(order: int) -> None:

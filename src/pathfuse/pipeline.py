@@ -7,10 +7,10 @@ several frequencies) and produces a single log-polynomial surface:
 2. optionally subtract gaseous attenuation from each sample;
 3. optionally reject outliers: per source group, a robust reference line
    gives residuals (``robust`` names it: "TheilSen", the default, or
-   "RANSAC"; None skips the step), and samples beyond
-   ``RESIDUAL_MULTIPLIER`` times the group's MAD residual scale are dropped
-   -- per-group scales keep a high-variance campaign from being clipped by a
-   low-variance one;
+   "RANSAC"; None skips the step), and ``estimators.mad_inliers``, the one
+   cut, drops samples beyond ``RESIDUAL_MULTIPLIER`` MAD scales of the
+   group's median residual -- per-group scales keep a high-variance campaign
+   from being clipped by a low-variance one;
 4. weight the survivors by the configured policy;
 5. weighted least squares on the full design, rank-deficient designs allowed
    (two-frequency corpora make quadratic frequency columns collinear; the
@@ -40,11 +40,11 @@ import numpy as np
 from .atmosphere import load_default_table, remove_gas_loss
 from .errors import ConfigError, DataError, InsufficientDataError
 from .estimators import (
+    RESIDUAL_MULTIPLIER,
     FitDiagnostics,
-    _median,
-    _theilsen_line,
     fit_ransac,
-    mad_scale,
+    fit_theilsen,
+    mad_inliers,
     solve_wls,
     weighted_rms,
 )
@@ -65,15 +65,8 @@ __all__ = [
 
 WEIGHTING_POLICIES = ("Identity", "InverseVariance", "BalanceCount", "Mixture")
 
-#: a robust residual scale at or below this is treated as "no scatter";
-#: filtering is skipped for that group (nothing to reject on noiseless data)
-_SCALE_FLOOR = 1e-12
-
 #: groups smaller than this keep all samples (no meaningful scale estimate)
 _MIN_GROUP_FOR_FILTER = 3
-
-#: the prefilter cuts samples beyond this many MAD scales of their group
-RESIDUAL_MULTIPLIER = 3.0
 
 
 @dataclass(frozen=True)
@@ -153,9 +146,8 @@ def _robust_filter(batch, X, Y, cfg: PipelineConfig):
     and stays meaningful on corpora whose pooled design is collinear (an
     elemental-subset estimator cannot fit those at all).
 
-    Samples are cut at ``RESIDUAL_MULTIPLIER`` times the group's MAD scale
-    about the group's median residual; groups too small for a scale estimate
-    and groups with no measurable scatter are kept whole.
+    Each group's residuals about its line go through ``mad_inliers``; groups
+    too small for a scale estimate are kept whole.
     """
     _, group = batch.groups()
     by_group = np.argsort(group, kind="stable")  # each group's rows stay ascending
@@ -170,16 +162,11 @@ def _robust_filter(batch, X, Y, cfg: PipelineConfig):
         Xg = X[ix, :2]
         Yg = Y[ix]
         if cfg.robust == "RANSAC":
-            prefit = fit_ransac(Xg, Yg, seed=cfg.seed, column_names=names)
-            beta, used = prefit.coefficients, prefit.iterations_used
-        else:  # the line kernel alone: the filter needs no mask, RMS or condition
-            beta, used = _theilsen_line(Xg, Yg, 1, 0)
-        iterations += used
-        r = Yg - Xg @ beta
-        med = float(_median(r))
-        scale = mad_scale(r)
-        if scale > _SCALE_FLOOR:
-            keep[ix] = np.abs(r - med) <= RESIDUAL_MULTIPLIER * scale
+            fit = fit_ransac(Xg, Yg, seed=cfg.seed, column_names=names)
+        else:
+            fit = fit_theilsen(Xg, Yg)
+        keep[ix] = mad_inliers(Yg - Xg @ fit.coefficients, RESIDUAL_MULTIPLIER)
+        iterations += fit.iterations_used
     return keep, iterations
 
 
@@ -264,7 +251,7 @@ def fit_pathloss_model(samples, cfg: PipelineConfig, *, sigma_by_source=None):
             "freq_band": list(cfg.freq_band) if cfg.freq_band else None,
             "robust": cfg.robust,
             "residual_multiplier": RESIDUAL_MULTIPLIER if cfg.robust else None,
-            "seed": cfg.seed,
+            "seed": cfg.seed if cfg.robust == "RANSAC" else None,
             "n_input": len(samples),
             "n_in_band": n_in_band,
             "n_rejected": int(n_in_band - len(survivors)),

@@ -18,24 +18,12 @@ import zlib
 
 import numpy as np
 
-__all__ = ["substream", "spawn_children"]
-
-
-def _label_key(label: object) -> int:
-    return zlib.crc32(str(label).encode("utf-8"))
+__all__ = ["substream"]
 
 
 def substream(seed: int, *labels: object) -> np.random.Generator:
     """Return a Generator for the stream identified by ``(seed, *labels)``."""
     entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF]
-    entropy.extend(_label_key(lab) for lab in labels)
+    entropy.extend(zlib.crc32(str(lab).encode("utf-8")) for lab in labels)
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
-
-def spawn_children(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Split ``rng`` into ``n`` independent child generators.
-
-    The children are a deterministic function of the parent's state, and the
-    parent is advanced, so repeated calls give fresh streams.
-    """
-    return rng.spawn(n)

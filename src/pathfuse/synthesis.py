@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .models import SampleBatch, SourceModel, predict_abg
-from .seeding import spawn_children, substream
 
 __all__ = [
     "DISTANCE_SAMPLINGS",
@@ -152,7 +151,7 @@ def synthesize_corpus(
     ordered = sorted(models, key=lambda m: m.id)
     if len({m.id for m in ordered}) != len(ordered):
         raise ConfigError("source model ids must be unique within a corpus")
-    children = spawn_children(rng, len(ordered))
+    children = rng.spawn(len(ordered))
     parts = [synthesize_from_model(m, spec, c) for m, c in zip(ordered, children)]
     if not parts:
         return SampleBatch([], [], [], [])

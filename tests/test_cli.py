@@ -120,16 +120,49 @@ def test_fit_missing_samples_file_is_a_data_error(tmp_path, capsys):
     assert rc == 3
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
-def test_fit_whose_solution_overflows_is_a_numeric_error(tmp_path, capsys):
-    path = tmp_path / "huge.csv"
+def write_huge_corpus(path):
+    # path loss +-1e308: differences of two rows overflow to inf
     rows = [f"{10 + 5 * i},28,{(-1) ** i * 1e308},a" for i in range(40)]
     path.write_text("distance_m,freq_ghz,path_loss_db,source_id\n"
                     + "\n".join(rows) + "\n")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+def test_fit_whose_solution_overflows_is_a_numeric_error(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    write_huge_corpus(path)
+    rc, _, err = run(capsys, "fit", "--samples", str(path),
+                     "--weighting", "identity", "--robust", "none")
+    assert rc == 4
+    assert "solution is not finite" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+def test_fit_whose_prefilter_scale_overflows_is_a_numeric_error(tmp_path, capsys):
+    # the Theil-Sen prefilter stops the fit; it does not keep the group whole
+    path = tmp_path / "huge.csv"
+    write_huge_corpus(path)
     rc, _, err = run(capsys, "fit", "--samples", str(path),
                      "--weighting", "identity")
     assert rc == 4
-    assert "solution is not finite" in err
+    assert "error: residual MAD scale is inf" in err
+
+
+def test_fit_records_the_seed_only_for_ransac(tmp_path, capsys):
+    corpus = tmp_path / "c.csv"
+    run(capsys, "synth", "--band", "27.5:28.5", "--scenario", "UMiSC",
+        "--points-per-model", "60", "--seed", "3", "--out", str(corpus))
+    models = {}
+    for robust, seed in (("theil-sen", "0"), ("theil-sen", "5"), ("ransac", "5")):
+        models[robust, seed] = tmp_path / f"{robust}-{seed}.json"
+        rc, _, _ = run(capsys, "fit", "--samples", str(corpus), "--order", "1",
+                       "--robust", robust, "--seed", seed,
+                       "--out", str(models[robust, seed]))
+        assert rc == 0
+    theilsen = models["theil-sen", "0"].read_bytes()
+    assert theilsen == models["theil-sen", "5"].read_bytes()
+    assert json.loads(theilsen)["provenance"]["seed"] is None
+    assert load_model(models["ransac", "5"]).provenance["seed"] == 5
 
 
 def test_fit_blank_source_id_is_a_data_error(tmp_path, capsys):
@@ -192,6 +225,24 @@ def test_predict_adds_absorption_back_for_corrected_models(tmp_path, capsys):
                           "--d", "1000", "--f", "60")
     gap = float(out_fixed.strip().split()[0]) - float(out_raw.strip().split()[0])
     assert 14.0 < gap < 16.0  # oxygen line at 60 GHz over 1 km
+
+
+@pytest.mark.parametrize("key, value", [
+    ("freq_range_ghz", [28.0]),
+    ("dist_range_m", ["1", "2000"]),
+    ("gas_corrected", "no"),
+])
+def test_predict_malformed_model_is_a_data_error(key, value, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    _write_model(path)
+    payload = json.loads(path.read_text())
+    payload[key] = value
+    path.write_text(json.dumps(payload))
+    rc, out, err = run(capsys, "predict", "--model", str(path),
+                       "--d", "100", "--f", "28")
+    assert rc == 3
+    assert out == ""
+    assert f"{path} is not a saved model: {key} must be" in err
 
 
 def test_predict_range_guard_and_override(tmp_path, capsys):

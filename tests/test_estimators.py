@@ -23,6 +23,7 @@ from pathfuse.errors import (
     ConvergenceError,
     DegenerateDataError,
     InsufficientDataError,
+    NumericError,
     SingularSystemError,
 )
 from pathfuse.estimators import (
@@ -32,6 +33,7 @@ from pathfuse.estimators import (
     fit_ransac,
     fit_ridge,
     fit_theilsen,
+    mad_inliers,
     mad_scale,
     soft_threshold,
     solve_wls,
@@ -76,6 +78,33 @@ def test_mad_scale_symmetric_triplet():
     assert mad_scale([-1.0, 0.0, 1.0]) == pytest.approx(1.4826, abs=1e-12)
     assert mad_scale([]) == 0.0
     assert mad_scale([5.0, 5.0, 5.0]) == 0.0
+
+
+def test_mad_inliers_cuts_about_the_median():
+    rng = np.random.default_rng(8)
+    r = rng.normal(0.0, 1.0, 200)
+    r[:5] += 25.0
+    keep = mad_inliers(r, 3.0)
+    assert not keep[:5].any() and keep.sum() > 180
+    # shifted far from 0, a cut about 0 would drop every row
+    assert np.array_equal(mad_inliers(r + 40.0, 3.0), keep)
+
+
+def test_mad_inliers_keeps_every_row_without_scatter():
+    assert mad_inliers([5.0, 5.0, 5.0, 9.0], 3.0).all()
+    r = np.array([0.0, 1e-13, -1e-13, 2e-13, -2e-13, 5e-12])
+    assert 0.0 < mad_scale(r) <= 1e-12
+    assert mad_inliers(r, 3.0).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+@pytest.mark.parametrize("residuals", [
+    [0.0, 1.0, np.nan, 2.0],  # nan scale
+    [(-1.0) ** i * 1e308 for i in range(40)],  # |r - median| sums to inf
+])
+def test_mad_inliers_raises_on_a_scale_that_is_not_finite(residuals):
+    with pytest.raises(NumericError, match="residual MAD scale is"):
+        mad_inliers(residuals, 3.0)
 
 
 def test_soft_threshold():
@@ -309,6 +338,18 @@ class TestTheilSen:
         X = np.column_stack([np.full(5, 3.0), np.ones(5)])
         with pytest.raises(DegenerateDataError):
             fit_theilsen(X, np.arange(5.0))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+    @pytest.mark.parametrize("x, y, message", [
+        # path loss +-1e308 at 28 GHz: the line is 0, its residual scale inf
+        (10.0 * np.log10(10.0 + 5.0 * np.arange(40)),
+         [(-1.0) ** i * 1e308 for i in range(40)], "residual MAD scale is inf"),
+        # abscissae a subnormal apart: every slope overflows
+        ([0.0, 1e-309, 2e-309], [0.0, 1.0, 2.0], "Theil-Sen line is not finite"),
+    ])
+    def test_overflow_is_a_numeric_error(self, x, y, message):
+        with pytest.raises(NumericError, match=message):
+            self.line(np.asarray(x), y)
 
     def test_too_few_samples_raise(self):
         X = np.column_stack([np.arange(2.0), np.ones(2)])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pathfuse import pipeline
 from pathfuse.atmosphere import load_default_table
 from pathfuse.errors import ConfigError, DataError, DegenerateDataError, InsufficientDataError
 from pathfuse.estimators import fit_theilsen, mad_scale, weighted_rms
@@ -200,6 +201,36 @@ def test_theilsen_prefilter_cuts_about_the_public_line():
     assert not keep.all()
     assert np.array_equal(diag.inlier_mask, keep)
     assert diag.iterations_used == pairs + 1  # + the final solve
+
+
+def test_theilsen_prefilter_calls_the_public_fit_once_per_group(monkeypatch):
+    # the public call is what a tracer wraps; groups under 3 rows skip it
+    corpus = synthesize_corpus(
+        [make_model(id=f"m{f}ghz", frequency=f, sigma=6.0) for f in (2.0, 28.0)],
+        SynthesisSpec(points_per_model=80),
+        substream(5, "pipe"),
+    )
+    pair = corpus.take(np.arange(2))
+    corpus = SampleBatch(
+        np.concatenate([corpus.distance, pair.distance]),
+        np.concatenate([corpus.frequency, pair.frequency]),
+        np.concatenate([corpus.path_loss, pair.path_loss]),
+        np.concatenate([corpus.source_id, ["tiny"] * 2]),
+    )
+    fits = []
+
+    def counted(X, Y):
+        fits.append(fit_theilsen(X, Y))
+        return fits[-1]
+
+    monkeypatch.setattr(pipeline, "fit_theilsen", counted)
+    cfg = PipelineConfig(order=2, weighting="Identity", gas_correction=False)
+    _, diag = fit_pathloss_model(corpus, cfg)
+    assert [fit.inlier_mask.size for fit in fits] == [80, 80]
+    # each group's cut is its public fit's own mask; the pair is kept whole
+    masks = [fit.inlier_mask for fit in fits] + [[True, True]]
+    assert np.array_equal(diag.inlier_mask, np.concatenate(masks))
+    assert not diag.inlier_mask.all()
 
 
 def test_theilsen_prefilter_rejects_a_single_distance_group():
