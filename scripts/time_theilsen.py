@@ -12,10 +12,13 @@ distances in 10..500 m, slope 2, 6 dB noise, a fifth of the rows raised by
 ``close-pairs`` 50 abscissae each moved 1-3 ulps away from another: a
 rounding guard sized by the least x gap would make every bound useless;
 the guard per pair counts those pairs by their slopes instead.  For each
-case the kernel
-(``estimators._theilsen_line``) runs untimed once, then repeatedly for
-``--seconds`` (at least three times); the line printed holds the median and
-the spread of those times and the tracemalloc peak of one further call.
+case the kernel (``estimators._theilsen_line``) runs untimed once, then
+repeatedly for ``--seconds`` (at least three times); the line printed holds
+the median and the spread of those times and the tracemalloc peak of one
+further call.  The untimed call also counts its interval passes
+(``_inversions`` calls) and the ranks each selection round draws from the
+pivot stream ("-": all pairs at once, no round): round one draws 16n random
+row pairs, a later round only what aims its interval at ``PAIR_BUDGET``/4.
 """
 
 import argparse
@@ -25,6 +28,7 @@ import tracemalloc
 
 import numpy as np
 
+from pathfuse import estimators
 from pathfuse.estimators import _theilsen_line
 
 #: (name, rows, abscissae moved a few ulps away from another)
@@ -45,13 +49,35 @@ def campaign_line(n, moved):
     return np.column_stack([x, np.ones(n)]), y
 
 
+def counted_line(X, y):
+    """One kernel call; also its interval passes and the ranks drawn per round."""
+    passes, draws = [], []
+
+    class Pivots:  # the pivot stream, recording how many ranks each draw takes
+        def __init__(self, rng):
+            self.rng = rng
+
+        def integers(self, low, high, size):
+            draws.append(size[-1] if isinstance(size, tuple) else size)
+            return self.rng.integers(low, high, size)
+
+    inversions, substream = estimators._inversions, estimators.substream
+    estimators._inversions = lambda seq: passes.append(seq.size) or inversions(seq)
+    estimators.substream = lambda *labels: Pivots(substream(*labels))
+    try:
+        beta, pairs = _theilsen_line(X, y, 1, 0)
+    finally:
+        estimators._inversions, estimators.substream = inversions, substream
+    return beta, pairs, len(passes), draws
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seconds", type=float, default=1.0, help="timing per case")
     args = parser.parse_args(argv)
     for name, n, moved in CASES:
         X, y = campaign_line(n, moved)
-        beta, pairs = _theilsen_line(X, y, 1, 0)
+        beta, pairs, passes, draws = counted_line(X, y)
         times, stop = [], time.perf_counter() + args.seconds
         while len(times) < 3 or time.perf_counter() < stop:
             t0 = time.perf_counter()
@@ -64,7 +90,8 @@ def main(argv=None):
         q1, _, q3 = statistics.quantiles(times, n=4)
         print(f"{name:<19s} median {1e3 * statistics.median(times):9.3f} ms"
               f"  (q1 {1e3 * q1:.3f}, q3 {1e3 * q3:.3f}, {len(times)} runs)"
-              f"  peak {peak:6.2f} MB  pairs {pairs}  slope {float(beta[0])!r}")
+              f"  peak {peak:6.2f} MB  pairs {pairs}  slope {float(beta[0])!r}"
+              f"  passes {passes}  draws {'/'.join(map(str, draws)) or '-'}")
 
 
 if __name__ == "__main__":

@@ -35,9 +35,10 @@ slopes below t are the inversions of ``y - t*x`` in x order (Matousek 1991;
 Dillencourt, Mount & Netanyahu 1992).  At most ``PAIR_BUDGET`` slopes exist
 at a time; the closest pairs are placed by their slopes and a rounding guard
 for one cutoff gap covers the rest, so the result is ``np.median``'s to the
-bit.  Each selection is one single-kth ``np.partition`` per rank: numpy
-selects one kth 5-9 times faster than several.  RANSAC's subset draws and
-consensus scoring run in row blocks of ``ROW_BLOCK`` numbers.
+bit.  Rounds after the first draw just enough pairs to aim the next interval
+at ``PAIR_BUDGET``/4.  Each selection is one single-kth ``np.partition`` per
+rank: numpy selects one kth 5-9 times faster than several.  RANSAC's subset
+draws and consensus scoring run in row blocks of ``ROW_BLOCK`` numbers.
 
 Every SVD runs on one OpenBLAS thread (``_svd``), as a woken pool's idle
 worker busy-waits: 1.0 s of CPU in a 1.6 s Integration study (2-core Xeon).
@@ -678,15 +679,17 @@ def _middle_slopes(xs, ys, ranks, count, rng):
 
     c(t), the count of slopes below t, is the inversion count of the order
     of ``ys - t*xs`` (``_inversion_count``); [lo, hi) holds the pairs ordered
-    unlike at lo and hi, ranked by ``_inversions``.  Each round draws 16n of
-    its pairs (at first, random row pairs) and moves each bound just outside
-    the draws' middle while it keeps its rank, until [lo, hi) fits
-    ``PAIR_BUDGET`` or stops shrinking.  Rounding misorders a pair at t only
-    within about eps * (max|y| + |t| max|x|) / (its x gap) of its slope: the
-    at most n pairs closer than delta (a gap quantile) are placed by slope
-    unless [lo, hi) lists them, and the guard for gap delta covers the rest.
-    It doubles until [lo, hi) lists c(hi) - c(lo) far pairs and both slopes
-    lie a guard inside; at |t|/2, bounds at -inf and +inf list every pair.
+    unlike at lo and hi, ranked by ``_inversions``.  Round one draws 16n row
+    pairs, each later one min(16n, max(1024, (16 size / PAIR_BUDGET)^2)) of
+    the size pairs in [lo, hi), which aims the next [lo, hi) at PAIR_BUDGET/4.
+    Each bound moves just outside the draws' middle while it keeps its rank,
+    until [lo, hi) fits ``PAIR_BUDGET`` or stops shrinking.  Rounding
+    misorders a pair at t only within about eps * (max|y| + |t| max|x|) /
+    (its x gap) of its slope: the at most n pairs closer than delta (a gap
+    quantile) are placed by slope unless [lo, hi) lists them, and the guard
+    for gap delta covers the rest.  It doubles until [lo, hi) lists
+    c(hi) - c(lo) far pairs and both slopes lie a guard inside; at |t|/2,
+    bounds at -inf and +inf list every pair.
     """
     n, after = xs.size, np.searchsorted(xs, xs, side="right")  # next larger x
     gaps = np.diff(xs)
@@ -740,7 +743,8 @@ def _middle_slopes(xs, ys, ranks, count, rng):
     rounds = count > PAIR_BUDGET and 2.0 * tol * xmax < 1.0  # else bounds prove nothing
     first, size, slopes, ok = (0, count, None, True) if rounds else interval(lo, hi)
     while rounds and size > PAIR_BUDGET:
-        s = slopes(np.sort(rng.integers(0, size, 16 * n))) if slopes else pair_draws()
+        draws = min(16 * n, max(1024, (16 * size) ** 2 // PAIR_BUDGET**2))
+        s = slopes(np.sort(rng.integers(0, size, draws))) if slopes else pair_draws()
         at = np.subtract(ranks, first) / size
         at = (at + np.array([-2, 2]) / math.sqrt(s.size)) * s.size
         t_lo, t_hi = _kth(s, np.clip(at.astype(int), 0, s.size - 1))
@@ -791,10 +795,7 @@ def _theilsen_line(X, Y, const_col, var_col):
         low, high = _middle_slopes(xs, ys, ranks, count, rng)
     slope = float((low + high + 0.0) / 2)  # np.median's mean: the sum from +0.0
     intercept = float(_median(Y - slope * x)) / X[0, const_col]
-    beta = np.zeros(2)
-    beta[var_col] = slope
-    beta[const_col] = intercept
-    return beta, count
+    return np.array([intercept, slope] if var_col else [slope, intercept]), count
 
 
 def fit_theilsen(X, Y) -> FitDiagnostics:

@@ -191,15 +191,17 @@ def load_model(path):
     try:
         with open(path) as fh:
             payload = json.load(fh)
-        if not isinstance(payload["gas_corrected"], bool):
-            raise ValueError(f"gas_corrected must be true or false, "
-                             f"got {payload['gas_corrected']!r}")
+        order, sigma, gas = (payload[k] for k in ("order", "sigma_db", "gas_corrected"))
+        if type(gas) is not bool:
+            raise ValueError(f"gas_corrected must be true or false, got {gas!r}")
+        if type(order) is not int:
+            raise ValueError(f"order must be an integer, got {order!r}")
+        if type(sigma) not in (int, float) or not 0 < sigma < np.inf:
+            raise ValueError(f"sigma_db must be a finite number > 0, got {sigma!r}")
         return FittedModel(
-            coefficients=CoefficientSet(
-                int(payload["order"]), tuple(payload["coefficients"])
-            ),
-            sigma=float(payload["sigma_db"]),
-            gas_corrected=payload["gas_corrected"],
+            coefficients=CoefficientSet(order, tuple(payload["coefficients"])),
+            sigma=float(sigma),
+            gas_corrected=gas,
             freq_range=_span(payload, "freq_range_ghz"),
             dist_range=_span(payload, "dist_range_m"),
             weighting=payload.get("weighting", "Identity"),

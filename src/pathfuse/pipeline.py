@@ -146,8 +146,8 @@ def _robust_filter(batch, X, Y, cfg: PipelineConfig):
     and stays meaningful on corpora whose pooled design is collinear (an
     elemental-subset estimator cannot fit those at all).
 
-    Each group's residuals about its line go through ``mad_inliers``; groups
-    too small for a scale estimate are kept whole.
+    Each group keeps the ``mad_inliers`` of its residuals (``fit_theilsen``'s
+    own mask); groups too small for a scale estimate are kept whole.
     """
     _, group = batch.groups()
     by_group = np.argsort(group, kind="stable")  # each group's rows stay ascending
@@ -161,11 +161,12 @@ def _robust_filter(batch, X, Y, cfg: PipelineConfig):
             continue
         Xg = X[ix, :2]
         Yg = Y[ix]
-        if cfg.robust == "RANSAC":
+        if cfg.robust == "RANSAC":  # its own mask is a threshold cut
             fit = fit_ransac(Xg, Yg, seed=cfg.seed, column_names=names)
+            keep[ix] = mad_inliers(Yg - Xg @ fit.coefficients, RESIDUAL_MULTIPLIER)
         else:
             fit = fit_theilsen(Xg, Yg)
-        keep[ix] = mad_inliers(Yg - Xg @ fit.coefficients, RESIDUAL_MULTIPLIER)
+            keep[ix] = fit.inlier_mask
         iterations += fit.iterations_used
     return keep, iterations
 

@@ -231,6 +231,15 @@ def test_predict_adds_absorption_back_for_corrected_models(tmp_path, capsys):
     ("freq_range_ghz", [28.0]),
     ("dist_range_m", ["1", "2000"]),
     ("gas_corrected", "no"),
+    ("order", 1.9),
+    ("order", True),
+    ("order", "1"),
+    ("sigma_db", True),
+    ("sigma_db", 0),
+    ("sigma_db", -4.0),
+    ("sigma_db", float("nan")),
+    ("sigma_db", float("inf")),
+    ("sigma_db", "4"),
 ])
 def test_predict_malformed_model_is_a_data_error(key, value, tmp_path, capsys):
     path = tmp_path / "m.json"

@@ -423,12 +423,14 @@ class TestRansac:
 
 def pairwise_median_line(x, y):
     """Reference: build every pair's slope, then take np.median of them all."""
-    i, j = np.triu_indices(x.size, 1)
-    dx = x[i] - x[j]
-    keep = dx != 0.0
-    slopes = (y[i] - y[j])[keep] / dx[keep]
-    slope = float(np.median(slopes))
-    return slope, float(np.median(y - slope * x)), int(slopes.size)
+    slopes, used = np.empty(x.size * (x.size - 1) // 2), 0
+    for k in range(x.size - 1):  # row by row, the pairs (k, j > k)
+        dx = x[k] - x[k + 1:]
+        keep = dx != 0.0
+        row = (y[k] - y[k + 1:])[keep] / dx[keep]
+        slopes[used:used + row.size], used = row, used + row.size
+    slope = float(np.median(slopes[:used], overwrite_input=True))
+    return slope, float(np.median(y - slope * x)), used
 
 
 def line_data(family, n, seed):
@@ -623,6 +625,35 @@ def test_line_of_25k_rows_fits_in_bounded_memory():
     fit, peak = peak_mb(lambda: fit_line(x, y))
     assert peak < 100.0
     assert fit.iterations_used == n * (n - 1) // 2
+
+
+def test_later_rounds_draw_only_what_the_budget_needs(monkeypatch):
+    # round two draws enough ranks to aim its interval at PAIR_BUDGET/4, not 16n
+    n = 8_000
+    passes, inversions = [], estimators._inversions
+    monkeypatch.setattr(estimators, "_inversions",
+                        lambda seq: passes.append(seq.size) or inversions(seq))
+    draws = []
+
+    class Pivots:  # the pivot stream, recording each draw's (range, size)
+        def __init__(self, rng):
+            self.rng = rng
+
+        def integers(self, low, high, size):
+            draws.append((high, size))
+            return self.rng.integers(low, high, size)
+
+    monkeypatch.setattr(estimators, "substream",
+                        lambda *labels: Pivots(substream(*labels)))
+    x, y = contaminated_campaign(n, seed=3)
+    fit = fit_line(x, y)
+    assert len(passes) == 2  # two interval passes
+    (_, first), (size, second) = draws  # round one: 16n row pairs
+    assert first == (2, 16 * n)
+    assert second == (16 * size) ** 2 // estimators.PAIR_BUDGET**2 <= 2 * n
+    slope, intercept, pairs = pairwise_median_line(x, y)
+    assert fit.coefficients.tolist() == [slope, intercept]
+    assert fit.iterations_used == pairs
 
 
 def test_ransac_scores_in_row_blocks():

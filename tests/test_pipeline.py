@@ -204,7 +204,8 @@ def test_theilsen_prefilter_cuts_about_the_public_line():
 
 
 def test_theilsen_prefilter_calls_the_public_fit_once_per_group(monkeypatch):
-    # the public call is what a tracer wraps; groups under 3 rows skip it
+    # the public call is what a tracer wraps, and its mask is the group's one
+    # cut; groups under 3 rows skip it
     corpus = synthesize_corpus(
         [make_model(id=f"m{f}ghz", frequency=f, sigma=6.0) for f in (2.0, 28.0)],
         SynthesisSpec(points_per_model=80),
@@ -223,7 +224,11 @@ def test_theilsen_prefilter_calls_the_public_fit_once_per_group(monkeypatch):
         fits.append(fit_theilsen(X, Y))
         return fits[-1]
 
+    def recut(residuals, multiplier):
+        raise AssertionError("a Theil-Sen group is cut again")
+
     monkeypatch.setattr(pipeline, "fit_theilsen", counted)
+    monkeypatch.setattr(pipeline, "mad_inliers", recut)
     cfg = PipelineConfig(order=2, weighting="Identity", gas_correction=False)
     _, diag = fit_pathloss_model(corpus, cfg)
     assert [fit.inlier_mask.size for fit in fits] == [80, 80]
