@@ -7,7 +7,6 @@ runs but a benchmark gate fails.
 """
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -35,6 +34,7 @@ from .io import (
     save_study_json,
     sigma_map,
     write_study_csv,
+    write_study_json,
 )
 from .models import SCENARIOS
 from .pipeline import PipelineConfig, fit_pathloss_model
@@ -206,10 +206,9 @@ def cmd_experiment(args):
     spec = ExperimentSpec(which=which, trials=args.trials, seed=args.seed)
     registry = load_registry(args.registry) if args.registry else None
     result = run_experiment(spec, registry=registry)
-    if args.format == "csv" and not args.out_dir:
-        buf = io.StringIO()
-        write_study_csv(result, buf)
-        print(buf.getvalue(), end="")
+    if args.format:
+        write = write_study_csv if args.format == "csv" else write_study_json
+        write(result, sys.stdout)
     for r in result.reports:
         cell = ""
         if r.scenario:
@@ -328,12 +327,8 @@ def build_parser():
         "--out-dir",
         help="write report files here (JSON + CSV, plus any study extras)",
     )
-    p.add_argument(
-        "--format",
-        choices=("json", "csv"),
-        default="json",
-        help="with no --out-dir, csv dumps the report rows to stdout",
-    )
+    p.add_argument("--format", choices=("json", "csv"),
+                   help="also write the report to stdout: json (as saved) or csv rows")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("gas", help="query the gas-attenuation table")

@@ -293,7 +293,8 @@ def solve_wls(
     ``info`` (with ``return_info=True``) holds the condition number, rank,
     shape and ``leverage``: the hat-matrix diagonal h_ii of the weighted
     system over the retained singular directions.  The exact leave-one-out
-    residual of row i is r_i / (1 - h_ii) (Hoaglin & Welsch 1978).
+    residual of row i is r_i / (1 - h_ii) (Hoaglin & Welsch 1978); the
+    pipeline's fit records their weighted RMS as ``loocv_db``.
 
     Its SVD, the one call that woke OpenBLAS's pool (6+ columns, ~1,700+
     rows), runs on one thread: 0.43-0.48 ms at 8,000 x 6; two took 16 ms.

@@ -50,7 +50,7 @@ from .estimators import (
 )
 from .io import load_registry, load_reference_targets, sigma_map
 from .models import build_design_system, coefficient_names, design_matrix
-from .pipeline import PipelineConfig, _prepare_system, fit_pathloss_model
+from .pipeline import PipelineConfig, fit_pathloss_model
 from .seeding import substream
 from .synthesis import (
     OutlierSpec,
@@ -226,23 +226,12 @@ def error_ratio(sigma_contaminated: float, sigma_clean: float) -> float:
     return 100.0 * (sigma_contaminated - sigma_clean) / sigma_clean
 
 
-def _loo_residuals(X, Y, w):
-    """Exact leave-one-sample-out residuals of the weighted fit on (X, Y, w).
-
-    Uses the standard deletion identity r_i/(1 - h_ii), where h_ii is the
-    leverage of row i in the weighted system -- no refitting.  The solver
-    reports the leverages from its own SVD and rank cutoff.
-    """
-    coef, info = solve_wls(X, Y, w, allow_rank_deficient=True, return_info=True)
-    return (Y - X @ coef) / np.maximum(1.0 - info["leverage"], 1e-12)
-
-
 def loocv(models, cfg: PipelineConfig, *, synthesis: SynthesisSpec, trials=1, seed=0):
     """Leave-one-sample-out cross-validation error (dB) of each trial, as a list.
 
-    Per trial, synthesize one pooled corpus from all models, fit once, and
-    take the weighted RMS of the exact leave-one-sample-out residuals
-    (deletion identity; no refitting).
+    Per trial, synthesize one pooled corpus from all models, fit it once with
+    ``fit_pathloss_model`` and take the fit's ``provenance["loocv_db"]``: the
+    exact deletion residuals from its own solve (no refitting).
     """
     models = sorted(models, key=lambda m: m.id)
     if len(models) < 3:
@@ -250,11 +239,10 @@ def loocv(models, cfg: PipelineConfig, *, synthesis: SynthesisSpec, trials=1, se
     sigmas = sigma_map(models)
     per_trial = []
     for t in range(trials):
-        corpus = synthesize_corpus(
-            models, synthesis, substream(seed, "loocv", "synth", t)
-        )
-        _, X, Y, w, _, _, _ = _prepare_system(corpus, cfg, sigma_by_source=sigmas)
-        per_trial.append(weighted_rms(_loo_residuals(X, Y, w), w))
+        rng = substream(seed, "loocv", "synth", t)
+        corpus = synthesize_corpus(models, synthesis, rng)
+        model, _ = fit_pathloss_model(corpus, cfg, sigma_by_source=sigmas)
+        per_trial.append(model.provenance["loocv_db"])
     return per_trial
 
 

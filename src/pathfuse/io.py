@@ -179,7 +179,6 @@ def save_model(model, path):
         "gas_corrected": model.gas_corrected,
         "freq_range_ghz": list(model.freq_range),
         "dist_range_m": list(model.dist_range),
-        "weighting": model.weighting,
         "provenance": _jsonable(model.provenance),
     }
     with open(path, "w") as fh:
@@ -191,21 +190,28 @@ def load_model(path):
     try:
         with open(path) as fh:
             payload = json.load(fh)
-        order, sigma, gas = (payload[k] for k in ("order", "sigma_db", "gas_corrected"))
+        order, sigma, gas, coeffs = (
+            payload[k] for k in ("order", "sigma_db", "gas_corrected", "coefficients")
+        )
+        provenance = payload.get("provenance", {})
         if type(gas) is not bool:
             raise ValueError(f"gas_corrected must be true or false, got {gas!r}")
         if type(order) is not int:
             raise ValueError(f"order must be an integer, got {order!r}")
         if type(sigma) not in (int, float) or not 0 < sigma < np.inf:
             raise ValueError(f"sigma_db must be a finite number > 0, got {sigma!r}")
+        if not (isinstance(coeffs, list)
+                and all(type(v) in (int, float) for v in coeffs)):
+            raise ValueError(f"coefficients must be a list of numbers, got {coeffs!r}")
+        if not isinstance(provenance, dict):
+            raise ValueError(f"provenance must be a JSON object, got {provenance!r}")
         return FittedModel(
-            coefficients=CoefficientSet(order, tuple(payload["coefficients"])),
+            coefficients=CoefficientSet(order, tuple(coeffs)),
             sigma=float(sigma),
             gas_corrected=gas,
             freq_range=_span(payload, "freq_range_ghz"),
             dist_range=_span(payload, "dist_range_m"),
-            weighting=payload.get("weighting", "Identity"),
-            provenance=payload.get("provenance", {}),
+            provenance=provenance,
         )
     except OSError as exc:
         raise DataError(f"cannot read model {path}: {exc}") from exc
@@ -259,10 +265,15 @@ def _check_keys(value, keys, path, where=""):
         _check_keys(value[key], below, path, f"{where}.{key}" if where else key)
 
 
+def write_study_json(result, fh):
+    """The whole study (reports, raw trial data, extras) as one JSON document."""
+    json.dump(_jsonable(result), fh, indent=2)
+    fh.write("\n")
+
+
 def save_study_json(result, path):
     with open(path, "w") as fh:
-        json.dump(_jsonable(result), fh, indent=2)
-        fh.write("\n")
+        write_study_json(result, fh)
 
 
 def save_grid_csv(distances_m, freqs_ghz, grid_db, path):

@@ -314,14 +314,15 @@ class CoefficientSet:
 
 @dataclass(frozen=True)
 class FittedModel:
-    """A fitted surface plus everything needed to reuse it honestly."""
+    """A fitted surface plus everything needed to reuse it honestly.  A pipeline
+    fit's ``provenance`` records its config (the weighting policy too), sample
+    counts, design rank and condition, and ``loocv_db``."""
 
     coefficients: CoefficientSet
     sigma: float  # dB, weighted residual std on retained samples
     gas_corrected: bool
     freq_range: tuple  # (GHz, GHz) span of the samples actually fitted
     dist_range: tuple  # (m, m)
-    weighting: str = "Identity"
     provenance: dict = field(default_factory=dict)
 
     @property

@@ -15,7 +15,9 @@ several frequencies) and produces a single log-polynomial surface:
 5. weighted least squares on the full design, rank-deficient designs allowed
    (two-frequency corpora make quadratic frequency columns collinear; the
    minimal-norm solution is taken and the deficiency recorded);
-6. sigma = weighted residual std over the fitted samples.
+6. sigma = weighted residual std over the fitted samples;
+7. LOOCV = weighted RMS of the exact leave-one-sample-out residuals, from
+   the leverages of the same solve (``provenance["loocv_db"]``).
 
 Group weighting policies (normalized to mean 1 over the corpus):
 
@@ -171,14 +173,17 @@ def _robust_filter(batch, X, Y, cfg: PipelineConfig):
     return keep, iterations
 
 
-def _prepare_system(samples, cfg: PipelineConfig, *, sigma_by_source=None):
-    """Front half of the pipeline, shared with the cross-validation code.
+def fit_pathloss_model(samples, cfg: PipelineConfig, *, sigma_by_source=None):
+    """Run the pipeline on a SampleBatch; returns ``(FittedModel, FitDiagnostics)``.
 
-    Band-filters, removes gas loss, applies the robust rejection, and
-    computes the sample weights.  Returns
-    ``(survivors, X, Y, w, keep_mask, n_in_band, prefit_iters)`` where ``Y``
-    is in the (possibly gas-corrected) units the solver sees.  ``samples``
-    is a SampleBatch.
+    ``sigma_by_source`` maps source ids to published shadow-fading sigmas and
+    is required for the variance-aware weighting policies.  The RANSAC
+    prefilter draws from ``cfg.seed``.  Gas correction uses the default table.
+
+    ``provenance["loocv_db"]`` is the weighted RMS of the exact
+    leave-one-sample-out residuals r_i / (1 - h_ii) over the fitted samples,
+    with the leverages h_ii from the fit's own ``solve_wls`` call: refitting
+    without sample i (same weights, prefilter kept) gives that residual.
     """
     p = ORDER_SIZES[cfg.order]
     if cfg.freq_band is not None:
@@ -199,52 +204,28 @@ def _prepare_system(samples, cfg: PipelineConfig, *, sigma_by_source=None):
 
     if cfg.robust is not None:
         keep, prefit_iters = _robust_filter(work, X, Y, cfg)
-        survivors = work.take(keep)
-        Xs, Ys = X[keep], Y[keep]
+        work, X, Y = work.take(keep), X[keep], Y[keep]
     else:
-        keep = np.ones(n_in_band, dtype=bool)
-        survivors, Xs, Ys = work, X, Y
-        prefit_iters = 0
-    if len(survivors) < p:
+        keep, prefit_iters = np.ones(n_in_band, dtype=bool), 0
+    if len(work) < p:
         raise InsufficientDataError(
-            f"only {len(survivors)} samples survive outlier rejection; "
+            f"only {len(work)} samples survive outlier rejection; "
             f"need at least {p}"
         )
 
-    w = compute_weights(survivors, cfg.weighting, sigma_by_source)
-    return survivors, Xs, Ys, w, keep, n_in_band, prefit_iters
+    w = compute_weights(work, cfg.weighting, sigma_by_source)
+    coeffs, info = solve_wls(X, Y, w, allow_rank_deficient=True,
+                             column_names=column_names(cfg.order), return_info=True)
+    resid = Y - X @ coeffs
+    loo_resid = resid / np.maximum(1.0 - info["leverage"], 1e-12)
 
-
-def fit_pathloss_model(samples, cfg: PipelineConfig, *, sigma_by_source=None):
-    """Run the pipeline on a SampleBatch; returns ``(FittedModel, FitDiagnostics)``.
-
-    ``sigma_by_source`` maps source ids to published shadow-fading sigmas and
-    is required for the variance-aware weighting policies.  The RANSAC
-    prefilter draws from ``cfg.seed``.  Gas correction uses the default table.
-    """
-    p = ORDER_SIZES[cfg.order]
-    survivors, Xs, Ys, w, keep, n_in_band, prefit_iters = _prepare_system(
-        samples, cfg, sigma_by_source=sigma_by_source
-    )
-    coeffs, info = solve_wls(
-        Xs,
-        Ys,
-        w,
-        allow_rank_deficient=True,
-        column_names=column_names(cfg.order),
-        return_info=True,
-    )
-    resid = Ys - Xs @ coeffs
-    sigma = weighted_rms(resid, w)
-
-    d, f = survivors.distance, survivors.frequency
+    d, f = work.distance, work.frequency
     model = FittedModel(
         coefficients=CoefficientSet(cfg.order, tuple(coeffs)),
-        sigma=sigma,
+        sigma=weighted_rms(resid, w),
         gas_corrected=cfg.gas_correction,
         freq_range=(float(f.min()), float(f.max())),
         dist_range=(float(d.min()), float(d.max())),
-        weighting=cfg.weighting,
         provenance={
             "order": cfg.order,
             "weighting": cfg.weighting,
@@ -255,15 +236,13 @@ def fit_pathloss_model(samples, cfg: PipelineConfig, *, sigma_by_source=None):
             "seed": cfg.seed if cfg.robust == "RANSAC" else None,
             "n_input": len(samples),
             "n_in_band": n_in_band,
-            "n_rejected": int(n_in_band - len(survivors)),
-            "n_fitted": len(survivors),
+            "n_rejected": int(n_in_band - len(work)),
+            "n_fitted": len(work),
             "design_rank": info["rank"],
             "rank_deficient": info["rank"] < p,
             "condition": info["condition"],
+            "loocv_db": weighted_rms(loo_resid, w),
         },
     )
-    diagnostics = FitDiagnostics(
-        coefficients=coeffs, inlier_mask=keep, iterations_used=prefit_iters + 1
-    )
-    return model, diagnostics
+    return model, FitDiagnostics(coeffs, keep, iterations_used=prefit_iters + 1)
 

@@ -1,7 +1,10 @@
-"""The public surface: every name a module exports exists."""
+"""The public surface: every name a module exports exists, and no module
+imports another's private names."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -19,3 +22,18 @@ def test_every_exported_name_exists(name):
     module = importlib.import_module(f"pathfuse.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # a private helper shared across modules is a public API in disguise
+    crossings = []
+    for name in MODULES:
+        path = Path(pathfuse.__path__[0]) / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            internal = node.level > 0 or (node.module or "").startswith("pathfuse")
+            crossings += [f"{name}: {node.module}.{alias.name}"
+                          for alias in node.names
+                          if internal and alias.name.startswith("_")]
+    assert crossings == []

@@ -190,7 +190,6 @@ def _write_model(path, *, gas_corrected=False,
         freq_range=(1.0, 80.0),
         dist_range=(1.0, 2000.0),
         gas_corrected=gas_corrected,
-        weighting="Identity",
         provenance={"n_fitted": 100, "rank_deficient": False},
     )
     save_model(model, path)
@@ -240,6 +239,11 @@ def test_predict_adds_absorption_back_for_corrected_models(tmp_path, capsys):
     ("sigma_db", float("nan")),
     ("sigma_db", float("inf")),
     ("sigma_db", "4"),
+    ("coefficients", ["3.5", 25.0, 2.0]),
+    ("coefficients", [True, 25.0, 2.0]),
+    ("coefficients", 3.5),
+    ("provenance", 7),
+    ("provenance", ["n_fitted", 100]),
 ])
 def test_predict_malformed_model_is_a_data_error(key, value, tmp_path, capsys):
     path = tmp_path / "m.json"
@@ -252,6 +256,19 @@ def test_predict_malformed_model_is_a_data_error(key, value, tmp_path, capsys):
     assert rc == 3
     assert out == ""
     assert f"{path} is not a saved model: {key} must be" in err
+
+
+def test_predict_ignores_a_top_level_weighting(tmp_path, capsys):
+    # model files once carried a copy of provenance["weighting"] at the top
+    path = tmp_path / "m.json"
+    _write_model(path)
+    payload = json.loads(path.read_text())
+    payload["weighting"] = "Identity"
+    path.write_text(json.dumps(payload))
+    rc, out, _ = run(capsys, "predict", "--model", str(path),
+                     "--d", "100", "--f", "2")
+    assert rc == 0
+    assert float(out.strip().split()[0]) == pytest.approx(101.0206, abs=1e-3)
 
 
 def test_predict_range_guard_and_override(tmp_path, capsys):
@@ -348,6 +365,15 @@ def test_experiment_csv_to_stdout(capsys):
     rows = list(csv.DictReader(csv_lines))
     methods = {r["method"] for r in rows}
     assert "linear-abg" in methods and "cubic-abg" in methods
+
+
+def test_experiment_json_to_stdout(capsys):
+    rc, out, _ = run(capsys, "experiment", "--which", "table2", "--trials", "3",
+                     "--seed", "0", "--format", "json")
+    assert rc == 0
+    payload, end = json.JSONDecoder().raw_decode(out)
+    assert payload["study"] == "OrderStudy"
+    assert out[end:].lstrip().startswith("linear-abg")
 
 
 def test_experiment_headline_robustness_number(tmp_path, capsys):

@@ -21,7 +21,7 @@ from pathfuse.models import (
     SampleBatch,
     build_design_system,
 )
-from pathfuse.pipeline import PipelineConfig, compute_weights
+from pathfuse.pipeline import PipelineConfig, compute_weights, fit_pathloss_model
 from pathfuse.seeding import substream
 from pathfuse.synthesis import SynthesisSpec, synthesize_corpus
 
@@ -45,7 +45,6 @@ def _flat_zero_model():
         freq_range=(1.0, 100.0),
         dist_range=(1.0, 1000.0),
         gas_corrected=False,
-        weighting="Identity",
         provenance={},
     )
 
@@ -71,7 +70,6 @@ def test_predict_total_adds_gas_only_when_removed():
         freq_range=raw.freq_range,
         dist_range=raw.dist_range,
         gas_corrected=True,
-        weighting="Identity",
         provenance={},
     )
     lifted = predict_total(corrected, 1000.0, 60.0)
@@ -110,6 +108,34 @@ def test_sample_scheme_matches_explicit_refits():
         beta = solve_wls(X[keep], Y[keep], w[keep])
         resid[i] = Y[i] - X[i] @ beta
     assert got == pytest.approx(weighted_rms(resid, w), abs=1e-8)
+
+
+def test_fit_records_the_loocv_of_its_prefiltered_weighted_fit():
+    # with the Theil-Sen prefilter and Mixture weights, the recorded LOOCV is
+    # that of literal refits over the survivors, each left out in turn
+    models = _trio()
+    sigmas = {m.id: m.sigma for m in models}
+    corpus = synthesize_corpus(models, SynthesisSpec(points_per_model=30),
+                               substream(5, "loocv", "spikes"))
+    hit = [4, 33, 71]
+    loss = corpus.path_loss.copy()
+    loss[hit] += 60.0
+    spiked = corpus.with_path_loss(loss)
+    cfg = PipelineConfig(order=1, weighting="Mixture", robust="TheilSen",
+                         gas_correction=False)
+    model, diag = fit_pathloss_model(spiked, cfg, sigma_by_source=sigmas)
+    assert not diag.inlier_mask[hit].any()
+
+    survivors = spiked.take(diag.inlier_mask)
+    X, Y = build_design_system(survivors, order=1)
+    w = compute_weights(survivors, "Mixture", sigmas)
+    resid = np.empty(len(Y))
+    for i in range(len(Y)):
+        keep = np.arange(len(Y)) != i
+        beta = solve_wls(X[keep], Y[keep], w[keep])
+        resid[i] = Y[i] - X[i] @ beta
+    assert model.provenance["loocv_db"] == pytest.approx(weighted_rms(resid, w),
+                                                         abs=1e-8)
 
 
 def test_loocv_vanishes_on_noiseless_models():
