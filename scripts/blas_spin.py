@@ -8,8 +8,11 @@ Run from the root of a checkout:
 Runs each of the four studies once at its pinned seed (trials=10: Order at
 seed 0, the rest at seed 1), then ``pathfuse fit`` on the benchmark's
 ``campaign-fit`` corpus (seed 0).  For each it prints the wall time, the
-process CPU time (``time.process_time``, all threads) and the CPU time of
-every thread but the calling one, read from ``/proc/self/task/*/schedstat``:
+process CPU time (``time.process_time``, all threads), the CPU time of the
+worker processes the run forked and joined (the Integration and Outlier
+studies map their trials over one worker per CPU; read from
+``resource.getrusage(RUSAGE_CHILDREN)``) and the CPU time of every thread of
+this process but the calling one, read from ``/proc/self/task/*/schedstat``:
 OpenBLAS's idle workers busy-wait after a threaded call wakes them, and that
 spin shows here.  Where schedstat cannot be read the last column says
 "unavailable".  Before each run the helper threads are left to fall asleep,
@@ -18,6 +21,7 @@ includes the spin it caused.
 """
 
 import os
+import resource
 import tempfile
 import threading
 import time
@@ -56,6 +60,12 @@ def helper_cpu_s():
     return total / 1e9
 
 
+def children_cpu_s():
+    """CPU seconds (user + system) of every child process joined so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def settled_helper_cpu_s():
     """``helper_cpu_s`` once two readings ``SETTLE_S`` apart agree (or after ten)."""
     last = helper_cpu_s()
@@ -70,14 +80,15 @@ def settled_helper_cpu_s():
 
 def measure(label, run):
     before = settled_helper_cpu_s()
-    t0, c0 = time.perf_counter(), time.process_time()
+    t0, c0, w0 = time.perf_counter(), time.process_time(), children_cpu_s()
     run()
     wall, cpu = time.perf_counter() - t0, time.process_time() - c0
+    workers = children_cpu_s() - w0
     after = settled_helper_cpu_s()
     spin = ("unavailable" if before is None or after is None
             else f"{1e3 * (after - before):8.1f} ms")
     print(f"{label:<12s} wall {wall:7.3f} s  process_time {cpu:7.3f} s"
-          f"  helper threads {spin}", flush=True)
+          f"  workers {workers:7.3f} s  helper threads {spin}", flush=True)
 
 
 def main():

@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import threading
 from dataclasses import dataclass
 
@@ -85,6 +86,7 @@ __all__ = [
     "mad_inliers",
     "soft_threshold",
     "weighted_rms",
+    "one_blas_thread",
     "solve_wls",
     "fit_ridge",
     "fit_lasso",
@@ -228,6 +230,10 @@ def weighted_rms(residuals, w=None) -> float:
 
 
 _POOL_SIZE_LOCK = threading.Lock()  # held while the pool is shrunk to one thread
+if hasattr(os, "register_at_fork"):  # a child forked while it is held would hang
+    os.register_at_fork(before=_POOL_SIZE_LOCK.acquire,
+                        after_in_parent=_POOL_SIZE_LOCK.release,
+                        after_in_child=_POOL_SIZE_LOCK.release)
 
 
 @functools.cache
@@ -249,6 +255,12 @@ def _openblas():
                 put.argtypes, put.restype = [ctypes.c_int], None
                 return get, put
     return None
+
+
+def one_blas_thread():
+    """Run BLAS on one thread from now on (in a worker of a full process pool)."""
+    if (blas := _openblas()) is not None:
+        blas[1](1)
 
 
 def _svd(A, **kw):

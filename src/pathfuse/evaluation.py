@@ -17,10 +17,12 @@ Every runner follows the same discipline:
   most a limit, above a floor) its pass rule and its detail wording.
 
 The integration and outlier studies share one loop: ``_study_cells`` walks
-every scenario x band cell and synthesizes each trial's corpus, and
-``_fit_arms`` fits the three comparison arms on a corpus.  The outlier study
-differs only by its substream label and by refitting each trial's corpus
-after injecting outliers into it.
+every scenario x band cell in report order, and ``_map_tasks`` runs one
+``_study_task`` per (cell, trial) on forked workers, one per CPU of the
+process's affinity mask (in this process if that is one CPU, or off Linux).
+A task fits the three arms (``_fit_arms``) on a corpus drawn from its own
+keyed substream, and for the outlier study on copies with injected outliers.
+Outcomes come back in task order, so every mean keeps its bits.
 
 Protocol constants that are calibration targets (ambient scattering scale,
 outlier magnitudes, the robust filter multiplier) are module constants here
@@ -29,6 +31,7 @@ or in :mod:`pathfuse.synthesis`; ``scripts/calibrate.py`` reproduces them.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -44,6 +47,7 @@ from .estimators import (
     fit_ridge,
     fit_theilsen,
     mad_inliers,
+    one_blas_thread,
     solve_wls,
     tune_penalty_kfold,
     weighted_rms,
@@ -558,18 +562,10 @@ def _band_label(band):
 
 
 def _study_cells(spec, registry, label):
-    """The scenario x band x trial loop shared by the multi-band studies.
-
-    Yields ``(scenario, band, sigmas, trials)`` per cell, in report order.
-    ``trials`` yields ``(t, corpus)``; each corpus is synthesized from the
-    substream ``(seed, label, scenario, lo, hi, t)`` when it is reached.
-    """
-
-    def trials(models, synth, scenario, band):
-        for t in range(spec.trials):
-            rng = substream(spec.seed, label, scenario, band[0], band[1], t)
-            yield t, synthesize_corpus(models, synth, rng)
-
+    """The scenario x band x trial loop shared by the multi-band studies:
+    ``(scenario, band, outcomes)`` per cell, in report order, with the cell's
+    ``_study_task`` outcomes in trial order, all from one ``_map_tasks``."""
+    cells = []
     for scenario, bands in SCENARIO_BANDS.items():
         scenario_models = _registry_scenario(registry, scenario)
         sigmas = sigma_map(scenario_models)
@@ -583,7 +579,68 @@ def _study_cells(spec, registry, label):
                 points_per_model=BAND_POINTS[(scenario, band)],
                 distance_sampling=STUDY_DISTANCE_SAMPLING,
             )
-            yield scenario, band, sigmas, trials(band_models, synth, scenario, band)
+            tasks = [(label, spec.seed, scenario, band, t, band_models, synth, sigmas)
+                     for t in range(spec.trials)]
+            cells.append((scenario, band, tasks))
+    outcomes = iter(_map_tasks(_study_task, [t for *_, tasks in cells for t in tasks]))
+    for scenario, band, tasks in cells:
+        yield scenario, band, [next(outcomes) for _ in tasks]
+
+
+def _study_task(task):
+    """One (cell, trial): the arms fitted on the corpus from substream ``(seed,
+    label, scenario, lo, hi, t)`` as ``{arm: (sigma, coefficients)}``, and for
+    the outlier study ``{ob: {arm: sigma}}`` after injecting each band ``ob``."""
+    label, seed, scenario, band, t, models, synth, sigmas = task
+    corpus = synthesize_corpus(
+        models, synth, substream(seed, label, scenario, band[0], band[1], t)
+    )
+    clean = {arm: (fitted.sigma, fitted.coefficients.as_array())
+             for arm, fitted in _fit_arms(corpus, band, sigmas).items()}
+    contaminated = {}
+    if label != "outlier":
+        return clean, contaminated
+    for ob in OUTLIER_STUDY_BANDS_M:
+        outliers = OutlierSpec(rho=STUDY_RHO, band_width=float(ob),
+                               contamination_fraction=STUDY_CONTAMINATION,
+                               magnitude_scale=OUTLIER_STUDY_MAGNITUDE_DB)
+        rng = substream(seed, "outlier", scenario, band[0], band[1], "inject", ob, t)
+        fits = _fit_arms(inject_outliers(corpus, outliers, rng)[0], band, sigmas)
+        contaminated[ob] = {arm: fitted.sigma for arm, fitted in fits.items()}
+    return clean, contaminated
+
+
+def _workers():
+    """CPUs this process may run on (its affinity mask); 1 off Linux."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _init_worker():
+    """A study worker's set-up.  BLAS runs on one thread, since the workers
+    fill the CPUs (and regrowing the pool OpenBLAS ends at fork spins ~0.1 s),
+    and glibc keeps freed memory: a worker lives for one study, and trimming
+    makes it fault the same pages in again (~60k faults per Integration)."""
+    one_blas_thread()
+    import ctypes
+
+    if mallopt := getattr(ctypes.CDLL(None), "mallopt", None):
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+
+
+def _map_tasks(fn, tasks):
+    """``list(map(fn, tasks))`` on ``_workers()`` forked workers, at most one
+    per task (with one, in this process).  Fork needs no new import and keeps
+    this module's state; a task's exception is raised here as itself."""
+    workers = min(_workers(), len(tasks))
+    if workers <= 1:
+        return list(map(fn, tasks))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, context, _init_worker) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def _fit_arms(corpus, band, sigmas):
@@ -608,25 +665,24 @@ def _published(rows, scenario, band, **keys):
 
 
 def run_integration_study(spec: ExperimentSpec, *, registry=None):
-    """Fuse every scenario's models over low/high/full bands, three ways."""
+    """Fuse every scenario's models over low/high/full bands, three ways.
+    Trials run on one forked worker per CPU, with the same bits at any count."""
     registry = registry or load_registry()
     targets = load_reference_targets(_TARGET_KEYS)
     reports = []
     raw_sigma = {}
     published_coeffs = {}
-    for scenario, band, sigmas, trials in _study_cells(spec, registry, "integration"):
-        fits = [_fit_arms(corpus, band, sigmas) for _, corpus in trials]
+    for scenario, band, outcomes in _study_cells(spec, registry, "integration"):
         cell_key = f"{scenario}|{_band_label(band)}"
-        raw_sigma[cell_key] = {a: [fit[a].sigma for fit in fits] for a in STUDY_ARMS}
+        raw_sigma[cell_key] = {a: [c[a][0] for c, _ in outcomes] for a in STUDY_ARMS}
         published = _published(targets["integration_study"]["cells"], scenario, band)
-        for arm in STUDY_ARMS:
+        for arm, cfg in _arm_configs(band).items():
             row = _published(
                 targets["published_coefficients"], scenario, band, method=arm
             )
             published_coeffs[f"{cell_key}|{arm}"] = row["values"] if row else None
-            coeffs = [fit[arm].coefficients.as_array() for fit in fits]
-            mean_coeffs = sum(coeffs) / spec.trials
-            names = coefficient_names(fits[0][arm].order)
+            mean_coeffs = sum(c[arm][1] for c, _ in outcomes) / spec.trials
+            names = coefficient_names(cfg.order)
             reports.append(
                 EvaluationReport(
                     study="IntegrationStudy",
@@ -656,38 +712,24 @@ def run_outlier_study(spec: ExperimentSpec, *, registry=None):
     Per cell and trial, each arm is fitted on the clean corpus and on the
     contaminated one; the per-trial ratio uses that trial's own clean sigma
     as the baseline.  The clean corpus is shared across outlier band widths.
+    Trials run as in :func:`run_integration_study`, four corpora per task.
     """
     registry = registry or load_registry()
     published = load_reference_targets(_TARGET_KEYS)["outlier_study"]["published"]
     reports = []
     raw = {}
-    for scenario, band, sigmas, trials in _study_cells(spec, registry, "outlier"):
+    for scenario, band, outcomes in _study_cells(spec, registry, "outlier"):
         cell_raw = {
             ob: {a: {"sigma": [], "clean": [], "ratio": []} for a in STUDY_ARMS}
             for ob in OUTLIER_STUDY_BANDS_M
         }
-        for t, corpus in trials:
-            clean = _fit_arms(corpus, band, sigmas)
-            for ob in OUTLIER_STUDY_BANDS_M:
-                contaminated, _mask = inject_outliers(
-                    corpus,
-                    OutlierSpec(
-                        rho=STUDY_RHO,
-                        band_width=float(ob),
-                        contamination_fraction=STUDY_CONTAMINATION,
-                        magnitude_scale=OUTLIER_STUDY_MAGNITUDE_DB,
-                    ),
-                    substream(
-                        spec.seed, "outlier", scenario, band[0], band[1],
-                        "inject", ob, t,
-                    ),
-                )
-                fits = _fit_arms(contaminated, band, sigmas)
-                for arm, fitted in fits.items():
+        for clean, contaminated in outcomes:
+            for ob, sigmas in contaminated.items():
+                for arm, sigma in sigmas.items():
                     slot = cell_raw[ob][arm]
-                    slot["sigma"].append(fitted.sigma)
-                    slot["clean"].append(clean[arm].sigma)
-                    slot["ratio"].append(error_ratio(fitted.sigma, clean[arm].sigma))
+                    slot["sigma"].append(sigma)
+                    slot["clean"].append(clean[arm][0])
+                    slot["ratio"].append(error_ratio(sigma, clean[arm][0]))
         raw[f"{scenario}|{_band_label(band)}"] = cell_raw
         for ob in OUTLIER_STUDY_BANDS_M:
             for arm in STUDY_ARMS:

@@ -220,12 +220,12 @@ def load_model(path):
 
 
 def _span(payload, key):
-    """``payload[key]`` as (lo, hi) if it is two finite numbers with lo <= hi."""
+    """``payload[key]`` as (lo, hi) if it is two finite numbers with 0 < lo <= hi."""
     span = payload[key]
     if not (isinstance(span, list) and len(span) == 2
             and all(type(v) in (int, float) and np.isfinite(v) for v in span)
-            and span[0] <= span[1]):
-        raise ValueError(f"{key} must be two finite numbers lo <= hi, got {span!r}")
+            and 0 < span[0] <= span[1]):
+        raise ValueError(f"{key} must be two finite numbers 0 < lo <= hi, got {span!r}")
     return tuple(span)
 
 

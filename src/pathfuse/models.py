@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, NumericError
 
 __all__ = [
     "ENVIRONMENTS",
@@ -330,7 +330,12 @@ class FittedModel:
         return self.coefficients.order
 
     def predict(self, d, f):
-        return self.coefficients.predict(d, f)
+        """``coefficients.predict``; a result that is not finite raises NumericError."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.coefficients.predict(d, f)
+        if not np.all(np.isfinite(out)):
+            raise NumericError("the model's prediction is not finite")
+        return out
 
     def covers(self, d: float, f: float) -> bool:
         return (

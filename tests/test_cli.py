@@ -4,6 +4,7 @@ import csv
 import json
 import re
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -183,11 +184,11 @@ def test_fit_blank_source_id_is_a_data_error(tmp_path, capsys):
 
 
 def _write_model(path, *, gas_corrected=False,
-                 values=(3.5, 25.0, 2.0)):
+                 values=(3.5, 25.0, 2.0), freq_range=(1.0, 80.0)):
     model = FittedModel(
         coefficients=CoefficientSet(order=1, values=values),
         sigma=4.0,
-        freq_range=(1.0, 80.0),
+        freq_range=freq_range,
         dist_range=(1.0, 2000.0),
         gas_corrected=gas_corrected,
         provenance={"n_fitted": 100, "rank_deficient": False},
@@ -244,6 +245,8 @@ def test_predict_adds_absorption_back_for_corrected_models(tmp_path, capsys):
     ("coefficients", 3.5),
     ("provenance", 7),
     ("provenance", ["n_fitted", 100]),
+    ("freq_range_ghz", [-5.0, 3.0]),
+    ("dist_range_m", [0.0, 0.0]),
 ])
 def test_predict_malformed_model_is_a_data_error(key, value, tmp_path, capsys):
     path = tmp_path / "m.json"
@@ -256,6 +259,28 @@ def test_predict_malformed_model_is_a_data_error(key, value, tmp_path, capsys):
     assert rc == 3
     assert out == ""
     assert f"{path} is not a saved model: {key} must be" in err
+
+
+def test_predict_single_frequency_model(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    _write_model(path, freq_range=(28.0, 28.0))
+    rc, out, _ = run(capsys, "predict", "--model", str(path),
+                     "--d", "100", "--f", "28")
+    assert rc == 0
+    # 3.5*20 + 25 + 2*10log10(28)
+    assert float(out) == pytest.approx(123.94, abs=1e-2)
+
+
+def test_predict_overflow_is_a_numeric_error(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    _write_model(path, values=(1e308, 1e308, 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "predict", "--model", str(path),
+                           "--d", "100", "--f", "3")
+    assert rc == 4
+    assert out == ""
+    assert "not finite" in err
 
 
 def test_predict_ignores_a_top_level_weighting(tmp_path, capsys):

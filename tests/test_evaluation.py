@@ -1,10 +1,17 @@
-"""Scoring metrics, leave-one-out machinery, and gate evaluation."""
+"""Scoring metrics, leave-one-out machinery, gate evaluation, and the
+worker pool of the multi-band studies."""
+
+import multiprocessing
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from pathfuse import cli, estimators, evaluation
 from pathfuse.atmosphere import load_default_table, predict_total
-from pathfuse.errors import ConfigError, MetricError
+from pathfuse.errors import ConfigError, DataError, MetricError
 from pathfuse.estimators import solve_wls, weighted_rms
 from pathfuse.evaluation import (
     EvaluationReport,
@@ -12,6 +19,9 @@ from pathfuse.evaluation import (
     error_ratio,
     evaluate_gates,
     loocv,
+    run_experiment,
+    run_integration_study,
+    run_outlier_study,
     run_robust_study,
     ExperimentSpec,
 )
@@ -254,3 +264,80 @@ def test_pinned_seed_run_passes_every_gate(robust_result):
     gates = evaluate_gates(robust_result)
     assert all(g.passed for g in gates), [g for g in gates if not g.passed]
     assert robust_result.config["seed"] == ROBUST_SEED
+
+
+# ---------------------------------------------------------------------------
+# the multi-band studies' worker pool
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("runner, which", [
+    (run_integration_study, "IntegrationStudy"),
+    (run_outlier_study, "OutlierStudy"),
+])
+def test_worker_count_changes_no_bit(runner, which, monkeypatch):
+    spec = ExperimentSpec(which=which, trials=2, seed=1)
+    results = []
+    for workers in (1, 2):
+        monkeypatch.setattr(evaluation, "_workers", lambda: workers)
+        results.append(runner(spec))
+    one, two = results
+    assert one.reports == two.reports  # every field, compared exactly
+    assert one.raw == two.raw
+
+
+def _fail_one_cell(monkeypatch):
+    """Workers forked after this inherit a synthesis that fails in one cell."""
+    real = evaluation.synthesize_corpus
+    points = evaluation.BAND_POINTS[("UMiOS", (29.0, 60.0))]
+
+    def synthesize(models, synth, rng):
+        if synth.points_per_model == points:
+            raise DataError("planted failure in one cell")
+        return real(models, synth, rng)
+
+    monkeypatch.setattr(evaluation, "synthesize_corpus", synthesize)
+    monkeypatch.setattr(evaluation, "_workers", lambda: 2)
+
+
+@pytest.mark.parametrize("which", ["IntegrationStudy", "OutlierStudy"])
+def test_a_failing_worker_raises_its_own_error(which, monkeypatch):
+    _fail_one_cell(monkeypatch)
+    with pytest.raises(DataError, match="planted failure"):
+        run_experiment(ExperimentSpec(which=which, trials=1, seed=1))
+    assert multiprocessing.active_children() == []
+
+
+def test_a_failing_worker_keeps_its_exit_code(monkeypatch, capsys):
+    _fail_one_cell(monkeypatch)
+    rc = cli.main(["experiment", "--which", "table4", "--trials", "1"])
+    assert rc == 3
+    assert "planted failure" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+def test_workers_do_not_inherit_a_held_svd_lock(monkeypatch):
+    # a worker forked while another thread holds the lock would wait for it
+    # forever on its first SVD; the fork must wait for the lock instead
+    monkeypatch.setattr(evaluation, "_workers", lambda: 2)
+    held = threading.Event()
+
+    def hold():
+        with estimators._POOL_SIZE_LOCK:
+            held.set()
+            time.sleep(0.2)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    assert held.wait(timeout=5)
+    spec = ExperimentSpec(which="IntegrationStudy", trials=1, seed=1)
+    with ThreadPoolExecutor(1) as pool:
+        future = pool.submit(run_integration_study, spec)
+        try:
+            assert len(future.result(timeout=30).reports) == 27
+        finally:
+            for worker in multiprocessing.active_children():  # hung ones
+                worker.kill()
+    holder.join(timeout=5)
+    assert not holder.is_alive()
+    assert multiprocessing.active_children() == []
