@@ -42,7 +42,6 @@ class GasAttenuationTable:
 
     freqs_ghz: np.ndarray
     atten_db_per_km: np.ndarray
-    conditions: dict
 
     def __post_init__(self):
         f = np.asarray(self.freqs_ghz, dtype=float)
@@ -74,34 +73,27 @@ class GasAttenuationTable:
 
     @classmethod
     def from_csv(cls, path):
-        """Load ``freq_ghz,atten_db_per_km`` rows; '#' lines hold conditions."""
-        conditions = {}
+        """Load ``freq_ghz,atten_db_per_km`` rows; '#' lines are comments, and
+        a bad row raises DataError at ``path:line``."""
         freqs, attens = [], []
         try:
             with open(path, newline="") as fh:
-                for row in csv.reader(fh):
-                    if not row:
-                        continue
-                    if row[0].lstrip().startswith("#"):
-                        text = ",".join(row).lstrip("# ").strip()
-                        for token in text.split():
-                            if "=" in token:
-                                key, _, val = token.partition("=")
-                                try:
-                                    conditions[key] = float(val)
-                                except ValueError:
-                                    conditions[key] = val
-                        continue
-                    if row[0].strip() == "freq_ghz":
+                reader = csv.reader(fh)
+                for row in reader:
+                    head = row[0].strip() if row else "#"
+                    if head.startswith("#") or head == "freq_ghz":
                         continue
                     try:
-                        freqs.append(float(row[0]))
-                        attens.append(float(row[1]))
-                    except (ValueError, IndexError) as exc:
-                        raise DataError(f"bad table row {row!r} in {path}") from exc
+                        freq, atten = map(float, row)
+                    except ValueError as exc:
+                        raise DataError(
+                            f"{path}:{reader.line_num}: bad table row: {exc}"
+                        ) from exc
+                    freqs.append(freq)
+                    attens.append(atten)
         except OSError as exc:
             raise DataError(f"cannot read attenuation table {path}: {exc}") from exc
-        return cls(np.array(freqs), np.array(attens), conditions)
+        return cls(np.array(freqs), np.array(attens))
 
     def specific_attenuation(self, f_ghz):
         """dB/km at ``f_ghz`` (scalar or array); log-linear between nodes."""

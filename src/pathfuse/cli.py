@@ -204,8 +204,7 @@ def cmd_gas(args):
 def cmd_experiment(args):
     which = _WHICH_ALIASES.get(args.which, args.which)
     spec = ExperimentSpec(which=which, trials=args.trials, seed=args.seed)
-    registry = load_registry(args.registry) if args.registry else None
-    result = run_experiment(spec, registry=registry)
+    result = run_experiment(spec)
     if args.format:
         write = write_study_csv if args.format == "csv" else write_study_json
         write(result, sys.stdout)
@@ -313,7 +312,8 @@ def build_parser():
     )
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("experiment", help="run a benchmark study")
+    p = sub.add_parser("experiment", help="run a benchmark study", description=(
+        "Run a benchmark study on the data of PATHFUSE_DATA_DIR (default: bundled)."))
     p.add_argument(
         "--which",
         required=True,
@@ -322,7 +322,6 @@ def build_parser():
     )
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--registry", help="registry CSV (default: bundled)")
     p.add_argument(
         "--out-dir",
         help="write report files here (JSON + CSV, plus any study extras)",

@@ -16,6 +16,10 @@ Every runner follows the same discipline:
   gives each of the four kinds (within a tolerance of a target, ordered, at
   most a limit, above a floor) its pass rule and its detail wording.
 
+The studies read the registry, the reference targets and the gas table from
+one data directory: ``PATHFUSE_DATA_DIR`` if set, else the bundled data.
+:mod:`pathfuse.io` checks every field of the targets, so the rules check none.
+
 The integration and outlier studies share one loop: ``_study_cells`` walks
 every scenario x band cell in report order, and ``_map_tasks`` runs one
 ``_study_task`` per (cell, trial) on forked workers, one per CPU of the
@@ -52,7 +56,14 @@ from .estimators import (
     tune_penalty_kfold,
     weighted_rms,
 )
-from .io import load_registry, load_reference_targets, sigma_map
+from .io import (
+    ORDER_ARMS,
+    ROBUST_METHODS,
+    STUDY_ARMS,
+    load_registry,
+    load_reference_targets,
+    sigma_map,
+)
 from .models import build_design_system, coefficient_names, design_matrix
 from .pipeline import PipelineConfig, fit_pathloss_model
 from .seeding import substream
@@ -133,7 +144,6 @@ ROBUST_STUDY_FILTER_MULTIPLIER = 2.6
 #: consensus-set sigma lands second-best (benchmark 4.654 dB), clearly above
 #: the median-fit arm and below the unfiltered fits
 ROBUST_STUDY_RANSAC_INLIER_DB = 14.0
-ROBUST_METHODS = ("ols", "ridge", "lasso", "elastic-net", "ransac", "theil-sen")
 
 STUDY_RHO = 0.75
 STUDY_CONTAMINATION = 0.2
@@ -147,19 +157,14 @@ OUTLIER_STUDY_MAGNITUDE_DB = 55.0
 #: widths (m) of the distance bands the outlier-resilience study contaminates
 OUTLIER_STUDY_BANDS_M = (50.0, 30.0, 5.0)
 
-ARM_POOLED = "pooled-abg"
-ARM_WEIGHTED = "weighted-abg"
-ARM_QUADRATIC = "quadratic-abg"
-ARM_LINEAR = "linear-abg"
-ARM_CUBIC = "cubic-abg"
+#: the integration and outlier studies' arms; ``io`` names every study's arms
+ARM_POOLED, ARM_WEIGHTED, ARM_QUADRATIC = STUDY_ARMS
 
-#: order-study arms: surface order is the only thing that varies, so the
-#: corpora are used as-is (unit weights, no gas removal, no rejection pass)
+#: order-study arms, of orders 1-3: surface order is the only thing that varies,
+#: so the corpora are used as-is (unit weights, no gas removal, no rejection pass)
 _ORDER_CONFIGS = {arm: PipelineConfig(order=k, weighting="Identity", robust=None,
                                       gas_correction=False)
-                  for arm, k in ((ARM_LINEAR, 1), (ARM_QUADRATIC, 2), (ARM_CUBIC, 3))}
-#: the three standing comparison arms of the integration and outlier studies
-STUDY_ARMS = (ARM_POOLED, ARM_WEIGHTED, ARM_QUADRATIC)
+                  for k, arm in enumerate(ORDER_ARMS, start=1)}
 
 
 # ---------------------------------------------------------------------------
@@ -251,15 +256,8 @@ def loocv(models, cfg: PipelineConfig, *, synthesis: SynthesisSpec, trials=1, se
 
 
 # ---------------------------------------------------------------------------
-# shared runner helpers
+# order study
 # ---------------------------------------------------------------------------
-
-
-def _registry_scenario(registry, scenario):
-    models = [m for m in (registry or load_registry()) if m.scenario == scenario]
-    if not models:
-        raise DataError(f"registry has no models for scenario {scenario!r}")
-    return models
 
 
 def _count_decreasing(P, axis, tol=1e-9):
@@ -267,12 +265,7 @@ def _count_decreasing(P, axis, tol=1e-9):
     return int(np.count_nonzero(np.diff(P, axis=axis) < -tol))
 
 
-# ---------------------------------------------------------------------------
-# order study
-# ---------------------------------------------------------------------------
-
-
-def run_order_study(spec: ExperimentSpec, *, registry=None):
+def run_order_study(spec: ExperimentSpec):
     """Surface-order comparison on the small-cell scenario.
 
     Per trial, each order is fitted on samples from every small-cell model
@@ -288,7 +281,7 @@ def run_order_study(spec: ExperimentSpec, *, registry=None):
     per-order mean coefficients are scanned on a distance x frequency grid
     for cells where predicted loss decreases as frequency or distance grows.
     """
-    models = _registry_scenario(registry, ORDER_STUDY_SCENARIO)
+    models = [m for m in load_registry() if m.scenario == ORDER_STUDY_SCENARIO]
     heldout = next((m for m in models if m.id == ORDER_STUDY_HELDOUT), None)
     if heldout is None:
         raise DataError(f"registry is missing {ORDER_STUDY_HELDOUT!r}")
@@ -347,7 +340,7 @@ def run_order_study(spec: ExperimentSpec, *, registry=None):
             "dist_decreasing_cells": _count_decreasing(P, axis=0),
         }
 
-    targets = load_reference_targets(_TARGET_KEYS)["order_study"]
+    targets = load_reference_targets()["order_study"]
     reports = []
     for arm, cfg in _ORDER_CONFIGS.items():
         reports.append(
@@ -441,7 +434,7 @@ def _robust_method_sigma(method, X, Y, seed, *, reject=True):
     return weighted_rms(Y[keep] - X[keep] @ coef)
 
 
-def run_robust_study(spec: ExperimentSpec, *, registry=None):
+def run_robust_study(spec: ExperimentSpec):
     """Estimator shoot-out on one single-frequency corpus.
 
     Samples come from the 2.9 GHz small-cell campaign with ambient Rayleigh
@@ -450,8 +443,7 @@ def run_robust_study(spec: ExperimentSpec, *, registry=None):
     pinned at 2 (single-frequency data cannot identify it), leaving a
     two-coefficient line fit per method.
     """
-    models = _registry_scenario(registry, "UMiSC")
-    model = next((m for m in models if m.id == ROBUST_STUDY_SOURCE), None)
+    model = next((m for m in load_registry() if m.id == ROBUST_STUDY_SOURCE), None)
     if model is None:
         raise DataError(f"registry is missing {ROBUST_STUDY_SOURCE!r}")
     synth = SynthesisSpec(
@@ -491,7 +483,7 @@ def run_robust_study(spec: ExperimentSpec, *, registry=None):
                     reject=(arm == "contaminated"),
                 ))
 
-    targets = load_reference_targets(_TARGET_KEYS)["robust_study"]
+    targets = load_reference_targets()["robust_study"]
     reports = []
     for method in ROBUST_METHODS:
         with_mean = float(np.mean(raw["contaminated"][method]))
@@ -561,13 +553,14 @@ def _band_label(band):
     return f"{band[0]:g}-{band[1]:g}"
 
 
-def _study_cells(spec, registry, label):
+def _study_cells(spec, label):
     """The scenario x band x trial loop shared by the multi-band studies:
     ``(scenario, band, outcomes)`` per cell, in report order, with the cell's
     ``_study_task`` outcomes in trial order, all from one ``_map_tasks``."""
+    registry = load_registry()
     cells = []
     for scenario, bands in SCENARIO_BANDS.items():
-        scenario_models = _registry_scenario(registry, scenario)
+        scenario_models = [m for m in registry if m.scenario == scenario]
         sigmas = sigma_map(scenario_models)
         for band in bands:
             band_models = [
@@ -664,15 +657,14 @@ def _published(rows, scenario, band, **keys):
     return None
 
 
-def run_integration_study(spec: ExperimentSpec, *, registry=None):
+def run_integration_study(spec: ExperimentSpec):
     """Fuse every scenario's models over low/high/full bands, three ways.
     Trials run on one forked worker per CPU, with the same bits at any count."""
-    registry = registry or load_registry()
-    targets = load_reference_targets(_TARGET_KEYS)
+    targets = load_reference_targets()
     reports = []
     raw_sigma = {}
     published_coeffs = {}
-    for scenario, band, outcomes in _study_cells(spec, registry, "integration"):
+    for scenario, band, outcomes in _study_cells(spec, "integration"):
         cell_key = f"{scenario}|{_band_label(band)}"
         raw_sigma[cell_key] = {a: [c[a][0] for c, _ in outcomes] for a in STUDY_ARMS}
         published = _published(targets["integration_study"]["cells"], scenario, band)
@@ -706,7 +698,7 @@ def run_integration_study(spec: ExperimentSpec, *, registry=None):
     )
 
 
-def run_outlier_study(spec: ExperimentSpec, *, registry=None):
+def run_outlier_study(spec: ExperimentSpec):
     """Contamination resilience: sigma growth when a distance band is hit.
 
     Per cell and trial, each arm is fitted on the clean corpus and on the
@@ -714,11 +706,10 @@ def run_outlier_study(spec: ExperimentSpec, *, registry=None):
     as the baseline.  The clean corpus is shared across outlier band widths.
     Trials run as in :func:`run_integration_study`, four corpora per task.
     """
-    registry = registry or load_registry()
-    published = load_reference_targets(_TARGET_KEYS)["outlier_study"]["published"]
+    published = load_reference_targets()["outlier_study"]["published"]
     reports = []
     raw = {}
-    for scenario, band, outcomes in _study_cells(spec, registry, "outlier"):
+    for scenario, band, outcomes in _study_cells(spec, "outlier"):
         cell_raw = {
             ob: {a: {"sigma": [], "clean": [], "ratio": []} for a in STUDY_ARMS}
             for ob in OUTLIER_STUDY_BANDS_M
@@ -887,36 +878,15 @@ _STUDY_TABLE = {
 }
 STUDIES = tuple(_STUDY_TABLE)
 
-#: every key of ``reference_targets.json``, in the form ``io._check_keys`` reads
-_CELL = ("scenario", "band_ghz")
-_TARGET_KEYS = {
-    "_comment": None,
-    "order_study": ("sigma_18ghz_db", "loocv_db", "tolerance_db", "require_ordering",
-                    "nonmonotone_cells_required"),
-    "robust_study": ("sigma_with_outliers_db", "theil_sen_with_tolerance_db",
-                     "ols_with_tolerance_db", "clean_band_db"),
-    "integration_study": {"tolerance_quadratic_db": None, "require_ordering": None,
-                          "cells": [_CELL + ("sigma_db",)]},
-    "outlier_study": {
-        "quadratic_max_abs_ratio_percent": None,
-        "quadratic_exception": _CELL + ("outlier_band_m", "max_abs_ratio_percent"),
-        "pooled_min_ratio_percent": None,
-        "pooled_min_ratio_cells": [_CELL + ("outlier_band_m",)],
-        "published": [_CELL + ("method", "sigma_db", "ratio_percent")],
-    },
-    "published_coefficients": [_CELL + ("method", "values")],
-}
-
-
-def run_experiment(spec: ExperimentSpec, *, registry=None):
-    return _STUDY_TABLE[spec.which][0](spec, registry=registry)
+def run_experiment(spec: ExperimentSpec):
+    return _STUDY_TABLE[spec.which][0](spec)
 
 
 def evaluate_gates(result: StudyResult):
     """Pass/fail checks of a study against the pinned published targets."""
     _, section, rules = _STUDY_TABLE[result.study]
     gates = []
-    targets = load_reference_targets(_TARGET_KEYS)[section]
+    targets = load_reference_targets()[section]
     for name, value, kind, bound in rules(result, targets):
         passes, detail = _GATE_KINDS[kind]
         gates.append(GateCheck(name, bool(passes(value, bound)), detail(value, bound)))

@@ -1,18 +1,20 @@
 # CSV/JSON loading and saving: model registry, sample corpora, fit results,
-# study reports.  File formats are deliberately boring; every writer embeds
-# enough provenance (resolved config, seed) to rerun what produced it.
+# reference targets, study reports.  Fitted models and study reports carry their
+# provenance (resolved config, seed); sample and grid CSVs hold only their columns.
+# Each JSON file's fields are declared once, as a schema that ``_check`` walks.
 
 import csv
 import dataclasses
 import json
 import operator
 import os
-from importlib import resources
+import sys
 
 import numpy as np
 
 from .errors import DataError
 from .models import (
+    SCENARIOS,
     CoefficientSet,
     FittedModel,
     InvalidSampleError,
@@ -33,52 +35,46 @@ __all__ = [
     "save_study_csv",
 ]
 
+_DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 _REGISTRY_FILE = "table1_nlos.csv"
 _TARGETS_FILE = "reference_targets.json"
 
 _SAMPLE_FIELDS = ("distance_m", "freq_ghz", "path_loss_db", "source_id")
 
+#: the registry CSV's column for each ``SourceModel`` field, in field order
+_REGISTRY_COLUMNS = ("id", "env", "scenario", "freq_ghz", "source", "n_points",
+                     "dist_min_m", "dist_max_m", "type", "alpha", "beta_db",
+                     "gamma", "sigma_db")
+#: how a registry cell becomes the value of its field, by the field's type
+_CELL_PARSERS = {"str": str.strip, "int": int, "float": float}
+
 
 def data_path(name):
-    """Resolve a bundled data file, honouring PATHFUSE_DATA_DIR."""
-    override = os.environ.get("PATHFUSE_DATA_DIR")
-    if override:
-        return os.path.join(override, name)
-    ref = resources.files("pathfuse").joinpath("data", name)
-    with resources.as_file(ref) as p:
-        return str(p)
+    """The data file ``name`` of ``PATHFUSE_DATA_DIR`` if set, else the bundled one."""
+    return os.path.join(os.environ.get("PATHFUSE_DATA_DIR") or _DATA_DIR, name)
 
 
 def load_registry(path=None):
-    """Source models from a registry CSV (bundled table by default)."""
+    """Source models from a registry CSV (the data directory's by default);
+    a bad row raises DataError at ``path:line``."""
     if path is None:
         path = data_path(_REGISTRY_FILE)
+    parsers = [_CELL_PARSERS[f.type] for f in dataclasses.fields(SourceModel)]
     models = []
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 try:
-                    models.append(
-                        SourceModel(
-                            id=row["id"].strip(),
-                            environment=row["env"].strip(),
-                            scenario=row["scenario"].strip(),
-                            frequency=float(row["freq_ghz"]),
-                            source=row["source"].strip(),
-                            n_points=int(row["n_points"]),
-                            dist_min=float(row["dist_min_m"]),
-                            dist_max=float(row["dist_max_m"]),
-                            data_type=row["type"].strip(),
-                            alpha=float(row["alpha"]),
-                            beta=float(row["beta_db"]),
-                            gamma=float(row["gamma"]),
-                            sigma=float(row["sigma_db"]),
-                        )
-                    )
-                except (KeyError, ValueError, TypeError) as exc:
+                    cells = [row.get(column) for column in _REGISTRY_COLUMNS]
+                    if None in cells:
+                        missing = _REGISTRY_COLUMNS[cells.index(None)]
+                        raise ValueError(f"no {missing!r} cell")
+                    models.append(SourceModel(*(parse(cell) for parse, cell
+                                                in zip(parsers, cells))))
+                except ValueError as exc:
                     raise DataError(
-                        f"{path}:{lineno}: bad registry row: {exc}"
+                        f"{path}:{reader.line_num}: bad registry row: {exc}"
                     ) from exc
     except OSError as exc:
         raise DataError(f"cannot read registry {path}: {exc}") from exc
@@ -190,79 +186,128 @@ def load_model(path):
     try:
         with open(path) as fh:
             payload = json.load(fh)
-        order, sigma, gas, coeffs = (
-            payload[k] for k in ("order", "sigma_db", "gas_corrected", "coefficients")
-        )
-        provenance = payload.get("provenance", {})
-        if type(gas) is not bool:
-            raise ValueError(f"gas_corrected must be true or false, got {gas!r}")
-        if type(order) is not int:
-            raise ValueError(f"order must be an integer, got {order!r}")
-        if type(sigma) not in (int, float) or not 0 < sigma < np.inf:
-            raise ValueError(f"sigma_db must be a finite number > 0, got {sigma!r}")
-        if not (isinstance(coeffs, list)
-                and all(type(v) in (int, float) for v in coeffs)):
-            raise ValueError(f"coefficients must be a list of numbers, got {coeffs!r}")
-        if not isinstance(provenance, dict):
-            raise ValueError(f"provenance must be a JSON object, got {provenance!r}")
+        _check(payload, _MODEL_FIELDS, f"{path} is not a saved model: ")
         return FittedModel(
-            coefficients=CoefficientSet(order, tuple(coeffs)),
-            sigma=float(sigma),
-            gas_corrected=gas,
-            freq_range=_span(payload, "freq_range_ghz"),
-            dist_range=_span(payload, "dist_range_m"),
-            provenance=provenance,
+            coefficients=CoefficientSet(payload["order"], payload["coefficients"]),
+            sigma=float(payload["sigma_db"]),
+            gas_corrected=payload["gas_corrected"],
+            freq_range=tuple(payload["freq_range_ghz"]),
+            dist_range=tuple(payload["dist_range_m"]),
+            provenance=payload.get("provenance", {}),
         )
     except OSError as exc:
         raise DataError(f"cannot read model {path}: {exc}") from exc
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError) as exc:
         raise DataError(f"{path} is not a saved model: {exc}") from exc
 
 
-def _span(payload, key):
-    """``payload[key]`` as (lo, hi) if it is two finite numbers with 0 < lo <= hi."""
-    span = payload[key]
-    if not (isinstance(span, list) and len(span) == 2
-            and all(type(v) in (int, float) and np.isfinite(v) for v in span)
-            and 0 < span[0] <= span[1]):
-        raise ValueError(f"{key} must be two finite numbers 0 < lo <= hi, got {span!r}")
-    return tuple(span)
-
-
-def load_reference_targets(keys=None):
-    """The bundled benchmark targets.  An unreadable file, malformed JSON or,
-    given ``keys`` (see ``_check_keys``), a key missing or unknown raises
-    DataError naming the file, the section and the key."""
+def load_reference_targets():
+    """The benchmark targets of the data directory.  An unreadable file,
+    malformed JSON or a field of ``_TARGET_FIELDS`` that is missing, unknown
+    or of the wrong kind raises DataError naming the file and the field."""
     path = data_path(_TARGETS_FILE)
     try:
         with open(path) as fh:
             targets = json.load(fh)
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read reference targets {path}: {exc}") from exc
-    _check_keys(targets, keys, path)
+    _check(targets, _TARGET_FIELDS, f"{path}: ")
     return targets
 
 
-def _check_keys(value, keys, path, where=""):
-    """``keys`` lists an object's keys (a tuple), or maps each to the keys below
-    it (a dict; None takes any value); ``[keys]`` applies to every row of a list."""
-    if keys is None:
-        return
-    rows = isinstance(keys, list)
-    if not isinstance(value, list if rows else dict):
-        shape = "a JSON array" if rows else "a JSON object"
-        raise DataError(f"{path}: {where or 'the top level'} must be {shape}")
-    if rows:
-        for i, row in enumerate(value):
-            _check_keys(row, keys[0], path, f"{where}[{i}]")
-        return
-    keys = dict.fromkeys(keys) if isinstance(keys, tuple) else keys
-    wrong = [f"lacks the key {key!r}" for key in keys if key not in value]
-    wrong += [f"has an unknown key {key!r}" for key in value if key not in keys]
-    if wrong:
-        raise DataError(f"{path}: {where or 'the top level'} {wrong[0]}")
-    for key, below in keys.items():
-        _check_keys(value[key], below, path, f"{where}.{key}" if where else key)
+def _check(value, schema, prefix, where=""):
+    """Raise DataError (``prefix``, the field's path, what it must be) unless
+    ``value`` fits ``schema``: None (any value), a leaf ``(wording, test)``,
+    ``[schema]`` (an array of such items) or a dict (an object, each key
+    mapped to its value's schema).  An object holds exactly its schema's keys,
+    unless the schema has the key ``...``: such an open object may hold other
+    keys and lack declared ones, which its reader then looks up itself."""
+    name = where or "the top level"
+    if isinstance(schema, tuple):
+        wording, test = schema
+        if not test(value):
+            raise DataError(f"{prefix}{name} must be {wording}, got {value!r}")
+    elif isinstance(schema, list):
+        _check(value, _ARRAY, prefix, where)
+        for i, item in enumerate(value):
+            _check(item, schema[0], prefix, f"{where}[{i}]")
+    elif schema is not None:
+        _check(value, _OBJECT, prefix, where)
+        wrong = [f"lacks the key {key!r}" for key in schema if key not in value]
+        wrong += [f"has an unknown key {key!r}" for key in value if key not in schema]
+        if wrong and ... not in schema:
+            raise DataError(f"{prefix}{name} {wrong[0]}")
+        for key, below in schema.items():
+            if key in value:
+                _check(value[key], below, prefix, f"{where}.{key}" if where else key)
+
+
+def _finite(v):
+    """A JSON number that a float holds: not a bool, nan, infinite or too large."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+def _one_of(names):
+    return f"one of {', '.join(names)}", lambda v: type(v) is str and v in names
+
+
+_OBJECT = ("a JSON object", lambda v: type(v) is dict)
+_ARRAY = ("a JSON array", lambda v: type(v) is list)
+_FINITE = ("a finite number", _finite)
+_FINITES = ("an object of finite numbers",
+            lambda v: type(v) is dict and all(map(_finite, v.values())))
+_NUMBERS = ("a list of finite numbers",
+            lambda v: type(v) is list and all(map(_finite, v)))
+_SPAN = ("two finite numbers 0 < lo <= hi", lambda v: type(v) is list and len(v) == 2
+         and all(map(_finite, v)) and 0 < v[0] <= v[1])
+
+#: the fields ``load_model`` reads, in an open object: a saved model may hold
+#: keys that nothing reads, and a missing ``provenance`` reads as {}
+_MODEL_FIELDS = {
+    "order": ("an integer", lambda v: type(v) is int),
+    "sigma_db": ("a finite number > 0", lambda v: _finite(v) and v > 0),
+    "gas_corrected": ("true or false", lambda v: type(v) is bool),
+    "coefficients": _NUMBERS, "freq_range_ghz": _SPAN, "dist_range_m": _SPAN,
+    "provenance": _OBJECT, ...: None,
+}
+
+#: the method names of the reference targets, by study
+ORDER_ARMS = ("linear-abg", "quadratic-abg", "cubic-abg")
+STUDY_ARMS = ("pooled-abg", "weighted-abg", "quadratic-abg")
+ROBUST_METHODS = ("ols", "ridge", "lasso", "elastic-net", "ransac", "theil-sen")
+
+_CELL = {"scenario": _one_of(sorted(SCENARIOS)), "band_ghz": _SPAN}
+_ROW = {**_CELL, "method": _one_of(STUDY_ARMS)}
+_NEEDS = (f"an object of true or false under some of {', '.join(ORDER_ARMS)}",
+          lambda v: type(v) is dict and v.keys() <= set(ORDER_ARMS)
+          and all(type(need) is bool for need in v.values()))
+
+#: every field of ``reference_targets.json``
+_TARGET_FIELDS = {
+    "_comment": None,
+    "order_study": {
+        "sigma_18ghz_db": dict.fromkeys(ORDER_ARMS, _FINITE),
+        "loocv_db": dict.fromkeys(ORDER_ARMS, _FINITE), "tolerance_db": _FINITE,
+        "require_ordering": [_one_of(ORDER_ARMS)], "nonmonotone_cells_required": _NEEDS,
+    },
+    "robust_study": {
+        "sigma_with_outliers_db": dict.fromkeys(ROBUST_METHODS, _FINITE),
+        "theil_sen_with_tolerance_db": _FINITE, "ols_with_tolerance_db": _FINITE,
+        "clean_band_db": _SPAN,
+    },
+    "integration_study": {
+        "tolerance_quadratic_db": _FINITE, "require_ordering": [_one_of(STUDY_ARMS)],
+        "cells": [{**_CELL, "sigma_db": dict.fromkeys(STUDY_ARMS, _FINITE)}],
+    },
+    "outlier_study": {
+        "quadratic_max_abs_ratio_percent": _FINITE, "pooled_min_ratio_percent": _FINITE,
+        "quadratic_exception": {**_CELL, "outlier_band_m": _FINITE,
+                                "max_abs_ratio_percent": _FINITE},
+        "pooled_min_ratio_cells": [{**_CELL, "outlier_band_m": _FINITE}],
+        "published": [{**_ROW, "sigma_db": _FINITES, "ratio_percent": _FINITES}],
+    },
+    "published_coefficients": [{**_ROW, "values": _NUMBERS}],
+}
 
 
 def write_study_json(result, fh):
@@ -323,16 +368,9 @@ def write_study_csv(result, fh):
         raise DataError("study produced no report rows")
     writer = csv.DictWriter(fh, fieldnames=_keys(rows))
     writer.writeheader()
-    for row in rows:
-        flat = {}
-        for k, v in row.items():
-            if isinstance(v, (dict, list)):
-                flat[k] = json.dumps(v)
-            elif v is None:
-                flat[k] = ""
-            else:
-                flat[k] = v
-        writer.writerow(flat)
+    # csv writes None as an empty cell
+    writer.writerows({k: json.dumps(v) if isinstance(v, (dict, list)) else v
+                      for k, v in row.items()} for row in rows)
 
 
 def save_study_csv(result, path):

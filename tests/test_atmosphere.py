@@ -87,15 +87,6 @@ def _write_table(path, rows, header="# T=288.15 P=1013.25 rho=7.5"):
     path.write_text("\n".join(lines) + "\n")
 
 
-def test_table_csv_parses_conditions(tmp_path):
-    rows = [(f, 0.01 + 0.001 * f) for f in np.arange(0.5, 105.0, 0.25)]
-    p = tmp_path / "gas.csv"
-    _write_table(p, rows)
-    t = GasAttenuationTable.from_csv(p)
-    assert t.conditions["T"] == 288.15
-    assert t.conditions["rho"] == 7.5
-
-
 def test_table_validation_rejects_bad_inputs(tmp_path):
     p = tmp_path / "gas.csv"
     # span too small
@@ -105,22 +96,23 @@ def test_table_validation_rejects_bad_inputs(tmp_path):
     # non-increasing frequency
     with pytest.raises(DataError):
         GasAttenuationTable(
-            np.array([1.0, 3.0, 2.0, 100.0]), np.ones(4), {}
+            np.array([1.0, 3.0, 2.0, 100.0]), np.ones(4)
         )
     # nonpositive attenuation
     with pytest.raises(DataError):
         GasAttenuationTable(
-            np.array([1.0, 2.0, 3.0, 100.0]), np.array([0.1, -0.1, 0.1, 0.1]), {}
+            np.array([1.0, 2.0, 3.0, 100.0]), np.array([0.1, -0.1, 0.1, 0.1])
         )
     # resonance zones must be finely gridded
     coarse = [1.0, 20.0, 25.0, 45.0, 75.0, 100.0]
     with pytest.raises(DataError):
-        GasAttenuationTable(np.array(coarse), np.full(6, 0.1), {})
-    # garbage row
+        GasAttenuationTable(np.array(coarse), np.full(6, 0.1))
+    # garbage rows, named by line after a comment line and the header
     p2 = tmp_path / "bad.csv"
-    p2.write_text("freq_ghz,atten_db_per_km\n1.0,abc\n")
-    with pytest.raises(DataError):
-        GasAttenuationTable.from_csv(p2)
+    for row in ("1.0,abc", "1.0", "1.0,0.1,0.2"):
+        p2.write_text(f"# a comment\nfreq_ghz,atten_db_per_km\n{row}\n")
+        with pytest.raises(DataError, match=f"^{p2}:3: bad table row"):
+            GasAttenuationTable.from_csv(p2)
     with pytest.raises(DataError):
         GasAttenuationTable.from_csv(tmp_path / "missing.csv")
 

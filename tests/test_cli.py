@@ -60,6 +60,17 @@ def test_synth_empty_selection_is_a_config_error(tmp_path, capsys):
     assert "no registry models match" in err
 
 
+def test_synth_short_registry_row_is_a_data_error(tmp_path, capsys):
+    bundled = Path(pathfuse.__file__).with_name("data") / "table1_nlos.csv"
+    registry = tmp_path / "registry.csv"
+    registry.write_text("".join(bundled.read_text().splitlines(True)[:2]) + "x,NLOS\n")
+    rc, out, err = run(capsys, "synth", "--registry", str(registry),
+                       "--out", str(tmp_path / "x.csv"))
+    assert rc == 3
+    assert out == ""
+    assert f"{registry}:3: bad registry row: no 'scenario' cell" in err
+
+
 def test_synth_rejects_inverted_band(tmp_path, capsys):
     rc, _, err = run(capsys, "synth", "--band", "18:2",
                      "--out", str(tmp_path / "x.csv"))
@@ -433,12 +444,21 @@ def _edit_targets(data, case):
         path.write_text(path.read_text()[:-2])
     else:
         targets = json.loads(path.read_text())
+        robust, cells = targets["robust_study"], targets["integration_study"]["cells"]
         if case == "missing":
-            del targets["robust_study"]["clean_band_db"]
+            del robust["clean_band_db"]
         elif case == "unknown":
-            targets["integration_study"]["cells"][1]["points"] = 396
-        else:
+            cells[1]["points"] = 396
+        elif case == "wrong-type":
             targets["integration_study"]["cells"] = {}
+        elif case == "string-tolerance":
+            robust["ols_with_tolerance_db"] = "0.15"
+        elif case == "string-sigma":
+            cells[0]["sigma_db"] = "x"
+        elif case == "string-band":
+            cells[0]["band_ghz"] = "2-18"
+        else:
+            robust["clean_band_db"] = [3.0]
         path.write_text(json.dumps(targets))
 
 
@@ -449,6 +469,10 @@ TARGET_FAULTS = {
     "unreadable": "cannot read reference targets",
     "malformed": "cannot read reference targets",
     "wrong-type": "integration_study.cells must be a JSON array",
+    "string-tolerance": "robust_study.ols_with_tolerance_db must be a finite number",
+    "string-sigma": "integration_study.cells[0].sigma_db must be a JSON object",
+    "string-band": "integration_study.cells[0].band_ghz must be two finite numbers",
+    "short-band": "robust_study.clean_band_db must be two finite numbers",
 }
 
 
@@ -472,6 +496,8 @@ def test_experiment_usage_lists_each_study_once(capsys):
     choices = re.search(r"--which \{([^}]*)\}", usage).group(1).split(",")
     assert len(choices) == len(set(choices))
     assert [c for c in choices if c in STUDIES] == list(STUDIES)
+    # PATHFUSE_DATA_DIR is the one way to point a study at other data
+    assert "--registry" not in usage
 
 
 def test_experiment_unknown_table_is_rejected_by_argparse(capsys):

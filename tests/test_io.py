@@ -1,10 +1,30 @@
-"""The samples CSV boundary: bad rows, retired weights, byte-stable round trips."""
+"""The data boundary: the samples CSV's bad rows, retired weights and
+byte-stable round trips, and every loader fuzzed one field at a time."""
+
+import copy
+import csv
+import json
+import os
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pathfuse
 from pathfuse.errors import DataError
-from pathfuse.io import load_samples, save_samples
+from pathfuse.evaluation import evaluate_gates
+from pathfuse.io import (
+    load_model,
+    load_reference_targets,
+    load_registry,
+    load_samples,
+    save_model,
+    save_samples,
+)
+from pathfuse.models import CoefficientSet, FittedModel
 from pathfuse.seeding import substream
 from pathfuse.synthesis import SynthesisSpec, synthesize_corpus
 
@@ -119,3 +139,102 @@ def test_a_file_without_rows_has_no_samples(tmp_path, text):
     path.write_text(text)
     with pytest.raises(DataError, match="contains no samples"):
         load_samples(path)
+
+
+# ---------------------------------------------------------------------------
+# one field changed at a time: every loader takes the file or raises DataError
+# ---------------------------------------------------------------------------
+
+DATA = Path(pathfuse.__file__).with_name("data")
+
+#: what one field becomes: each JSON type, and the edge values of a number
+#: (10**400 is a JSON integer that no float holds)
+VALUES = (None, True, False, 0, -1, -2.5, 1e308, 10**400, float("nan"), float("inf"),
+          float("-inf"), "", "x", [], [0], {}, {"k": 0})
+
+
+def _paths(value, at=()):
+    """Where every value below ``value`` sits, as key and index paths; of an
+    array only the first two items, since its items share one schema."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = list(enumerate(value))[:2]
+    else:
+        items = ()
+    for key, below in items:
+        yield at + (key,)
+        yield from _paths(below, at + (key,))
+
+
+def _changed(value, at, new):
+    value = copy.deepcopy(value)
+    parent = value
+    for key in at[:-1]:
+        parent = parent[key]
+    parent[at[-1]] = new
+    return value
+
+
+TARGETS = json.loads((DATA / "reference_targets.json").read_text())
+with open(DATA / "table1_nlos.csv", newline="") as fh:
+    REGISTRY = list(csv.reader(fh))
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(FittedModel(
+        coefficients=CoefficientSet(2, (2.5, 30.0, 2.0, 0.01, -0.02, 0.03)),
+        sigma=4.0, gas_corrected=True, freq_range=(2.0, 73.5),
+        dist_range=(10.0, 500.0), provenance={"n_fitted": 100, "loocv_db": 4.1},
+    ), path)
+    return json.loads(path.read_text())
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_changed_model_field_loads_or_is_a_data_error(data, saved_model,
+                                                        tmp_path_factory):
+    at = data.draw(st.sampled_from(list(_paths(saved_model))))
+    new = data.draw(st.sampled_from(VALUES))
+    path = tmp_path_factory.getbasetemp() / "changed-model.json"
+    path.write_text(json.dumps(_changed(saved_model, at, new)))
+    try:
+        load_model(path)
+    except DataError:
+        pass
+
+
+@settings(max_examples=80, deadline=None)
+@given(row=st.integers(1, len(REGISTRY) - 1), column=st.integers(0, 12),
+       new=st.sampled_from(VALUES))
+def test_a_changed_registry_cell_loads_or_is_a_data_error(row, column, new,
+                                                          tmp_path_factory):
+    rows = copy.deepcopy(REGISTRY)
+    rows[row][column] = new if isinstance(new, str) else json.dumps(new)
+    path = tmp_path_factory.getbasetemp() / "changed-registry.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    try:
+        load_registry(path)
+    except DataError:
+        pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(at=st.sampled_from(list(_paths(TARGETS))), new=st.sampled_from(VALUES))
+def test_changed_targets_load_or_are_a_data_error_and_gates_still_evaluate(
+    at, new, tmp_path_factory, order_result, robust_result, integration_result,
+    outlier_result,
+):
+    data = tmp_path_factory.getbasetemp() / "changed-targets"
+    data.mkdir(exist_ok=True)
+    (data / "reference_targets.json").write_text(json.dumps(_changed(TARGETS, at, new)))
+    with mock.patch.dict(os.environ, PATHFUSE_DATA_DIR=str(data)):
+        try:
+            load_reference_targets()
+        except DataError:
+            return
+        for result in (order_result, robust_result, integration_result, outlier_result):
+            assert evaluate_gates(result)
