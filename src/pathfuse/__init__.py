@@ -5,6 +5,8 @@ sample count, shadow sigma) are expanded back into synthetic samples,
 optionally corrected for atmospheric gas absorption and cleaned of
 blocker-style outliers, weighted by campaign precision, and refitted as one
 log-polynomial surface over distance and frequency.
+
+Importing pathfuse puts numpy's OpenBLAS on one thread for the whole process.
 """
 
 from .atmosphere import (

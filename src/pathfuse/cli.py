@@ -83,7 +83,7 @@ def _parse_band(text):
     return band
 
 
-def _parse_range(text):
+def _parse_range(text, table):
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"range must look like START:STOP:STEP, got {text!r}")
@@ -93,6 +93,7 @@ def _parse_range(text):
         raise ConfigError(f"range must be numeric, got {text!r}") from None
     if step <= 0 or stop < start:
         raise ConfigError(f"range needs STOP >= START and STEP > 0, got {text!r}")
+    table.specific_attenuation([start, stop])  # both ends, before the sweep is built
     out = []
     k = 0
     while True:
@@ -182,7 +183,7 @@ def cmd_gas(args):
     table = load_default_table()
     if (args.f is None) == (args.f_range is None):
         raise ConfigError("give exactly one of --f or --f-range")
-    freqs = [args.f] if args.f is not None else _parse_range(args.f_range)
+    freqs = [args.f] if args.f is not None else _parse_range(args.f_range, table)
     rows = []
     for f in freqs:
         atten = table.specific_attenuation(f)

@@ -40,8 +40,9 @@ at ``PAIR_BUDGET``/4.  Each selection is one single-kth ``np.partition`` per
 rank: numpy selects one kth 5-9 times faster than several.  RANSAC's subset
 draws and consensus scoring run in row blocks of ``ROW_BLOCK`` numbers.
 
-Every SVD runs on one OpenBLAS thread (``_svd``), as a woken pool's idle
-worker busy-waits: 1.0 s of CPU in a 1.6 s Integration study (2-core Xeon).
+Importing pathfuse puts numpy's OpenBLAS on one thread for the whole
+process, as a woken pool's idle worker busy-waits: 1.0 s of CPU in a 1.6 s
+Integration study (2-core Xeon).  Forked study workers inherit the setting.
 
 Penalty conventions (important for cross-checking against other software):
 
@@ -60,10 +61,7 @@ elastic net reduces to ridge at lam1=0 and to lasso at lam1=1.
 
 from __future__ import annotations
 
-import functools
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +84,6 @@ __all__ = [
     "mad_inliers",
     "soft_threshold",
     "weighted_rms",
-    "one_blas_thread",
     "solve_wls",
     "fit_ridge",
     "fit_lasso",
@@ -229,17 +226,8 @@ def weighted_rms(residuals, w=None) -> float:
     return float(np.sqrt(np.sum(w * r * r) / np.sum(w)))
 
 
-_POOL_SIZE_LOCK = threading.Lock()  # held while the pool is shrunk to one thread
-if hasattr(os, "register_at_fork"):  # a child forked while it is held would hang
-    os.register_at_fork(before=_POOL_SIZE_LOCK.acquire,
-                        after_in_parent=_POOL_SIZE_LOCK.release,
-                        after_in_child=_POOL_SIZE_LOCK.release)
-
-
-@functools.cache
-def _openblas():
-    """numpy's OpenBLAS thread-count (getter, setter), or None; sought on the
-    first SVD, so that importing pathfuse globs and opens no library."""
+def _single_blas_thread():
+    """Set numpy's OpenBLAS, if found, to one thread (see the module docstring)."""
     import ctypes
     import glob
 
@@ -248,34 +236,14 @@ def _openblas():
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
-            get, put = (getattr(lib, name.format(op), None) for op in ("get", "set"))
-            if get and put:
-                get.argtypes, get.restype = [], ctypes.c_int
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+            if put := getattr(lib, name, None):
                 put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
+                put(1)
+                return
 
 
-def one_blas_thread():
-    """Run BLAS on one thread from now on (in a worker of a full process pool)."""
-    if (blas := _openblas()) is not None:
-        blas[1](1)
-
-
-def _svd(A, **kw):
-    """``np.linalg.svd`` on one OpenBLAS thread; the pool's size is restored.
-    The size is process-wide, so SVDs from several threads take turns."""
-    if (blas := _openblas()) is None:
-        return np.linalg.svd(A, **kw)
-    get, put = blas
-    with _POOL_SIZE_LOCK:
-        threads = get()
-        put(1)
-        try:
-            return np.linalg.svd(A, **kw)
-        finally:
-            put(threads)
+_single_blas_thread()
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +276,8 @@ def solve_wls(
     residual of row i is r_i / (1 - h_ii) (Hoaglin & Welsch 1978); the
     pipeline's fit records their weighted RMS as ``loocv_db``.
 
-    Its SVD, the one call that woke OpenBLAS's pool (6+ columns, ~1,700+
-    rows), runs on one thread: 0.43-0.48 ms at 8,000 x 6; two took 16 ms.
+    Its SVD takes 0.43-0.48 ms at 8,000 x 6 on the one BLAS thread that
+    importing pathfuse sets, and took 16 ms on two.
     """
     X, Y, w = _as_system(X, Y, w)
     n, p = X.shape
@@ -324,7 +292,7 @@ def solve_wls(
     col_scale = np.where(col_scale > 0.0, col_scale, 1.0)
     A = A / col_scale
 
-    U, S, Vt = _svd(A, full_matrices=False)
+    U, S, Vt = np.linalg.svd(A, full_matrices=False)
     smax = S[0] if S.size else 0.0
     if smax == 0.0:
         raise SingularSystemError("design matrix is identically zero", tuple(labels))
@@ -432,7 +400,7 @@ def _ridge_path(Xs, Ys, lam):
     of ``lstsq(rcond=None)`` on [Xs; sqrt(lam) I]: the minimum-norm answer.
     """
     m, k = Xs.shape
-    U, s, Vt = _svd(Xs, full_matrices=False)
+    U, s, Vt = np.linalg.svd(Xs, full_matrices=False)
     s = s[:, None]
     cut = np.finfo(float).eps * (m + k) * s.max(initial=0.0)
     denom = s * s + lam
@@ -533,7 +501,7 @@ def _solve_elemental(X, Y, subsets):
     """Solve the p x p system for each subset; singular ones are masked out."""
     A = X[subsets]  # (k, p, p)
     B = Y[subsets]  # (k, p)
-    U, S, Vt = _svd(A)
+    U, S, Vt = np.linalg.svd(A)
     good = S[:, -1] > RANK_RTOL * np.maximum(S[:, 0], np.finfo(float).tiny)
     t = np.einsum("kpi,kp->ki", U, B)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -51,7 +51,6 @@ from .estimators import (
     fit_ridge,
     fit_theilsen,
     mad_inliers,
-    one_blas_thread,
     solve_wls,
     tune_penalty_kfold,
     weighted_rms,
@@ -60,6 +59,7 @@ from .io import (
     ORDER_ARMS,
     ROBUST_METHODS,
     STUDY_ARMS,
+    data_path,
     load_registry,
     load_reference_targets,
     sigma_map,
@@ -609,11 +609,10 @@ def _workers():
 
 
 def _init_worker():
-    """A study worker's set-up.  BLAS runs on one thread, since the workers
-    fill the CPUs (and regrowing the pool OpenBLAS ends at fork spins ~0.1 s),
-    and glibc keeps freed memory: a worker lives for one study, and trimming
-    makes it fault the same pages in again (~60k faults per Integration)."""
-    one_blas_thread()
+    """A study worker's set-up: glibc keeps freed memory, since a worker lives
+    for one study and trimming makes it fault the same pages in again (~60k
+    faults per Integration).  BLAS is already on one thread: importing
+    pathfuse set it before the fork."""
     import ctypes
 
     if mallopt := getattr(ctypes.CDLL(None), "mallopt", None):
@@ -659,15 +658,24 @@ def _published(rows, scenario, band, **keys):
 
 def run_integration_study(spec: ExperimentSpec):
     """Fuse every scenario's models over low/high/full bands, three ways.
-    Trials run on one forked worker per CPU, with the same bits at any count."""
+    Trials run on one forked worker per CPU, with the same bits at any count.
+    A cell without a row in the targets' ``integration_study.cells`` raises
+    DataError before any trial runs."""
     targets = load_reference_targets()
+    cells = targets["integration_study"]["cells"]
+    for scenario, bands in SCENARIO_BANDS.items():
+        for band in bands:
+            if _published(cells, scenario, band) is None:
+                raise DataError(f"{data_path('reference_targets.json')}: "
+                                f"integration_study.cells has no row for "
+                                f"{scenario} {_band_label(band)} GHz")
     reports = []
     raw_sigma = {}
     published_coeffs = {}
     for scenario, band, outcomes in _study_cells(spec, "integration"):
         cell_key = f"{scenario}|{_band_label(band)}"
         raw_sigma[cell_key] = {a: [c[a][0] for c, _ in outcomes] for a in STUDY_ARMS}
-        published = _published(targets["integration_study"]["cells"], scenario, band)
+        published = _published(cells, scenario, band)["sigma_db"]
         for arm, cfg in _arm_configs(band).items():
             row = _published(
                 targets["published_coefficients"], scenario, band, method=arm
@@ -682,9 +690,7 @@ def run_integration_study(spec: ExperimentSpec):
                     scenario=scenario,
                     band_ghz=band,
                     sigma_db=float(np.mean(raw_sigma[cell_key][arm])),
-                    sigma_published_db=(
-                        published["sigma_db"].get(arm) if published else None
-                    ),
+                    sigma_published_db=published[arm],
                     coefficients=dict(zip(names, (float(v) for v in mean_coeffs))),
                     n_trials=spec.trials,
                 )

@@ -4,6 +4,7 @@ import csv
 import json
 import re
 import shutil
+import time
 import warnings
 from pathlib import Path
 
@@ -351,6 +352,11 @@ def test_gas_argument_validation(capsys):
     assert rc == 2  # neither --f nor --f-range
     rc, _, _ = run(capsys, "gas", "--f", "60", "--f-range", "1:100:1")
     assert rc == 2  # both
+    for sweep, bad in (("1:1e300:1", "1e+300"), ("1:nan:1", "nan")):
+        start = time.perf_counter()
+        rc, _, err = run(capsys, "gas", "--f-range", sweep)
+        assert rc == 2  # an end outside the table: checked before the sweep
+        assert bad in err and time.perf_counter() - start < 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +463,8 @@ def _edit_targets(data, case):
             cells[0]["sigma_db"] = "x"
         elif case == "string-band":
             cells[0]["band_ghz"] = "2-18"
+        elif case == "missing-cell":
+            del cells[6]  # UMa 2-18 GHz
         else:
             robust["clean_band_db"] = [3.0]
         path.write_text(json.dumps(targets))
@@ -473,7 +481,10 @@ TARGET_FAULTS = {
     "string-sigma": "integration_study.cells[0].sigma_db must be a JSON object",
     "string-band": "integration_study.cells[0].band_ghz must be two finite numbers",
     "short-band": "robust_study.clean_band_db must be two finite numbers",
+    "missing-cell": "integration_study.cells has no row for UMa 2-18 GHz",
 }
+#: the study a case runs, if not table3: only Integration reads every cell
+TARGET_FAULT_STUDY = {"missing-cell": "table4"}
 
 
 @pytest.mark.parametrize("case", list(TARGET_FAULTS))
@@ -482,7 +493,8 @@ def test_experiment_bad_reference_targets_exit_3(case, tmp_path, capsys, monkeyp
     shutil.copytree(Path(pathfuse.__file__).with_name("data"), data)
     _edit_targets(data, case)
     monkeypatch.setenv("PATHFUSE_DATA_DIR", str(data))
-    rc, _, err = run(capsys, "experiment", "--which", "table3", "--trials", "1")
+    which = TARGET_FAULT_STUDY.get(case, "table3")
+    rc, _, err = run(capsys, "experiment", "--which", which, "--trials", "1")
     assert rc == 3
     assert f"{data / 'reference_targets.json'}" in err
     assert TARGET_FAULTS[case] in err

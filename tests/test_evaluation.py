@@ -2,14 +2,11 @@
 worker pool of the multi-band studies."""
 
 import multiprocessing
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from pathfuse import cli, estimators, evaluation
+from pathfuse import cli, evaluation
 from pathfuse.atmosphere import load_default_table, predict_total
 from pathfuse.errors import ConfigError, DataError, MetricError
 from pathfuse.estimators import solve_wls, weighted_rms
@@ -313,31 +310,4 @@ def test_a_failing_worker_keeps_its_exit_code(monkeypatch, capsys):
     rc = cli.main(["experiment", "--which", "table4", "--trials", "1"])
     assert rc == 3
     assert "planted failure" in capsys.readouterr().err
-    assert multiprocessing.active_children() == []
-
-
-def test_workers_do_not_inherit_a_held_svd_lock(monkeypatch):
-    # a worker forked while another thread holds the lock would wait for it
-    # forever on its first SVD; the fork must wait for the lock instead
-    monkeypatch.setattr(evaluation, "_workers", lambda: 2)
-    held = threading.Event()
-
-    def hold():
-        with estimators._POOL_SIZE_LOCK:
-            held.set()
-            time.sleep(0.2)
-
-    holder = threading.Thread(target=hold)
-    holder.start()
-    assert held.wait(timeout=5)
-    spec = ExperimentSpec(which="IntegrationStudy", trials=1, seed=1)
-    with ThreadPoolExecutor(1) as pool:
-        future = pool.submit(run_integration_study, spec)
-        try:
-            assert len(future.result(timeout=30).reports) == 27
-        finally:
-            for worker in multiprocessing.active_children():  # hung ones
-                worker.kill()
-    holder.join(timeout=5)
-    assert not holder.is_alive()
     assert multiprocessing.active_children() == []

@@ -23,9 +23,17 @@ from pathfuse.estimators import (
     weighted_rms,
 )
 from pathfuse.evaluation import error_ratio
+from pathfuse.io import load_registry, sigma_map
 from pathfuse.models import ORDER_SIZES, CoefficientSet, SampleBatch, design_matrix
+from pathfuse.pipeline import WEIGHTING_POLICIES, PipelineConfig, fit_pathloss_model
 from pathfuse.seeding import substream
-from pathfuse.synthesis import sample_rayleigh
+from pathfuse.synthesis import (
+    OutlierSpec,
+    SynthesisSpec,
+    inject_outliers,
+    sample_rayleigh,
+    synthesize_corpus,
+)
 
 TABLE = load_default_table()
 
@@ -308,3 +316,41 @@ def test_error_ratio_requires_a_positive_baseline():
     with pytest.raises(MetricError):
         error_ratio(1.0, 0.0)
 
+
+# ---------------------------------------------------------------------------
+# metamorphic relations of the whole fit
+# ---------------------------------------------------------------------------
+
+REGISTRY = load_registry()
+#: source ids as a file could hold them: non-blank, without trailing NULs
+source_names = st.text(st.characters(categories=("L", "N", "P")), min_size=1,
+                       max_size=12)
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=seeds, data=st.data(), models=st.lists(
+    st.sampled_from(REGISTRY), min_size=2, max_size=3, unique_by=lambda m: m.id))
+def test_renaming_every_source_changes_no_bit(seed, data, models):
+    # each group is filtered alone, its weight reads its own count and sigma,
+    # and the solve keeps the row order: no name enters a number
+    rng = substream(seed, "rename")
+    corpus = synthesize_corpus(models, SynthesisSpec(points_per_model=16), rng)
+    corpus = inject_outliers(corpus, OutlierSpec(), rng)[0]
+    ids = sorted(m.id for m in models)
+    names = data.draw(st.lists(source_names, min_size=len(ids), max_size=len(ids),
+                               unique=True))
+    rename = dict(zip(ids, names))
+    renamed = SampleBatch(corpus.distance, corpus.frequency, corpus.path_loss,
+                          [rename[s] for s in corpus.source_id.tolist()])
+    sigmas = sigma_map(models)
+    renamed_sigmas = {rename[s]: sigma for s, sigma in sigmas.items()}
+    for robust in (None, "TheilSen", "RANSAC"):
+        for weighting in WEIGHTING_POLICIES:
+            cfg = PipelineConfig(weighting=weighting, robust=robust, seed=seed)
+            a, fit_a = fit_pathloss_model(corpus, cfg, sigma_by_source=sigmas)
+            b, fit_b = fit_pathloss_model(renamed, cfg, sigma_by_source=renamed_sigmas)
+            coefficients = [m.coefficients.as_array().tobytes() for m in (a, b)]
+            assert coefficients[0] == coefficients[1]
+            assert same_bits(a.sigma, b.sigma)
+            assert a.provenance == b.provenance
+            assert np.array_equal(fit_a.inlier_mask, fit_b.inlier_mask)
