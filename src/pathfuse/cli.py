@@ -62,6 +62,8 @@ _WHICH_ALIASES = {
     "outlier": "OutlierStudy",
 }
 
+_MAX_SWEEP_POINTS = 100_000  # of a ``gas --f-range`` sweep
+
 _PREFILTERS = {"none": None, "theil-sen": "TheilSen", "ransac": "RANSAC"}
 
 _WEIGHTINGS = {
@@ -91,9 +93,12 @@ def _parse_range(text, table):
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"range must be numeric, got {text!r}") from None
-    if step <= 0 or stop < start:
-        raise ConfigError(f"range needs STOP >= START and STEP > 0, got {text!r}")
+    if not (np.isfinite(step) and step > 0) or stop < start:
+        raise ConfigError(f"range needs STOP >= START and a finite STEP > 0, "
+                          f"got {text!r}")
     table.specific_attenuation([start, stop])  # both ends, before the sweep is built
+    if (stop - start) / step >= _MAX_SWEEP_POINTS:
+        raise ConfigError(f"range {text!r} has over {_MAX_SWEEP_POINTS} points")
     out = []
     k = 0
     while True:

@@ -352,10 +352,13 @@ def test_gas_argument_validation(capsys):
     assert rc == 2  # neither --f nor --f-range
     rc, _, _ = run(capsys, "gas", "--f", "60", "--f-range", "1:100:1")
     assert rc == 2  # both
-    for sweep, bad in (("1:1e300:1", "1e+300"), ("1:nan:1", "nan")):
+    for sweep, bad in (("1:1e300:1", "1e+300"), ("1:nan:1", "nan"),
+                       ("1:2:nan", "finite STEP"), ("1:100:1e-9", "over 100000")):
         start = time.perf_counter()
         rc, _, err = run(capsys, "gas", "--f-range", sweep)
-        assert rc == 2  # an end outside the table: checked before the sweep
+        # an end outside the table, a step that is not finite, or too many
+        # points: each is refused before the sweep is built
+        assert rc == 2
         assert bad in err and time.perf_counter() - start < 0.5
 
 

@@ -640,6 +640,38 @@ def test_ransac_scores_in_row_blocks():
     assert fit.inlier_mask.sum() == 6490
 
 
+@pytest.mark.parametrize("n", [200, 1_080])
+def test_ransac_block_size_changes_no_bit(n, monkeypatch):
+    # one block of every draw, the default, and one row per block
+    x, y = contaminated_campaign(n, seed=11)
+    X = np.column_stack([x, np.ones(n)])
+    fits = []
+    for block in (1 << 20, 1 << 16, n):
+        monkeypatch.setattr(estimators, "ROW_BLOCK", block)
+        fits.append(fit_ransac(X, y, seed=7))
+    for fit in fits[1:]:
+        assert fit.coefficients.tolist() == fits[0].coefficients.tolist()
+        assert np.array_equal(fit.inlier_mask, fits[0].inlier_mask)
+
+
+def test_ransac_first_of_tied_consensus_sets_wins_across_blocks(monkeypatch):
+    # two parallel lines of 20 exact points each: a pair from one line has
+    # that line's 20 as its consensus, so candidates of both lines tie
+    n, seed = 40, 3
+    x = np.random.default_rng(5).uniform(0.0, 10.0, n)
+    line = np.arange(n) % 2  # 0: y = 2x, 1: y = 2x + 10
+    X = np.column_stack([x, np.ones(n)])
+    Y = 2.0 * x + 10.0 * line
+    subsets = estimators._draw_subsets(
+        substream(seed, "ransac"), n, 2, estimators.RANSAC_DRAWS
+    )
+    tied = [line[i] for i, j in subsets if line[i] == line[j]]
+    assert tied[0] != tied[-1]  # the first and the last tied candidates differ
+    monkeypatch.setattr(estimators, "ROW_BLOCK", n)  # one candidate per block
+    fit = fit_ransac(X, Y, seed=seed, inlier_threshold=0.1)
+    assert np.array_equal(fit.inlier_mask, line == tied[0])
+
+
 # ---------------------------------------------------------------------------
 # penalty tuning
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Scoring metrics, leave-one-out machinery, gate evaluation, and the
-worker pool of the multi-band studies."""
+studies' worker pool."""
 
 import multiprocessing
 
@@ -264,11 +264,12 @@ def test_pinned_seed_run_passes_every_gate(robust_result):
 
 
 # ---------------------------------------------------------------------------
-# the multi-band studies' worker pool
+# the studies' worker pool
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("runner, which", [
+    (run_robust_study, "RobustStudy"),
     (run_integration_study, "IntegrationStudy"),
     (run_outlier_study, "OutlierStudy"),
 ])
@@ -297,17 +298,41 @@ def _fail_one_cell(monkeypatch):
     monkeypatch.setattr(evaluation, "_workers", lambda: 2)
 
 
-@pytest.mark.parametrize("which", ["IntegrationStudy", "OutlierStudy"])
+def _fail_one_robust_trial(monkeypatch, seed):
+    """Workers forked after this inherit a synthesis that fails in trial 1."""
+    real = evaluation.synthesize_from_model
+    failing = substream(seed, "robust", "synth", 1).bit_generator.state
+
+    def synthesize(model, synth, rng):
+        if rng.bit_generator.state == failing:
+            raise DataError("planted failure in one trial")
+        return real(model, synth, rng)
+
+    monkeypatch.setattr(evaluation, "synthesize_from_model", synthesize)
+    monkeypatch.setattr(evaluation, "_workers", lambda: 2)
+
+
+@pytest.mark.parametrize("which", ["RobustStudy", "IntegrationStudy", "OutlierStudy"])
 def test_a_failing_worker_raises_its_own_error(which, monkeypatch):
-    _fail_one_cell(monkeypatch)
+    trials = 1  # one trial per cell: the multi-band studies still fork
+    if which == "RobustStudy":
+        _fail_one_robust_trial(monkeypatch, seed=1)
+        trials = 2  # so that two workers really fork
+    else:
+        _fail_one_cell(monkeypatch)
     with pytest.raises(DataError, match="planted failure"):
-        run_experiment(ExperimentSpec(which=which, trials=1, seed=1))
+        run_experiment(ExperimentSpec(which=which, trials=trials, seed=1))
     assert multiprocessing.active_children() == []
 
 
 def test_a_failing_worker_keeps_its_exit_code(monkeypatch, capsys):
     _fail_one_cell(monkeypatch)
     rc = cli.main(["experiment", "--which", "table4", "--trials", "1"])
+    assert rc == 3
+    assert "planted failure" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+    _fail_one_robust_trial(monkeypatch, seed=0)
+    rc = cli.main(["experiment", "--which", "table3", "--trials", "2"])
     assert rc == 3
     assert "planted failure" in capsys.readouterr().err
     assert multiprocessing.active_children() == []
