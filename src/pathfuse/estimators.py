@@ -24,7 +24,7 @@ grid of one: Ridge takes every lam from one SVD of the standardized design
 (Golub, Heath & Wahba 1979); Lasso and ElasticNet run one cyclic coordinate
 descent whose coefficients and residuals carry a candidate axis (Friedman,
 Hastie & Tibshirani 2010).  K-fold tuning standardizes each fold's training
-rows once and scores every candidate with one product.
+rows once, for every kind it tunes, and scores every candidate with one product.
 
 ``mad_inliers`` is the package's one outlier cut, about the median residual:
 ``fit_theilsen``'s mask, the pipeline's prefilter and the Robust study use it.
@@ -491,12 +491,16 @@ def fit_elasticnet(X, Y, lam1: float, lam2: float):
 
 def _draw_subsets(rng, n, p, count):
     """``count`` random p-subsets of range(n), one per row, drawn in row
-    blocks of ``ROW_BLOCK`` uniforms (the same stream as one big fill)."""
+    blocks of ``ROW_BLOCK`` uniforms (the same stream as one big fill): each
+    row's p least uniforms, ascending, ties to the lower index, by p ``argmin``
+    passes (0.2 ms at 1000 x 200 and p = 2, where ``argpartition`` took 2.5 ms)."""
     rows = max(1, ROW_BLOCK // n)
     out = np.empty((count, p), dtype=np.intp)
     for k in range(0, count, rows):
         u = rng.random((min(rows, count - k), n))
-        out[k:k + rows] = np.argpartition(u, p, axis=1)[:, :p]
+        for j in range(p):
+            pick = out[k:k + rows, j] = u.argmin(axis=1)
+            u[np.arange(u.shape[0]), pick] = np.inf
     return out
 
 
@@ -814,31 +818,33 @@ def fit_theilsen(X, Y) -> FitDiagnostics:
 # ---------------------------------------------------------------------------
 
 
-def _kfold_scores(X, Y, kind, grid, seed):
-    """Held-out RMSE of every candidate over the ``KFOLD_K`` seeded folds."""
+def _kfold_scores(X, Y, kinds, grid, seed):
+    """Held-out RMSE of every candidate over the ``KFOLD_K`` seeded folds, one
+    row per kind in ``kinds``; each fold is standardized once for every kind."""
     if not grid:
         raise ConfigError("penalty grid must not be empty")
-    if kind not in ("Ridge", "Lasso", "ElasticNet"):
-        raise ConfigError(f"penalty tuning does not apply to kind {kind!r}")
-    l1, l2 = _penalties(kind, grid)
+    for kind in kinds:
+        if kind not in ("Ridge", "Lasso", "ElasticNet"):
+            raise ConfigError(f"penalty tuning does not apply to kind {kind!r}")
+    penalties = [_penalties(kind, grid) for kind in kinds]
     X, Y, _ = _as_system(X, Y)
     n = X.shape[0]
     if n < 2 * KFOLD_K:
         raise ConfigError(f"k-fold tuning needs n >= {2 * KFOLD_K}, got {n}")
 
     rng = substream(seed, "kfold")
-    ssq = np.zeros(len(grid))
+    ssq = np.zeros((len(kinds), len(grid)))
     for fold in np.array_split(rng.permutation(n), KFOLD_K):
         train = np.ones(n, dtype=bool)
         train[fold] = False
         std = _Standardizer(X[train], Y[train])
-        B = _solve_grid(std, kind, l1, l2)
-        err = Y[fold, None] - X[fold] @ B
-        ssq += np.einsum("ij,ij->j", err, err)
+        for row, kind, (l1, l2) in zip(ssq, kinds, penalties):
+            err = Y[fold, None] - X[fold] @ _solve_grid(std, kind, l1, l2)
+            row += np.einsum("ij,ij->j", err, err)
     return np.sqrt(ssq / n)
 
 
-def tune_penalty_kfold(X, Y, kind: str, grid, *, seed=0):
+def tune_penalty_kfold(X, Y, kind: str | tuple, grid, *, seed=0):
     """Pick the penalty minimizing mean held-out RMSE over ``KFOLD_K`` folds
     drawn from ``substream(seed, "kfold")``; ties go to the smallest.
 
@@ -846,8 +852,11 @@ def tune_penalty_kfold(X, Y, kind: str, grid, *, seed=0):
     ``ELASTICNET_MIX``) and the winner is returned unchanged.  The grid is
     checked before any fold runs; each fold solves every candidate at once,
     from one SVD (Ridge) or one coordinate descent with a candidate axis
-    (Lasso/ElasticNet), and scores them with one product.
+    (Lasso/ElasticNet), and scores them with one product.  For a tuple of
+    kinds, one fold loop returns a tuple of what each kind's own call returns.
     """
     grid = list(grid)
-    scores = _kfold_scores(X, Y, kind, grid, seed)
-    return grid[min(range(len(grid)), key=lambda i: (scores[i], float(grid[i])))]
+    kinds = (kind,) if isinstance(kind, str) else tuple(kind)
+    picks = tuple(grid[min(range(len(grid)), key=lambda i: (s[i], float(grid[i])))]
+                  for s in _kfold_scores(X, Y, kinds, grid, seed))
+    return picks[0] if isinstance(kind, str) else picks

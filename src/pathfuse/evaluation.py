@@ -29,8 +29,8 @@ trial's clean and contaminated corpora.  The integration and outlier studies
 share one loop: ``_study_cells`` walks every scenario x band cell in report
 order, with one ``_study_task`` per (cell, trial), which fits the three arms
 (``_fit_arms``) on its corpus, and for the outlier study on copies with
-injected outliers.  The order study stays serial: its trials are too short
-to pay for a pool (see :func:`run_order_study`).
+injected outliers.  The order study stays serial: at 0.04-0.07 s for ten trials
+it is too short to pay for a pool (see :func:`run_order_study`).
 
 Protocol constants that are calibration targets (ambient scattering scale,
 outlier magnitudes, the robust filter multiplier) are module constants here
@@ -187,7 +187,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.which not in STUDIES:
             raise ConfigError(f"which must be one of {STUDIES}, got {self.which!r}")
-        if not (isinstance(self.trials, int) and self.trials >= 1):
+        if type(self.seed) is not int:  # not isinstance: a bool is an int there
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not (type(self.trials) is int and self.trials >= 1):
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
 
 
@@ -239,24 +241,27 @@ def error_ratio(sigma_contaminated: float, sigma_clean: float) -> float:
     return 100.0 * (sigma_contaminated - sigma_clean) / sigma_clean
 
 
-def loocv(models, cfg: PipelineConfig, *, synthesis: SynthesisSpec, trials=1, seed=0):
-    """Leave-one-sample-out cross-validation error (dB) of each trial, as a list.
+def loocv(models, cfg, *, synthesis: SynthesisSpec, trials=1, seed=0):
+    """Leave-one-sample-out cross-validation error (dB) of each trial, as a list;
+    for a tuple of ``PipelineConfig``s, a tuple of such lists, one per config.
 
-    Per trial, synthesize one pooled corpus from all models, fit it once with
-    ``fit_pathloss_model`` and take the fit's ``provenance["loocv_db"]``: the
+    Per trial, synthesize one pooled corpus from all models, fit it once per
+    config with ``fit_pathloss_model`` and take ``provenance["loocv_db"]``: the
     exact deletion residuals from its own solve (no refitting).
     """
+    cfgs = (cfg,) if isinstance(cfg, PipelineConfig) else tuple(cfg)
     models = sorted(models, key=lambda m: m.id)
     if len(models) < 3:
         raise ConfigError(f"leave-one-out needs at least 3 models, got {len(models)}")
     sigmas = sigma_map(models)
-    per_trial = []
+    per_trial = tuple([] for _ in cfgs)
     for t in range(trials):
         rng = substream(seed, "loocv", "synth", t)
         corpus = synthesize_corpus(models, synthesis, rng)
-        model, _ = fit_pathloss_model(corpus, cfg, sigma_by_source=sigmas)
-        per_trial.append(model.provenance["loocv_db"])
-    return per_trial
+        for c, out in zip(cfgs, per_trial):
+            model, _ = fit_pathloss_model(corpus, c, sigma_by_source=sigmas)
+            out.append(model.provenance["loocv_db"])
+    return per_trial[0] if isinstance(cfg, PipelineConfig) else per_trial
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +286,11 @@ def run_order_study(spec: ExperimentSpec):
     which every campaign is sampled across the scenario's full distance
     span, so the left-out samples probe the shared surface everywhere
     rather than only inside each campaign's own window; the error is the
-    exact sample-level deletion residual (see :func:`loocv`).  Finally the
-    per-order mean coefficients are scanned on a distance x frequency grid
-    for cells where predicted loss decreases as frequency or distance grows.
-    Serial: a pool costs ~19 ms, and pooled this 0.07-0.10 s study took 0.12 s.
+    exact sample-level deletion residual, from one :func:`loocv` call that
+    fits the three orders on each trial's one corpus.  Finally the per-order
+    mean coefficients are scanned on a distance x frequency grid for cells
+    where predicted loss decreases as frequency or distance grows.  Serial: a
+    pool costs ~19 ms, and the study takes 0.04-0.07 s at trials=10 (2 vCPUs).
     """
     models = [m for m in load_registry() if m.scenario == ORDER_STUDY_SCENARIO]
     heldout = next((m for m in models if m.id == ORDER_STUDY_HELDOUT), None)
@@ -318,11 +324,9 @@ def run_order_study(spec: ExperimentSpec):
             sigma18[arm].append(weighted_rms(resid))
             coeffs[arm].append(fitted.coefficients.as_array())
 
-    loocv_raw = {
-        arm: loocv(span_models, cfg, synthesis=synth, trials=spec.trials,
-                   seed=spec.seed)
-        for arm, cfg in _ORDER_CONFIGS.items()
-    }
+    loocv_raw = dict(zip(arms, loocv(span_models, tuple(_ORDER_CONFIGS.values()),
+                                     synthesis=synth, trials=spec.trials,
+                                     seed=spec.seed)))
 
     # surface scan on the trial-mean coefficients: the polynomial alone (no
     # gas term is fitted here; resonances would be legitimately non-monotone)
@@ -402,26 +406,24 @@ _PENALIZED_METHODS = {
 }
 
 
-def _robust_method_sigma(method, X, Y, seed, *, reject=True):
+def _robust_method_sigma(method, X, Y, seed, *, reject=True, lam=None):
     """Fit one method; return its sigma over its evaluation set.
 
-    The plain and shrinkage fits are scored over the full corpus.  With
-    ``reject=True`` the two rejection arms are scored over what they keep —
-    the median fit filters by its own residual scale, the consensus fit by
-    its inlier threshold — since reject-then-refit is the point of those
-    arms.  (Scoring them over the full corpus could never beat the plain
-    fit, which minimises that objective by construction.)  The clean leg of
-    the study passes ``reject=False``: with nothing to excise, every method
-    is scored over the full corpus, which is why the benchmark's clean
-    column is flat across methods.
+    The plain fit and the shrinkage fits, at their tuned ``lam``, are scored
+    over the full corpus.  With ``reject=True`` the two rejection arms are
+    scored over what they keep — the median fit filters by its own residual
+    scale, the consensus fit by its inlier threshold — since reject-then-refit
+    is the point of those arms.  (Scoring them over the full corpus could never
+    beat the plain fit, which minimises that objective by construction.)  The
+    clean leg of the study passes ``reject=False``: with nothing to excise,
+    every method is scored over the full corpus, which is why the benchmark's
+    clean column is flat across methods.
     """
     keep = slice(None)  # the rows the method is scored over
     if method == "ols":
         coef = solve_wls(X, Y)
     elif method in _PENALIZED_METHODS:
-        kind, fit = _PENALIZED_METHODS[method]
-        lam = tune_penalty_kfold(X, Y, kind, DEFAULT_PENALTY_GRID, seed=seed)
-        coef = fit(X, Y, lam)
+        coef = _PENALIZED_METHODS[method][1](X, Y, lam)
     elif method == "ransac":
         fit = fit_ransac(
             X, Y, seed=seed, inlier_threshold=ROBUST_STUDY_RANSAC_INLIER_DB
@@ -453,12 +455,16 @@ def _robust_task(task):
     contaminated, _ = inject_outliers(corpus, outliers,
                                       substream(seed, "robust", "inject", t))
     outcome = {}
+    kinds = tuple(kind for kind, _ in _PENALIZED_METHODS.values())
     for arm, samples in (("clean", corpus), ("contaminated", contaminated)):
         X, Y = build_design_system(samples, order=1,
                                    pin_gamma=ROBUST_STUDY_PINNED_GAMMA)
+        lams = dict(zip(_PENALIZED_METHODS, tune_penalty_kfold(
+            X, Y, kinds, DEFAULT_PENALTY_GRID, seed=seed * 1000 + t)))
         outcome[arm] = {
             method: _robust_method_sigma(method, X, Y, seed=seed * 1000 + t,
-                                         reject=(arm == "contaminated"))
+                                         reject=(arm == "contaminated"),
+                                         lam=lams.get(method))
             for method in ROBUST_METHODS
         }
     return outcome

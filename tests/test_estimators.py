@@ -672,6 +672,17 @@ def test_ransac_first_of_tied_consensus_sets_wins_across_blocks(monkeypatch):
     assert np.array_equal(fit.inlier_mask, line == tied[0])
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 6, 10])
+def test_subsets_are_each_rows_least_uniforms_in_ascending_order(p):
+    # n = 200 puts the 1000 draws in four row blocks; the subsets must be the
+    # same stream's uniforms sorted stably (ties to the lower index)
+    n, count = 200, estimators.RANSAC_DRAWS
+    assert ROW_BLOCK // n < count
+    u = substream(9, "ransac").random((count, n))
+    got = estimators._draw_subsets(substream(9, "ransac"), n, p, count)
+    assert np.array_equal(got, np.argsort(u, kind="stable")[:, :p])
+
+
 # ---------------------------------------------------------------------------
 # penalty tuning
 # ---------------------------------------------------------------------------
@@ -742,9 +753,61 @@ def test_tied_lasso_penalties_go_to_the_smallest():
     X = np.column_stack([rng.uniform(1, 10, 40), np.ones(40), rng.uniform(0, 5, 40)])
     Y = 5.0 + rng.normal(0.0, 1.0, 40)
     grid = [1e5, 0.0, 3e3, 1e4]
-    scores = estimators._kfold_scores(X, Y, "Lasso", grid, 0)
+    (scores,) = estimators._kfold_scores(X, Y, ("Lasso",), grid, 0)
     assert scores[0] == scores[2] == scores[3] < scores[1]
     assert tune_penalty_kfold(X, Y, "Lasso", grid) == 3e3
+
+
+KINDS = ("Ridge", "Lasso", "ElasticNet")
+
+
+def _robust_study_systems(monkeypatch):
+    """(X, Y, seed) of every tuning call of a one-trial Robust study."""
+    calls = []
+
+    def spy(X, Y, kind, grid, *, seed=0):
+        calls.append((X, Y, seed))
+        return tune_penalty_kfold(X, Y, kind, grid, seed=seed)
+
+    monkeypatch.setattr(evaluation, "tune_penalty_kfold", spy)
+    evaluation.run_robust_study(ExperimentSpec(which="RobustStudy", trials=1, seed=1))
+    return calls
+
+
+def test_tuning_several_kinds_matches_one_call_per_kind(monkeypatch):
+    rng = np.random.default_rng(67)
+    x = rng.uniform(1, 10, 60)
+    X = np.column_stack([x, np.ones(60), x + rng.normal(0.0, 1.0, 60)])
+    Y = X @ np.array([2.0, 5.0, -1.0]) + rng.normal(0.0, 2.0, 60)
+    systems = _robust_study_systems(monkeypatch)
+    assert len(systems) == 2  # the clean and the contaminated corpus
+    systems.append((X, Y, 5))
+    grid = estimators.DEFAULT_PENALTY_GRID
+    for X, Y, seed in systems:
+        scores = estimators._kfold_scores(X, Y, KINDS, grid, seed)
+        for kind, row in zip(KINDS, scores):
+            (alone,) = estimators._kfold_scores(X, Y, (kind,), grid, seed)
+            assert row.tolist() == alone.tolist()
+        assert tune_penalty_kfold(X, Y, KINDS, grid, seed=seed) == tuple(
+            tune_penalty_kfold(X, Y, kind, grid, seed=seed) for kind in KINDS
+        )
+
+
+def test_tuning_several_kinds_checks_every_kind_before_any_fold(monkeypatch):
+    X = np.column_stack([np.arange(1.0, 25.0), np.ones(24)])
+    Y = np.arange(24.0)
+
+    def no_fold(*args):
+        raise AssertionError("a fold ran")
+
+    monkeypatch.setattr(estimators, "_solve_grid", no_fold)
+    for kinds in (("Ridge", "Lasso", "OLS"), ("OLS", "Ridge")):
+        with pytest.raises(ConfigError, match="kind 'OLS'"):
+            tune_penalty_kfold(X, Y, kinds, [0.0, 0.1])
+    with pytest.raises(ConfigError, match=r"Ridge penalty candidate -1\.0"):
+        tune_penalty_kfold(X, Y, KINDS, [0.0, -1.0])
+    with pytest.raises(ConfigError, match="Lasso penalty candidate nan"):
+        tune_penalty_kfold(X, Y, ("Lasso", "Ridge"), [0.1, np.nan])
 
 
 def test_descent_that_runs_out_of_sweeps_raises_with_its_last_iterate(monkeypatch):

@@ -2,6 +2,7 @@
 studies' worker pool."""
 
 import multiprocessing
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from pathfuse import cli, evaluation
 from pathfuse.atmosphere import load_default_table, predict_total
 from pathfuse.errors import ConfigError, DataError, MetricError
 from pathfuse.estimators import solve_wls, weighted_rms
+from pathfuse.io import load_registry
 from pathfuse.evaluation import (
     EvaluationReport,
     StudyResult,
@@ -18,6 +20,7 @@ from pathfuse.evaluation import (
     loocv,
     run_experiment,
     run_integration_study,
+    run_order_study,
     run_outlier_study,
     run_robust_study,
     ExperimentSpec,
@@ -159,6 +162,29 @@ def test_loocv_rejects_bad_arguments():
     cfg = PipelineConfig(order=1, robust=None, gas_correction=False)
     with pytest.raises(ConfigError):
         loocv(_trio()[:2], cfg, synthesis=SynthesisSpec())
+
+
+def test_order_study_loocv_is_that_of_loocv():
+    # the study fits its three orders on each trial's one LOOCV corpus
+    scenario = evaluation.ORDER_STUDY_SCENARIO
+    models = [m for m in load_registry() if m.scenario == scenario]
+    span = (min(m.dist_min for m in models), max(m.dist_max for m in models))
+    span_models = [replace(m, dist_min=span[0], dist_max=span[1]) for m in models]
+    synth = SynthesisSpec(points_per_model=evaluation.ORDER_STUDY_POINTS,
+                          distance_sampling=evaluation.STUDY_DISTANCE_SAMPLING)
+    result = run_order_study(ExperimentSpec(which="OrderStudy", trials=2, seed=3))
+    assert list(result.raw["loocv_db"]) == list(evaluation._ORDER_CONFIGS)
+    for arm, cfg in evaluation._ORDER_CONFIGS.items():
+        want = loocv(span_models, cfg, synthesis=synth, trials=2, seed=3)
+        assert result.raw["loocv_db"][arm] == want
+
+
+@pytest.mark.parametrize("field, value", [
+    ("trials", True), ("trials", 2.0), ("seed", 1.5), ("seed", "3"), ("seed", True),
+])
+def test_spec_takes_only_integer_trials_and_seed(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be an? (positive )?integer"):
+        ExperimentSpec(which="RobustStudy", **{field: value})
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,7 @@ def test_batched_tuning_matches_one_fit_per_candidate(
             with pytest.raises(ConvergenceError):
                 tune_penalty_kfold(X, Y, kind, grid, seed=seed)
             return
-        got = estimators._kfold_scores(X, Y, kind, grid, seed)
+        (got,) = estimators._kfold_scores(X, Y, (kind,), grid, seed)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         best = min(range(len(grid)), key=lambda i: (want[i], grid[i]))
         assert tune_penalty_kfold(X, Y, kind, grid, seed=seed) == grid[best]
