@@ -6,80 +6,52 @@ optionally corrected for atmospheric gas absorption and cleaned of
 blocker-style outliers, weighted by campaign precision, and refitted as one
 log-polynomial surface over distance and frequency.
 
-Importing pathfuse puts numpy's OpenBLAS on one thread for the whole process.
+Importing pathfuse sets ``OPENBLAS_NUM_THREADS`` to 1 unless it is already
+set, before anything loads numpy, so numpy's OpenBLAS starts no helper
+thread; child processes inherit the variable.  ``estimators`` still puts
+OpenBLAS on one thread in a process that loaded numpy first.  The names
+below load their module on first use: ``import pathfuse.io`` loads neither
+the estimators nor the studies.
 """
 
-from .atmosphere import (
-    GasAttenuationTable,
-    load_default_table,
-    predict_total,
-    remove_gas_loss,
-)
-from .errors import (
-    ConfigError,
-    ConsensusFailureError,
-    ConvergenceError,
-    DataError,
-    DegenerateDataError,
-    GasRangeError,
-    InsufficientDataError,
-    MetricError,
-    NumericError,
-    PathfuseError,
-    SingularSystemError,
-)
-from .estimators import (
-    DEFAULT_PENALTY_GRID,
-    FitDiagnostics,
-    fit_elasticnet,
-    fit_lasso,
-    fit_ransac,
-    fit_ridge,
-    fit_theilsen,
-    mad_inliers,
-    mad_scale,
-    solve_wls,
-    tune_penalty_kfold,
-)
-from .evaluation import (
-    EvaluationReport,
-    ExperimentSpec,
-    StudyResult,
-    error_ratio,
-    evaluate_gates,
-    loocv,
-    run_experiment,
-    run_integration_study,
-    run_order_study,
-    run_outlier_study,
-    run_robust_study,
-)
-from .io import load_registry, load_samples, save_model, save_samples, sigma_map
-from .models import (
-    CoefficientSet,
-    FittedModel,
-    PathLossSample,
-    SampleBatch,
-    SourceModel,
-    build_design_system,
-    design_matrix,
-    predict_abg,
-)
-from .pipeline import (
-    WEIGHTING_POLICIES,
-    PipelineConfig,
-    compute_weights,
-    fit_pathloss_model,
-)
-from .seeding import substream
-from .synthesis import (
-    OutlierSpec,
-    SynthesisSpec,
-    add_scattering_noise,
-    inject_outliers,
-    sample_rayleigh,
-    synthesize_corpus,
-    synthesize_from_model,
-)
+import importlib
+import os
 
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+#: the module of each public name
+_EXPORTS = {
+    "atmosphere": "GasAttenuationTable load_default_table predict_total "
+                  "remove_gas_loss",
+    "errors": "ConfigError ConsensusFailureError ConvergenceError DataError "
+              "DegenerateDataError GasRangeError InsufficientDataError MetricError "
+              "NumericError PathfuseError SingularSystemError",
+    "estimators": "DEFAULT_PENALTY_GRID FitDiagnostics fit_elasticnet fit_lasso "
+                  "fit_ransac fit_ridge fit_theilsen mad_inliers mad_scale solve_wls "
+                  "tune_penalty_kfold",
+    "evaluation": "EvaluationReport ExperimentSpec StudyResult error_ratio "
+                  "evaluate_gates loocv run_experiment run_integration_study "
+                  "run_order_study run_outlier_study run_robust_study",
+    "io": "load_registry load_samples save_model save_samples sigma_map",
+    "models": "CoefficientSet FittedModel PathLossSample SampleBatch SourceModel "
+              "build_design_system design_matrix predict_abg",
+    "pipeline": "WEIGHTING_POLICIES PipelineConfig compute_weights fit_pathloss_model",
+    "seeding": "substream",
+    "synthesis": "OutlierSpec SynthesisSpec add_scattering_noise inject_outliers "
+                 "sample_rayleigh synthesize_corpus synthesize_from_model",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names.split()}
+
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module 'pathfuse' has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -43,9 +43,11 @@ the same draws and the same first largest consensus as one pass.  2^16 (512
 KB) stays in cache: one pass built 1000 x n temporaries (1.6 MB at n = 200)
 whose pages faulted in afresh on every call, and cost a third of its time.
 
-Importing pathfuse puts numpy's OpenBLAS on one thread for the whole
-process, as a woken pool's idle worker busy-waits: 1.0 s of CPU in a 1.6 s
-Integration study (2-core Xeon).  Forked study workers inherit the setting.
+Every fit solves on one OpenBLAS thread, as a woken pool's idle worker
+busy-waits: 1.0 s of CPU in a 1.6 s Integration study (2-core Xeon).  The
+package sets ``OPENBLAS_NUM_THREADS`` before numpy loads; importing this
+module puts an OpenBLAS that a process loaded first on one thread as well.
+Forked study workers inherit the setting.
 
 Penalty conventions (important for cross-checking against other software):
 
@@ -580,9 +582,12 @@ def _inversions(seq):
 
     Level b holds the pairs that first differ in bit b: after a stable sort
     on the higher bits, each 0 bit after a 1 of its group is one inversion.
-    Also returns ``pairs``: inversion ranks (sorted, or ``slice(None)`` for
-    all in order) -> (earlier, later) positions.  Its O(n log n) index arrays
-    live as long as ``pairs``: ``_inversion_count`` only counts, in O(n).
+    The k-th 0 bit of level b, at position p of group g = p >> (b+1), follows
+    p - k - g 2^b 1 bits of its group, as each group before g holds 2^b 0 bits
+    (see ``_inversion_count``).  Also returns
+    ``pairs``: inversion ranks (sorted, or ``slice(None)`` for all in order)
+    -> (earlier, later) positions.  Its O(n log n) index arrays live as long
+    as ``pairs``: ``_inversion_count`` only counts, in O(n).
     """
     n = seq.size
     levels = np.arange(max(n - 1, 1).bit_length(), dtype=np.int32)
@@ -591,35 +596,41 @@ def _inversions(seq):
     order = np.concatenate(
         [np.argsort((seq >> (b + 1)).astype(key), kind="stable") for b in levels]
     )
-    val, shift = seq[order], np.repeat(levels, n)
-    bit = (val >> shift) & 1
-    ones = np.cumsum(bit, dtype=np.int32) - bit  # 1 bits before each, levels in a row
-    start = np.repeat(levels * n, n) + (val >> (shift + 1) << (shift + 1))
-    weight = np.where(bit == 0, ones - ones[start], 0)
-    cum, one_at = np.cumsum(weight), np.flatnonzero(bit)
+    bit = (seq[order] >> np.repeat(levels, n)) & 1
+    zero_at, one_at = np.flatnonzero(bit == 0), np.flatnonzero(bit)  # levels in a row
+    b, p = np.divmod(zero_at, n)
+    k = np.arange(zero_at.size) - np.searchsorted(zero_at, levels * n)[b]
+    weight = p - k - (p >> (b + 1) << b)
+    cum = np.cumsum(weight)
 
     def pairs(ranks):
-        if isinstance(ranks, slice):  # entry k holds the ranks below cum[k]
-            k, ranks = np.repeat(np.arange(weight.size), weight), np.arange(cum[-1])
+        if isinstance(ranks, slice):  # zero z holds the ranks below cum[z]
+            z, ranks = np.repeat(np.arange(weight.size), weight), np.arange(cum[-1])
         else:
-            k = np.searchsorted(cum, ranks, side="right")
-        first = one_at[ones[k] + ranks - cum[k]]  # k's group's 1 bits end just before k
-        return order[first], order[k]
+            z = np.searchsorted(cum, ranks, side="right")
+        # zero_at[z] - z 1 bits come before zero z, its group's last just before it
+        first = one_at[zero_at[z] - z + ranks - cum[z]]
+        return order[first], order[zero_at[z]]
 
     return int(cum[-1]), pairs
 
 
 def _inversion_count(seq):
-    """The count of ``_inversions``, one level at a time in O(n) memory."""
-    n = seq.size
-    levels = max(n - 1, 1).bit_length()
-    seq, total = seq.astype(np.uint16 if n <= 1 << 16 else np.int32), 0
-    bit = np.ones(1 << levels, dtype=np.int64)  # 1 bits, as no 0 follows, pad the end
-    for b in range(levels):
-        bit[:n] = (seq[np.argsort(seq >> (b + 1), kind="stable")] >> b) & 1
-        ones = np.cumsum(bit).reshape(-1, 2 << b)  # a group per aligned block
-        ones -= ones[:, :1] - bit[:: 2 << b, None]  # 1 bits so far in the group
-        total += int(ones.ravel() @ (1 - bit))  # summed over the 0 bits
+    """The count of ``_inversions``, one level at a time in O(n) memory.
+
+    After level b's stable sort, the block [g, g+1) * 2^(b+1) of positions
+    holds exactly group g's values, as ``seq`` is a permutation: z_g =
+    min(2^b, n - g 2^(b+1)) of them have bit b 0.  The k-th of those 0 bits,
+    at position p_k, follows p_k - g 2^(b+1) - k 1 bits of its group, so the
+    level counts sum(p_k) - sum_g (z_g g 2^(b+1) + z_g (z_g - 1) / 2).
+    """
+    n, total, at = seq.size, 0, np.arange(seq.size)
+    seq = seq.astype(np.uint16 if n <= 1 << 16 else np.int32)
+    for b in range(max(n - 1, 1).bit_length()):
+        zero = (seq[np.argsort(seq >> (b + 1), kind="stable")] >> b) & 1 == 0
+        start = np.arange(0, n, 2 << b)  # of each group
+        z = np.minimum(1 << b, n - start)
+        total += int(at @ zero) - int(z @ start + z @ (z - 1) // 2)
     return total
 
 

@@ -40,6 +40,9 @@ _REGISTRY_FILE = "table1_nlos.csv"
 _TARGETS_FILE = "reference_targets.json"
 
 _SAMPLE_FIELDS = ("distance_m", "freq_ghz", "path_loss_db", "source_id")
+#: a row of a samples CSV as ``save_samples`` writes it
+_CANONICAL_ROW = np.dtype([(name, float) for name in _SAMPLE_FIELDS[:3]]
+                          + [(_SAMPLE_FIELDS[3], object)])
 
 #: the registry CSV's column for each ``SourceModel`` field, in field order
 _REGISTRY_COLUMNS = ("id", "env", "scenario", "freq_ghz", "source", "n_points",
@@ -96,7 +99,37 @@ def load_samples(path):
 
     A ``source_id`` must not be blank.  An optional ``weight`` column is
     accepted only with the value 1 (or empty): no fit reads per-sample weights.
+    A file as ``save_samples`` writes it (that header, four fields a row, no
+    quote or lone CR) is parsed in C by ``np.loadtxt``; any other file, or one
+    that the C path refuses, is read by ``_load_rows``, the reference: every
+    file gives the reference's columns and ids, or its DataError.
     """
+    batch = _load_canonical(path)
+    return _load_rows(path) if batch is None else batch
+
+
+def _load_canonical(path):
+    """The batch of a canonical samples CSV, or None.  ``np.loadtxt`` parses
+    each float with ``float``'s own parser (it refuses some that ``float``
+    takes, as ``1_0``), refuses a row of other than four fields and skips
+    empty lines as ``csv`` does; each id is stripped."""
+    try:
+        with open(path, newline="") as fh:
+            head, _, body = fh.read().replace("\r\n", "\n").partition("\n")
+        if (head != ",".join(_SAMPLE_FIELDS) or not body.strip()
+                or any(c in body for c in '"\r')):
+            return None
+        rows = np.loadtxt(body.split("\n"), dtype=_CANONICAL_ROW, delimiter=",",
+                          comments=None, ndmin=1)
+        ids = [source.strip() for source in rows["source_id"].tolist()]
+        columns = (rows[name].copy() for name in _SAMPLE_FIELDS[:3])
+        return SampleBatch(*columns, ids) if all(ids) else None
+    except (OSError, ValueError):  # InvalidSampleError too
+        return None
+
+
+def _load_rows(path):
+    """``load_samples`` row by row with ``csv``: the reference reader."""
     d, f, y, ids, lines = [], [], [], [], []
     try:
         with open(path, newline="") as fh:

@@ -3,7 +3,10 @@ imports another's private names."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,15 @@ def test_every_exported_name_exists(name):
     module = importlib.import_module(f"pathfuse.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_every_package_name_resolves_and_is_listed():
+    # the package loads each name's module on first use, from one table
+    missing = [n for n in pathfuse.__all__ if not hasattr(pathfuse, n)]
+    assert missing == []
+    assert set(pathfuse.__all__) <= set(dir(pathfuse))
+    with pytest.raises(AttributeError):
+        pathfuse.no_such_name
 
 
 def test_no_module_imports_a_private_name_from_another():
@@ -65,3 +77,33 @@ def test_the_benchmark_harness_still_finds_what_it_calls(capsys):
         assert not (calls[loader].args or calls[loader].keywords)
     exec(setup, {})
     assert float(capsys.readouterr().out) > 0
+
+
+IMPORT_AND_FIT = """
+import sys
+import pathfuse.io
+print(sorted(m for m in ("pathfuse.estimators", "pathfuse.evaluation") if m in sys.modules))
+from pathfuse import (PipelineConfig, SynthesisSpec, fit_pathloss_model, load_registry,
+                      sigma_map, substream, synthesize_corpus)
+models = load_registry()[:3]
+corpus = synthesize_corpus(models, SynthesisSpec(points_per_model=40), substream(0, "api"))
+fit_pathloss_model(corpus, PipelineConfig(), sigma_by_source=sigma_map(models))
+try:
+    with open("/proc/self/status") as fh:
+        print(next(int(line.split()[1]) for line in fh if line.startswith("Threads:")))
+except (OSError, StopIteration):
+    print(None)
+"""
+
+
+def test_io_loads_alone_and_a_fit_runs_on_one_thread():
+    # a fresh process, without the variable that importing pathfuse sets here
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(pathfuse.__file__).parent.parent)
+    done = subprocess.run([sys.executable, "-c", IMPORT_AND_FIT], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    loaded, threads = done.stdout.split("\n")[:2]
+    assert loaded == "[]"
+    if threads == "None":
+        pytest.skip("the thread count cannot be read on this system")
+    assert threads == "1"

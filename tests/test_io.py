@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pathfuse
+from pathfuse import io as pio
 from pathfuse.errors import DataError
 from pathfuse.evaluation import evaluate_gates
 from pathfuse.io import (
@@ -139,6 +140,91 @@ def test_a_file_without_rows_has_no_samples(tmp_path, text):
     path.write_text(text)
     with pytest.raises(DataError, match="contains no samples"):
         load_samples(path)
+
+
+# ---------------------------------------------------------------------------
+# a canonical file (as save_samples writes it) with one change: load_samples,
+# which tries its C path first, returns what the reference row loop returns
+
+CANONICAL_HEADER = "distance_m,freq_ghz,path_loss_db,source_id"
+
+
+def _outcome(load, path):
+    """The columns' bits and the ids with their dtype, or the DataError's text."""
+    try:
+        batch = load(path)
+    except DataError as exc:
+        return str(exc)
+    floats = (batch.distance, batch.frequency, batch.path_loss)
+    return [c.tobytes() for c in floats], batch.source_id.dtype, batch.source_id.tolist()
+
+
+def _check_both_paths_agree(path, text):
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    assert _outcome(load_samples, path) == _outcome(pio._load_rows, path)
+
+
+#: what one change does to the rows (lists of fields) or to the lines
+ROW_CHANGES = {
+    "space around a float": lambda row, i: row.__setitem__(i % 3, f" {row[i % 3]}\t"),
+    "1_0": lambda row, i: row.__setitem__(i % 3, "1_0"),
+    "nan": lambda row, i: row.__setitem__(i % 3, "nan"),
+    "empty id": lambda row, i: row.__setitem__(3, ""),
+    "blank id": lambda row, i: row.__setitem__(3, "  "),
+    "fifth field": lambda row, i: row.append("b"),
+    "quoted id": lambda row, i: row.__setitem__(3, f'"{row[3]}"'),
+    "quoted newline": lambda row, i: row.__setitem__(3, '"a\nb"'),
+    "long id": lambda row, i: row.__setitem__(3, "x" * 300),
+    "form feed in an id": lambda row, i: row.__setitem__(3, f"{row[3]}\f"),
+    "form feed after a float": lambda row, i: row.__setitem__(i % 3, f"{row[i % 3]}\f"),
+}
+LINE_CHANGES = {"blank line": "", "whitespace line": " \t", "form feed line": "\f"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.lists(st.tuples(st.floats(1e-3, 1e4), st.floats(0.5, 100.0),
+                                 st.floats(-50.0, 250.0),
+                                 st.sampled_from(["a", "b-28ghz", " c d "])),
+                       min_size=1, max_size=6),
+       change=st.sampled_from([None, *ROW_CHANGES, *LINE_CHANGES]),
+       at=st.integers(0, 100), every_row=st.booleans(),
+       newline=st.sampled_from(["\r\n", "\n", "\r"]))
+def test_load_samples_returns_what_the_row_loop_returns(values, change, at, every_row,
+                                                         newline, tmp_path_factory):
+    rows = [[repr(d), repr(f), repr(y), source] for d, f, y, source in values]
+    if change in ROW_CHANGES:
+        for row in rows if every_row else [rows[at % len(rows)]]:
+            ROW_CHANGES[change](row, at)
+    lines = [CANONICAL_HEADER, *map(",".join, rows)]
+    if change in LINE_CHANGES:
+        lines.insert(1 + at % len(rows), LINE_CHANGES[change])
+    path = tmp_path_factory.getbasetemp() / "changed-samples.csv"
+    _check_both_paths_agree(path, newline.join(lines) + newline)
+
+
+@pytest.mark.parametrize("rows", [
+    ["10.0,2.0,80.0,a,b"],  # a fifth field is not the id
+    ["10.0,2.0,80.0,a", "10.0,2.0,80.0,a,b"],
+    ["10.0,2.0,80.0,a,b", "20.0,2.0,90.0,a,b"],
+    ["10.0,2.0,80.0"],
+    ["10.0,2.0,80.0,a", "20.0,2.0,95.0"],
+    ["1_0,2.0,80.0,a", "-3.0,2.0,95.0,a"],
+    ["10.0,2.0,80.0,a\x00b"],
+], ids=lambda rows: " / ".join(rows))
+def test_load_samples_agrees_with_the_row_loop_on_odd_rows(rows, tmp_path):
+    _check_both_paths_agree(tmp_path / "samples.csv",
+                            "\r\n".join([CANONICAL_HEADER, *rows, ""]))
+
+
+def test_a_saved_file_takes_the_c_path(tmp_path):
+    corpus = synthesize_corpus([make_model()], SynthesisSpec(points_per_model=50),
+                               substream(4, "io"))
+    save_samples(corpus, tmp_path / "samples.csv")
+    fast = pio._load_canonical(tmp_path / "samples.csv")
+    assert fast is not None
+    assert _outcome(lambda path: fast, None) == _outcome(pio._load_rows,
+                                                         tmp_path / "samples.csv")
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,20 @@ def test_inversion_count_around_its_key_width(n):
     assert estimators._inversion_count(seq) == 2 * (n - 2) + 1
 
 
+#: every 2^k - 1, 2^k and 2^k + 1 up to 2,049, and 24 sizes drawn from 1-2,100
+COUNT_SIZES = sorted({m for k in range(12) for m in (2**k - 1, 2**k, 2**k + 1) if m}
+                     | set(np.random.default_rng(2100).integers(1, 2101, 24).tolist()))
+
+
+@pytest.mark.parametrize("n", COUNT_SIZES)
+def test_inversion_count_is_the_count_of_every_pair(n):
+    rng = np.random.default_rng(n)
+    for seq in (rng.permutation(n), rng.permutation(n)):
+        every_pair = np.count_nonzero(np.triu(seq[:, None] > seq, 1))
+        assert estimators._inversion_count(seq) == every_pair
+        assert estimators._inversions(seq)[0] == every_pair
+
+
 # values with many ties, both zeros and (for the median) nan and infinities
 tied = st.sampled_from([-3.0, -1.5, -0.0, 0.0, 0.5, 2.0, 1e300])
 finite_values = st.lists(tied | st.floats(-1e3, 1e3), min_size=1, max_size=70)
