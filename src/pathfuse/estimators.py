@@ -420,8 +420,20 @@ def _descent_path(Xs, Ys, l1, l2):
     Every candidate starts from zero and stops once its largest update is at
     most DESCENT_TOL * max(1, max|w|); converged candidates leave the active
     block.  More than ``MAX_SWEEPS`` sweeps raise ConvergenceError.
+
+    Each set of m equal columns is solved as one column of L2 weight l2/m and
+    its weight split evenly: the one answer while l2 > 0, since equal columns
+    then get equal weights (Zou & Hastie 2005), and an optimum at l2 = 0.
     """
-    k = Xs.shape[1]
+    group, m = np.arange(Xs.shape[1]), np.ones(Xs.shape[1])
+    if Xs.shape[1] > 1:
+        _, first, inverse, counts = np.unique(Xs, axis=1, return_index=True,
+                                              return_inverse=True, return_counts=True)
+        if counts.size < Xs.shape[1]:  # distinct columns, in order of first use
+            order = np.argsort(first)
+            Xs, m = Xs[:, first[order]], counts[order]
+            group = np.argsort(order)[inverse.ravel()]
+    k, l2 = Xs.shape[1], l2 / m[:, None]  # one row of L2 weights per column
     col_sq = np.einsum("ij,ij->j", Xs, Xs)
     out = np.zeros((k, l1.size))
     live, half = np.arange(l1.size), l1 / 2.0
@@ -431,7 +443,7 @@ def _descent_path(Xs, Ys, l1, l2):
         for j in np.flatnonzero(col_sq):
             old = omega[j]
             z = Xs[:, j] @ resid + col_sq[j] * old
-            new = soft_threshold(z, half) / (col_sq[j] + l2)
+            new = soft_threshold(z, half) / (col_sq[j] + l2[j])
             step = old - new
             resid += Xs[:, j, None] * step
             omega[j] = new
@@ -439,11 +451,12 @@ def _descent_path(Xs, Ys, l1, l2):
         done = delta <= DESCENT_TOL * np.max(np.abs(omega), axis=0, initial=1.0)
         out[:, live[done]] = omega[:, done]
         live, omega, resid = live[~done], omega[:, ~done], resid[:, ~done]
-        half, l2, delta = half[~done], l2[~done], delta[~done]
+        half, l2, delta = half[~done], l2[:, ~done], delta[~done]
         if not live.size:
-            return out
+            return out[group] / m[group, None]
     raise ConvergenceError(f"coordinate descent did not converge in {MAX_SWEEPS} "
-                           f"sweeps (last max update {delta[0]:.3g})", omega[:, 0])
+                           f"sweeps (last max update {delta[0]:.3g})",
+                           omega[group, 0] / m[group])
 
 
 def _solve_grid(std, kind, l1, l2):

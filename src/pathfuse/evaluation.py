@@ -10,27 +10,28 @@ Every runner follows the same discipline:
 * published benchmark numbers are attached to the report rows for
   juxtaposition only -- they never enter any computation;
 * ``evaluate_gates`` turns a finished study into pass/fail checks against
-  pinned tolerances (the CLI maps failures to exit code 5).  ``_STUDY_TABLE``
-  gives each study its runner, its section of ``reference_targets.json`` and
-  a rule that yields ``(name, value, kind, bound)`` per gate; ``_GATE_KINDS``
-  gives each of the four kinds (within a tolerance of a target, ordered, at
-  most a limit, above a floor) its pass rule and its detail wording.
+  pinned tolerances (the CLI maps failures to exit code 5).
+
+Each study is one row of ``_STUDY_TABLE``: a ``tasks(spec)`` list, a
+function that runs one task, a ``reduce(spec, tasks, outcomes)`` that builds
+the ``StudyResult``, its section of ``reference_targets.json`` and a rule
+that yields ``(name, value, kind, bound)`` per gate; ``_GATE_KINDS`` gives
+each of the four kinds (within a tolerance of a target, ordered, at most a
+limit, above a floor) its pass rule and its detail wording.
+
+:func:`run_experiment` is the one place that maps tasks: ``_map_tasks`` runs
+them on forked workers, one per CPU of the affinity mask and at most one per
+task (in this process if that is one, or off Linux).  Each task draws only
+from its own keyed substreams and outcomes come back in task order, so every
+mean keeps its bits at any worker count and in any task order.  The order
+study is one task (at 0.04-0.08 s for ten trials, one task per trial on two
+workers was slower than serial); a robust task is one trial; the integration
+and outlier studies share ``_cell_tasks``, one per (scenario x band cell,
+trial).
 
 The studies read the registry, the reference targets and the gas table from
 one data directory: ``PATHFUSE_DATA_DIR`` if set, else the bundled data.
 :mod:`pathfuse.io` checks every field of the targets, so the rules check none.
-
-``_map_tasks`` runs the trials of the robust, integration and outlier
-studies on forked workers, one per CPU of the process's affinity mask (in
-this process if that is one CPU, or off Linux).  Each task draws only from
-its own keyed substreams and outcomes come back in task order, so every mean
-keeps its bits.  A robust task (``_robust_task``) scores every method on one
-trial's clean and contaminated corpora.  The integration and outlier studies
-share one loop: ``_study_cells`` walks every scenario x band cell in report
-order, with one ``_study_task`` per (cell, trial), which fits the three arms
-(``_fit_arms``) on its corpus, and for the outlier study on copies with
-injected outliers.  The order study stays serial: at 0.04-0.07 s for ten trials
-it is too short to pay for a pool (see :func:`run_order_study`).
 
 Protocol constants that are calibration targets (ambient scattering scale,
 outlier magnitudes, the robust filter multiplier) are module constants here
@@ -242,26 +243,27 @@ def error_ratio(sigma_contaminated: float, sigma_clean: float) -> float:
 
 
 def loocv(models, cfg, *, synthesis: SynthesisSpec, trials=1, seed=0):
-    """Leave-one-sample-out cross-validation error (dB) of each trial, as a list;
-    for a tuple of ``PipelineConfig``s, a tuple of such lists, one per config.
+    """Leave-one-sample-out cross-validation error (dB) of each trial, as a list.
 
-    Per trial, synthesize one pooled corpus from all models, fit it once per
-    config with ``fit_pathloss_model`` and take ``provenance["loocv_db"]``: the
-    exact deletion residuals from its own solve (no refitting).
+    Per trial, synthesize one pooled corpus from all models, fit it with
+    ``fit_pathloss_model`` and take ``provenance["loocv_db"]``: the exact
+    deletion residuals from its own solve (no refitting).
     """
-    cfgs = (cfg,) if isinstance(cfg, PipelineConfig) else tuple(cfg)
-    models = sorted(models, key=lambda m: m.id)
+    models = list(models)
     if len(models) < 3:
         raise ConfigError(f"leave-one-out needs at least 3 models, got {len(models)}")
+    return [_loocv_trial(models, (cfg,), synthesis, seed, t)[0] for t in range(trials)]
+
+
+def _loocv_trial(models, cfgs, synthesis, seed, t):
+    """Trial ``t`` of :func:`loocv` for each config: one corpus over the models
+    in id order from substream ``(seed, "loocv", "synth", t)``, fitted once
+    per config."""
+    models = sorted(models, key=lambda m: m.id)
+    corpus = synthesize_corpus(models, synthesis, substream(seed, "loocv", "synth", t))
     sigmas = sigma_map(models)
-    per_trial = tuple([] for _ in cfgs)
-    for t in range(trials):
-        rng = substream(seed, "loocv", "synth", t)
-        corpus = synthesize_corpus(models, synthesis, rng)
-        for c, out in zip(cfgs, per_trial):
-            model, _ = fit_pathloss_model(corpus, c, sigma_by_source=sigmas)
-            out.append(model.provenance["loocv_db"])
-    return per_trial[0] if isinstance(cfg, PipelineConfig) else per_trial
+    fits = (fit_pathloss_model(corpus, c, sigma_by_source=sigmas)[0] for c in cfgs)
+    return [fitted.provenance["loocv_db"] for fitted in fits]
 
 
 # ---------------------------------------------------------------------------
@@ -286,62 +288,64 @@ def run_order_study(spec: ExperimentSpec):
     which every campaign is sampled across the scenario's full distance
     span, so the left-out samples probe the shared surface everywhere
     rather than only inside each campaign's own window; the error is the
-    exact sample-level deletion residual, from one :func:`loocv` call that
-    fits the three orders on each trial's one corpus.  Finally the per-order
-    mean coefficients are scanned on a distance x frequency grid for cells
-    where predicted loss decreases as frequency or distance grows.  Serial: a
-    pool costs ~19 ms, and the study takes 0.04-0.07 s at trials=10 (2 vCPUs).
+    exact sample-level deletion residual of :func:`loocv`, with the three
+    orders fitted on each trial's one corpus.  Finally the per-order mean
+    coefficients are scanned on a distance x frequency grid for cells where
+    predicted loss decreases as frequency or distance grows.  All trials are
+    one ``_order_task``.
     """
+    return run_experiment(replace(spec, which="OrderStudy"))
+
+
+def _order_tasks(spec):
     models = [m for m in load_registry() if m.scenario == ORDER_STUDY_SCENARIO]
     heldout = next((m for m in models if m.id == ORDER_STUDY_HELDOUT), None)
     if heldout is None:
         raise DataError(f"registry is missing {ORDER_STUDY_HELDOUT!r}")
-    train_models = [m for m in models if m.id != heldout.id]
-    sigmas = sigma_map(models)
-    synth = SynthesisSpec(
-        points_per_model=ORDER_STUDY_POINTS,
-        distance_sampling=STUDY_DISTANCE_SAMPLING,
-    )
     span = (min(m.dist_min for m in models), max(m.dist_max for m in models))
-    span_models = [
-        replace(m, dist_min=span[0], dist_max=span[1]) for m in models
-    ]
-    arms = list(_ORDER_CONFIGS)
-    sigma18 = {a: [] for a in arms}
-    coeffs = {a: [] for a in arms}
-    for t in range(spec.trials):
+    synth = SynthesisSpec(points_per_model=ORDER_STUDY_POINTS,
+                          distance_sampling=STUDY_DISTANCE_SAMPLING)
+    return [(spec.seed, spec.trials, models, heldout, span, synth)]
+
+
+def _order_task(task):
+    """Every trial of the order study: ``{arm: [value per trial]}`` of the
+    held-out sigma, the coefficients and the leave-one-out error."""
+    seed, trials, models, heldout, span, synth = task
+    train_models = [m for m in models if m.id != heldout.id]
+    span_models = [replace(m, dist_min=span[0], dist_max=span[1]) for m in models]
+    sigmas = sigma_map(models)
+    sigma18, coeffs, loocv_raw = ({arm: [] for arm in _ORDER_CONFIGS} for _ in range(3))
+    for t in range(trials):
         corpus = synthesize_corpus(
-            train_models, synth, substream(spec.seed, "order", "train", t)
+            train_models, synth, substream(seed, "order", "train", t)
         )
         d = corpus.distance
-        noise = substream(spec.seed, "order", "test", t).normal(
-            0.0, heldout.sigma, d.size
-        )
+        noise = substream(seed, "order", "test", t).normal(0.0, heldout.sigma, d.size)
         y18 = heldout.predict(d) + noise
         for arm, cfg in _ORDER_CONFIGS.items():
             fitted, _ = fit_pathloss_model(corpus, cfg, sigma_by_source=sigmas)
             resid = y18 - predict_total(fitted, d, heldout.frequency)
             sigma18[arm].append(weighted_rms(resid))
             coeffs[arm].append(fitted.coefficients.as_array())
+        loo = _loocv_trial(span_models, _ORDER_CONFIGS.values(), synth, seed, t)
+        for arm, value in zip(_ORDER_CONFIGS, loo):
+            loocv_raw[arm].append(value)
+    return sigma18, coeffs, loocv_raw
 
-    loocv_raw = dict(zip(arms, loocv(span_models, tuple(_ORDER_CONFIGS.values()),
-                                     synthesis=synth, trials=spec.trials,
-                                     seed=spec.seed)))
 
+def _order_reduce(spec, todo, outcomes):
+    heldout, span = todo[0][3:5]
+    sigma18, coeffs, loocv_raw = outcomes[0]
     # surface scan on the trial-mean coefficients: the polynomial alone (no
     # gas term is fitted here; resonances would be legitimately non-monotone)
-    mean_coeffs = {a: sum(coeffs[a]) / spec.trials for a in arms}
-    scan = {}
-    grids = {}
+    mean_coeffs = {a: sum(coeffs[a]) / spec.trials for a in _ORDER_CONFIGS}
+    scan, grids = {}, {}
     lo, hi = LOW_BAND_SCAN_GHZ
     low = (GRID_FREQS_GHZ >= lo) & (GRID_FREQS_GHZ <= hi)
     for arm, cfg in _ORDER_CONFIGS.items():
-        A = design_matrix(
-            cfg.order, GRID_DISTANCES_M[:, None], GRID_FREQS_GHZ[None, :]
-        )
-        P = (A @ mean_coeffs[arm]).reshape(
-            GRID_DISTANCES_M.size, GRID_FREQS_GHZ.size
-        )
+        A = design_matrix(cfg.order, GRID_DISTANCES_M[:, None], GRID_FREQS_GHZ[None, :])
+        P = (A @ mean_coeffs[arm]).reshape(GRID_DISTANCES_M.size, GRID_FREQS_GHZ.size)
         grids[arm] = P
         scan[arm] = {
             "freq_decreasing_cells": _count_decreasing(P, axis=1),
@@ -352,40 +356,29 @@ def run_order_study(spec: ExperimentSpec):
     targets = load_reference_targets()["order_study"]
     reports = []
     for arm, cfg in _ORDER_CONFIGS.items():
-        reports.append(
-            EvaluationReport(
-                study="OrderStudy",
-                method=arm,
-                scenario=ORDER_STUDY_SCENARIO,
-                sigma_db=float(np.mean(sigma18[arm])),
-                sigma_published_db=targets["sigma_18ghz_db"].get(arm),
-                loocv_db=float(np.mean(loocv_raw[arm])),
-                loocv_published_db=targets["loocv_db"].get(arm),
-                coefficients=dict(zip(coefficient_names(cfg.order),
-                                      mean_coeffs[arm].tolist())),
-                n_trials=spec.trials,
-            )
-        )
+        reports.append(EvaluationReport(
+            study="OrderStudy", method=arm, scenario=ORDER_STUDY_SCENARIO,
+            sigma_db=float(np.mean(sigma18[arm])),
+            sigma_published_db=targets["sigma_18ghz_db"].get(arm),
+            loocv_db=float(np.mean(loocv_raw[arm])),
+            loocv_published_db=targets["loocv_db"].get(arm),
+            coefficients=dict(zip(coefficient_names(cfg.order),
+                                  mean_coeffs[arm].tolist())),
+            n_trials=spec.trials,
+        ))
     return StudyResult(
         study="OrderStudy",
         config={
-            "seed": spec.seed,
-            "trials": spec.trials,
-            "points_per_model": ORDER_STUDY_POINTS,
-            "heldout": heldout.id,
-            "heldout_freq_ghz": heldout.frequency,
-            "heldout_sigma_db": heldout.sigma,
+            "seed": spec.seed, "trials": spec.trials,
+            "points_per_model": ORDER_STUDY_POINTS, "heldout": heldout.id,
+            "heldout_freq_ghz": heldout.frequency, "heldout_sigma_db": heldout.sigma,
             "distance_sampling": STUDY_DISTANCE_SAMPLING,
             "loocv_distance_span_m": list(span),
         },
         reports=reports,
         raw={"sigma_18ghz_db": sigma18, "loocv_db": loocv_raw},
-        extras={
-            "surface_scan": scan,
-            "grid_distances_m": GRID_DISTANCES_M,
-            "grid_freqs_ghz": GRID_FREQS_GHZ,
-            "grids_db": grids,
-        },
+        extras={"surface_scan": scan, "grid_distances_m": GRID_DISTANCES_M,
+                "grid_freqs_ghz": GRID_FREQS_GHZ, "grids_db": grids},
     )
 
 
@@ -477,56 +470,46 @@ def run_robust_study(spec: ExperimentSpec):
     scattering on every sample; the contaminated arm additionally injects
     blocker outliers into a 50 m distance band.  The frequency slope is
     pinned at 2 (single-frequency data cannot identify it), leaving a
-    two-coefficient line fit per method.  Trials (``_robust_task``) run on
-    one forked worker per CPU, with the same bits at any count.
+    two-coefficient line fit per method, one ``_robust_task`` per trial.
     """
+    return run_experiment(replace(spec, which="RobustStudy"))
+
+
+def _robust_tasks(spec):
     model = next((m for m in load_registry() if m.id == ROBUST_STUDY_SOURCE), None)
     if model is None:
         raise DataError(f"registry is missing {ROBUST_STUDY_SOURCE!r}")
-    synth = SynthesisSpec(
-        points_per_model=ROBUST_STUDY_POINTS,
-        distance_sampling=STUDY_DISTANCE_SAMPLING,
-    )
+    synth = SynthesisSpec(points_per_model=ROBUST_STUDY_POINTS,
+                          distance_sampling=STUDY_DISTANCE_SAMPLING)
+    return [(spec.seed, t, model, synth) for t in range(spec.trials)]
 
-    tasks = [(spec.seed, t, model, synth) for t in range(spec.trials)]
-    outcomes = _map_tasks(_robust_task, tasks)  # in trial order
+
+def _robust_reduce(spec, todo, outcomes):
     raw = {arm: {m: [o[arm][m] for o in outcomes] for m in ROBUST_METHODS}
            for arm in ("clean", "contaminated")}
 
     targets = load_reference_targets()["robust_study"]
     reports = []
     for method in ROBUST_METHODS:
-        with_mean = float(np.mean(raw["contaminated"][method]))
-        clean_mean = float(np.mean(raw["clean"][method]))
         pairs = zip(raw["contaminated"][method], raw["clean"][method])
         ratio = float(np.mean([error_ratio(c, cl) for c, cl in pairs]))
-        reports.append(
-            EvaluationReport(
-                study="RobustStudy",
-                method=method,
-                scenario="UMiSC",
-                sigma_db=with_mean,
-                sigma_clean_db=clean_mean,
-                sigma_published_db=targets["sigma_with_outliers_db"].get(method),
-                error_ratio_percent=ratio,
-                n_trials=spec.trials,
-            )
-        )
-    minimal_per_trial = [
-        all(
-            raw["contaminated"]["theil-sen"][t] < raw["contaminated"][m][t]
-            for m in ROBUST_METHODS
-            if m != "theil-sen"
-        )
-        for t in range(spec.trials)
-    ]
+        reports.append(EvaluationReport(
+            study="RobustStudy", method=method, scenario="UMiSC",
+            sigma_db=float(np.mean(raw["contaminated"][method])),
+            sigma_clean_db=float(np.mean(raw["clean"][method])),
+            sigma_published_db=targets["sigma_with_outliers_db"].get(method),
+            error_ratio_percent=ratio,
+            n_trials=spec.trials,
+        ))
+    c = raw["contaminated"]
+    others = [c[m] for m in ROBUST_METHODS if m != "theil-sen"]
+    minimal_per_trial = [all(s < o[t] for o in others)
+                         for t, s in enumerate(c["theil-sen"])]
     return StudyResult(
         study="RobustStudy",
         config={
-            "seed": spec.seed,
-            "trials": spec.trials,
-            "points": ROBUST_STUDY_POINTS,
-            "source": model.id,
+            "seed": spec.seed, "trials": spec.trials,
+            "points": ROBUST_STUDY_POINTS, "source": ROBUST_STUDY_SOURCE,
             "pinned_gamma": ROBUST_STUDY_PINNED_GAMMA,
             "ambient_scale": ROBUST_STUDY_AMBIENT_SCALE,
             "filter_multiplier": ROBUST_STUDY_FILTER_MULTIPLIER,
@@ -541,56 +524,52 @@ def run_robust_study(spec: ExperimentSpec):
 # ---------------------------------------------------------------------------
 
 
+#: the three standing comparison arms, each fitted on one band (none reads a seed)
+_ARMS = {
+    ARM_POOLED: dict(order=1, weighting="Identity", robust=None, gas_correction=False),
+    ARM_WEIGHTED: dict(order=1, weighting="Mixture", robust=None, gas_correction=False),
+    ARM_QUADRATIC: dict(order=2, weighting="Mixture", robust="TheilSen",
+                        gas_correction=True),
+}
+
+
 def _arm_configs(band):
-    """The three standing comparison arms on one band (none reads a seed)."""
-    return {
-        ARM_POOLED: PipelineConfig(
-            order=1, weighting="Identity", robust=None, gas_correction=False,
-            freq_band=band,
-        ),
-        ARM_WEIGHTED: PipelineConfig(
-            order=1, weighting="Mixture", robust=None, gas_correction=False,
-            freq_band=band,
-        ),
-        ARM_QUADRATIC: PipelineConfig(
-            order=2, weighting="Mixture", robust="TheilSen", gas_correction=True,
-            freq_band=band,
-        ),
-    }
+    return {arm: PipelineConfig(**kw, freq_band=band) for arm, kw in _ARMS.items()}
 
 
 def _band_label(band):
     return f"{band[0]:g}-{band[1]:g}"
 
 
-def _study_cells(spec, label):
-    """The scenario x band x trial loop shared by the multi-band studies:
-    ``(scenario, band, outcomes)`` per cell, in report order, with the cell's
-    ``_study_task`` outcomes in trial order, all from one ``_map_tasks``."""
+def _cell_tasks(spec, label):
+    """One task per (cell, trial) of a multi-band study: every scenario x
+    band cell in report order, each cell's trials in order."""
     registry = load_registry()
-    cells = []
+    tasks = []
     for scenario, bands in SCENARIO_BANDS.items():
         scenario_models = [m for m in registry if m.scenario == scenario]
         sigmas = sigma_map(scenario_models)
         for band in bands:
-            band_models = [
-                m for m in scenario_models if band[0] <= m.frequency <= band[1]
-            ]
+            band_models = [m for m in scenario_models
+                           if band[0] <= m.frequency <= band[1]]
             if not band_models:
                 raise DataError(f"no source models inside band {band}")
-            synth = SynthesisSpec(
-                points_per_model=BAND_POINTS[(scenario, band)],
-                distance_sampling=STUDY_DISTANCE_SAMPLING,
-            )
-            tasks = [(label, spec.seed, scenario, band, t, band_models, synth, sigmas)
-                     for t in range(spec.trials)]
-            cells.append((scenario, band, tasks))
-    outcomes = iter(_map_tasks(_study_task, [t for *_, tasks in cells for t in tasks]))
-    for scenario, band, tasks in cells:
-        yield scenario, band, [next(outcomes) for _ in tasks]
+            synth = SynthesisSpec(points_per_model=BAND_POINTS[(scenario, band)],
+                                  distance_sampling=STUDY_DISTANCE_SAMPLING)
+            tasks += [(label, spec.seed, scenario, band, t, band_models, synth, sigmas)
+                      for t in range(spec.trials)]
+    return tasks
 
 
-def _study_task(task):
+def _cells(spec, todo, outcomes):
+    """``(scenario, band, outcomes in trial order)`` per cell of
+    :func:`_cell_tasks`, in report order."""
+    for i in range(0, len(todo), spec.trials):
+        _, _, scenario, band, *_ = todo[i]
+        yield scenario, band, outcomes[i:i + spec.trials]
+
+
+def _cell_task(task):
     """One (cell, trial): the arms fitted on the corpus from substream ``(seed,
     label, scenario, lo, hi, t)`` as ``{arm: (sigma, coefficients)}``, and for
     the outlier study ``{ob: {arm: sigma}}`` after injecting each band ``ob``."""
@@ -656,55 +635,52 @@ def _fit_arms(corpus, band, sigmas):
 def _published(rows, scenario, band, **keys):
     """The first row of ``rows`` for one cell whose ``keys`` (``method``,
     ``outlier_band_m``) match too, else None: published rows and gate cells."""
-    for row in rows:
-        if (
-            row["scenario"] == scenario
-            and tuple(row["band_ghz"]) == band
-            and all(row.get(key) == value for key, value in keys.items())
-        ):
-            return row
-    return None
+    return next((row for row in rows if row["scenario"] == scenario
+                 and tuple(row["band_ghz"]) == band
+                 and all(row.get(key) == value for key, value in keys.items())), None)
 
 
 def run_integration_study(spec: ExperimentSpec):
-    """Fuse every scenario's models over low/high/full bands, three ways.
-    Trials run on one forked worker per CPU, with the same bits at any count.
-    A cell without a row in the targets' ``integration_study.cells`` raises
-    DataError before any trial runs."""
-    targets = load_reference_targets()
-    cells = targets["integration_study"]["cells"]
+    """Fuse every scenario's models over low/high/full bands, three ways, one
+    ``_cell_task`` per (cell, trial).  A cell without a row in the targets'
+    ``integration_study.cells`` raises DataError before any trial runs."""
+    return run_experiment(replace(spec, which="IntegrationStudy"))
+
+
+def _integration_tasks(spec):
+    cells = load_reference_targets()["integration_study"]["cells"]
     for scenario, bands in SCENARIO_BANDS.items():
         for band in bands:
             if _published(cells, scenario, band) is None:
                 raise DataError(f"{data_path('reference_targets.json')}: "
                                 f"integration_study.cells has no row for "
                                 f"{scenario} {_band_label(band)} GHz")
+    return _cell_tasks(spec, "integration")
+
+
+def _integration_reduce(spec, todo, outcomes):
+    targets = load_reference_targets()
+    cells = targets["integration_study"]["cells"]
     reports = []
     raw_sigma = {}
     published_coeffs = {}
-    for scenario, band, outcomes in _study_cells(spec, "integration"):
+    for scenario, band, cell in _cells(spec, todo, outcomes):
         cell_key = f"{scenario}|{_band_label(band)}"
-        raw_sigma[cell_key] = {a: [c[a][0] for c, _ in outcomes] for a in STUDY_ARMS}
+        raw_sigma[cell_key] = {a: [c[a][0] for c, _ in cell] for a in STUDY_ARMS}
         published = _published(cells, scenario, band)["sigma_db"]
         for arm, cfg in _arm_configs(band).items():
-            row = _published(
-                targets["published_coefficients"], scenario, band, method=arm
-            )
+            row = _published(targets["published_coefficients"], scenario, band,
+                             method=arm)
             published_coeffs[f"{cell_key}|{arm}"] = row["values"] if row else None
-            mean_coeffs = sum(c[arm][1] for c, _ in outcomes) / spec.trials
+            mean_coeffs = sum(c[arm][1] for c, _ in cell) / spec.trials
             names = coefficient_names(cfg.order)
-            reports.append(
-                EvaluationReport(
-                    study="IntegrationStudy",
-                    method=arm,
-                    scenario=scenario,
-                    band_ghz=band,
-                    sigma_db=float(np.mean(raw_sigma[cell_key][arm])),
-                    sigma_published_db=published[arm],
-                    coefficients=dict(zip(names, (float(v) for v in mean_coeffs))),
-                    n_trials=spec.trials,
-                )
-            )
+            reports.append(EvaluationReport(
+                study="IntegrationStudy", method=arm, scenario=scenario, band_ghz=band,
+                sigma_db=float(np.mean(raw_sigma[cell_key][arm])),
+                sigma_published_db=published[arm],
+                coefficients=dict(zip(names, (float(v) for v in mean_coeffs))),
+                n_trials=spec.trials,
+            ))
     return StudyResult(
         study="IntegrationStudy",
         config={"seed": spec.seed, "trials": spec.trials},
@@ -720,17 +696,21 @@ def run_outlier_study(spec: ExperimentSpec):
     Per cell and trial, each arm is fitted on the clean corpus and on the
     contaminated one; the per-trial ratio uses that trial's own clean sigma
     as the baseline.  The clean corpus is shared across outlier band widths.
-    Trials run as in :func:`run_integration_study`, four corpora per task.
+    Tasks are those of :func:`run_integration_study`, four corpora each.
     """
+    return run_experiment(replace(spec, which="OutlierStudy"))
+
+
+def _outlier_reduce(spec, todo, outcomes):
     published = load_reference_targets()["outlier_study"]["published"]
     reports = []
     raw = {}
-    for scenario, band, outcomes in _study_cells(spec, "outlier"):
+    for scenario, band, cell in _cells(spec, todo, outcomes):
         cell_raw = {
             ob: {a: {"sigma": [], "clean": [], "ratio": []} for a in STUDY_ARMS}
             for ob in OUTLIER_STUDY_BANDS_M
         }
-        for clean, contaminated in outcomes:
+        for clean, contaminated in cell:
             for ob, sigmas in contaminated.items():
                 for arm, sigma in sigmas.items():
                     slot = cell_raw[ob][arm]
@@ -743,31 +723,22 @@ def run_outlier_study(spec: ExperimentSpec):
                 slot = cell_raw[ob][arm]
                 row = _published(published, scenario, band, method=arm)
                 key = f"{ob:g}"
-                reports.append(
-                    EvaluationReport(
-                        study="OutlierStudy",
-                        method=arm,
-                        scenario=scenario,
-                        band_ghz=band,
-                        outlier_band_m=float(ob),
-                        sigma_db=float(np.mean(slot["sigma"])),
-                        sigma_clean_db=float(np.mean(slot["clean"])),
-                        error_ratio_percent=float(np.mean(slot["ratio"])),
-                        sigma_published_db=row["sigma_db"].get(key) if row else None,
-                        ratio_published_percent=(
-                            row["ratio_percent"].get(key) if row else None
-                        ),
-                        n_trials=spec.trials,
-                    )
-                )
+                reports.append(EvaluationReport(
+                    study="OutlierStudy", method=arm, scenario=scenario,
+                    band_ghz=band, outlier_band_m=float(ob),
+                    sigma_db=float(np.mean(slot["sigma"])),
+                    sigma_clean_db=float(np.mean(slot["clean"])),
+                    error_ratio_percent=float(np.mean(slot["ratio"])),
+                    sigma_published_db=row["sigma_db"].get(key) if row else None,
+                    ratio_published_percent=(row["ratio_percent"].get(key)
+                                             if row else None),
+                    n_trials=spec.trials,
+                ))
     return StudyResult(
         study="OutlierStudy",
-        config={
-            "seed": spec.seed,
-            "trials": spec.trials,
-            "outlier_bands_m": list(OUTLIER_STUDY_BANDS_M),
-            "magnitude_db": OUTLIER_STUDY_MAGNITUDE_DB,
-        },
+        config={"seed": spec.seed, "trials": spec.trials,
+                "outlier_bands_m": list(OUTLIER_STUDY_BANDS_M),
+                "magnitude_db": OUTLIER_STUDY_MAGNITUDE_DB},
         reports=reports,
         raw={"cells": raw},
     )
@@ -881,26 +852,32 @@ _GATE_KINDS = {
     ),
 }
 
-#: study -> (runner, section of ``reference_targets.json``, gate rules); each
-#: rule yields ``(name, value, kind, bound)`` per gate from the result and
-#: the study's section
+#: study -> (tasks, task function, reduce, section of
+#: ``reference_targets.json``, gate rules); each rule yields ``(name, value,
+#: kind, bound)`` per gate from the result and the study's section
 _STUDY_TABLE = {
-    "OrderStudy": (run_order_study, "order_study", _order_gates),
-    "RobustStudy": (run_robust_study, "robust_study", _robust_gates),
-    "IntegrationStudy": (
-        run_integration_study, "integration_study", _integration_gates
-    ),
-    "OutlierStudy": (run_outlier_study, "outlier_study", _outlier_gates),
+    "OrderStudy": (_order_tasks, _order_task, _order_reduce, "order_study",
+                   _order_gates),
+    "RobustStudy": (_robust_tasks, _robust_task, _robust_reduce, "robust_study",
+                    _robust_gates),
+    "IntegrationStudy": (_integration_tasks, _cell_task, _integration_reduce,
+                         "integration_study", _integration_gates),
+    "OutlierStudy": (lambda spec: _cell_tasks(spec, "outlier"), _cell_task,
+                     _outlier_reduce, "outlier_study", _outlier_gates),
 }
 STUDIES = tuple(_STUDY_TABLE)
 
+
 def run_experiment(spec: ExperimentSpec):
-    return _STUDY_TABLE[spec.which][0](spec)
+    """Run one study: its tasks, each mapped by ``_map_tasks``, then its reduce."""
+    tasks, task, reduce, *_ = _STUDY_TABLE[spec.which]
+    todo = tasks(spec)
+    return reduce(spec, todo, _map_tasks(task, todo))
 
 
 def evaluate_gates(result: StudyResult):
     """Pass/fail checks of a study against the pinned published targets."""
-    _, section, rules = _STUDY_TABLE[result.study]
+    *_, section, rules = _STUDY_TABLE[result.study]
     gates = []
     targets = load_reference_targets()[section]
     for name, value, kind, bound in rules(result, targets):

@@ -13,6 +13,7 @@ from pathfuse.errors import ConfigError, DataError, MetricError
 from pathfuse.estimators import solve_wls, weighted_rms
 from pathfuse.io import load_registry
 from pathfuse.evaluation import (
+    STUDIES,
     EvaluationReport,
     StudyResult,
     error_ratio,
@@ -295,6 +296,7 @@ def test_pinned_seed_run_passes_every_gate(robust_result):
 
 
 @pytest.mark.parametrize("runner, which", [
+    (run_order_study, "OrderStudy"),
     (run_robust_study, "RobustStudy"),
     (run_integration_study, "IntegrationStudy"),
     (run_outlier_study, "OutlierStudy"),
@@ -338,10 +340,27 @@ def _fail_one_robust_trial(monkeypatch, seed):
     monkeypatch.setattr(evaluation, "_workers", lambda: 2)
 
 
-@pytest.mark.parametrize("which", ["RobustStudy", "IntegrationStudy", "OutlierStudy"])
+def _fail_one_order_trial(monkeypatch, seed):
+    """The order study's one task fails in trial 1 of its training corpora."""
+    real = evaluation.synthesize_corpus
+    failing = substream(seed, "order", "train", 1).bit_generator.state
+
+    def synthesize(models, synth, rng):
+        if rng.bit_generator.state == failing:
+            raise DataError("planted failure in one trial")
+        return real(models, synth, rng)
+
+    monkeypatch.setattr(evaluation, "synthesize_corpus", synthesize)
+    monkeypatch.setattr(evaluation, "_workers", lambda: 2)
+
+
+@pytest.mark.parametrize("which", STUDIES)
 def test_a_failing_worker_raises_its_own_error(which, monkeypatch):
     trials = 1  # one trial per cell: the multi-band studies still fork
-    if which == "RobustStudy":
+    if which == "OrderStudy":
+        _fail_one_order_trial(monkeypatch, seed=1)
+        trials = 2
+    elif which == "RobustStudy":
         _fail_one_robust_trial(monkeypatch, seed=1)
         trials = 2  # so that two workers really fork
     else:
@@ -362,3 +381,25 @@ def test_a_failing_worker_keeps_its_exit_code(monkeypatch, capsys):
     assert rc == 3
     assert "planted failure" in capsys.readouterr().err
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("which", STUDIES)
+def test_tasks_run_in_reverse_order_change_no_bit(which, monkeypatch):
+    # every task draws only from its own keyed substreams, so the order the
+    # tasks run in cannot matter once the outcomes are back in task order
+    # (the order study is one task, which this leaves as it is)
+    spec = ExperimentSpec(which=which, trials=2, seed=1)
+    want = run_experiment(spec)
+    real, mapped = evaluation._map_tasks, []
+
+    def in_reverse(fn, tasks):
+        mapped.append(len(tasks))
+        return real(fn, tasks[::-1])[::-1]
+
+    monkeypatch.setattr(evaluation, "_map_tasks", in_reverse)
+    monkeypatch.setattr(evaluation, "_workers", lambda: 1)  # run in that order
+    got = run_experiment(spec)
+    # one task, one per trial, or one per (cell, trial) over the 9 cells
+    assert mapped == [{"OrderStudy": 1, "RobustStudy": 2}.get(which, 2 * 9)]
+    assert got.reports == want.reports  # every field, compared exactly
+    np.testing.assert_equal(vars(got), vars(want))

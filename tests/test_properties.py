@@ -11,6 +11,7 @@ from pathfuse import estimators
 from pathfuse.atmosphere import load_default_table, remove_gas_loss
 from pathfuse.errors import ConvergenceError, MetricError
 from pathfuse.estimators import (
+    DEFAULT_PENALTY_GRID,
     ELASTICNET_MIX,
     KFOLD_K,
     fit_elasticnet,
@@ -135,6 +136,21 @@ def test_batched_tuning_matches_one_fit_per_candidate(
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         best = min(range(len(grid)), key=lambda i: (want[i], grid[i]))
         assert tune_penalty_kfold(X, Y, kind, grid, seed=seed) == grid[best]
+
+
+@pytest.mark.parametrize("lam1, lam2", [(0.5, 1e-4), (0.0, 1e-2), (0.5, 1e-2)])
+def test_elasticnet_splits_equal_columns_evenly(lam1, lam2):
+    # two equal columns get equal weights while the L2 part is above 0; the
+    # descent once ran out of sweeps on these three (n = 40)
+    rng = np.random.default_rng(3)
+    x = rng.uniform(10.0, 300.0, 40)
+    X = np.column_stack([np.ones(40), x, x])
+    Y = 30.0 + 0.2 * x + rng.normal(0.0, 2.0, 40)
+    beta = fit_elasticnet(X, Y, lam1, lam2)
+    assert beta[1] == beta[2]
+    if lam1 == 0.0:
+        np.testing.assert_allclose(beta, fit_ridge(X, Y, lam2), rtol=0, atol=1e-10)
+    tune_penalty_kfold(X, Y, "ElasticNet", DEFAULT_PENALTY_GRID)  # every fold converges
 
 
 def check_inversions(seq):
