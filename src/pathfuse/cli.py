@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
+Exit codes: 0 success, 2 configuration error, 3 data error (input that
+cannot be read or is invalid, output that cannot be written), 4 numeric
 failure (singular/degenerate fits).  Codes 2-4 come from the error classes
 in :mod:`pathfuse.errors`; ``experiment`` itself returns 5 when its study
 runs but a benchmark gate fails.
@@ -14,7 +15,7 @@ import sys
 import numpy as np
 
 from .atmosphere import load_default_table, predict_total
-from .errors import ConfigError, PathfuseError
+from .errors import ConfigError, DataError, PathfuseError
 from .evaluation import (
     BAND_POINTS,
     STUDIES,
@@ -23,21 +24,19 @@ from .evaluation import (
     run_experiment,
 )
 from .io import (
+    band_label,
     load_model,
     load_registry,
     load_samples,
-    save_coefficients_csv,
-    save_grid_csv,
     save_model,
     save_samples,
-    save_study_csv,
-    save_study_json,
+    save_study,
     sigma_map,
     write_study_csv,
     write_study_json,
 )
 from .models import SCENARIOS
-from .pipeline import PipelineConfig, fit_pathloss_model
+from .pipeline import SIGMA_WEIGHTINGS, PipelineConfig, fit_pathloss_model
 from .seeding import substream
 from .synthesis import SynthesisSpec, synthesize_corpus
 
@@ -51,16 +50,9 @@ _EPILOG = """examples:
   pathfuse gas --f 60 --d 500
 """
 
-_WHICH_ALIASES = {
-    "table2": "OrderStudy",
-    "order": "OrderStudy",
-    "table3": "RobustStudy",
-    "robust": "RobustStudy",
-    "table4": "IntegrationStudy",
-    "integration": "IntegrationStudy",
-    "table5": "OutlierStudy",
-    "outlier": "OutlierStudy",
-}
+#: ``--which`` aliases: the paper's table 2-5 and the short name of each study
+_WHICH_ALIASES = {alias: study for n, study in enumerate(STUDIES, start=2)
+                  for alias in (f"table{n}", study.removesuffix("Study").lower())}
 
 _MAX_SWEEP_POINTS = 100_000  # of a ``gas --f-range`` sweep
 
@@ -147,10 +139,8 @@ def cmd_fit(args):
         freq_band=_parse_band(args.band) if args.band else None,
         seed=args.seed,
     )
-    sigmas = sigma_map(load_registry(args.registry)) if args.weighting in (
-        "inverse-variance",
-        "mixture",
-    ) else None
+    needs_sigmas = cfg.weighting in SIGMA_WEIGHTINGS
+    sigmas = sigma_map(load_registry(args.registry)) if needs_sigmas else None
     model, diag = fit_pathloss_model(samples, cfg, sigma_by_source=sigmas)
     for name, value in model.coefficients.named().items():
         print(f"{name:>8s} = {value: .6g}")
@@ -210,6 +200,11 @@ def cmd_gas(args):
 def cmd_experiment(args):
     which = _WHICH_ALIASES.get(args.which, args.which)
     spec = ExperimentSpec(which=which, trials=args.trials, seed=args.seed)
+    if args.out_dir:  # before the study runs, so an unusable path costs no work
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise DataError(f"cannot write to {args.out_dir}: {exc}") from exc
     result = run_experiment(spec)
     if args.format:
         write = write_study_csv if args.format == "csv" else write_study_json
@@ -219,7 +214,7 @@ def cmd_experiment(args):
         if r.scenario:
             cell += r.scenario
         if r.band_ghz:
-            cell += f" {r.band_ghz[0]:g}-{r.band_ghz[1]:g} GHz"
+            cell += f" {band_label(r.band_ghz)} GHz"
         if r.outlier_band_m:
             cell += f" {r.outlier_band_m:g} m"
         line = f"{r.method:>14s}  {cell:<24s} sigma {r.sigma_db:6.3f} dB"
@@ -233,24 +228,7 @@ def cmd_experiment(args):
                 line += f" (published {r.loocv_published_db:.3f})"
         print(line)
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        base = os.path.join(args.out_dir, args.which)
-        save_study_json(result, base + ".json")
-        save_study_csv(result, base + ".csv")
-        wrote = [base + ".json", base + ".csv"]
-        if result.extras and "grids_db" in result.extras:
-            for arm, grid in result.extras["grids_db"].items():
-                grid_path = f"{base}_grid_{arm}.csv"
-                save_grid_csv(
-                    result.extras["grid_distances_m"],
-                    result.extras["grid_freqs_ghz"],
-                    grid,
-                    grid_path,
-                )
-                wrote.append(grid_path)
-        if which == "IntegrationStudy":
-            save_coefficients_csv(result, base + "_coefficients.csv")
-            wrote.append(base + "_coefficients.csv")
+        wrote = save_study(result, os.path.join(args.out_dir, args.which))
         print("wrote " + ", ".join(wrote))
     failures = 0
     for gate in evaluate_gates(result):

@@ -5,7 +5,8 @@ process exit codes without string matching:
 
     0  success
     2  configuration error (bad flags, bad config values, out-of-range request)
-    3  data error (unparseable/invalid input rows, unknown source ids)
+    3  data error (unreadable or invalid input, unknown source ids, an
+       output file or directory that cannot be written)
     4  numeric error (singular systems, non-convergence, insufficient data)
 
 Exit code 5 belongs to no error class: ``pathfuse experiment`` returns it

@@ -13,25 +13,28 @@ Every runner follows the same discipline:
   pinned tolerances (the CLI maps failures to exit code 5).
 
 Each study is one row of ``_STUDY_TABLE``: a ``tasks(spec)`` list, a
-function that runs one task, a ``reduce(spec, tasks, outcomes)`` that builds
-the ``StudyResult``, its section of ``reference_targets.json`` and a rule
-that yields ``(name, value, kind, bound)`` per gate; ``_GATE_KINDS`` gives
-each of the four kinds (within a tolerance of a target, ordered, at most a
-limit, above a floor) its pass rule and its detail wording.
+function that runs one task, a ``reduce(spec, tasks, outcomes, targets)``
+that builds the ``StudyResult`` with the published values of ``targets``, its
+section of ``reference_targets.json`` and a rule that yields ``(name, value,
+kind, bound)`` per gate; ``_GATE_KINDS`` gives each of the four kinds (within
+a tolerance of a target, ordered, at most a limit, above a floor) its pass
+rule and its detail wording.
 
-:func:`run_experiment` is the one place that maps tasks: ``_map_tasks`` runs
-them on forked workers, one per CPU of the affinity mask and at most one per
-task (in this process if that is one, or off Linux).  Each task draws only
-from its own keyed substreams and outcomes come back in task order, so every
-mean keeps its bits at any worker count and in any task order.  The order
-study is one task (at 0.04-0.08 s for ten trials, one task per trial on two
-workers was slower than serial); a robust task is one trial; the integration
-and outlier studies share ``_cell_tasks``, one per (scenario x band cell,
-trial).
+:func:`run_experiment` reads the targets once, before any task, so a broken
+file stops every study before its first task.  It is also the one place that
+maps tasks: ``_map_tasks`` runs them on forked workers, one per CPU of the
+affinity mask and at most one per task (in this process if that is one, or
+off Linux).  Each task draws only from its own keyed substreams and outcomes
+come back in task order, so every mean keeps its bits at any worker count and
+in any task order.  The order study is one task (at 0.04-0.08 s for ten
+trials, one task per trial on two workers was slower than serial); a robust
+task is one trial; the integration and outlier studies share ``_cell_tasks``,
+one per (scenario x band cell, trial).
 
 The studies read the registry, the reference targets and the gas table from
 one data directory: ``PATHFUSE_DATA_DIR`` if set, else the bundled data.
-:mod:`pathfuse.io` checks every field of the targets, so the rules check none.
+:mod:`pathfuse.io` checks every field of the targets and that every cell of
+``SCENARIO_BANDS`` has an integration row, so the reduces and rules check none.
 
 Protocol constants that are calibration targets (ambient scattering scale,
 outlier magnitudes, the robust filter multiplier) are module constants here
@@ -63,8 +66,9 @@ from .estimators import (
 from .io import (
     ORDER_ARMS,
     ROBUST_METHODS,
+    SCENARIO_BANDS,
     STUDY_ARMS,
-    data_path,
+    band_label,
     load_registry,
     load_reference_targets,
     sigma_map,
@@ -101,14 +105,6 @@ __all__ = [
 # study protocol constants
 # ---------------------------------------------------------------------------
 
-#: per-scenario frequency bands (GHz, inclusive) the integration and outlier
-#: studies sweep; low band, high band, full span
-SCENARIO_BANDS = {
-    "UMiSC": ((2.0, 18.0), (28.0, 73.5), (2.0, 73.5)),
-    "UMiOS": ((2.0, 18.0), (29.0, 60.0), (2.0, 60.0)),
-    "UMa": ((2.0, 18.0), (28.0, 73.5), (2.0, 73.5)),
-}
-
 #: samples synthesized per source model in each (scenario, band) cell --
 #: the benchmark corpus totals divided by the number of in-band models
 BAND_POINTS = {
@@ -140,7 +136,9 @@ ROBUST_STUDY_POINTS = 200
 ROBUST_STUDY_PINNED_GAMMA = 2.0
 ROBUST_STUDY_BAND_WIDTH_M = 50.0
 #: ambient small-scale scattering added to every robust-study sample;
-#: calibrated so the clean-corpus OLS sigma matches the benchmark (3.633 dB)
+#: calibrated so the clean-corpus OLS sigma lands inside the targets' clean
+#: band [3.52, 3.72] dB (3.674 dB at the pinned seed; ``calibrate.py --section
+#: ambient``)
 ROBUST_STUDY_AMBIENT_SCALE = 3.03
 #: residual-scale multiplier for the median-fit filter arm; calibrated so the
 #: filtered refit sigma matches the benchmark (3.902 dB)
@@ -334,7 +332,7 @@ def _order_task(task):
     return sigma18, coeffs, loocv_raw
 
 
-def _order_reduce(spec, todo, outcomes):
+def _order_reduce(spec, todo, outcomes, targets):
     heldout, span = todo[0][3:5]
     sigma18, coeffs, loocv_raw = outcomes[0]
     # surface scan on the trial-mean coefficients: the polynomial alone (no
@@ -353,7 +351,7 @@ def _order_reduce(spec, todo, outcomes):
             "dist_decreasing_cells": _count_decreasing(P, axis=0),
         }
 
-    targets = load_reference_targets()["order_study"]
+    targets = targets["order_study"]
     reports = []
     for arm, cfg in _ORDER_CONFIGS.items():
         reports.append(EvaluationReport(
@@ -484,11 +482,11 @@ def _robust_tasks(spec):
     return [(spec.seed, t, model, synth) for t in range(spec.trials)]
 
 
-def _robust_reduce(spec, todo, outcomes):
+def _robust_reduce(spec, todo, outcomes, targets):
     raw = {arm: {m: [o[arm][m] for o in outcomes] for m in ROBUST_METHODS}
            for arm in ("clean", "contaminated")}
 
-    targets = load_reference_targets()["robust_study"]
+    targets = targets["robust_study"]
     reports = []
     for method in ROBUST_METHODS:
         pairs = zip(raw["contaminated"][method], raw["clean"][method])
@@ -535,10 +533,6 @@ _ARMS = {
 
 def _arm_configs(band):
     return {arm: PipelineConfig(**kw, freq_band=band) for arm, kw in _ARMS.items()}
-
-
-def _band_label(band):
-    return f"{band[0]:g}-{band[1]:g}"
 
 
 def _cell_tasks(spec, label):
@@ -642,30 +636,17 @@ def _published(rows, scenario, band, **keys):
 
 def run_integration_study(spec: ExperimentSpec):
     """Fuse every scenario's models over low/high/full bands, three ways, one
-    ``_cell_task`` per (cell, trial).  A cell without a row in the targets'
-    ``integration_study.cells`` raises DataError before any trial runs."""
+    ``_cell_task`` per (cell, trial)."""
     return run_experiment(replace(spec, which="IntegrationStudy"))
 
 
-def _integration_tasks(spec):
-    cells = load_reference_targets()["integration_study"]["cells"]
-    for scenario, bands in SCENARIO_BANDS.items():
-        for band in bands:
-            if _published(cells, scenario, band) is None:
-                raise DataError(f"{data_path('reference_targets.json')}: "
-                                f"integration_study.cells has no row for "
-                                f"{scenario} {_band_label(band)} GHz")
-    return _cell_tasks(spec, "integration")
-
-
-def _integration_reduce(spec, todo, outcomes):
-    targets = load_reference_targets()
+def _integration_reduce(spec, todo, outcomes, targets):
     cells = targets["integration_study"]["cells"]
     reports = []
     raw_sigma = {}
     published_coeffs = {}
     for scenario, band, cell in _cells(spec, todo, outcomes):
-        cell_key = f"{scenario}|{_band_label(band)}"
+        cell_key = f"{scenario}|{band_label(band)}"
         raw_sigma[cell_key] = {a: [c[a][0] for c, _ in cell] for a in STUDY_ARMS}
         published = _published(cells, scenario, band)["sigma_db"]
         for arm, cfg in _arm_configs(band).items():
@@ -701,8 +682,8 @@ def run_outlier_study(spec: ExperimentSpec):
     return run_experiment(replace(spec, which="OutlierStudy"))
 
 
-def _outlier_reduce(spec, todo, outcomes):
-    published = load_reference_targets()["outlier_study"]["published"]
+def _outlier_reduce(spec, todo, outcomes, targets):
+    published = targets["outlier_study"]["published"]
     reports = []
     raw = {}
     for scenario, band, cell in _cells(spec, todo, outcomes):
@@ -717,7 +698,7 @@ def _outlier_reduce(spec, todo, outcomes):
                     slot["sigma"].append(sigma)
                     slot["clean"].append(clean[arm][0])
                     slot["ratio"].append(error_ratio(sigma, clean[arm][0]))
-        raw[f"{scenario}|{_band_label(band)}"] = cell_raw
+        raw[f"{scenario}|{band_label(band)}"] = cell_raw
         for ob in OUTLIER_STUDY_BANDS_M:
             for arm in STUDY_ARMS:
                 slot = cell_raw[ob][arm]
@@ -793,7 +774,7 @@ def _integration_gates(result, t):
     for r in result.reports:
         cells.setdefault((r.scenario, r.band_ghz), {})[r.method] = r
     for (scenario, band), methods in cells.items():
-        name = f"integration/{scenario}/{_band_label(band)}"
+        name = f"integration/{scenario}/{band_label(band)}"
         quad = methods[ARM_QUADRATIC]
         bound = (quad.sigma_published_db, t["tolerance_quadratic_db"])
         yield f"{name}/quadratic", quad.sigma_db, "within", bound
@@ -807,7 +788,7 @@ def _outlier_gates(result, t):
     for r in result.reports:
         cell = (r.scenario, r.band_ghz)
         band = {"outlier_band_m": r.outlier_band_m}
-        name = f"outlier/{r.scenario}/{_band_label(r.band_ghz)}/{r.outlier_band_m:g}m"
+        name = f"outlier/{r.scenario}/{band_label(r.band_ghz)}/{r.outlier_band_m:g}m"
         if r.method == ARM_QUADRATIC:
             limit = t["quadratic_max_abs_ratio_percent"]
             if _published([exception], *cell, **band):
@@ -860,8 +841,8 @@ _STUDY_TABLE = {
                    _order_gates),
     "RobustStudy": (_robust_tasks, _robust_task, _robust_reduce, "robust_study",
                     _robust_gates),
-    "IntegrationStudy": (_integration_tasks, _cell_task, _integration_reduce,
-                         "integration_study", _integration_gates),
+    "IntegrationStudy": (lambda spec: _cell_tasks(spec, "integration"), _cell_task,
+                         _integration_reduce, "integration_study", _integration_gates),
     "OutlierStudy": (lambda spec: _cell_tasks(spec, "outlier"), _cell_task,
                      _outlier_reduce, "outlier_study", _outlier_gates),
 }
@@ -869,10 +850,12 @@ STUDIES = tuple(_STUDY_TABLE)
 
 
 def run_experiment(spec: ExperimentSpec):
-    """Run one study: its tasks, each mapped by ``_map_tasks``, then its reduce."""
+    """Run one study: the targets read, its tasks, each mapped by
+    ``_map_tasks``, then its reduce."""
     tasks, task, reduce, *_ = _STUDY_TABLE[spec.which]
+    targets = load_reference_targets()
     todo = tasks(spec)
-    return reduce(spec, todo, _map_tasks(task, todo))
+    return reduce(spec, todo, _map_tasks(task, todo), targets)
 
 
 def evaluate_gates(result: StudyResult):

@@ -1,14 +1,19 @@
 # CSV/JSON loading and saving: model registry, sample corpora, fit results,
 # reference targets, study reports.  Fitted models and study reports carry their
 # provenance (resolved config, seed); sample and grid CSVs hold only their columns.
-# Each JSON file's fields are declared once, as a schema that ``_check`` walks.
+# Each JSON file's fields are declared once, as a schema that ``_check`` walks;
+# the targets' vocabulary (study arms, robust methods, ``SCENARIO_BANDS``) lives
+# here too.  ``save_study`` writes a study's whole ``--out-dir`` bundle.  Every
+# load and save raises DataError naming the path it cannot read or write.
 
 import csv
 import dataclasses
+import itertools
 import json
 import operator
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -31,8 +36,8 @@ __all__ = [
     "save_model",
     "load_model",
     "load_reference_targets",
-    "save_study_json",
-    "save_study_csv",
+    "band_label",
+    "save_study",
 ]
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -170,19 +175,21 @@ def _load_rows(path):
         raise DataError(f"{path}:{lines[exc.row]}: bad sample row: {exc}") from exc
 
 
+def _write(path, kind, write):
+    """``write(fh)`` on ``path`` opened for text; an OSError raises DataError."""
+    try:
+        with open(path, "w", newline="") as fh:
+            write(fh)
+    except OSError as exc:
+        raise DataError(f"cannot write {kind} {path}: {exc}") from exc
+
+
 def save_samples(batch, path):
     """Write a SampleBatch as CSV, each float as its shortest round-tripping repr."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SAMPLE_FIELDS)
-        writer.writerows(
-            zip(
-                map(repr, batch.distance.tolist()),
-                map(repr, batch.frequency.tolist()),
-                map(repr, batch.path_loss.tolist()),
-                batch.source_id.tolist(),
-            )
-        )
+    rows = zip(map(repr, batch.distance.tolist()), map(repr, batch.frequency.tolist()),
+               map(repr, batch.path_loss.tolist()), batch.source_id.tolist())
+    _write(path, "samples",
+           lambda fh: csv.writer(fh).writerows(itertools.chain([_SAMPLE_FIELDS], rows)))
 
 
 def _jsonable(obj):
@@ -210,9 +217,12 @@ def save_model(model, path):
         "dist_range_m": list(model.dist_range),
         "provenance": _jsonable(model.provenance),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write(path, "model", lambda fh: _dump_json(payload, fh))
+
+
+def _dump_json(payload, fh):
+    json.dump(payload, fh, indent=2)
+    fh.write("\n")
 
 
 def load_model(path):
@@ -236,8 +246,9 @@ def load_model(path):
 
 def load_reference_targets():
     """The benchmark targets of the data directory.  An unreadable file,
-    malformed JSON or a field of ``_TARGET_FIELDS`` that is missing, unknown
-    or of the wrong kind raises DataError naming the file and the field."""
+    malformed JSON, a field of ``_TARGET_FIELDS`` that is missing, unknown or
+    of the wrong kind, or a scenario x band of ``SCENARIO_BANDS`` without an
+    ``integration_study.cells`` row raises DataError naming the file."""
     path = data_path(_TARGETS_FILE)
     try:
         with open(path) as fh:
@@ -245,7 +256,19 @@ def load_reference_targets():
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read reference targets {path}: {exc}") from exc
     _check(targets, _TARGET_FIELDS, f"{path}: ")
+    have = {(row["scenario"], tuple(row["band_ghz"]))
+            for row in targets["integration_study"]["cells"]}
+    for scenario, bands in SCENARIO_BANDS.items():
+        for band in bands:
+            if (scenario, band) not in have:
+                raise DataError(f"{path}: integration_study.cells has no row for "
+                                f"{scenario} {band_label(band)} GHz")
     return targets
+
+
+def band_label(band):
+    """A band ``(lo, hi)`` in GHz as the reports and gates spell it: ``2-18``."""
+    return f"{band[0]:g}-{band[1]:g}"
 
 
 def _check(value, schema, prefix, where=""):
@@ -308,6 +331,13 @@ _MODEL_FIELDS = {
 ORDER_ARMS = ("linear-abg", "quadratic-abg", "cubic-abg")
 STUDY_ARMS = ("pooled-abg", "weighted-abg", "quadratic-abg")
 ROBUST_METHODS = ("ols", "ridge", "lasso", "elastic-net", "ransac", "theil-sen")
+#: per-scenario frequency bands (GHz, inclusive) the integration and outlier
+#: studies sweep; low band, high band, full span
+SCENARIO_BANDS = {
+    "UMiSC": ((2.0, 18.0), (28.0, 73.5), (2.0, 73.5)),
+    "UMiOS": ((2.0, 18.0), (29.0, 60.0), (2.0, 60.0)),
+    "UMa": ((2.0, 18.0), (28.0, 73.5), (2.0, 73.5)),
+}
 
 _CELL = {"scenario": _one_of(sorted(SCENARIOS)), "band_ghz": _SPAN}
 _ROW = {**_CELL, "method": _one_of(STUDY_ARMS)}
@@ -345,53 +375,12 @@ _TARGET_FIELDS = {
 
 def write_study_json(result, fh):
     """The whole study (reports, raw trial data, extras) as one JSON document."""
-    json.dump(_jsonable(result), fh, indent=2)
-    fh.write("\n")
-
-
-def save_study_json(result, path):
-    with open(path, "w") as fh:
-        write_study_json(result, fh)
-
-
-def save_grid_csv(distances_m, freqs_ghz, grid_db, path):
-    """Write a predicted-loss surface as ``d,f,pl_db`` rows for plotting."""
-    grid = np.asarray(grid_db)
-    if grid.shape != (len(distances_m), len(freqs_ghz)):
-        raise DataError(
-            f"grid shape {grid.shape} does not match "
-            f"{len(distances_m)} distances x {len(freqs_ghz)} frequencies"
-        )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["d", "f", "pl_db"])
-        for i, d in enumerate(distances_m):
-            for j, f in enumerate(freqs_ghz):
-                writer.writerow([f"{d:.6g}", f"{f:.6g}", f"{grid[i, j]:.4f}"])
+    _dump_json(_jsonable(result), fh)
 
 
 def _keys(rows):
     """Every key of the dicts ``rows``, in first-seen order (CSV columns)."""
     return list(dict.fromkeys(key for row in rows for key in row))
-
-
-def save_coefficients_csv(result, path):
-    """One row per fitted cell: scenario, band, method, then coefficients."""
-    rows = []
-    for r in result.reports:
-        if not r.coefficients:
-            continue
-        row = {"scenario": r.scenario, "method": r.method}
-        if r.band_ghz:
-            row["band_ghz"] = f"{r.band_ghz[0]:g}-{r.band_ghz[1]:g}"
-        row.update({k: f"{v:.6g}" for k, v in r.coefficients.items()})
-        rows.append(row)
-    if not rows:
-        raise DataError("study reports carry no coefficients")
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_keys(rows), restval="")
-        writer.writeheader()
-        writer.writerows(rows)
 
 
 def write_study_csv(result, fh):
@@ -406,6 +395,36 @@ def write_study_csv(result, fh):
                       for k, v in row.items()} for row in rows)
 
 
-def save_study_csv(result, path):
-    with open(path, "w", newline="") as fh:
-        write_study_csv(result, fh)
+def _write_grid(extras, grid, fh):
+    """A predicted-loss surface of ``extras`` as ``d,f,pl_db`` rows for plotting."""
+    writer = csv.writer(fh)
+    writer.writerow(["d", "f", "pl_db"])
+    for i, d in enumerate(extras["grid_distances_m"]):
+        for j, f in enumerate(extras["grid_freqs_ghz"]):
+            writer.writerow([f"{d:.6g}", f"{f:.6g}", f"{grid[i, j]:.4f}"])
+
+
+def _write_coefficients(reports, fh):
+    """One row per fitted cell: scenario, method, band, then coefficients."""
+    rows = [{"scenario": r.scenario, "method": r.method,
+             "band_ghz": band_label(r.band_ghz),
+             **{k: f"{v:.6g}" for k, v in r.coefficients.items()}} for r in reports]
+    writer = csv.DictWriter(fh, fieldnames=_keys(rows), restval="")
+    writer.writeheader()
+    writer.writerows(rows)
+
+
+def save_study(result, base):
+    """Write a study's report bundle and return the paths written, in order:
+    ``base.json`` (everything), ``base.csv`` (the report rows), one
+    ``base_grid_<arm>.csv`` per surface in ``extras["grids_db"]`` and, for the
+    integration study, ``base_coefficients.csv``."""
+    files = {base + ".json": partial(write_study_json, result),
+             base + ".csv": partial(write_study_csv, result)}
+    for arm, grid in result.extras.get("grids_db", {}).items():
+        files[f"{base}_grid_{arm}.csv"] = partial(_write_grid, result.extras, grid)
+    if result.study == "IntegrationStudy":
+        files[base + "_coefficients.csv"] = partial(_write_coefficients, result.reports)
+    for path, write in files.items():
+        _write(path, "study report", write)
+    return list(files)

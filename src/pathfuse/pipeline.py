@@ -60,12 +60,15 @@ from .models import (
 
 __all__ = [
     "WEIGHTING_POLICIES",
+    "SIGMA_WEIGHTINGS",
     "PipelineConfig",
     "compute_weights",
     "fit_pathloss_model",
 ]
 
 WEIGHTING_POLICIES = ("Identity", "InverseVariance", "BalanceCount", "Mixture")
+#: the policies that read per-source sigmas
+SIGMA_WEIGHTINGS = ("InverseVariance", "Mixture")
 
 #: groups smaller than this keep all samples (no meaningful scale estimate)
 _MIN_GROUP_FOR_FILTER = 3
@@ -114,7 +117,7 @@ def compute_weights(batch, policy: str, sigma_by_source=None) -> np.ndarray:
 
     ids, group = batch.groups()
     ids = ids.tolist()
-    if policy in ("InverseVariance", "Mixture"):
+    if policy in SIGMA_WEIGHTINGS:
         if sigma_by_source is None:
             raise ConfigError(f"{policy} weighting needs per-source sigmas")
         missing = [sid for sid in ids if sid not in sigma_by_source]

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import pathfuse
+from pathfuse import cli
 from pathfuse.cli import main
 from pathfuse.evaluation import STUDIES
 from pathfuse.io import load_model, save_model
@@ -70,6 +71,14 @@ def test_synth_short_registry_row_is_a_data_error(tmp_path, capsys):
     assert rc == 3
     assert out == ""
     assert f"{registry}:3: bad registry row: no 'scenario' cell" in err
+
+
+def test_synth_into_a_missing_directory_is_a_data_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    rc, _, err = run(capsys, "synth", "--scenario", "UMiOS", "--band", "2:18",
+                     "--points-per-model", "20", "--out", str(out))
+    assert rc == 3
+    assert f"cannot write samples {out}" in err
 
 
 def test_synth_rejects_inverted_band(tmp_path, capsys):
@@ -176,6 +185,17 @@ def test_fit_records_the_seed_only_for_ransac(tmp_path, capsys):
     assert theilsen == models["theil-sen", "5"].read_bytes()
     assert json.loads(theilsen)["provenance"]["seed"] is None
     assert load_model(models["ransac", "5"]).provenance["seed"] == 5
+
+
+def test_fit_into_a_missing_directory_is_a_data_error(tmp_path, capsys):
+    corpus = tmp_path / "c.csv"
+    run(capsys, "synth", "--band", "27.5:28.5", "--scenario", "UMiSC",
+        "--points-per-model", "60", "--seed", "3", "--out", str(corpus))
+    out = tmp_path / "missing" / "m.json"
+    rc, _, err = run(capsys, "fit", "--samples", str(corpus), "--order", "1",
+                     "--out", str(out))
+    assert rc == 3
+    assert f"cannot write model {out}" in err
 
 
 def test_fit_blank_source_id_is_a_data_error(tmp_path, capsys):
@@ -396,6 +416,41 @@ def test_experiment_writes_report_bundle(tmp_path, capsys):
     assert len(grid) == len(GRID_DISTANCES_M) * len(GRID_FREQS_GHZ)
 
 
+def test_experiment_writes_the_integration_coefficients(tmp_path, capsys):
+    rc, out, _ = run(capsys, "experiment", "--which", "table4", "--trials", "1",
+                     "--seed", "1", "--out-dir", str(tmp_path))
+    assert rc == 5  # a gate fails at one trial; the bundle is written first
+    names = ["table4.json", "table4.csv", "table4_coefficients.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    assert f"wrote {', '.join(str(tmp_path / n) for n in names)}" in out
+    path = tmp_path / "table4_coefficients.csv"
+    assert path.read_text().splitlines()[0] == (
+        "scenario,method,band_ghz,alpha,beta,gamma,alpha2,delta,gamma2")
+    rows = read_csv(path)
+    # one row per scenario x band cell and arm
+    assert len({(r["scenario"], r["band_ghz"], r["method"]) for r in rows}) == 27
+    assert len(rows) == 27
+    assert {r["band_ghz"] for r in rows if r["scenario"] == "UMiOS"} == {
+        "2-18", "29-60", "2-60"}
+
+
+def test_experiment_out_dir_that_is_a_file_fails_before_the_study(
+    tmp_path, capsys, monkeypatch
+):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+
+    def no_study(spec):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(cli, "run_experiment", no_study)
+    rc, out, err = run(capsys, "experiment", "--which", "table3", "--trials", "1",
+                       "--out-dir", str(taken))
+    assert rc == 3
+    assert f"cannot write to {taken}" in err
+    assert out == ""
+
+
 def test_experiment_csv_to_stdout(capsys):
     rc, out, _ = run(capsys, "experiment", "--which", "table2", "--trials", "3",
                      "--seed", "0", "--format", "csv")
@@ -486,8 +541,6 @@ TARGET_FAULTS = {
     "short-band": "robust_study.clean_band_db must be two finite numbers",
     "missing-cell": "integration_study.cells has no row for UMa 2-18 GHz",
 }
-#: the study a case runs, if not table3: only Integration reads every cell
-TARGET_FAULT_STUDY = {"missing-cell": "table4"}
 
 
 @pytest.mark.parametrize("case", list(TARGET_FAULTS))
@@ -496,8 +549,7 @@ def test_experiment_bad_reference_targets_exit_3(case, tmp_path, capsys, monkeyp
     shutil.copytree(Path(pathfuse.__file__).with_name("data"), data)
     _edit_targets(data, case)
     monkeypatch.setenv("PATHFUSE_DATA_DIR", str(data))
-    which = TARGET_FAULT_STUDY.get(case, "table3")
-    rc, _, err = run(capsys, "experiment", "--which", which, "--trials", "1")
+    rc, _, err = run(capsys, "experiment", "--which", "table3", "--trials", "1")
     assert rc == 3
     assert f"{data / 'reference_targets.json'}" in err
     assert TARGET_FAULTS[case] in err

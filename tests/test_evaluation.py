@@ -1,12 +1,17 @@
 """Scoring metrics, leave-one-out machinery, gate evaluation, and the
 studies' worker pool."""
 
+import json
 import multiprocessing
+import re
+import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pathfuse
 from pathfuse import cli, evaluation
 from pathfuse.atmosphere import load_default_table, predict_total
 from pathfuse.errors import ConfigError, DataError, MetricError
@@ -403,3 +408,31 @@ def test_tasks_run_in_reverse_order_change_no_bit(which, monkeypatch):
     assert mapped == [{"OrderStudy": 1, "RobustStudy": 2}.get(which, 2 * 9)]
     assert got.reports == want.reports  # every field, compared exactly
     np.testing.assert_equal(vars(got), vars(want))
+
+
+def _break_targets(data, case):
+    path = data / "reference_targets.json"
+    if case == "truncated":
+        path.write_text(path.read_text()[:-2])
+    else:
+        targets = json.loads(path.read_text())
+        del targets["integration_study"]["cells"][6]  # UMa 2-18 GHz
+        path.write_text(json.dumps(targets))
+
+
+@pytest.mark.parametrize("case", ["truncated", "missing-cell"])
+@pytest.mark.parametrize("which", STUDIES)
+def test_bad_targets_stop_a_study_before_its_first_task(
+    which, case, tmp_path, monkeypatch
+):
+    data = tmp_path / "data"
+    shutil.copytree(Path(pathfuse.__file__).with_name("data"), data)
+    _break_targets(data, case)
+    monkeypatch.setenv("PATHFUSE_DATA_DIR", str(data))
+    mapped = []
+    monkeypatch.setattr(evaluation, "_map_tasks",
+                        lambda fn, tasks: mapped.append(len(tasks)))
+    targets = re.escape(str(data / "reference_targets.json"))
+    with pytest.raises(DataError, match=targets):
+        run_experiment(ExperimentSpec(which, trials=1))
+    assert mapped == []
