@@ -34,7 +34,8 @@ from pathfuse.estimators import _theilsen_line
 #: (name, rows, abscissae moved a few ulps away from another)
 CASES = (("n=150", 150, 0), ("n=200", 200, 0), ("n=1080", 1080, 0),
          ("n=8000", 8000, 0), ("one-ulp n=8000", 8000, 1),
-         ("one-ulp n=16000", 16000, 1), ("close-pairs n=8000", 8000, 50))
+         ("one-ulp n=16000", 16000, 1), ("close-pairs n=8000", 8000, 50),
+         ("n=100000", 100000, 0))
 SEED = 3
 
 

@@ -6,17 +6,41 @@ optionally corrected for atmospheric gas absorption and cleaned of
 blocker-style outliers, weighted by campaign precision, and refitted as one
 log-polynomial surface over distance and frequency.
 
-Importing pathfuse sets ``OPENBLAS_NUM_THREADS`` to 1 unless it is already
-set, before anything loads numpy, so numpy's OpenBLAS starts no helper
-thread; child processes inherit the variable.  ``estimators`` still puts
-OpenBLAS on one thread in a process that loaded numpy first.  The names
-below load their module on first use: ``import pathfuse.io`` loads neither
-the estimators nor the studies.
+The package owns the one BLAS thread rule: every fit solves on one OpenBLAS
+thread, as a woken pool's idle worker busy-waits (1.0 s of CPU in a 1.6 s
+Integration study, 2-core Xeon).  Importing pathfuse sets
+``OPENBLAS_NUM_THREADS`` to 1 unless it is already set, so a user's value
+wins and child processes inherit it.  Only a process that loaded numpy before
+pathfuse, without the variable, has its OpenBLAS put on one thread at
+import, as the variable then comes too late.  The names below load their
+module on first use: ``import pathfuse.io`` loads neither the estimators nor
+the studies.
 """
 
 import importlib
 import os
+import sys
 
+
+def _single_blas_thread(np):
+    """Set the OpenBLAS of the numpy module ``np``, if found, to one thread."""
+    import ctypes
+    import glob
+
+    for path in glob.glob(np.__path__[0] + "/../numpy.libs/*openblas*"):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+            if put := getattr(lib, name, None):
+                put.argtypes, put.restype = [ctypes.c_int], None
+                put(1)
+                return
+
+
+if "OPENBLAS_NUM_THREADS" not in os.environ and "numpy" in sys.modules:
+    _single_blas_thread(sys.modules["numpy"])
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 #: the module of each public name

@@ -13,7 +13,6 @@
 # than extrapolate.  ``load_default_table`` reads each table once per process.
 
 import csv
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,14 +122,12 @@ _tables: dict = {}
 
 
 def load_default_table():
-    """The table of the data directory: ``PATHFUSE_DATA_DIR`` if set, else bundled.
-
-    Each value of the variable reads its file once per process.
-    """
-    key = os.environ.get("PATHFUSE_DATA_DIR")
-    if key not in _tables:
-        _tables[key] = GasAttenuationTable.from_csv(data_path(_DEFAULT_TABLE_FILE))
-    return _tables[key]
+    """The table of the data directory (``io.data_path``), each path read once
+    per process."""
+    path = data_path(_DEFAULT_TABLE_FILE)
+    if path not in _tables:
+        _tables[path] = GasAttenuationTable.from_csv(path)
+    return _tables[path]
 
 
 def _gas_losses(table, batch):

@@ -16,14 +16,9 @@ import numpy as np
 
 from .atmosphere import load_default_table, predict_total
 from .errors import ConfigError, DataError, PathfuseError
-from .evaluation import (
-    BAND_POINTS,
-    STUDIES,
-    ExperimentSpec,
-    evaluate_gates,
-    run_experiment,
-)
+from .evaluation import STUDIES, ExperimentSpec, evaluate_gates, run_experiment
 from .io import (
+    SCENARIO_BANDS,
     band_label,
     load_model,
     load_registry,
@@ -35,10 +30,10 @@ from .io import (
     write_study_csv,
     write_study_json,
 )
-from .models import SCENARIOS
+from .models import ORDER_SIZES, SCENARIOS
 from .pipeline import SIGMA_WEIGHTINGS, PipelineConfig, fit_pathloss_model
 from .seeding import substream
-from .synthesis import SynthesisSpec, synthesize_corpus
+from .synthesis import DISTANCE_SAMPLINGS, SynthesisSpec, synthesize_corpus
 
 _EPILOG = """examples:
   pathfuse synth --scenario UMiSC --band 2:18 --points-per-model 200 \\
@@ -115,7 +110,7 @@ def cmd_synth(args):
     if points is None:
         # default to the benchmark protocol's per-cell budget when the
         # selection matches a protocol cell, else a flat 200 per model
-        points = BAND_POINTS.get((args.scenario, band), 200)
+        points = SCENARIO_BANDS.get(args.scenario, {}).get(band, 200)
     spec = SynthesisSpec(
         points_per_model=points, distance_sampling=args.distance_sampling
     )
@@ -262,7 +257,7 @@ def build_parser():
     )
     p.add_argument(
         "--distance-sampling",
-        choices=("UniformDistance", "UniformLogDistance"),
+        choices=DISTANCE_SAMPLINGS,
         default="UniformLogDistance",
     )
     p.add_argument("--seed", type=int, default=0)
@@ -271,7 +266,7 @@ def build_parser():
 
     p = sub.add_parser("fit", help="fit a surface to a sample corpus")
     p.add_argument("--samples", required=True, help="samples CSV")
-    p.add_argument("--order", type=int, choices=(1, 2, 3), default=2)
+    p.add_argument("--order", type=int, choices=sorted(ORDER_SIZES), default=2)
     p.add_argument(
         "--weighting", choices=sorted(_WEIGHTINGS), default="mixture"
     )

@@ -43,11 +43,9 @@ the same draws and the same first largest consensus as one pass.  2^16 (512
 KB) stays in cache: one pass built 1000 x n temporaries (1.6 MB at n = 200)
 whose pages faulted in afresh on every call, and cost a third of its time.
 
-Every fit solves on one OpenBLAS thread, as a woken pool's idle worker
-busy-waits: 1.0 s of CPU in a 1.6 s Integration study (2-core Xeon).  The
-package sets ``OPENBLAS_NUM_THREADS`` before numpy loads; importing this
-module puts an OpenBLAS that a process loaded first on one thread as well.
-Forked study workers inherit the setting.
+Fits solve on one OpenBLAS thread unless the user sets
+``OPENBLAS_NUM_THREADS``, by the rule that importing the package applies
+(see :mod:`pathfuse`); forked study workers inherit it.
 
 Penalty conventions (important for cross-checking against other software):
 
@@ -229,26 +227,6 @@ def weighted_rms(residuals, w=None) -> float:
         return float(np.sqrt(np.mean(r * r)))
     w = np.asarray(w, dtype=float)
     return float(np.sqrt(np.sum(w * r * r) / np.sum(w)))
-
-
-def _single_blas_thread():
-    """Set numpy's OpenBLAS, if found, to one thread (see the module docstring)."""
-    import ctypes
-    import glob
-
-    for path in glob.glob(np.__path__[0] + "/../numpy.libs/*openblas*"):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
-            if put := getattr(lib, name, None):
-                put.argtypes, put.restype = [ctypes.c_int], None
-                put(1)
-                return
-
-
-_single_blas_thread()
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +568,15 @@ def _slopes(x, y, i, j):
     return (y[i] - y[j]) / (x[i] - x[j])  # the slopes whose median Theil-Sen takes
 
 
+def _level_order(seq, b):
+    """The stable order of ``seq``, a permutation of range(n), by its bits above
+    b: numpy radix-sorts 16-bit keys, so they are the keys wherever they fit."""
+    key = seq >> (b + 1)
+    if (seq.size - 1) >> (b + 1) < 1 << 16:
+        key = key.astype(np.uint16, copy=False)
+    return np.argsort(key, kind="stable")
+
+
 def _inversions(seq):
     """Count the strict inversions of ``seq``, a permutation of range(n), and rank them.
 
@@ -604,11 +591,8 @@ def _inversions(seq):
     """
     n = seq.size
     levels = np.arange(max(n - 1, 1).bit_length(), dtype=np.int32)
-    key = np.uint16 if n <= 1 << 17 else np.int32  # 16-bit keys sort by radix
     seq = seq.astype(np.int32)
-    order = np.concatenate(
-        [np.argsort((seq >> (b + 1)).astype(key), kind="stable") for b in levels]
-    )
+    order = np.concatenate([_level_order(seq, b) for b in levels])
     bit = (seq[order] >> np.repeat(levels, n)) & 1
     zero_at, one_at = np.flatnonzero(bit == 0), np.flatnonzero(bit)  # levels in a row
     b, p = np.divmod(zero_at, n)
@@ -638,9 +622,9 @@ def _inversion_count(seq):
     level counts sum(p_k) - sum_g (z_g g 2^(b+1) + z_g (z_g - 1) / 2).
     """
     n, total, at = seq.size, 0, np.arange(seq.size)
-    seq = seq.astype(np.uint16 if n <= 1 << 16 else np.int32)
+    seq = seq.astype(np.min_scalar_type(max(n - 1, 0)))  # its keys seldom need a cast
     for b in range(max(n - 1, 1).bit_length()):
-        zero = (seq[np.argsort(seq >> (b + 1), kind="stable")] >> b) & 1 == 0
+        zero = (seq[_level_order(seq, b)] >> b) & 1 == 0
         start = np.arange(0, n, 2 << b)  # of each group
         z = np.minimum(1 << b, n - start)
         total += int(at @ zero) - int(z @ start + z @ (z - 1) // 2)

@@ -105,20 +105,6 @@ __all__ = [
 # study protocol constants
 # ---------------------------------------------------------------------------
 
-#: samples synthesized per source model in each (scenario, band) cell --
-#: the benchmark corpus totals divided by the number of in-band models
-BAND_POINTS = {
-    ("UMiSC", (2.0, 18.0)): 212,
-    ("UMiSC", (28.0, 73.5)): 132,
-    ("UMiSC", (2.0, 73.5)): 172,
-    ("UMiOS", (2.0, 18.0)): 122,
-    ("UMiOS", (29.0, 60.0)): 78,
-    ("UMiOS", (2.0, 60.0)): 104,
-    ("UMa", (2.0, 18.0)): 1285,
-    ("UMa", (28.0, 73.5)): 927,
-    ("UMa", (2.0, 73.5)): 1080,
-}
-
 ORDER_STUDY_SCENARIO = "UMiSC"
 ORDER_STUDY_HELDOUT = "umisc-18ghz-nokia-aau"
 ORDER_STUDY_POINTS = 200
@@ -543,12 +529,12 @@ def _cell_tasks(spec, label):
     for scenario, bands in SCENARIO_BANDS.items():
         scenario_models = [m for m in registry if m.scenario == scenario]
         sigmas = sigma_map(scenario_models)
-        for band in bands:
+        for band, points in bands.items():
             band_models = [m for m in scenario_models
                            if band[0] <= m.frequency <= band[1]]
             if not band_models:
                 raise DataError(f"no source models inside band {band}")
-            synth = SynthesisSpec(points_per_model=BAND_POINTS[(scenario, band)],
+            synth = SynthesisSpec(points_per_model=points,
                                   distance_sampling=STUDY_DISTANCE_SAMPLING)
             tasks += [(label, spec.seed, scenario, band, t, band_models, synth, sigmas)
                       for t in range(spec.trials)]
@@ -594,8 +580,8 @@ def _workers():
 def _init_worker():
     """A study worker's set-up: glibc keeps freed memory, since a worker lives
     for one study and trimming makes it fault the same pages in again (~60k
-    faults per Integration).  BLAS is already on one thread: importing
-    pathfuse set it before the fork."""
+    faults per Integration).  Its BLAS threads are the parent's, by the
+    rule that importing pathfuse applies (see :mod:`pathfuse`)."""
     import ctypes
 
     if mallopt := getattr(ctypes.CDLL(None), "mallopt", None):

@@ -2,9 +2,10 @@
 # reference targets, study reports.  Fitted models and study reports carry their
 # provenance (resolved config, seed); sample and grid CSVs hold only their columns.
 # Each JSON file's fields are declared once, as a schema that ``_check`` walks;
-# the targets' vocabulary (study arms, robust methods, ``SCENARIO_BANDS``) lives
-# here too.  ``save_study`` writes a study's whole ``--out-dir`` bundle.  Every
-# load and save raises DataError naming the path it cannot read or write.
+# the targets' vocabulary lives here too: study arms, robust methods, and
+# ``SCENARIO_BANDS``, which holds each study cell's samples per source model.
+# ``save_study`` writes a study's whole ``--out-dir`` bundle.  Every load and
+# save raises DataError naming the path it cannot read or write.
 
 import csv
 import dataclasses
@@ -331,12 +332,14 @@ _MODEL_FIELDS = {
 ORDER_ARMS = ("linear-abg", "quadratic-abg", "cubic-abg")
 STUDY_ARMS = ("pooled-abg", "weighted-abg", "quadratic-abg")
 ROBUST_METHODS = ("ols", "ridge", "lasso", "elastic-net", "ransac", "theil-sen")
-#: per-scenario frequency bands (GHz, inclusive) the integration and outlier
-#: studies sweep; low band, high band, full span
+#: samples synthesized per source model in each scenario x band cell (GHz,
+#: inclusive) that the integration and outlier studies sweep, in report order:
+#: low band, high band, full span.  Each is the benchmark corpus total divided
+#: by the number of in-band models.
 SCENARIO_BANDS = {
-    "UMiSC": ((2.0, 18.0), (28.0, 73.5), (2.0, 73.5)),
-    "UMiOS": ((2.0, 18.0), (29.0, 60.0), (2.0, 60.0)),
-    "UMa": ((2.0, 18.0), (28.0, 73.5), (2.0, 73.5)),
+    "UMiSC": {(2.0, 18.0): 212, (28.0, 73.5): 132, (2.0, 73.5): 172},
+    "UMiOS": {(2.0, 18.0): 122, (29.0, 60.0): 78, (2.0, 60.0): 104},
+    "UMa": {(2.0, 18.0): 1285, (28.0, 73.5): 927, (2.0, 73.5): 1080},
 }
 
 _CELL = {"scenario": _one_of(sorted(SCENARIOS)), "band_ghz": _SPAN}

@@ -79,15 +79,19 @@ def test_the_benchmark_harness_still_finds_what_it_calls(capsys):
     assert float(capsys.readouterr().out) > 0
 
 
-IMPORT_AND_FIT = """
-import sys
-import pathfuse.io
-print(sorted(m for m in ("pathfuse.estimators", "pathfuse.evaluation") if m in sys.modules))
+FIT = """
 from pathfuse import (PipelineConfig, SynthesisSpec, fit_pathloss_model, load_registry,
                       sigma_map, substream, synthesize_corpus)
 models = load_registry()[:3]
 corpus = synthesize_corpus(models, SynthesisSpec(points_per_model=40), substream(0, "api"))
 fit_pathloss_model(corpus, PipelineConfig(), sigma_by_source=sigma_map(models))
+"""
+
+IMPORT_AND_FIT = """
+import sys
+import pathfuse.io
+print(sorted(m for m in ("pathfuse.estimators", "pathfuse.evaluation") if m in sys.modules))
+""" + FIT + """
 try:
     with open("/proc/self/status") as fh:
         print(next(int(line.split()[1]) for line in fh if line.startswith("Threads:")))
@@ -107,3 +111,48 @@ def test_io_loads_alone_and_a_fit_runs_on_one_thread():
     if threads == "None":
         pytest.skip("the thread count cannot be read on this system")
     assert threads == "1"
+
+
+#: prints the size of numpy's OpenBLAS pool, read with the getter that sits
+#: beside the setter pathfuse calls, or None where no getter is found
+PRINT_POOL = """
+import ctypes, glob
+import numpy as np
+def pool():
+    for path in glob.glob(np.__path__[0] + "/../numpy.libs/*openblas*"):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if get := getattr(lib, name, None):
+                get.restype = ctypes.c_int
+                return get()
+print(pool())
+"""
+
+
+def _blas_pool(code, threads=None):
+    """The OpenBLAS pool size after ``code`` in a fresh process whose
+    ``OPENBLAS_NUM_THREADS`` is ``threads`` (unset if None)."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(pathfuse.__file__).parent.parent)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
+    done = subprocess.run([sys.executable, "-c", code + PRINT_POOL], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    pool = done.stdout.split()[-1]
+    if pool == "None":
+        pytest.skip("numpy's OpenBLAS has no thread-count getter here")
+    return int(pool)
+
+
+def test_a_users_blas_threads_outlast_a_fit():
+    # OpenBLAS caps its pool at the CPUs this process may run on
+    affinity = getattr(os, "sched_getaffinity", None)
+    usable = len(affinity(0)) if affinity else os.cpu_count()
+    assert _blas_pool("import pathfuse\n" + FIT, threads=2) == min(2, usable)
+
+
+def test_numpy_loaded_first_gets_one_blas_thread_from_the_import():
+    assert _blas_pool("import numpy\nimport pathfuse.io\n") == 1

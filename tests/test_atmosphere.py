@@ -118,8 +118,9 @@ def test_table_validation_rejects_bad_inputs(tmp_path):
 
 
 def test_data_dir_override_reads_its_own_table(tmp_path, monkeypatch):
-    # the cache is keyed by PATHFUSE_DATA_DIR, so a changed directory is read
-    # and unsetting the variable gives the bundled table back
+    # the cache is keyed by the table's path under PATHFUSE_DATA_DIR, so a
+    # changed directory is read and unsetting the variable gives the bundled
+    # table back
     bundled = Path(pathfuse.__file__).with_name("data")
     shutil.copytree(bundled, tmp_path / "data")
     path = tmp_path / "data" / "itu_p676_standard.csv"

@@ -320,7 +320,7 @@ def test_worker_count_changes_no_bit(runner, which, monkeypatch):
 def _fail_one_cell(monkeypatch):
     """Workers forked after this inherit a synthesis that fails in one cell."""
     real = evaluation.synthesize_corpus
-    points = evaluation.BAND_POINTS[("UMiOS", (29.0, 60.0))]
+    points = evaluation.SCENARIO_BANDS["UMiOS"][(29.0, 60.0)]
 
     def synthesize(models, synth, rng):
         if synth.points_per_model == points:

@@ -7,7 +7,7 @@ the names and details recorded in ``tests/data/golden_gates.json`` (the
 lines ``pathfuse experiment`` prints).
 Integration and Outlier are also pinned on a reduced protocol (one trial,
 30 samples per model) recorded in ``tests/data/golden_studies_small.json``;
-the test sets every cell of ``evaluation.BAND_POINTS`` to the record's
+the test sets every cell of ``evaluation.SCENARIO_BANDS`` to the record's
 ``points_per_model``.  The Outlier study's full report at its pinned seed
 (sigma, clean sigma and ratio of all 81 rows) is pinned in
 ``tests/data/golden_outlier_study.json``.
@@ -118,9 +118,10 @@ def test_reduced_multiband_studies_match_the_record(which, runner, monkeypatch):
         record = json.load(fh)
     spec = dict(record["spec"])
     points = spec.pop("points_per_model")
-    monkeypatch.setattr(
-        evaluation, "BAND_POINTS", dict.fromkeys(evaluation.BAND_POINTS, points)
-    )
+    monkeypatch.setattr(evaluation, "SCENARIO_BANDS", {
+        scenario: dict.fromkeys(bands, points)
+        for scenario, bands in evaluation.SCENARIO_BANDS.items()
+    })
     result = runner(ExperimentSpec(which=which, **spec))
     expected = {
         key: values

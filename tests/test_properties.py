@@ -25,7 +25,13 @@ from pathfuse.estimators import (
 )
 from pathfuse.evaluation import error_ratio
 from pathfuse.io import load_registry, sigma_map
-from pathfuse.models import ORDER_SIZES, CoefficientSet, SampleBatch, design_matrix
+from pathfuse.models import (
+    ORDER_SIZES,
+    CoefficientSet,
+    SampleBatch,
+    coefficient_names,
+    design_matrix,
+)
 from pathfuse.pipeline import WEIGHTING_POLICIES, PipelineConfig, fit_pathloss_model
 from pathfuse.seeding import substream
 from pathfuse.synthesis import (
@@ -178,13 +184,17 @@ def test_inversion_routines_at_level_boundaries(n):
         check_inversions(seq)
 
 
-@pytest.mark.parametrize("n", [1 << 16, (1 << 16) + 1])
+@pytest.mark.parametrize("n", [1 << 16, (1 << 16) + 1, 1 << 17, (1 << 17) + 1])
 def test_inversion_count_around_its_key_width(n):
-    # past 2^16 values the count sorts 32-bit keys; reversed, every pair is inverted
-    assert estimators._inversion_count(np.arange(n)[::-1].copy()) == n * (n - 1) // 2
-    seq = np.arange(n)
-    seq[[0, -1]] = seq[[-1, 0]]  # one swap of the ends: 2(n-2) + 1 inversions
-    assert estimators._inversion_count(seq) == 2 * (n - 2) + 1
+    # a level sorts 16-bit keys while its higher bits fit them: every level
+    # up to 2^17 values, all but the lowest just past it.  Past 2^16 values
+    # the count's own copy of seq is wider than its keys.  Reversed, every
+    # pair is inverted
+    for count in (estimators._inversion_count, lambda s: estimators._inversions(s)[0]):
+        assert count(np.arange(n)[::-1].copy()) == n * (n - 1) // 2
+        seq = np.arange(n)
+        seq[[0, -1]] = seq[[-1, 0]]  # one swap of the ends: 2(n-2) + 1 inversions
+        assert count(seq) == 2 * (n - 2) + 1
 
 
 #: every 2^k - 1, 2^k and 2^k + 1 up to 2,049, and 24 sizes drawn from 1-2,100
@@ -384,3 +394,59 @@ def test_renaming_every_source_changes_no_bit(seed, data, models):
             assert same_bits(a.sigma, b.sigma)
             assert a.provenance == b.provenance
             assert np.array_equal(fit_a.inlier_mask, fit_b.inlier_mask)
+
+
+#: a multi-source corpus as the studies fit it: six campaigns at six
+#: frequencies, blocker outliers in, an order-2 surface under Mixture weights
+META_MODELS = [m for m in REGISTRY if m.scenario == "UMiSC"]
+META_SIGMAS = sigma_map(META_MODELS)
+
+
+def meta_corpus(seed):
+    rng = substream(seed, "metamorphic")
+    corpus = synthesize_corpus(META_MODELS, SynthesisSpec(points_per_model=100), rng)
+    return inject_outliers(corpus, OutlierSpec(), rng)[0], rng
+
+
+def meta_fit(corpus, robust):
+    cfg = PipelineConfig(order=2, weighting="Mixture", robust=robust)
+    return fit_pathloss_model(corpus, cfg, sigma_by_source=META_SIGMAS)
+
+
+def solve_bound(model, losses):
+    """How far rounding alone may move a coefficient of ``model``'s solve.
+
+    A backward-stable least-squares solve is off by about
+    u (2 kappa + kappa^2 tan theta) relative to its solution (Golub & Van
+    Loan, Thm 5.3.1), kappa the design's condition and theta the angle
+    between the losses and the fit.  While the residual is smaller than the
+    fit, tan theta < 1, so kappa^2 u of the loss scale bounds the shift.
+    """
+    return model.provenance["condition"] ** 2 * np.finfo(float).eps * np.abs(losses).max()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_permuting_the_rows_permutes_the_mask(seed):
+    # each group's Theil-Sen line is the median of the same pairwise slopes in
+    # any row order, so the same rows are cut; only the solve's rounding moves
+    corpus, rng = meta_corpus(seed)
+    perm = rng.permutation(len(corpus))
+    model, fit = meta_fit(corpus, "TheilSen")
+    moved, moved_fit = meta_fit(corpus.take(perm), "TheilSen")
+    assert model.provenance["n_rejected"] > 0
+    assert np.array_equal(moved_fit.inlier_mask, fit.inlier_mask[perm])
+    shift = moved.coefficients.as_array() - model.coefficients.as_array()
+    assert np.abs(shift).max() <= solve_bound(model, corpus.path_loss)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_loss_offset_moves_only_the_intercept(seed):
+    # the design's constant column takes the whole offset: beta moves by c
+    corpus, _ = meta_corpus(seed)
+    c = 7.25
+    lifted = corpus.path_loss + c
+    model, _ = meta_fit(corpus, None)
+    moved, _ = meta_fit(corpus.with_path_loss(lifted), None)
+    shift = moved.coefficients.as_array() - model.coefficients.as_array()
+    shift[coefficient_names(2).index("beta")] -= c
+    assert np.abs(shift).max() <= solve_bound(model, lifted)
