@@ -18,8 +18,10 @@ from .atmosphere import load_default_table, predict_total
 from .errors import ConfigError, DataError, PathfuseError
 from .evaluation import STUDIES, ExperimentSpec, evaluate_gates, run_experiment
 from .io import (
+    POSITIVE,
     SCENARIO_BANDS,
     band_label,
+    check,
     load_model,
     load_registry,
     load_samples,
@@ -154,6 +156,8 @@ def cmd_fit(args):
 
 
 def cmd_predict(args):
+    for flag, value in (("--d", args.d), ("--f", args.f)):
+        check(value, POSITIVE, ConfigError, where=flag)
     model = load_model(args.model)
     if not model.covers(args.d, args.f):
         msg = (

@@ -64,13 +64,17 @@ from .estimators import (
     weighted_rms,
 )
 from .io import (
+    COUNT,
+    INTEGER,
     ORDER_ARMS,
     ROBUST_METHODS,
     SCENARIO_BANDS,
     STUDY_ARMS,
     band_label,
+    check,
     load_registry,
     load_reference_targets,
+    one_of,
     sigma_map,
 )
 from .models import build_design_system, coefficient_names, design_matrix
@@ -170,12 +174,7 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.which not in STUDIES:
-            raise ConfigError(f"which must be one of {STUDIES}, got {self.which!r}")
-        if type(self.seed) is not int:  # not isinstance: a bool is an int there
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not (type(self.trials) is int and self.trials >= 1):
-            raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
+        check(vars(self), _SPEC_FIELDS, ConfigError)  # declared beside STUDIES
 
 
 @dataclass
@@ -833,6 +832,8 @@ _STUDY_TABLE = {
                      _outlier_reduce, "outlier_study", _outlier_gates),
 }
 STUDIES = tuple(_STUDY_TABLE)
+#: every field of ``ExperimentSpec``, and what it must be
+_SPEC_FIELDS = {"which": one_of(STUDIES), "trials": COUNT, "seed": INTEGER}
 
 
 def run_experiment(spec: ExperimentSpec):

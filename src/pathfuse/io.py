@@ -1,9 +1,10 @@
 # CSV/JSON loading and saving: model registry, sample corpora, fit results,
 # reference targets, study reports.  Fitted models and study reports carry their
 # provenance (resolved config, seed); sample and grid CSVs hold only their columns.
-# Each JSON file's fields are declared once, as a schema that ``_check`` walks;
-# the targets' vocabulary lives here too: study arms, robust methods, and
-# ``SCENARIO_BANDS``, which holds each study cell's samples per source model.
+# Each JSON file's fields are declared once, as a schema that ``check`` walks,
+# and so are each config's, beside its class; the targets' vocabulary lives here
+# too: study arms, robust methods, and ``SCENARIO_BANDS``, which holds each study
+# cell's samples per source model.
 # ``save_study`` writes a study's whole ``--out-dir`` bundle.  Every load and
 # save raises DataError naming the path it cannot read or write.
 
@@ -230,7 +231,7 @@ def load_model(path):
     try:
         with open(path) as fh:
             payload = json.load(fh)
-        _check(payload, _MODEL_FIELDS, f"{path} is not a saved model: ")
+        check(payload, _MODEL_FIELDS, DataError, f"{path} is not a saved model: ")
         return FittedModel(
             coefficients=CoefficientSet(payload["order"], payload["coefficients"]),
             sigma=float(payload["sigma_db"]),
@@ -256,7 +257,7 @@ def load_reference_targets():
             targets = json.load(fh)
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read reference targets {path}: {exc}") from exc
-    _check(targets, _TARGET_FIELDS, f"{path}: ")
+    check(targets, _TARGET_FIELDS, DataError, f"{path}: ")
     have = {(row["scenario"], tuple(row["band_ghz"]))
             for row in targets["integration_study"]["cells"]}
     for scenario, bands in SCENARIO_BANDS.items():
@@ -272,58 +273,67 @@ def band_label(band):
     return f"{band[0]:g}-{band[1]:g}"
 
 
-def _check(value, schema, prefix, where=""):
-    """Raise DataError (``prefix``, the field's path, what it must be) unless
+def check(value, schema, error, prefix="", where=""):
+    """Raise ``error`` (``prefix``, the field's path, what it must be) unless
     ``value`` fits ``schema``: None (any value), a leaf ``(wording, test)``,
     ``[schema]`` (an array of such items) or a dict (an object, each key
     mapped to its value's schema).  An object holds exactly its schema's keys,
     unless the schema has the key ``...``: such an open object may hold other
-    keys and lack declared ones, which its reader then looks up itself."""
+    keys and lack declared ones, which its reader then looks up itself.  Data
+    files raise DataError; configs raise ConfigError, also on an undeclared field."""
     name = where or "the top level"
     if isinstance(schema, tuple):
         wording, test = schema
         if not test(value):
-            raise DataError(f"{prefix}{name} must be {wording}, got {value!r}")
+            raise error(f"{prefix}{name} must be {wording}, got {value!r}")
     elif isinstance(schema, list):
-        _check(value, _ARRAY, prefix, where)
+        check(value, _ARRAY, error, prefix, where)
         for i, item in enumerate(value):
-            _check(item, schema[0], prefix, f"{where}[{i}]")
+            check(item, schema[0], error, prefix, f"{where}[{i}]")
     elif schema is not None:
-        _check(value, _OBJECT, prefix, where)
-        wrong = [f"lacks the key {key!r}" for key in schema if key not in value]
-        wrong += [f"has an unknown key {key!r}" for key in value if key not in schema]
-        if wrong and ... not in schema:
-            raise DataError(f"{prefix}{name} {wrong[0]}")
+        check(value, _OBJECT, error, prefix, where)
+        if value.keys() != schema.keys() and ... not in schema:
+            wrong = [f"lacks the key {k!r}" for k in schema if k not in value]
+            wrong += [f"has an unknown key {k!r}" for k in value if k not in schema]
+            raise error(f"{prefix}{name} {wrong[0]}")
         for key, below in schema.items():
             if key in value:
-                _check(value[key], below, prefix, f"{where}.{key}" if where else key)
+                check(value[key], below, error, prefix,
+                      f"{where}.{key}" if where else key)
 
 
-def _finite(v):
-    """A JSON number that a float holds: not a bool, nan, infinite or too large."""
-    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+def finite(v):
+    """A number that a float holds: not a bool, nan, infinite or too large."""
+    return (isinstance(v, (int, float, np.integer, np.floating)) and type(v) is not bool
+            and abs(v) <= sys.float_info.max)
 
 
-def _one_of(names):
-    return f"one of {', '.join(names)}", lambda v: type(v) is str and v in names
+def one_of(choices):
+    """A value equal to one of ``choices`` and of its type (so not 2.0 for 2)."""
+    kinds, wording = {type(c) for c in choices}, ", ".join(map(str, choices))
+    return f"one of {wording}", lambda v: type(v) in kinds and v in choices
 
 
 _OBJECT = ("a JSON object", lambda v: type(v) is dict)
 _ARRAY = ("a JSON array", lambda v: type(v) is list)
-_FINITE = ("a finite number", _finite)
+_FINITE = ("a finite number", finite)
 _FINITES = ("an object of finite numbers",
-            lambda v: type(v) is dict and all(map(_finite, v.values())))
+            lambda v: type(v) is dict and all(map(finite, v.values())))
 _NUMBERS = ("a list of finite numbers",
-            lambda v: type(v) is list and all(map(_finite, v)))
+            lambda v: type(v) is list and all(map(finite, v)))
 _SPAN = ("two finite numbers 0 < lo <= hi", lambda v: type(v) is list and len(v) == 2
-         and all(map(_finite, v)) and 0 < v[0] <= v[1])
+         and all(map(finite, v)) and 0 < v[0] <= v[1])
+#: leaves the configs share with the data files (numpy sizes arrays below 2**63)
+BOOLEAN = ("true or false", lambda v: type(v) is bool)
+INTEGER = ("an integer", lambda v: type(v) is int)
+COUNT = ("a positive integer below 2**63", lambda v: type(v) is int and 0 < v < 2**63)
+POSITIVE = ("a finite number > 0", lambda v: finite(v) and v > 0)
+NONNEGATIVE = ("a finite number >= 0", lambda v: finite(v) and v >= 0)
 
 #: the fields ``load_model`` reads, in an open object: a saved model may hold
 #: keys that nothing reads, and a missing ``provenance`` reads as {}
 _MODEL_FIELDS = {
-    "order": ("an integer", lambda v: type(v) is int),
-    "sigma_db": ("a finite number > 0", lambda v: _finite(v) and v > 0),
-    "gas_corrected": ("true or false", lambda v: type(v) is bool),
+    "order": INTEGER, "sigma_db": POSITIVE, "gas_corrected": BOOLEAN,
     "coefficients": _NUMBERS, "freq_range_ghz": _SPAN, "dist_range_m": _SPAN,
     "provenance": _OBJECT, ...: None,
 }
@@ -342,8 +352,8 @@ SCENARIO_BANDS = {
     "UMa": {(2.0, 18.0): 1285, (28.0, 73.5): 927, (2.0, 73.5): 1080},
 }
 
-_CELL = {"scenario": _one_of(sorted(SCENARIOS)), "band_ghz": _SPAN}
-_ROW = {**_CELL, "method": _one_of(STUDY_ARMS)}
+_CELL = {"scenario": one_of(sorted(SCENARIOS)), "band_ghz": _SPAN}
+_ROW = {**_CELL, "method": one_of(STUDY_ARMS)}
 _NEEDS = (f"an object of true or false under some of {', '.join(ORDER_ARMS)}",
           lambda v: type(v) is dict and v.keys() <= set(ORDER_ARMS)
           and all(type(need) is bool for need in v.values()))
@@ -354,7 +364,7 @@ _TARGET_FIELDS = {
     "order_study": {
         "sigma_18ghz_db": dict.fromkeys(ORDER_ARMS, _FINITE),
         "loocv_db": dict.fromkeys(ORDER_ARMS, _FINITE), "tolerance_db": _FINITE,
-        "require_ordering": [_one_of(ORDER_ARMS)], "nonmonotone_cells_required": _NEEDS,
+        "require_ordering": [one_of(ORDER_ARMS)], "nonmonotone_cells_required": _NEEDS,
     },
     "robust_study": {
         "sigma_with_outliers_db": dict.fromkeys(ROBUST_METHODS, _FINITE),
@@ -362,7 +372,7 @@ _TARGET_FIELDS = {
         "clean_band_db": _SPAN,
     },
     "integration_study": {
-        "tolerance_quadratic_db": _FINITE, "require_ordering": [_one_of(STUDY_ARMS)],
+        "tolerance_quadratic_db": _FINITE, "require_ordering": [one_of(STUDY_ARMS)],
         "cells": [{**_CELL, "sigma_db": dict.fromkeys(STUDY_ARMS, _FINITE)}],
     },
     "outlier_study": {

@@ -50,6 +50,7 @@ from .estimators import (
     solve_wls,
     weighted_rms,
 )
+from .io import BOOLEAN, INTEGER, POSITIVE, check, finite, one_of
 from .models import (
     ORDER_SIZES,
     CoefficientSet,
@@ -86,29 +87,23 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.order not in ORDER_SIZES:
-            raise ConfigError(f"order must be one of {sorted(ORDER_SIZES)}")
-        if self.weighting not in WEIGHTING_POLICIES:
-            raise ConfigError(
-                f"weighting must be one of {WEIGHTING_POLICIES}, "
-                f"got {self.weighting!r}"
-            )
-        if self.robust not in ("TheilSen", "RANSAC", None):
-            raise ConfigError(
-                f"robust must be 'TheilSen', 'RANSAC' or None, got {self.robust!r}"
-            )
-        if self.freq_band is not None:
-            lo, hi = self.freq_band
-            if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 < lo < hi):
-                raise ConfigError(
-                    f"freq_band must be 0 < lo < hi, got {self.freq_band}"
-                )
+        check(vars(self), _CONFIG_FIELDS, ConfigError)
+
+
+#: every field of ``PipelineConfig``, and what it must be
+_CONFIG_FIELDS = {
+    "order": one_of(tuple(ORDER_SIZES)), "weighting": one_of(WEIGHTING_POLICIES),
+    "robust": one_of(("TheilSen", "RANSAC", None)), "gas_correction": BOOLEAN,
+    "freq_band": ("None or two finite numbers 0 < lo < hi", lambda v: v is None
+                  or type(v) in (tuple, list) and len(v) == 2 and all(map(finite, v))
+                  and 0 < v[0] < v[1]),
+    "seed": INTEGER,
+}
 
 
 def compute_weights(batch, policy: str, sigma_by_source=None) -> np.ndarray:
     """Per-sample weights of a SampleBatch under ``policy``, normalized to mean 1."""
-    if policy not in WEIGHTING_POLICIES:
-        raise ConfigError(f"unknown weighting policy {policy!r}")
+    check(policy, _CONFIG_FIELDS["weighting"], ConfigError, where="policy")
     n = len(batch)
     if not n:
         raise ConfigError("cannot weight an empty corpus")
@@ -124,9 +119,7 @@ def compute_weights(batch, policy: str, sigma_by_source=None) -> np.ndarray:
         if missing:
             raise DataError(f"no sigma known for source(s): {', '.join(missing)}")
         for sid in ids:
-            s = sigma_by_source[sid]
-            if not (np.isfinite(s) and s > 0.0):
-                raise DataError(f"sigma for source {sid!r} must be > 0, got {s!r}")
+            check(sigma_by_source[sid], POSITIVE, DataError, where=f"sigma of {sid!r}")
         sigma2 = np.array([sigma_by_source[sid] ** 2 for sid in ids])
 
     counts = np.bincount(group)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .io import COUNT, NONNEGATIVE, POSITIVE, check, finite, one_of
 from .models import SampleBatch, SourceModel, predict_abg
 
 __all__ = [
@@ -57,16 +58,12 @@ class SynthesisSpec:
     distance_sampling: str = "UniformLogDistance"
 
     def __post_init__(self):
-        if not (isinstance(self.points_per_model, int) and self.points_per_model >= 1):
-            raise ConfigError(
-                f"points_per_model must be a positive integer, "
-                f"got {self.points_per_model!r}"
-            )
-        if self.distance_sampling not in DISTANCE_SAMPLINGS:
-            raise ConfigError(
-                f"distance_sampling must be one of {DISTANCE_SAMPLINGS}, "
-                f"got {self.distance_sampling!r}"
-            )
+        check(vars(self), _SYNTHESIS_FIELDS, ConfigError)
+
+
+#: every field of ``SynthesisSpec``, and what it must be
+_SYNTHESIS_FIELDS = {"points_per_model": COUNT,
+                     "distance_sampling": one_of(DISTANCE_SAMPLINGS)}
 
 
 @dataclass(frozen=True)
@@ -88,19 +85,15 @@ class OutlierSpec:
     magnitude_scale: float = DEFAULT_OUTLIER_MAGNITUDE_DB
 
     def __post_init__(self):
-        if not (np.isfinite(self.rho) and self.rho > 0.0):
-            raise ConfigError(f"rho must be > 0, got {self.rho!r}")
-        if not (np.isfinite(self.band_width) and self.band_width > 0.0):
-            raise ConfigError(f"band_width must be > 0, got {self.band_width!r}")
-        if not 0.0 <= self.contamination_fraction <= 1.0:
-            raise ConfigError(
-                f"contamination_fraction must be in [0, 1], "
-                f"got {self.contamination_fraction!r}"
-            )
-        if not (np.isfinite(self.magnitude_scale) and self.magnitude_scale >= 0.0):
-            raise ConfigError(
-                f"magnitude_scale must be >= 0, got {self.magnitude_scale!r}"
-            )
+        check(vars(self), _OUTLIER_FIELDS, ConfigError)
+
+
+#: a Rayleigh parameter whose draws stay finite: they reach at most sqrt(73.5 rho)
+_RHO = ("a number in (0, 1e300]", lambda v: finite(v) and 0 < v <= 1e300)
+#: every field of ``OutlierSpec``, and what it must be
+_OUTLIER_FIELDS = {"rho": _RHO, "band_width": POSITIVE, "magnitude_scale": NONNEGATIVE,
+                   "contamination_fraction": ("a number in [0, 1]",
+                                              lambda v: finite(v) and 0 <= v <= 1)}
 
 
 def sample_rayleigh(rho: float, rng: np.random.Generator, size=None):
@@ -109,8 +102,7 @@ def sample_rayleigh(rho: float, rng: np.random.Generator, size=None):
     The scale parameter is sqrt(rho), so E[X] = sqrt(pi*rho/2) and
     E[X^2] = 2*rho.  Draws are strictly positive.
     """
-    if not (np.isfinite(rho) and rho > 0.0):
-        raise ConfigError(f"rho must be > 0, got {rho!r}")
+    check(rho, _RHO, ConfigError, where="rho")
     u = rng.random(size)
     # u == 0.0 would map to exactly zero; redraw those (measure-zero event)
     while np.any(u == 0.0):
@@ -194,8 +186,7 @@ def add_scattering_noise(batch, scale: float, rho: float, rng: np.random.Generat
     Models always-present small-scale multipath on top of shadow fading;
     every sample gains ``scale * Rayleigh(rho)`` dB.
     """
-    if not (np.isfinite(scale) and scale >= 0.0):
-        raise ConfigError(f"scale must be >= 0, got {scale!r}")
+    check(scale, NONNEGATIVE, ConfigError, where="scale")
     if scale == 0.0:
         return batch
     excess = scale * sample_rayleigh(rho, rng, size=len(batch))

@@ -156,3 +156,14 @@ def test_a_users_blas_threads_outlast_a_fit():
 
 def test_numpy_loaded_first_gets_one_blas_thread_from_the_import():
     assert _blas_pool("import numpy\nimport pathfuse.io\n") == 1
+
+
+def test_the_calibration_script_still_builds_its_specs():
+    # scripts/calibrate.py builds SynthesisSpec and OutlierSpec itself; its
+    # two quickest sections run both
+    script = PERFBENCH.parent / "scripts" / "calibrate.py"
+    env = {**os.environ, "PYTHONPATH": str(Path(pathfuse.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, str(script), "--section", "ambient",
+                           "--section", "magnitude"], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

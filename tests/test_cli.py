@@ -342,6 +342,22 @@ def test_predict_range_guard_and_override(tmp_path, capsys):
     assert float(out.strip().split()[0]) > 0
 
 
+@pytest.mark.parametrize("extrapolate", [(), ("--extrapolate",)], ids=["", "extrapolate"])
+@pytest.mark.parametrize("flag, value", [
+    ("--d", "nan"), ("--f", "nan"), ("--d", "-5"), ("--d", "inf"), ("--f", "0"),
+])
+def test_predict_checks_the_point_before_the_ranges(flag, value, extrapolate,
+                                                    tmp_path, capsys):
+    path = tmp_path / "m.json"
+    _write_model(path)
+    point = {"--d": "100", "--f": "2", flag: value}
+    rc, out, err = run(capsys, "predict", "--model", str(path),
+                       *(item for pair in point.items() for item in pair), *extrapolate)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {flag} must be a finite number > 0, got {float(value)!r}\n"
+
+
 # ---------------------------------------------------------------------------
 # gas
 # ---------------------------------------------------------------------------

@@ -226,7 +226,8 @@ def _helper_cpu_ns():
     me, total = threading.get_native_id(), 0
     for tid in os.listdir("/proc/self/task"):
         if int(tid) != me:
-            with contextlib.suppress(FileNotFoundError):  # the thread has ended
+            # the thread has ended before the open (ENOENT) or the read (ESRCH)
+            with contextlib.suppress(FileNotFoundError, ProcessLookupError):
                 with open(f"/proc/self/task/{tid}/schedstat") as fh:
                     total += int(fh.read().split()[0])
     return total

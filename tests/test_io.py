@@ -1,8 +1,10 @@
 """The data boundary: the samples CSV's bad rows, retired weights and
-byte-stable round trips, and every loader fuzzed one field at a time."""
+byte-stable round trips, and every loader and config fuzzed one field at a
+time."""
 
 import copy
 import csv
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -15,8 +17,8 @@ from hypothesis import strategies as st
 
 import pathfuse
 from pathfuse import io as pio
-from pathfuse.errors import DataError
-from pathfuse.evaluation import evaluate_gates
+from pathfuse.errors import ConfigError, DataError
+from pathfuse.evaluation import STUDIES, ExperimentSpec, evaluate_gates
 from pathfuse.io import (
     load_model,
     load_reference_targets,
@@ -24,10 +26,17 @@ from pathfuse.io import (
     load_samples,
     save_model,
     save_samples,
+    sigma_map,
 )
 from pathfuse.models import CoefficientSet, FittedModel
+from pathfuse.pipeline import WEIGHTING_POLICIES, PipelineConfig, fit_pathloss_model
 from pathfuse.seeding import substream
-from pathfuse.synthesis import SynthesisSpec, synthesize_corpus
+from pathfuse.synthesis import (
+    OutlierSpec,
+    SynthesisSpec,
+    inject_outliers,
+    synthesize_corpus,
+)
 
 from conftest import make_model
 
@@ -324,3 +333,60 @@ def test_changed_targets_load_or_are_a_data_error_and_gates_still_evaluate(
             return
         for result in (order_result, robust_result, integration_result, outlier_result):
             assert evaluate_gates(result)
+
+
+# ---------------------------------------------------------------------------
+# one config field changed at a time: a ConfigError, or a fit whose saved
+# model loads back with the same provenance
+# ---------------------------------------------------------------------------
+
+ROUND_TRIP_MODELS = [m for m in load_registry() if m.scenario == "UMiSC"]
+ROUND_TRIP_SIGMAS = sigma_map(ROUND_TRIP_MODELS)
+
+#: the configs of one fit, in the order it builds them; ExperimentSpec's seed
+#: draws the corpus, as in a study
+ROUND_TRIP_CONFIGS = {
+    ExperimentSpec: {"which": "IntegrationStudy", "trials": 1, "seed": 0},
+    SynthesisSpec: {"points_per_model": 12},
+    OutlierSpec: {},
+    PipelineConfig: {},
+}
+
+#: what each field takes besides VALUES: its other valid values, each of which
+#: leaves the corpus enough samples to fit, and values just outside its range
+OTHER_VALUES = {
+    "which": STUDIES, "trials": (3, 2**63 - 1, 2**63), "seed": (7, 2**64 + 3, 1.5),
+    "points_per_model": (30, 2**63), "distance_sampling": ("UniformDistance",),
+    "rho": (1e-9, 3, 1e300, 2e300), "band_width": (5, 400.0, "5"),
+    "contamination_fraction": (1, 0.5, 1.5, "0.2"), "magnitude_scale": (55.0, -0.0),
+    "order": (1, 2, 3, 2.0), "weighting": WEIGHTING_POLICIES,
+    "robust": ("TheilSen", "RANSAC", "ransac"), "gas_correction": (0, "no"),
+    "freq_band": ((2, 18), [28.0, 73.5], (18.0, 2.0), (1, 2, 3), "ab", (0.0, 5.0)),
+}
+
+CONFIG_FIELDS = [(config, field.name) for config in ROUND_TRIP_CONFIGS
+                 for field in dataclasses.fields(config)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(at=st.sampled_from(CONFIG_FIELDS), data=st.data())
+def test_a_changed_config_field_is_a_config_error_or_a_fit_that_loads_back(
+    at, data, tmp_path_factory,
+):
+    changed, name = at
+    new = data.draw(st.sampled_from(VALUES + tuple(OTHER_VALUES[name])))
+    try:
+        spec, synth, outliers, cfg = (
+            config(**{**fields, **({name: new} if config is changed else {})})
+            for config, fields in ROUND_TRIP_CONFIGS.items())
+    except ConfigError:
+        return
+    rng = substream(spec.seed, "round trip")
+    corpus = synthesize_corpus(ROUND_TRIP_MODELS, synth, rng)
+    corpus = inject_outliers(corpus, outliers, rng)[0]
+    model, _ = fit_pathloss_model(corpus, cfg, sigma_by_source=ROUND_TRIP_SIGMAS)
+    path = tmp_path_factory.getbasetemp() / "round-trip-model.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.coefficients == model.coefficients
+    assert loaded.provenance == model.provenance

@@ -1,5 +1,7 @@
 """End-to-end fitting pipeline: weights, filtering, gas handling, fits."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from pathfuse import pipeline
 from pathfuse.atmosphere import load_default_table
 from pathfuse.errors import ConfigError, DataError, DegenerateDataError, InsufficientDataError
 from pathfuse.estimators import fit_theilsen, mad_scale, weighted_rms
-from pathfuse.evaluation import ARM_WEIGHTED, _arm_configs
+from pathfuse.evaluation import ARM_WEIGHTED, ExperimentSpec, _arm_configs
 from pathfuse.models import SampleBatch, build_design_system
 from pathfuse.pipeline import (
     RESIDUAL_MULTIPLIER,
@@ -16,7 +18,12 @@ from pathfuse.pipeline import (
     fit_pathloss_model,
 )
 from pathfuse.seeding import substream
-from pathfuse.synthesis import SynthesisSpec, synthesize_corpus, synthesize_from_model
+from pathfuse.synthesis import (
+    OutlierSpec,
+    SynthesisSpec,
+    synthesize_corpus,
+    synthesize_from_model,
+)
 
 from conftest import make_model
 
@@ -111,6 +118,35 @@ def test_pipeline_config_validation():
     for robust in ("Lasso", "theil-sen", "ransac"):
         with pytest.raises(ConfigError):
             PipelineConfig(robust=robust)
+
+
+@pytest.mark.parametrize("config, field, value", [
+    # each was once taken: a saved model then failed load_model, or the fit
+    # ran with another value than its provenance records
+    (PipelineConfig, "order", 2.0), (PipelineConfig, "order", True),
+    (PipelineConfig, "gas_correction", "no"), (PipelineConfig, "gas_correction", 0),
+    (PipelineConfig, "seed", 1.5), (PipelineConfig, "seed", True),
+    # these once raised ValueError or TypeError
+    (PipelineConfig, "freq_band", (1, 2, 3)), (PipelineConfig, "freq_band", "ab"),
+    (SynthesisSpec, "points_per_model", True), (OutlierSpec, "rho", True),
+    (OutlierSpec, "band_width", "5"), (OutlierSpec, "contamination_fraction", "0.2"),
+])
+def test_a_value_of_the_wrong_kind_is_a_config_error(config, field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be "):
+        config(**{field: value})
+
+
+@pytest.mark.parametrize("config, fields", [
+    (PipelineConfig, {}), (SynthesisSpec, {}), (OutlierSpec, {}),
+    (ExperimentSpec, {"which": "OrderStudy"}),
+])
+def test_a_field_without_a_declaration_fails_at_construction(config, fields):
+    @dataclass(frozen=True)
+    class Wider(config):
+        extra: int = 0
+
+    with pytest.raises(ConfigError, match="has an unknown key 'extra'"):
+        Wider(**fields)
 
 
 # ---------------------------------------------------------------------------

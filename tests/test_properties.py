@@ -440,6 +440,26 @@ def test_permuting_the_rows_permutes_the_mask(seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
+def test_doubling_every_row_moves_no_coefficient(seed):
+    # a row's twin doubles its group's count along with its own weight, so the
+    # normalized weights keep their ratios and the normal equations only double;
+    # a Theil-Sen line sees each pair four times and no slope between twins
+    # (RANSAC stays out: its draws index rows)
+    corpus, _ = meta_corpus(seed)
+    doubled = corpus.take(np.repeat(np.arange(len(corpus)), 2))
+    for robust in (None, "TheilSen"):
+        for weighting in WEIGHTING_POLICIES:
+            cfg = PipelineConfig(order=2, weighting=weighting, robust=robust)
+            model, fit = fit_pathloss_model(corpus, cfg, sigma_by_source=META_SIGMAS)
+            twice, twice_fit = fit_pathloss_model(doubled, cfg,
+                                                  sigma_by_source=META_SIGMAS)
+            assert model.provenance["n_rejected"] > 0 or robust is None
+            assert np.array_equal(twice_fit.inlier_mask, np.repeat(fit.inlier_mask, 2))
+            shift = twice.coefficients.as_array() - model.coefficients.as_array()
+            assert np.abs(shift).max() <= solve_bound(model, corpus.path_loss)
+
+
+@pytest.mark.parametrize("seed", range(3))
 def test_a_loss_offset_moves_only_the_intercept(seed):
     # the design's constant column takes the whole offset: beta moves by c
     corpus, _ = meta_corpus(seed)
