@@ -47,9 +47,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 _EXPORTS = {
     "atmosphere": "GasAttenuationTable load_default_table predict_total "
                   "remove_gas_loss",
-    "errors": "ConfigError ConsensusFailureError ConvergenceError DataError "
-              "DegenerateDataError GasRangeError InsufficientDataError MetricError "
-              "NumericError PathfuseError SingularSystemError",
+    "errors": "ConfigError ConsensusFailureError DataError DegenerateDataError "
+              "GasRangeError InsufficientDataError MetricError NumericError "
+              "PathfuseError SingularSystemError",
     "estimators": "DEFAULT_PENALTY_GRID FitDiagnostics fit_elasticnet fit_lasso "
                   "fit_ransac fit_ridge fit_theilsen mad_inliers mad_scale solve_wls "
                   "tune_penalty_kfold",

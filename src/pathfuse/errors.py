@@ -7,7 +7,7 @@ process exit codes without string matching:
     2  configuration error (bad flags, bad config values, out-of-range request)
     3  data error (unreadable or invalid input, unknown source ids, an
        output file or directory that cannot be written)
-    4  numeric error (singular systems, non-convergence, insufficient data)
+    4  numeric error (singular systems, insufficient data)
 
 Exit code 5 belongs to no error class: ``pathfuse experiment`` returns it
 when a study finishes but one of its benchmark gates fails.
@@ -53,14 +53,6 @@ class SingularSystemError(NumericError):
     def __init__(self, message: str, columns: tuple[str, ...] = ()):
         super().__init__(message)
         self.columns = columns
-
-
-class ConvergenceError(NumericError):
-    """Iterative solver failed to converge; carries the last iterate."""
-
-    def __init__(self, message: str, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
 
 
 class ConsensusFailureError(NumericError):

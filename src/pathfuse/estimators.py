@@ -14,17 +14,17 @@ or frequencies.  All solvers share three conventions:
 
 The caller picks the estimator by function, and each function takes only
 the arguments that change its result; what no caller varies (RANSAC draws,
-folds, the descent's stopping rule, the tuned ElasticNet mix) is a constant.
+folds, the tuned ElasticNet mix) is a constant.
 
 ``solve_wls`` can also report the leverages of its own SVD, which give exact
 leave-one-out residuals without a second factorization.  Penalty strengths
 are arguments of the penalized fits, not config fields.  The penalized
 kernels solve a whole grid of candidates at once, and a single fit is a
 grid of one: Ridge takes every lam from one SVD of the standardized design
-(Golub, Heath & Wahba 1979); Lasso and ElasticNet run one cyclic coordinate
-descent whose coefficients and residuals carry a candidate axis (Friedman,
-Hastie & Tibshirani 2010).  K-fold tuning standardizes each fold's training
-rows once, for every kind it tunes, and scores every candidate with one product.
+(Golub, Heath & Wahba 1979); Lasso and ElasticNet follow one exact lasso
+homotopy with a candidate axis (Osborne, Presnell & Turlach 2000).  K-fold
+tuning standardizes each fold's training rows once, for every kind it tunes,
+and scores every candidate with one product.
 
 ``mad_inliers`` is the package's one outlier cut, about the median residual:
 ``fit_theilsen``'s mask, the pipeline's prefilter and the Robust study use it.
@@ -72,7 +72,6 @@ import numpy as np
 from .errors import (
     ConfigError,
     ConsensusFailureError,
-    ConvergenceError,
     DegenerateDataError,
     InsufficientDataError,
     NumericError,
@@ -114,8 +113,6 @@ ROW_BLOCK = 1 << 16
 
 RANSAC_DRAWS = 1000  # minimal subsets per RANSAC fit
 KFOLD_K = 10  # folds of the penalty tuning
-DESCENT_TOL = 1e-10  # coordinate descent stops at updates <= this * max(1, max|w|)
-MAX_SWEEPS = 10000  # coordinate-descent sweeps before ConvergenceError
 ELASTICNET_MIX = 0.5  # L1 fraction of the tuned ElasticNet penalty
 RESIDUAL_MULTIPLIER = 3.0  # MAD scales of ``fit_theilsen``'s and the prefilter's cut
 
@@ -391,57 +388,56 @@ def _ridge_path(Xs, Ys, lam):
     return Vt.T @ (f * (U.T @ Ys)[:, None])
 
 
-def _descent_path(Xs, Ys, l1, l2):
-    """Cyclic coordinate descent for ||Y-Xw||^2 + l1*||w||_1 + l2*||w||^2,
-    one column of ``omega`` and of the residual per (l1, l2) candidate.
+def _homotopy_path(Xs, Ys, l1, l2):
+    """Exact minimizers of ||Y-Xw||^2 + l1*||w||_1 + l2*||w||^2, one column per
+    (l1, l2) candidate, solved in lockstep by the lasso homotopy (Osborne,
+    Presnell & Turlach 2000) on H = X^T X + l2 I: the lasso on Zou & Hastie's
+    (2005, Lemma 1) augmented data.
 
-    Every candidate starts from zero and stops once its largest update is at
-    most DESCENT_TOL * max(1, max|w|); converged candidates leave the active
-    block.  More than ``MAX_SWEEPS`` sweeps raise ConvergenceError.
+    Each candidate starts at w = 0 with its threshold lam at max|X^T Y|.  As lam
+    falls, w moves along d = H_A^+ sign(w_A) on the active set A, so one batched
+    solve per step finds the next event: a correlation X_j^T (Y - Xw) - l2 w_j
+    off A reaching +-lam, a weight on A reaching 0, or lam reaching l1/2.  A
+    column whose correlation has passed lam joins at once; every other step
+    lowers lam, so the loop ends.  A singular H_A gives the minimum-norm step.
 
-    Each set of m equal columns is solved as one column of L2 weight l2/m and
-    its weight split evenly: the one answer while l2 > 0, since equal columns
-    then get equal weights (Zou & Hastie 2005), and an optimum at l2 = 0.
+    m equal columns are solved as one of L2 weight l2/m, its weight split evenly:
+    the one answer while l2 > 0 (Zou & Hastie 2005), an optimum at l2 = 0.  No
+    solve splits them evenly to the bit by itself.
     """
-    group, m = np.arange(Xs.shape[1]), np.ones(Xs.shape[1])
-    if Xs.shape[1] > 1:
-        _, first, inverse, counts = np.unique(Xs, axis=1, return_index=True,
-                                              return_inverse=True, return_counts=True)
-        if counts.size < Xs.shape[1]:  # distinct columns, in order of first use
-            order = np.argsort(first)
-            Xs, m = Xs[:, first[order]], counts[order]
-            group = np.argsort(order)[inverse.ravel()]
-    k, l2 = Xs.shape[1], l2 / m[:, None]  # one row of L2 weights per column
-    col_sq = np.einsum("ij,ij->j", Xs, Xs)
-    out = np.zeros((k, l1.size))
-    live, half = np.arange(l1.size), l1 / 2.0
-    omega, resid = out.copy(), np.repeat(Ys[:, None], l1.size, axis=1)
-    for _ in range(MAX_SWEEPS):
-        delta = np.zeros(live.size)
-        for j in np.flatnonzero(col_sq):
-            old = omega[j]
-            z = Xs[:, j] @ resid + col_sq[j] * old
-            new = soft_threshold(z, half) / (col_sq[j] + l2[j])
-            step = old - new
-            resid += Xs[:, j, None] * step
-            omega[j] = new
-            delta = np.maximum(delta, np.abs(step))
-        done = delta <= DESCENT_TOL * np.max(np.abs(omega), axis=0, initial=1.0)
-        out[:, live[done]] = omega[:, done]
-        live, omega, resid = live[~done], omega[:, ~done], resid[:, ~done]
-        half, l2, delta = half[~done], l2[:, ~done], delta[~done]
-        if not live.size:
-            return out[group] / m[group, None]
-    raise ConvergenceError(f"coordinate descent did not converge in {MAX_SWEEPS} "
-                           f"sweeps (last max update {delta[0]:.3g})",
-                           omega[group, 0] / m[group])
+    same = (Xs[:, :, None] == Xs[:, None, :]).all(axis=0)
+    first = (~same).cumprod(axis=0).sum(axis=0)  # each column's first equal one
+    keep, m = np.flatnonzero(first == np.arange(first.size)), same.sum(axis=0)
+    Xs, k, half = Xs[:, keep], keep.size, l1[:, None] / 2.0
+    C, g = Xs.T @ Xs, Xs.T @ Ys
+    H = C + (l2[:, None] / m[keep])[:, :, None] * np.eye(k)  # L2 weight per column
+    t = np.maximum(np.abs(g).max(initial=0.0), half)  # lam, never below l1/2
+    s = np.where(np.abs(g) == t, np.sign(g), 0.0)  # sign(w) on A, the first to join
+    w, sig = np.zeros_like(s), np.array([1.0, -1.0])[:, None, None]
+    while (t > half).any():  # a candidate at l1/2 takes no more steps
+        on = s != 0.0
+        vals, vecs = np.linalg.eigh(H * (on[:, :, None] & on[:, None, :]))
+        vals[vals <= k * np.finfo(float).eps * vals[:, -1:]] = np.inf  # pinv's cut
+        d = vecs @ (np.einsum("gji,gj->gi", vecs, s) / vals)[:, :, None]
+        d = np.where(on, d[:, :, 0], 0.0)  # dw / d(-lam)
+        f, e = d @ C, g - (w + t * d) @ C  # off A the correlation at lam is e + lam f
+        slope = 1.0 - sig * f  # it reaches sig * lam where (sig e) / slope = lam
+        join = np.divide(sig * e, slope, out=np.full(slope.shape, -np.inf),
+                         where=~on & (slope > 0.0)).max(axis=0)
+        zero = t + np.divide(w, d, out=np.full(s.shape, -np.inf), where=s * d < 0.0)
+        nxt = np.maximum(np.minimum(join.max(axis=1, keepdims=True), t), half)
+        nxt = np.maximum(nxt, np.where(zero < t, zero, -np.inf).max(1, keepdims=True))
+        drop = (nxt < t) & (zero >= nxt)  # joins alone take no step
+        s = np.where(join >= nxt, np.sign(e + nxt * f), np.where(drop, 0.0, s))
+        w, t = np.where(drop, 0.0, w + (t - nxt) * d), nxt
+    return w.T[np.searchsorted(keep, first)] / m[:, None]
 
 
 def _solve_grid(std, kind, l1, l2):
     """Coefficients (p, G) of every candidate on one standardized system."""
     if kind == "Ridge":
         return std.restore(_ridge_path(std.Xs, std.Ys, l2))
-    return std.restore(_descent_path(std.Xs, std.Ys, l1, l2))
+    return std.restore(_homotopy_path(std.Xs, std.Ys, l1, l2))
 
 
 def _fit_one(X, Y, kind, lam, lam1=ELASTICNET_MIX):
@@ -460,7 +456,7 @@ def fit_ridge(X, Y, lam: float) -> np.ndarray:
 
 
 def fit_lasso(X, Y, lam: float):
-    """L1-penalized least squares via coordinate descent.
+    """L1-penalized least squares, solved exactly by the lasso homotopy.
 
     Objective ||Y - Xw||^2 + lam*||w_pen||_1, so on an orthonormal design the
     solution is soft_threshold(X^T Y, lam/2) exactly.
@@ -565,7 +561,8 @@ def fit_ransac(
 
 
 def _slopes(x, y, i, j):
-    return (y[i] - y[j]) / (x[i] - x[j])  # the slopes whose median Theil-Sen takes
+    with np.errstate(over="ignore"):  # an overflowed slope is +-inf and still sorts
+        return (y[i] - y[j]) / (x[i] - x[j])  # the slopes whose median Theil-Sen takes
 
 
 def _level_order(seq, b):
@@ -786,7 +783,8 @@ def _theilsen_line(X, Y, const_col, var_col):
     if n * (n - 1) // 2 <= PAIR_BUDGET:
         dx = xs - xs[:, None]
         wide = dx > 0.0
-        low, high = _kth((ys - ys[:, None])[wide] / dx[wide], ranks)
+        with np.errstate(over="ignore"):  # as in ``_slopes``: +-inf still sorts
+            low, high = _kth((ys - ys[:, None])[wide] / dx[wide], ranks)
     else:
         rng = substream(0, "theilsen", "pivots")
         low, high = _middle_slopes(xs, ys, ranks, count, rng)
@@ -859,7 +857,7 @@ def tune_penalty_kfold(X, Y, kind: str | tuple, grid, *, seed=0):
     Every candidate is one lam >= 0 (for ElasticNet the lam2 at
     ``ELASTICNET_MIX``) and the winner is returned unchanged.  The grid is
     checked before any fold runs; each fold solves every candidate at once,
-    from one SVD (Ridge) or one coordinate descent with a candidate axis
+    from one SVD (Ridge) or one lasso homotopy with a candidate axis
     (Lasso/ElasticNet), and scores them with one product.  For a tuple of
     kinds, one fold loop returns a tuple of what each kind's own call returns.
     """

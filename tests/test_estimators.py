@@ -21,13 +21,13 @@ from pathfuse import estimators, evaluation
 from pathfuse.errors import (
     ConfigError,
     ConsensusFailureError,
-    ConvergenceError,
     DegenerateDataError,
     InsufficientDataError,
     NumericError,
     SingularSystemError,
 )
 from pathfuse.estimators import (
+    DEFAULT_PENALTY_GRID,
     ROW_BLOCK,
     fit_elasticnet,
     fit_lasso,
@@ -506,6 +506,21 @@ def test_abscissae_a_few_ulps_apart_select_among_every_pair(ulps):
     assert fit.iterations_used == pairs == 79_800
 
 
+@pytest.mark.filterwarnings("error")  # an overflowed slope is +-inf, no warning
+@pytest.mark.parametrize("n", [362, 700])  # every pair listed, then the rounds
+def test_slopes_that_overflow_keep_the_pairwise_median(n):
+    # a tenth of the losses at +-1e308: their slopes overflow, and sort
+    # as +-inf below and above every finite one
+    x, y = line_data("continuous", n, seed=n)
+    far = np.random.default_rng(n).random(n) < 0.1
+    y[far] = np.where(np.arange(n)[far] % 2, 1e308, -1e308)
+    fit = fit_line(x, y)
+    with np.errstate(over="ignore"):
+        slope, intercept, pairs = pairwise_median_line(x, y)
+    assert fit.coefficients.tolist() == [slope, intercept]
+    assert fit.iterations_used == pairs
+
+
 def close_abscissae(case, n=1500):
     """A contaminated line with some abscissae moved 1-3 ulps from another."""
     x, y = contaminated_campaign(n, seed=21)
@@ -724,9 +739,12 @@ def test_tuning_validates_grid_and_size(monkeypatch):
         for candidate in candidates:
             with pytest.raises(ConfigError, match=f"{kind} penalty candidate"):
                 tune_penalty_kfold(X, Y, kind, [0.0, 0.1, candidate])
-    # the grid is checked before any fold runs: one sweep cannot converge on
-    # these data, yet the bad last candidate is what gets reported
-    monkeypatch.setattr(estimators, "MAX_SWEEPS", 1)
+    # the grid is checked before any fold runs: a fold would fail the test,
+    # yet the bad last candidate is what gets reported
+    def no_fold(*args):
+        raise AssertionError("a fold ran")
+
+    monkeypatch.setattr(estimators, "_solve_grid", no_fold)
     with pytest.raises(ConfigError, match=r"candidate -1\.0"):
         tune_penalty_kfold(X, Y, "Lasso", [0.1, -1.0])
     with pytest.raises(ConfigError, match="lam1 1.5"):
@@ -783,7 +801,7 @@ def test_tuning_several_kinds_matches_one_call_per_kind(monkeypatch):
     systems = _robust_study_systems(monkeypatch)
     assert len(systems) == 2  # the clean and the contaminated corpus
     systems.append((X, Y, 5))
-    grid = estimators.DEFAULT_PENALTY_GRID
+    grid = DEFAULT_PENALTY_GRID
     for X, Y, seed in systems:
         scores = estimators._kfold_scores(X, Y, KINDS, grid, seed)
         for kind, row in zip(KINDS, scores):
@@ -811,18 +829,20 @@ def test_tuning_several_kinds_checks_every_kind_before_any_fold(monkeypatch):
         tune_penalty_kfold(X, Y, ("Lasso", "Ridge"), [0.1, np.nan])
 
 
-def test_descent_that_runs_out_of_sweeps_raises_with_its_last_iterate(monkeypatch):
-    rng = np.random.default_rng(61)
-    x = rng.uniform(1, 10, 40)
-    X = np.column_stack([x, np.ones(40), x + rng.normal(0.0, 0.1, 40)])
-    Y = X @ np.array([2.0, 5.0, -1.0]) + rng.normal(0.0, 0.5, 40)
-    monkeypatch.setattr(estimators, "MAX_SWEEPS", 1)
-    with pytest.raises(ConvergenceError, match="in 1 sweeps") as info:
-        fit_lasso(X, Y, 0.1)
-    assert info.value.last_iterate.shape == (2,)
-    with pytest.raises(ConvergenceError) as info:
-        tune_penalty_kfold(X, Y, "ElasticNet", [0.1, 1.0])
-    assert info.value.last_iterate.shape == (2,)
+@pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6, 1e-4, 1e-2, 3e-2, 1e-1])
+def test_nearly_equal_columns_get_exact_penalized_fits(eps):
+    # X = [1, x, x + eps z], columns correlated up to 1 - 1e-24: every fit is
+    # finite and tuning picks a grid value
+    rng = np.random.default_rng(29)
+    x, z = rng.normal(size=(2, 40))
+    X = np.column_stack([np.ones(40), x, x + eps * z])
+    Y = 30.0 + 2.0 * x + rng.normal(0.0, 1.0, 40)
+    fits = [fit_elasticnet(X, Y, lam1, lam2)
+            for lam1, lam2 in [(0.01, 1e-4), (0.01, 1e-2), (0.5, 1e-2)]]
+    fits += [fit_lasso(X, Y, lam) for lam in (1e-4, 1e-2, 1e-1)]
+    assert np.isfinite(fits).all()
+    grid = DEFAULT_PENALTY_GRID
+    assert set(tune_penalty_kfold(X, Y, ("Lasso", "ElasticNet"), grid)) <= set(grid)
 
 
 def test_tuning_selection_is_stable_under_reseeding():

@@ -1,7 +1,5 @@
 """Randomized invariants of the numerical core."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +7,7 @@ from hypothesis import strategies as st
 
 from pathfuse import estimators
 from pathfuse.atmosphere import load_default_table, remove_gas_loss
-from pathfuse.errors import ConvergenceError, MetricError
+from pathfuse.errors import MetricError
 from pathfuse.estimators import (
     DEFAULT_PENALTY_GRID,
     ELASTICNET_MIX,
@@ -131,23 +129,16 @@ def test_batched_tuning_matches_one_fit_per_candidate(
     Y = X @ rng.uniform(-2, 2, X.shape[1]) + rng.normal(0, 1, n)
     grid = [0.0] + list(10.0 ** rng.uniform(-4, 2, 4))
     seed %= 997
-    with mock.patch.object(estimators, "MAX_SWEEPS", 300):  # keeps each case short
-        try:
-            want = reference_kfold_scores(X, Y, kind, grid, seed)
-        except ConvergenceError:
-            with pytest.raises(ConvergenceError):
-                tune_penalty_kfold(X, Y, kind, grid, seed=seed)
-            return
-        (got,) = estimators._kfold_scores(X, Y, (kind,), grid, seed)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-        best = min(range(len(grid)), key=lambda i: (want[i], grid[i]))
-        assert tune_penalty_kfold(X, Y, kind, grid, seed=seed) == grid[best]
+    want = reference_kfold_scores(X, Y, kind, grid, seed)
+    (got,) = estimators._kfold_scores(X, Y, (kind,), grid, seed)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    best = min(range(len(grid)), key=lambda i: (want[i], grid[i]))
+    assert tune_penalty_kfold(X, Y, kind, grid, seed=seed) == grid[best]
 
 
 @pytest.mark.parametrize("lam1, lam2", [(0.5, 1e-4), (0.0, 1e-2), (0.5, 1e-2)])
 def test_elasticnet_splits_equal_columns_evenly(lam1, lam2):
-    # two equal columns get equal weights while the L2 part is above 0; the
-    # descent once ran out of sweeps on these three (n = 40)
+    # two equal columns get equal weights while the L2 part is above 0 (n = 40)
     rng = np.random.default_rng(3)
     x = rng.uniform(10.0, 300.0, 40)
     X = np.column_stack([np.ones(40), x, x])
@@ -156,7 +147,46 @@ def test_elasticnet_splits_equal_columns_evenly(lam1, lam2):
     assert beta[1] == beta[2]
     if lam1 == 0.0:
         np.testing.assert_allclose(beta, fit_ridge(X, Y, lam2), rtol=0, atol=1e-10)
-    tune_penalty_kfold(X, Y, "ElasticNet", DEFAULT_PENALTY_GRID)  # every fold converges
+    grid = DEFAULT_PENALTY_GRID
+    assert tune_penalty_kfold(X, Y, "ElasticNet", grid) in grid  # every fold solved
+
+
+def near_copies(rng, n, k, gaps):
+    """k random columns of one scale; column j of 1..len(gaps) is turned to
+    cosine 1 - gaps[j-1] with an earlier column."""
+    X = rng.normal(size=(n, k))
+    X /= np.linalg.norm(X, axis=0)
+    for j, gap in enumerate(gaps, start=1):
+        x = X[:, rng.integers(0, j)]
+        z = X[:, j] - (X[:, j] @ x) * x
+        X[:, j] = (1.0 - gap) * x + np.sqrt(gap * (2.0 - gap)) * z / np.linalg.norm(z)
+    return X * rng.uniform(0.5, 2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, k=st.integers(min_value=1, max_value=6),
+       gaps=st.lists(st.floats(min_value=-12.0, max_value=0.0), max_size=5),
+       lam1=st.sampled_from([1.0, ELASTICNET_MIX, 0.01, 0.0]))
+def test_penalized_fits_meet_their_optimality_conditions(seed, k, gaps, lam1):
+    # without a constant column the penalty falls on X itself: at the optimum
+    # c = X^T (Y - Xw) - l2 w is l1/2 sign(w_j) where w_j != 0, and at most l1/2
+    # in size elsewhere.  Rounding moves c by about n u of the gradient scale
+    # |X| |Y| in this check's own products, and the solve on X^T X by up to
+    # kappa^2 u of it (the condition of the Gram matrix, as in solve_bound)
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(10, 60))
+    X = near_copies(rng, n, k, [10.0**g for g in gaps[:k - 1]])
+    Y = X @ rng.normal(0.0, 3.0, k) + rng.normal(0.0, 1.0, n)
+    bound = (n + np.linalg.cond(X) ** 2) * np.finfo(float).eps * (
+        np.linalg.norm(X) * np.linalg.norm(Y))
+    top = 2.0 * np.abs(X.T @ Y).max()  # l1 at which every weight is 0
+    for lam in [0.0, *(top * 10.0 ** rng.uniform(-4.0, 0.5, 3))]:
+        w = fit_lasso(X, Y, lam) if lam1 == 1.0 else fit_elasticnet(X, Y, lam1, lam)
+        half, l2 = lam1 * lam / 2.0, (1.0 - lam1) * lam
+        c = X.T @ (Y - X @ w) - l2 * w
+        on = w != 0.0
+        assert np.abs(c[on] - half * np.sign(w[on])).max(initial=0.0) <= bound
+        assert np.abs(c[~on]).max(initial=0.0) <= half + bound
 
 
 def check_inversions(seq):
