@@ -19,12 +19,11 @@ folds, the tuned ElasticNet mix) is a constant.
 ``solve_wls`` can also report the leverages of its own SVD, which give exact
 leave-one-out residuals without a second factorization.  Penalty strengths
 are arguments of the penalized fits, not config fields.  The penalized
-kernels solve a whole grid of candidates at once, and a single fit is a
-grid of one: Ridge takes every lam from one SVD of the standardized design
-(Golub, Heath & Wahba 1979); Lasso and ElasticNet follow one exact lasso
-homotopy with a candidate axis (Osborne, Presnell & Turlach 2000).  K-fold
-tuning standardizes each fold's training rows once, for every kind it tunes,
-and scores every candidate with one product.
+kernels solve a grid of candidates on a stack of systems at once; a single fit
+is a grid of one on a stack of one.  Ridge takes every lam from one batched SVD
+(Golub, Heath & Wahba 1979); Lasso and ElasticNet follow one exact homotopy with
+a system and a candidate axis (Osborne, Presnell & Turlach 2000).  K-fold tuning
+solves and scores all its folds, kinds and candidates in one pass.
 
 ``mad_inliers`` is the package's one outlier cut, about the median residual:
 ``fit_theilsen``'s mask, the pipeline's prefilter and the Robust study use it.
@@ -316,42 +315,42 @@ def solve_wls(
 # ---------------------------------------------------------------------------
 
 
-def _find_intercept_column(X) -> int | None:
-    """Index of the first exactly-constant nonzero column, if any."""
-    for j in range(X.shape[1]):
-        col = X[:, j]
-        if col[0] != 0.0 and np.all(col == col[0]):
-            return j
-    return None
+def _find_intercept_column(X):
+    """First exactly-constant nonzero column of each stacked design, else -1."""
+    const = (X == X[..., :1, :]).all(axis=-2) & (X[..., 0, :] != 0.0)
+    first = (~const).cumprod(axis=-1).sum(axis=-1)  # p where none is
+    return np.where(first < const.shape[-1], first, -1)
 
 
 class _Standardizer:
-    """Center/scale the non-intercept columns; map coefficients back."""
+    """Center/scale the non-intercept columns of S stacked systems X (S, m, p), Y
+    (S, m) sharing intercept column ``icol`` (-1: none, kept raw); map back."""
 
-    def __init__(self, X, Y):
-        self.p = X.shape[1]
-        self.icol = _find_intercept_column(X)
-        if self.icol is None:
+    def __init__(self, X, Y, icol):
+        self.p, self.icol = X.shape[2], icol
+        if icol < 0:
             self.Xs, self.Ys = X, Y
         else:
-            self.keep = np.flatnonzero(np.arange(self.p) != self.icol)
-            sub = X[:, self.keep]
-            self.mx = sub.mean(axis=0)
-            sx = sub.std(axis=0)
+            self.keep = np.flatnonzero(np.arange(self.p) != icol)
+            sub = X[:, :, self.keep]
+            self.mx = sub.mean(axis=1, keepdims=True)
+            sx = sub.std(axis=1, keepdims=True)
             self.sx = np.where(sx > 0.0, sx, 1.0)
             self.Xs = (sub - self.mx) / self.sx
-            self.ymean = Y.mean()
+            self.ymean = Y.mean(axis=1, keepdims=True)
             self.Ys = Y - self.ymean
-            self.ival = X[0, self.icol]
+            self.ival = X[:, :1, icol]
 
     def restore(self, b_std) -> np.ndarray:
-        """Map (k, G) standardized coefficients to (p, G), one column each."""
-        if self.icol is None:
+        """Map (S, k, G) standardized coefficients to (S, p, G), each column on its
+        own: a BLAS product may round a column differently as G changes."""
+        if self.icol < 0:
             return b_std
-        b = b_std / self.sx[:, None]
-        beta = np.zeros((self.p, b.shape[1]))
-        beta[self.keep] = b
-        beta[self.icol] = (self.ymean - self.mx @ b) / self.ival
+        b = b_std / self.sx.swapaxes(1, 2)
+        beta = np.zeros((b.shape[0], self.p, b.shape[2]))
+        beta[:, self.keep] = b
+        fitted = (self.mx.swapaxes(1, 2) * b).sum(axis=1)
+        beta[:, self.icol] = (self.ymean - fitted) / self.ival
         return beta
 
 
@@ -364,35 +363,35 @@ def _penalties(kind, grid, lam1=ELASTICNET_MIX):
     mix = {"Ridge": 0.0, "Lasso": 1.0}.get(kind, lam1)
     if not 0.0 <= mix <= 1.0:
         raise ConfigError(f"ElasticNet lam1 {lam1!r} is invalid: need 0 <= lam1 <= 1")
-    for candidate in grid:
-        if np.ndim(candidate) or not 0.0 <= float(candidate) < math.inf:
-            raise ConfigError(f"{kind} penalty candidate {candidate!r} is invalid: "
+    for c in grid:  # a float needs no np.ndim, the slow part of the check
+        if not isinstance(c, float) and np.ndim(c) or not 0.0 <= float(c) < math.inf:
+            raise ConfigError(f"{kind} penalty candidate {c!r} is invalid: "
                               f"need one lam >= 0")
     lam = np.asarray(grid, dtype=float)
     return mix * lam, (1.0 - mix) * lam
 
 
 def _ridge_path(Xs, Ys, lam):
-    """Ridge coefficients for every lam from one thin SVD (Golub, Heath &
-    Wahba 1979): b(lam) = V diag(s / (s^2 + lam)) U^T y.
+    """Ridge coefficients (S, k, G) of S stacked systems for every lam, from one
+    batched thin SVD (Golub, Heath & Wahba 1979): b = V diag(s / (s^2 + lam)) U^T y.
 
     At lam = 0 singular values up to eps*(m+k)*s_max count as zero, the cutoff
     of ``lstsq(rcond=None)`` on [Xs; sqrt(lam) I]: the minimum-norm answer.
     """
-    m, k = Xs.shape
+    m, k = Xs.shape[1:]
     U, s, Vt = np.linalg.svd(Xs, full_matrices=False)
-    s = s[:, None]
-    cut = np.finfo(float).eps * (m + k) * s.max(initial=0.0)
+    s = s[:, :, None]
+    cut = np.finfo(float).eps * (m + k) * s.max(axis=1, keepdims=True, initial=0.0)
     denom = s * s + lam
     f = np.divide(s, denom, out=np.zeros_like(denom), where=(lam > 0.0) | (s > cut))
-    return Vt.T @ (f * (U.T @ Ys)[:, None])
+    return Vt.swapaxes(1, 2) @ (f * (U.swapaxes(1, 2) @ Ys[:, :, None]))
 
 
 def _homotopy_path(Xs, Ys, l1, l2):
-    """Exact minimizers of ||Y-Xw||^2 + l1*||w||_1 + l2*||w||^2, one column per
-    (l1, l2) candidate, solved in lockstep by the lasso homotopy (Osborne,
-    Presnell & Turlach 2000) on H = X^T X + l2 I: the lasso on Zou & Hastie's
-    (2005, Lemma 1) augmented data.
+    """Exact minimizers (S, k, G) of ||Y-Xw||^2 + l1*||w||_1 + l2*||w||^2 on S
+    stacked systems, one column per (l1, l2) candidate, in one lockstep loop over
+    all S x G by the lasso homotopy (Osborne, Presnell & Turlach 2000) on each
+    system's H = X^T X + l2 I: the lasso on Zou & Hastie's (2005) augmented data.
 
     Each candidate starts at w = 0 with its threshold lam at max|X^T Y|.  As lam
     falls, w moves along d = H_A^+ sign(w_A) on the active set A, so one batched
@@ -400,50 +399,63 @@ def _homotopy_path(Xs, Ys, l1, l2):
     off A reaching +-lam, a weight on A reaching 0, or lam reaching l1/2.  A
     column whose correlation has passed lam joins at once; every other step
     lowers lam, so the loop ends.  A singular H_A gives the minimum-norm step.
+    The steps work on X^T X, so they are exact only to about cond(X)^2 u: fine
+    for the standardized, intercept-bearing designs of the studies and the
+    tuner, not for raw ill-conditioned ones.
 
     m equal columns are solved as one of L2 weight l2/m, its weight split evenly:
-    the one answer while l2 > 0 (Zou & Hastie 2005), an optimum at l2 = 0.  No
-    solve splits them evenly to the bit by itself.
+    the one answer while l2 > 0 (Zou & Hastie 2005), an optimum at l2 = 0 (no solve
+    splits them evenly to the bit by itself), one call per pattern of equal columns.
     """
-    same = (Xs[:, :, None] == Xs[:, None, :]).all(axis=0)
-    first = (~same).cumprod(axis=0).sum(axis=0)  # each column's first equal one
-    keep, m = np.flatnonzero(first == np.arange(first.size)), same.sum(axis=0)
-    Xs, k, half = Xs[:, keep], keep.size, l1[:, None] / 2.0
-    C, g = Xs.T @ Xs, Xs.T @ Ys
-    H = C + (l2[:, None] / m[keep])[:, :, None] * np.eye(k)  # L2 weight per column
-    t = np.maximum(np.abs(g).max(initial=0.0), half)  # lam, never below l1/2
+    same = (Xs[:, :, :, None] == Xs[:, :, None, :]).all(axis=1)
+    first = (~same).cumprod(axis=1).sum(axis=1)  # each column's first equal one
+    if (first != first[:1]).any():
+        out = np.empty(Xs.shape[:1] + Xs.shape[2:] + l1.shape)
+        for at in ((first == f).all(axis=1) for f in set(map(tuple, first.tolist()))):
+            out[at] = _homotopy_path(Xs[at], Ys[at], l1, l2)
+        return out
+    keep, m = np.flatnonzero(first[0] == np.arange(first.shape[1])), same[0].sum(0)
+    Xs, k, half = Xs[:, :, keep], keep.size, l1[:, None] / 2.0
+    C, g = Xs.swapaxes(1, 2) @ Xs, Ys[:, None] @ Xs
+    H = C[:, None] + (l2[:, None] / m[keep])[:, :, None] * np.eye(k)  # L2 per column
+    t = np.maximum(np.abs(g).max(2, keepdims=True, initial=0.0), half)  # lam >= l1/2
     s = np.where(np.abs(g) == t, np.sign(g), 0.0)  # sign(w) on A, the first to join
-    w, sig = np.zeros_like(s), np.array([1.0, -1.0])[:, None, None]
+    w, sig = np.zeros_like(s), np.array([1.0, -1.0])[:, None, None, None]
     while (t > half).any():  # a candidate at l1/2 takes no more steps
         on = s != 0.0
-        vals, vecs = np.linalg.eigh(H * (on[:, :, None] & on[:, None, :]))
-        vals[vals <= k * np.finfo(float).eps * vals[:, -1:]] = np.inf  # pinv's cut
-        d = vecs @ (np.einsum("gji,gj->gi", vecs, s) / vals)[:, :, None]
-        d = np.where(on, d[:, :, 0], 0.0)  # dw / d(-lam)
+        vals, vecs = np.linalg.eigh(H * (on[..., :, None] & on[..., None, :]))
+        vals[vals <= k * np.finfo(float).eps * vals[..., -1:]] = np.inf  # pinv's cut
+        d = vecs @ (np.einsum("...ji,...j->...i", vecs, s) / vals)[..., None]
+        d = np.where(on, d[..., 0], 0.0)  # dw / d(-lam)
         f, e = d @ C, g - (w + t * d) @ C  # off A the correlation at lam is e + lam f
         slope = 1.0 - sig * f  # it reaches sig * lam where (sig e) / slope = lam
         join = np.divide(sig * e, slope, out=np.full(slope.shape, -np.inf),
                          where=~on & (slope > 0.0)).max(axis=0)
         zero = t + np.divide(w, d, out=np.full(s.shape, -np.inf), where=s * d < 0.0)
-        nxt = np.maximum(np.minimum(join.max(axis=1, keepdims=True), t), half)
-        nxt = np.maximum(nxt, np.where(zero < t, zero, -np.inf).max(1, keepdims=True))
+        nxt = np.maximum(np.minimum(join.max(axis=2, keepdims=True), t), half)
+        nxt = np.maximum(nxt, np.where(zero < t, zero, -np.inf).max(2, keepdims=True))
         drop = (nxt < t) & (zero >= nxt)  # joins alone take no step
         s = np.where(join >= nxt, np.sign(e + nxt * f), np.where(drop, 0.0, s))
         w, t = np.where(drop, 0.0, w + (t - nxt) * d), nxt
-    return w.T[np.searchsorted(keep, first)] / m[:, None]
+    return w.swapaxes(1, 2)[:, np.searchsorted(keep, first[0])] / m[:, None]
 
 
-def _solve_grid(std, kind, l1, l2):
-    """Coefficients (p, G) of every candidate on one standardized system."""
-    if kind == "Ridge":
-        return std.restore(_ridge_path(std.Xs, std.Ys, l2))
-    return std.restore(_homotopy_path(std.Xs, std.Ys, l1, l2))
+def _solve_grid(std, l1, l2, ridge):
+    """Coefficients (S, p, G) of every (l1, l2) candidate on the S systems of
+    ``std``: those marked ``ridge`` from one SVD, the rest from one homotopy."""
+    out = np.empty(std.Xs.shape[:1] + std.Xs.shape[2:] + l1.shape)
+    if ridge.any():
+        out[:, :, ridge] = _ridge_path(std.Xs, std.Ys, l2[ridge])
+    if not ridge.all():
+        out[:, :, ~ridge] = _homotopy_path(std.Xs, std.Ys, l1[~ridge], l2[~ridge])
+    return std.restore(out)
 
 
 def _fit_one(X, Y, kind, lam, lam1=ELASTICNET_MIX):
     X, Y, _ = _as_system(X, Y)
     l1, l2 = _penalties(kind, [lam], lam1)
-    return _solve_grid(_Standardizer(X, Y), kind, l1, l2)[:, 0]
+    std = _Standardizer(X[None], Y[None], _find_intercept_column(X))
+    return _solve_grid(std, l1, l2, np.array([kind == "Ridge"]))[0, :, 0]
 
 
 def fit_ridge(X, Y, lam: float) -> np.ndarray:
@@ -528,7 +540,7 @@ def fit_ransac(
         )
 
     if threshold is None:
-        if p != 2 or _find_intercept_column(X) is None:
+        if p != 2 or _find_intercept_column(X) < 0:
             raise ConfigError("RANSAC needs inlier_threshold unless the "
                               "design is a line [x, constant]")
         prefit = fit_theilsen(X, Y)
@@ -807,8 +819,8 @@ def fit_theilsen(X, Y) -> FitDiagnostics:
         raise DegenerateDataError(
             f"need more than {p} samples for a median fit, got {n}"
         )
-    const_col = _find_intercept_column(X) if p == 2 else None
-    if const_col is None:
+    const_col = int(_find_intercept_column(X)) if p == 2 else -1
+    if const_col < 0:
         raise ConfigError(f"Theil-Sen fits lines only: the design must be "
                           f"[x, constant], got {p} columns")
     beta, used = _theilsen_line(X, Y, const_col, 1 - const_col)
@@ -826,28 +838,36 @@ def fit_theilsen(X, Y) -> FitDiagnostics:
 
 def _kfold_scores(X, Y, kinds, grid, seed):
     """Held-out RMSE of every candidate over the ``KFOLD_K`` seeded folds, one
-    row per kind in ``kinds``; each fold is standardized once for every kind."""
+    row per kind in ``kinds``.  Folds whose training rows share their size (two
+    when K does not divide n) and intercept column form one stack, standardized
+    once and solved for every kind and candidate in one pass."""
     if not grid:
         raise ConfigError("penalty grid must not be empty")
     for kind in kinds:
         if kind not in ("Ridge", "Lasso", "ElasticNet"):
             raise ConfigError(f"penalty tuning does not apply to kind {kind!r}")
-    penalties = [_penalties(kind, grid) for kind in kinds]
+    l1, l2 = np.concatenate([_penalties(kind, grid) for kind in kinds], axis=1)
+    ridge = np.repeat([kind == "Ridge" for kind in kinds], len(grid))
     X, Y, _ = _as_system(X, Y)
     n = X.shape[0]
     if n < 2 * KFOLD_K:
         raise ConfigError(f"k-fold tuning needs n >= {2 * KFOLD_K}, got {n}")
 
-    rng = substream(seed, "kfold")
-    ssq = np.zeros((len(kinds), len(grid)))
-    for fold in np.array_split(rng.permutation(n), KFOLD_K):
-        train = np.ones(n, dtype=bool)
-        train[fold] = False
-        std = _Standardizer(X[train], Y[train])
-        for row, kind, (l1, l2) in zip(ssq, kinds, penalties):
-            err = Y[fold, None] - X[fold] @ _solve_grid(std, kind, l1, l2)
-            row += np.einsum("ij,ij->j", err, err)
-    return np.sqrt(ssq / n)
+    folds = np.array_split(substream(seed, "kfold").permutation(n), KFOLD_K)
+    ssq = np.zeros((KFOLD_K, l1.size))
+    for size in {fold.size for fold in folds}:
+        at = np.array([i for i, fold in enumerate(folds) if fold.size == size])
+        held = np.array([folds[i] for i in at])
+        train = np.ones((at.size, n), dtype=bool)
+        train[np.arange(at.size)[:, None], held] = False
+        rows = np.nonzero(train)[1].reshape(at.size, -1)  # ascending, as X[train]
+        icols = _find_intercept_column(X[rows])
+        for icol in set(icols.tolist()):  # np.unique would import numpy.ma
+            on = icols == icol
+            std = _Standardizer(X[rows[on]], Y[rows[on]], icol)
+            err = Y[held[on]][..., None] - X[held[on]] @ _solve_grid(std, l1, l2, ridge)
+            ssq[at[on]] = np.einsum("sij,sij->sj", err, err)
+    return np.sqrt(ssq.sum(axis=0) / n).reshape(len(kinds), len(grid))
 
 
 def tune_penalty_kfold(X, Y, kind: str | tuple, grid, *, seed=0):
@@ -856,10 +876,10 @@ def tune_penalty_kfold(X, Y, kind: str | tuple, grid, *, seed=0):
 
     Every candidate is one lam >= 0 (for ElasticNet the lam2 at
     ``ELASTICNET_MIX``) and the winner is returned unchanged.  The grid is
-    checked before any fold runs; each fold solves every candidate at once,
-    from one SVD (Ridge) or one lasso homotopy with a candidate axis
-    (Lasso/ElasticNet), and scores them with one product.  For a tuple of
-    kinds, one fold loop returns a tuple of what each kind's own call returns.
+    checked before any fold runs; then the folds are stacked (see
+    ``_kfold_scores``) and every fold, kind and candidate is solved at once,
+    from one batched SVD (Ridge) and one lasso homotopy (Lasso and ElasticNet).
+    For a tuple of kinds, one pass returns what each kind's own call returns.
     """
     grid = list(grid)
     kinds = (kind,) if isinstance(kind, str) else tuple(kind)

@@ -459,6 +459,10 @@ def run_robust_study(spec: ExperimentSpec):
 
 
 def _robust_tasks(spec):
+    if spec.trials > 1000:  # trial t seeds its methods with seed * 1000 + t
+        raise ConfigError(f"the Robust study runs at most 1000 trials, got "
+                          f"{spec.trials}: trial 1000 of seed s would repeat the "
+                          f"fold split and RANSAC draws of trial 0 of seed s + 1")
     model = next((m for m in load_registry() if m.id == ROBUST_STUDY_SOURCE), None)
     if model is None:
         raise DataError(f"registry is missing {ROBUST_STUDY_SOURCE!r}")

@@ -740,11 +740,14 @@ def test_tuning_validates_grid_and_size(monkeypatch):
             with pytest.raises(ConfigError, match=f"{kind} penalty candidate"):
                 tune_penalty_kfold(X, Y, kind, [0.0, 0.1, candidate])
     # the grid is checked before any fold runs: a fold would fail the test,
-    # yet the bad last candidate is what gets reported
+    # yet the bad last candidate is what gets reported.  Finding the folds'
+    # intercept columns is the first step of the fold pass, and of a fit
     def no_fold(*args):
         raise AssertionError("a fold ran")
 
-    monkeypatch.setattr(estimators, "_solve_grid", no_fold)
+    monkeypatch.setattr(estimators, "_find_intercept_column", no_fold)
+    with pytest.raises(AssertionError, match="a fold ran"):
+        tune_penalty_kfold(X, Y, "Lasso", [0.1, 1.0])  # a valid grid reaches it
     with pytest.raises(ConfigError, match=r"candidate -1\.0"):
         tune_penalty_kfold(X, Y, "Lasso", [0.1, -1.0])
     with pytest.raises(ConfigError, match="lam1 1.5"):
@@ -819,7 +822,9 @@ def test_tuning_several_kinds_checks_every_kind_before_any_fold(monkeypatch):
     def no_fold(*args):
         raise AssertionError("a fold ran")
 
-    monkeypatch.setattr(estimators, "_solve_grid", no_fold)
+    monkeypatch.setattr(estimators, "_find_intercept_column", no_fold)
+    with pytest.raises(AssertionError, match="a fold ran"):
+        tune_penalty_kfold(X, Y, KINDS, [0.0, 0.1])  # a valid grid reaches it
     for kinds in (("Ridge", "Lasso", "OLS"), ("OLS", "Ridge")):
         with pytest.raises(ConfigError, match="kind 'OLS'"):
             tune_penalty_kfold(X, Y, kinds, [0.0, 0.1])

@@ -289,6 +289,20 @@ def test_median_fit_stays_minimal_across_seeds():
         assert by_method["ransac"] <= by_method["ols"]
 
 
+def test_robust_trials_that_would_repeat_method_seeds_are_refused(monkeypatch):
+    # trial t draws its folds and RANSAC subsets from seed * 1000 + t, so a
+    # 1001st trial of seed 0 would be trial 0 of seed 1 again
+    def synthesize(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(evaluation, "synthesize_from_model", synthesize)
+    with pytest.raises(ConfigError, match="at most 1000 trials, got 1001"):
+        run_robust_study(ExperimentSpec(which="RobustStudy", trials=1001))
+    assert cli.main(["experiment", "--which", "robust", "--trials", "1001"]) == 2
+    tasks = evaluation._robust_tasks(ExperimentSpec(which="RobustStudy", trials=1000))
+    assert [task[1] for task in tasks] == list(range(1000))
+
+
 def test_pinned_seed_run_passes_every_gate(robust_result):
     gates = evaluate_gates(robust_result)
     assert all(g.passed for g in gates), [g for g in gates if not g.passed]

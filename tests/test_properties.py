@@ -136,6 +136,45 @@ def test_batched_tuning_matches_one_fit_per_candidate(
     assert tune_penalty_kfold(X, Y, kind, grid, seed=seed) == grid[best]
 
 
+@pytest.mark.parametrize("layout", ["uneven", "no intercept", "near constant",
+                                    "near equal"])
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, kind=st.sampled_from(["Ridge", "Lasso", "ElasticNet"]))
+def test_folds_that_fit_differently_score_as_one_fit_each(layout, seed, kind):
+    # the tuner stacks folds that share a training size, an intercept column and
+    # equal columns; here one of them changes from fold to fold
+    rng = np.random.default_rng(seed)
+    seed %= 997
+    n = int(rng.choice([23, 31, 47, 59])) if layout == "uneven" else 40
+    folds = np.array_split(substream(seed, "kfold").permutation(n), KFOLD_K)
+    x, z = rng.normal(rng.uniform(-5, 5, (2, 1)), rng.uniform(0.1, 3, (2, 1)), (2, n))
+    cols = [x, z, np.full(n, 2.0)]
+    if layout == "no intercept":
+        cols.pop()
+    elif layout == "near constant":  # an intercept where fold 0 holds out row r
+        cols.insert(0, np.full(n, 1.5))
+        cols[0][folds[0][0]] = 2.5
+    elif layout == "near equal":  # x twice where fold 0 holds out two rows
+        cols[1] = x.copy()
+        cols[1][folds[0][:2]] += 1.0
+    X = np.column_stack(cols)
+    Y = X @ rng.uniform(-2, 2, X.shape[1]) + rng.normal(0, 1, n)
+    train = [np.setdiff1d(np.arange(n), fold) for fold in folds]
+    icols = {next((j for j, col in enumerate(X[rows].T) if (col == col[0]).all()), -1)
+             for rows in train}  # the first constant column; none is 0
+    assert {rows.size for rows in train} == ({n - n // 10, n - n // 10 - 1}
+                                             if layout == "uneven" else {36})
+    assert icols == {"no intercept": {-1}, "near constant": {0, 3}}.get(layout, {2})
+    equal = [(X[rows, 0] == X[rows, 1]).all() for rows in train]
+    assert sum(equal) == (layout == "near equal")
+    grid = [0.0] + list(10.0 ** rng.uniform(-4, 2, 4))
+    want = reference_kfold_scores(X, Y, kind, grid, seed)
+    (got,) = estimators._kfold_scores(X, Y, (kind,), grid, seed)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    best = min(range(len(grid)), key=lambda i: (want[i], grid[i]))
+    assert tune_penalty_kfold(X, Y, kind, grid, seed=seed) == grid[best]
+
+
 @pytest.mark.parametrize("lam1, lam2", [(0.5, 1e-4), (0.0, 1e-2), (0.5, 1e-2)])
 def test_elasticnet_splits_equal_columns_evenly(lam1, lam2):
     # two equal columns get equal weights while the L2 part is above 0 (n = 40)
