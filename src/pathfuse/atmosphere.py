@@ -138,8 +138,8 @@ def _gas_losses(table, batch):
     if bad.size:
         i = int(bad[0])
         raise GasRangeError(
-            f"sample {i} (source {str(batch.source_id[i])!r}): frequency "
-            f"{f[i]:g} GHz outside table range [{lo:g}, {hi:g}] GHz"
+            f"(source {str(batch.ids[batch.group[i]])!r}): frequency "
+            f"{f[i]:g} GHz outside table range [{lo:g}, {hi:g}] GHz", i
         )
     return table.gas_loss(batch.distance, f) if len(batch) else np.empty(0)
 

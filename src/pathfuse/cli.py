@@ -118,10 +118,8 @@ def cmd_synth(args):
     )
     samples = synthesize_corpus(models, spec, substream(args.seed, "synth"))
     save_samples(samples, args.out)
-    ids, group = samples.groups()
-    counts = dict(zip(ids.tolist(), np.bincount(group).tolist()))
-    for m in models:
-        print(f"  {m.id}: {counts.get(m.id, 0)} samples")
+    for m in models:  # synthesize_corpus draws ``points`` rows per model
+        print(f"  {m.id}: {points} samples")
     print(f"wrote {len(samples)} samples from {len(models)} models to {args.out}")
     return 0
 

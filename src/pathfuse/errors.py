@@ -33,7 +33,12 @@ class NumericError(PathfuseError):
 
 
 class GasRangeError(ConfigError):
-    """Requested frequency lies outside the attenuation table's coverage."""
+    """Requested frequency lies outside the attenuation table's coverage; a
+    sample's error reads ``sample {row} {detail}``, else ``row`` is None."""
+
+    def __init__(self, detail: str, row: int | None = None):
+        super().__init__(detail if row is None else f"sample {row} {detail}")
+        self.detail, self.row = detail, row
 
 
 class MetricError(NumericError):

@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import math
 import operator
 import os
 import sys
@@ -130,7 +131,8 @@ def _load_canonical(path):
                           comments=None, ndmin=1)
         ids = [source.strip() for source in rows["source_id"].tolist()]
         columns = (rows[name].copy() for name in _SAMPLE_FIELDS[:3])
-        return SampleBatch(*columns, ids) if all(ids) else None
+        codes = np.unique(ids, return_inverse=True)
+        return SampleBatch(*columns, *codes) if all(ids) else None
     except (OSError, ValueError):  # InvalidSampleError too
         return None
 
@@ -172,7 +174,7 @@ def _load_rows(path):
     if not d:
         raise DataError(f"{path} contains no samples")
     try:
-        return SampleBatch(d, f, y, ids)
+        return SampleBatch(d, f, y, *np.unique(ids, return_inverse=True))
     except InvalidSampleError as exc:
         raise DataError(f"{path}:{lines[exc.row]}: bad sample row: {exc}") from exc
 
@@ -195,10 +197,13 @@ def save_samples(batch, path):
 
 
 def _jsonable(obj):
+    """``obj`` as JSON values; a number that is not finite becomes None (null)."""
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _jsonable(obj.tolist())
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -217,13 +222,13 @@ def save_model(model, path):
         "gas_corrected": model.gas_corrected,
         "freq_range_ghz": list(model.freq_range),
         "dist_range_m": list(model.dist_range),
-        "provenance": _jsonable(model.provenance),
+        "provenance": model.provenance,
     }
-    _write(path, "model", lambda fh: _dump_json(payload, fh))
+    _write(path, "model", lambda fh: _dump_json(_jsonable(payload), fh))
 
 
 def _dump_json(payload, fh):
-    json.dump(payload, fh, indent=2)
+    json.dump(payload, fh, indent=2, allow_nan=False)  # RFC 8259 has no NaN
     fh.write("\n")
 
 

@@ -23,13 +23,13 @@ Column convention (shared by every fit and prediction in the package):
 coefficient vector, so the two are consistent by construction.
 
 Samples travel as columns: a ``SampleBatch`` holds float64 ``distance`` (m),
-``frequency`` (GHz) and ``path_loss`` (dB) columns and a ``source_id``
-column.  It is checked once, with vector operations, when built (the rules
-of ``PathLossSample``) and never changed: ``take`` and ``with_path_loss``
-build new batches, which inherit its source groups (one ``np.unique``).
-Every function in the package that takes samples takes a batch.
-``PathLossSample`` is only the row that indexing a batch hands out, and
-nothing in the package iterates a batch row by row.
+``frequency`` (GHz) and ``path_loss`` (dB), sorted distinct source ``ids`` and
+each row's int32 ``group`` code into them: 28 bytes a row.  It is checked once,
+with vector operations, when built (the rules of ``PathLossSample``; the codes
+index the ids, and ids no row uses are dropped) and never changed.  Every
+function in the package that takes samples takes a batch.  ``PathLossSample``
+is only the row that indexing a batch hands out, and nothing in the package
+iterates a batch row by row.
 """
 
 from __future__ import annotations
@@ -182,17 +182,28 @@ class SampleBatch:
     a slice, mask or index array gives a batch, as ``take`` does.
     """
 
-    __slots__ = ("distance", "frequency", "path_loss", "source_id", "_groups")
+    __slots__ = ("distance", "frequency", "path_loss", "ids", "group")
 
-    def __init__(self, distance, frequency, path_loss, source_id):
+    def __init__(self, distance, frequency, path_loss, ids, group):
         self.distance = np.asarray(distance, dtype=float)
         self.frequency = np.asarray(frequency, dtype=float)
         self.path_loss = np.asarray(path_loss, dtype=float)
-        self.source_id = np.asarray(source_id, dtype=str)
-        self._groups = None
-        columns = (self.distance, self.frequency, self.path_loss, self.source_id)
+        ids, group = np.asarray(ids, dtype=str), np.asarray(group)
+        columns = (self.distance, self.frequency, self.path_loss, group)
         if self.distance.ndim != 1 or len({c.shape for c in columns}) != 1:
             raise ValueError("sample columns must be 1-D and of one length")
+        names = ids.tolist()  # compared in Python: faster than numpy for a few ids
+        if ids.ndim != 1 or not all(a < b for a, b in zip(names, names[1:])):
+            raise ValueError("ids must be 1-D, sorted and distinct")
+        if group.size and (group.dtype.kind not in "iu" or group.min() < 0
+                           or group.max() >= ids.size):
+            raise ValueError(f"group codes must be integers in [0, {ids.size})")
+        group = group.astype(np.int32, copy=False)
+        counts = np.bincount(group, minlength=ids.size)
+        if not counts.all():  # drop the ids that no row uses
+            used = counts > 0
+            ids, group = ids[used], (np.cumsum(used, dtype=np.int32) - 1)[group]
+        self.ids, self.group = ids, group
         bad = ~(
             np.isfinite(self.distance) & (self.distance > 0.0)
             & np.isfinite(self.frequency) & (self.frequency > 0.0)
@@ -205,49 +216,29 @@ class SampleBatch:
             except ValueError as exc:
                 raise InvalidSampleError(row, str(exc)) from None
 
+    @property
+    def source_id(self) -> np.ndarray:
+        """Each row's source id, ``ids[group]``."""
+        return self.ids[self.group]
+
     def __len__(self) -> int:
         return self.distance.shape[0]
 
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
             return PathLossSample(
-                float(self.distance[index]),
-                float(self.frequency[index]),
-                float(self.path_loss[index]),
-                str(self.source_id[index]),
-            )
+                float(self.distance[index]), float(self.frequency[index]),
+                float(self.path_loss[index]), str(self.ids[self.group[index]]))
         return self.take(index)
-
-    def groups(self):
-        """``(ids, group)``: sorted distinct source ids, each row's index into them.
-
-        Batches taken from this one, or with its losses replaced, inherit it.
-        """
-        if self._groups is None:
-            self._groups = np.unique(self.source_id, return_inverse=True)
-        return self._groups
 
     def take(self, index) -> "SampleBatch":
         """The rows selected by ``index`` (a slice, boolean mask or index array)."""
-        out = SampleBatch(
-            self.distance[index],
-            self.frequency[index],
-            self.path_loss[index],
-            self.source_id[index],
-        )
-        ids, group = self.groups()
-        group = group[index]
-        present = np.bincount(group, minlength=ids.size) > 0
-        if not present.all():
-            ids, group = ids[present], (np.cumsum(present) - 1)[group]
-        out._groups = ids, group
-        return out
+        return SampleBatch(self.distance[index], self.frequency[index],
+                           self.path_loss[index], self.ids, self.group[index])
 
     def with_path_loss(self, path_loss) -> "SampleBatch":
         """The same rows with ``path_loss`` as their loss column."""
-        out = SampleBatch(self.distance, self.frequency, path_loss, self.source_id)
-        out._groups = self._groups
-        return out
+        return SampleBatch(self.distance, self.frequency, path_loss, self.ids, self.group)
 
 
 def predict_abg(alpha: float, beta: float, gamma: float, d, f):

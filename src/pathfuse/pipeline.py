@@ -29,8 +29,8 @@ Group weighting policies (normalized to mean 1 over the corpus):
 where sigma_j is the published shadow-fading std of the sample's source and
 n_j the number of samples that source contributed to this fit.
 
-The corpus travels as one ``SampleBatch``; its source groups are computed
-once per corpus (one ``np.unique``) and shared by the prefilter and weights.
+The corpus travels as one ``SampleBatch``; the prefilter and the weights
+read its source groups straight from its ``ids`` and ``group`` codes.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atmosphere import load_default_table, remove_gas_loss
-from .errors import ConfigError, DataError, InsufficientDataError
+from .errors import ConfigError, DataError, GasRangeError, InsufficientDataError
 from .estimators import (
     RESIDUAL_MULTIPLIER,
     FitDiagnostics,
@@ -110,8 +110,7 @@ def compute_weights(batch, policy: str, sigma_by_source=None) -> np.ndarray:
     if policy == "Identity":
         return np.ones(n)
 
-    ids, group = batch.groups()
-    ids = ids.tolist()
+    ids, group = batch.ids.tolist(), batch.group
     if policy in SIGMA_WEIGHTINGS:
         if sigma_by_source is None:
             raise ConfigError(f"{policy} weighting needs per-source sigmas")
@@ -147,7 +146,7 @@ def _robust_filter(batch, X, Y, cfg: PipelineConfig):
     Each group keeps the ``mad_inliers`` of its residuals (``fit_theilsen``'s
     own mask); groups too small for a scale estimate are kept whole.
     """
-    _, group = batch.groups()
+    group = batch.group
     by_group = np.argsort(group, kind="stable")  # each group's rows stay ascending
     rows = np.split(by_group, np.cumsum(np.bincount(group))[:-1])
 
@@ -182,11 +181,11 @@ def fit_pathloss_model(samples, cfg: PipelineConfig, *, sigma_by_source=None):
     without sample i (same weights, prefilter kept) gives that residual.
     """
     p = ORDER_SIZES[cfg.order]
+    work, in_band = samples, None
     if cfg.freq_band is not None:
         lo, hi = cfg.freq_band
-        work = samples.take((samples.frequency >= lo) & (samples.frequency <= hi))
-    else:
-        work = samples
+        in_band = (samples.frequency >= lo) & (samples.frequency <= hi)
+        work = samples.take(in_band)
     n_in_band = len(work)
     if n_in_band < p:
         raise InsufficientDataError(
@@ -194,7 +193,11 @@ def fit_pathloss_model(samples, cfg: PipelineConfig, *, sigma_by_source=None):
         )
 
     if cfg.gas_correction:
-        work = remove_gas_loss(load_default_table(), work)
+        try:
+            work = remove_gas_loss(load_default_table(), work)
+        except GasRangeError as exc:  # it names a row of ``work``; name it in ``samples``
+            rows = np.arange(len(samples)) if in_band is None else np.flatnonzero(in_band)
+            raise GasRangeError(exc.detail, int(rows[exc.row])) from exc
 
     X, Y = build_design_system(work, cfg.order)
 

@@ -14,7 +14,7 @@ The specs carry no seed: every draw comes from the Generator the caller
 passes (see :mod:`pathfuse.seeding`).  Draw-order contract (what makes runs
 bit-identical for a fixed stream), per column: each model, in id order on its
 own child stream, draws its whole ``distance`` column, then one shadow-noise
-value per row for ``path_loss`` (``frequency`` and ``source_id`` take no
+value per row for ``path_loss`` (``frequency`` and the source codes take no
 draw); the outlier injector draws the victim rows, then one excess per victim
 in draw order; ambient scattering draws one excess per row.
 """
@@ -129,13 +129,14 @@ def synthesize_from_model(
     d = _draw_distances(m, spec, rng)
     noise = rng.normal(0.0, m.sigma, spec.points_per_model)
     y = predict_abg(m.alpha, m.beta, m.gamma, d, m.frequency) + noise
-    return SampleBatch(d, np.full(d.size, m.frequency), y, np.full(d.size, m.id))
+    return SampleBatch(d, np.full(d.size, m.frequency), y, [m.id],
+                       np.zeros(d.size, dtype=np.int32))
 
 
 def synthesize_corpus(
     models, spec: SynthesisSpec, rng: np.random.Generator
 ) -> SampleBatch:
-    """Concatenated samples for all models (sorted by id for determinism).
+    """Concatenated samples for all models in id order; model k's rows get code k.
 
     Each model gets its own child stream, so adding or removing one model
     does not perturb the others' draws.
@@ -145,14 +146,10 @@ def synthesize_corpus(
         raise ConfigError("source model ids must be unique within a corpus")
     children = rng.spawn(len(ordered))
     parts = [synthesize_from_model(m, spec, c) for m, c in zip(ordered, children)]
-    if not parts:
-        return SampleBatch([], [], [], [])
-    return SampleBatch(
-        np.concatenate([b.distance for b in parts]),
-        np.concatenate([b.frequency for b in parts]),
-        np.concatenate([b.path_loss for b in parts]),
-        np.concatenate([b.source_id for b in parts]),
-    )
+    columns = (np.concatenate([np.empty(0)] + [getattr(b, name) for b in parts])
+               for name in ("distance", "frequency", "path_loss"))
+    group = np.repeat(np.arange(len(parts), dtype=np.int32), spec.points_per_model)
+    return SampleBatch(*columns, [m.id for m in ordered], group)
 
 
 def inject_outliers(batch, spec: OutlierSpec, rng: np.random.Generator):

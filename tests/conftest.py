@@ -5,6 +5,7 @@ shares the same result object.  Seeds are pinned to the values the package's
 own regression baseline uses (order: 0, the rest: 1).
 """
 
+import numpy as np
 import pytest
 
 from pathfuse.evaluation import (
@@ -14,7 +15,7 @@ from pathfuse.evaluation import (
     run_outlier_study,
     run_robust_study,
 )
-from pathfuse.models import SourceModel
+from pathfuse.models import SampleBatch, SourceModel
 
 ORDER_SEED = 0
 ROBUST_SEED = 1
@@ -41,6 +42,12 @@ def make_model(**overrides):
     )
     fields.update(overrides)
     return SourceModel(**fields)
+
+
+def sample_batch(distance, frequency, path_loss, source_ids):
+    """A SampleBatch of the given columns and one source id per row."""
+    return SampleBatch(distance, frequency, path_loss,
+                       *np.unique(source_ids, return_inverse=True))
 
 
 @pytest.fixture(scope="session")

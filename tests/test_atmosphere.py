@@ -9,7 +9,8 @@ import pytest
 import pathfuse
 from pathfuse.atmosphere import GasAttenuationTable, load_default_table, remove_gas_loss
 from pathfuse.errors import DataError, GasRangeError
-from pathfuse.models import SampleBatch
+
+from conftest import sample_batch
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +63,7 @@ def test_out_of_range_frequency_raises(table):
 
 def _samples(freqs):
     i = np.arange(len(freqs))
-    return SampleBatch(100.0 * (i + 1), freqs, 100.0 + i, ["s"] * len(freqs))
+    return sample_batch(100.0 * (i + 1), freqs, 100.0 + i, ["s"] * len(freqs))
 
 
 def test_remove_then_reapply_is_identity(table):

@@ -198,6 +198,40 @@ def test_fit_into_a_missing_directory_is_a_data_error(tmp_path, capsys):
     assert f"cannot write model {out}" in err
 
 
+def test_fit_names_an_out_of_table_row_by_its_input_index(tmp_path, capsys):
+    # rows 0 and 1 fall outside the band; row 2 is the first the table misses
+    path = tmp_path / "wide.csv"
+    path.write_text(
+        "distance_m,freq_ghz,path_loss_db,source_id\n"
+        "10,0.5,80,a\n20,0.6,90,a\n30,200,100,b\n40,300,110,b\n"
+        "50,400,120,b\n60,500,130,b\n"
+    )
+    rc, _, err = run(capsys, "fit", "--samples", str(path), "--order", "1",
+                     "--weighting", "identity", "--robust", "none",
+                     "--band", "100:600")
+    assert rc == 2
+    assert "error: sample 2 (source 'b'): frequency 200 GHz outside table range" in err
+
+
+def test_a_singular_fit_saves_strict_json(tmp_path, capsys):
+    # one frequency: the Lf column is all zero and the condition is inf
+    path, out = tmp_path / "one.csv", tmp_path / "m.json"
+    path.write_text("distance_m,freq_ghz,path_loss_db,source_id\n"
+                    "10,1,80,a\n20,1,90,a\n30,1,100,a\n40,1,104,a\n")
+    rc, _, _ = run(capsys, "fit", "--samples", str(path), "--order", "1",
+                   "--weighting", "identity", "--robust", "none", "--gas", "off",
+                   "--out", str(out))
+    assert rc == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    payload = json.loads(out.read_text(), parse_constant=refuse)
+    assert payload["provenance"]["condition"] is None
+    assert payload["provenance"]["rank_deficient"] is True
+    assert load_model(out).coefficients.values == tuple(payload["coefficients"])
+
+
 def test_fit_blank_source_id_is_a_data_error(tmp_path, capsys):
     # a blank id would fit as a source of its own named ""
     path = tmp_path / "blank.csv"

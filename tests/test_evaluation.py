@@ -34,14 +34,13 @@ from pathfuse.evaluation import (
 from pathfuse.models import (
     CoefficientSet,
     FittedModel,
-    SampleBatch,
     build_design_system,
 )
 from pathfuse.pipeline import PipelineConfig, compute_weights, fit_pathloss_model
 from pathfuse.seeding import substream
 from pathfuse.synthesis import SynthesisSpec, synthesize_corpus
 
-from conftest import ROBUST_SEED, make_model
+from conftest import ROBUST_SEED, make_model, sample_batch
 
 
 def test_error_ratio_hand_value():
@@ -69,7 +68,7 @@ def test_weighted_std_hand_value():
     # the weighted residual std of the zero surface at d=f=1 against losses
     # {3, 0} with weights {1, 3}: sqrt((1*9 + 3*0) / 4) = 1.5
     model = _flat_zero_model()
-    samples = SampleBatch([1.0, 1.0], [1.0, 1.0], [3.0, 0.0], ["a", "b"])
+    samples = sample_batch([1.0, 1.0], [1.0, 1.0], [3.0, 0.0], ["a", "b"])
     pred = predict_total(model, samples.distance, samples.frequency)
     resid = samples.path_loss - pred
     assert weighted_rms(resid, np.array([1.0, 3.0])) == pytest.approx(1.5, rel=1e-12)
@@ -329,6 +328,21 @@ def test_worker_count_changes_no_bit(runner, which, monkeypatch):
     one, two = results
     assert one.reports == two.reports  # every field, compared exactly
     assert one.raw == two.raw
+
+
+@pytest.mark.parametrize("which", STUDIES)
+def test_no_study_encodes_source_ids(which, monkeypatch):
+    # a synthesized corpus carries its group codes: no fit sorts id strings
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique was called")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    monkeypatch.setattr(evaluation, "_workers", lambda: 1)
+    monkeypatch.setattr(evaluation, "SCENARIO_BANDS", {
+        scenario: dict.fromkeys(bands, 30)
+        for scenario, bands in evaluation.SCENARIO_BANDS.items()
+    })
+    assert run_experiment(ExperimentSpec(which=which, trials=1, seed=1)).reports
 
 
 def _fail_one_cell(monkeypatch):

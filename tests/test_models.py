@@ -1,7 +1,11 @@
 """Core surface types: design columns, prediction, validation."""
 
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pathfuse.errors import InsufficientDataError
 from pathfuse.models import (
@@ -17,7 +21,7 @@ from pathfuse.models import (
     predict_abg,
 )
 
-from conftest import make_model
+from conftest import make_model, sample_batch
 
 
 def test_order_sizes():
@@ -122,7 +126,7 @@ def test_sample_validation_and_shift():
         PathLossSample(distance=-1.0, frequency=2.0, path_loss=90.0, source_id="x")
     with pytest.raises(ValueError):
         PathLossSample(distance=10.0, frequency=2.0, path_loss=np.inf, source_id="x")
-    batch = SampleBatch([10.0, 20.0], [2.0, 2.0], [90.0, 91.0], ["x", "x"])
+    batch = sample_batch([10.0, 20.0], [2.0, 2.0], [90.0, 91.0], ["x", "x"])
     shifted = batch.with_path_loss(batch.path_loss + 5.0)
     assert shifted.path_loss.tolist() == [95.0, 96.0]
     assert shifted.distance.tolist() == batch.distance.tolist()
@@ -143,28 +147,88 @@ def test_sample_batch_names_its_first_bad_row(column, value, reason):
         "distance": [10.0, 20.0, 30.0, 40.0],
         "frequency": [2.0, 2.0, 28.0, 28.0],
         "path_loss": [80.0, 90.0, 100.0, 110.0],
-        "source_id": ["a", "a", "b", "b"],
     }
     columns[column][2] = value
     columns[column][3] = value
     with pytest.raises(ValueError, match=f"^sample 2: {reason}"):
-        SampleBatch(**columns)
+        SampleBatch(**columns, ids=["a", "b"], group=[0, 0, 1, 1])
 
 
-def test_taken_batch_groups_match_its_own_ids():
-    batch = SampleBatch(
-        [10.0, 20.0, 30.0, 40.0], [2.0, 9.0, 28.0, 9.0], [80.0] * 4, ["c", "a", "b", "a"]
-    )
-    batch.groups()
-    taken = batch.take(batch.frequency > 5.0)  # source "c" drops out
-    ids, group = taken.groups()
-    want_ids, want_group = np.unique(taken.source_id, return_inverse=True)
-    assert ids.tolist() == want_ids.tolist() == ["a", "b"]
-    assert group.tolist() == want_group.tolist() == [0, 1, 0]
+@pytest.mark.parametrize(
+    "ids, group, reason",
+    [
+        (["b", "a"], [0, 1], "sorted and distinct"),
+        (["a", "a"], [0, 1], "sorted and distinct"),
+        ([["a"], ["b"]], [0, 1], "sorted and distinct"),
+        (["a", "b"], [0, 2], r"integers in \[0, 2\)"),
+        (["a", "b"], [-1, 0], r"integers in \[0, 2\)"),
+        (["a", "b"], [0.0, 1.0], r"integers in \[0, 2\)"),
+        (["a", "b"], [0, 1, 1], "one length"),
+    ],
+)
+def test_sample_batch_refuses_ids_and_codes_that_do_not_match(ids, group, reason):
+    with pytest.raises(ValueError, match=reason):
+        SampleBatch([10.0, 20.0], [2.0, 2.0], [80.0, 90.0], ids, group)
+
+
+def test_sample_batch_drops_the_ids_no_row_uses():
+    batch = SampleBatch([10.0, 20.0, 30.0], [2.0] * 3, [80.0] * 3,
+                        ["a", "b", "c", "d"], [3, 1, 3])
+    assert batch.ids.tolist() == ["b", "d"]
+    assert batch.group.tolist() == [1, 0, 1]
+    assert batch.group.dtype == np.int32
+    assert batch.source_id.tolist() == ["d", "b", "d"]
+    assert batch[0] == PathLossSample(10.0, 2.0, 80.0, "d")
+    empty = SampleBatch([], [], [], ["a"], [])
+    assert len(empty) == 0 and empty.ids.size == 0
+
+
+@st.composite
+def _batch_and_index(draw):
+    """A batch of up to 3 sources and a mask, index array or slice of its rows."""
+    ids = sorted(draw(st.sets(st.text("abc", min_size=1, max_size=3), min_size=1,
+                              max_size=3)))
+    group = draw(st.lists(st.integers(0, len(ids) - 1), max_size=12))
+    n = len(group)
+    index = draw(st.one_of(
+        st.lists(st.booleans(), min_size=n, max_size=n).map(
+            partial(np.array, dtype=bool)),
+        st.lists(st.integers(0, max(n - 1, 0)), max_size=2 * n).map(
+            partial(np.array, dtype=int)),
+        st.builds(slice, st.integers(0, n), st.integers(0, n)),
+    ))
+    return ids, group, index
+
+
+@settings(max_examples=200, deadline=None)
+@given(_batch_and_index())
+@example((["a", "b", "c"], [2, 0, 1, 0], np.array([False, True, True, True])))
+def test_taken_batch_groups_match_its_own_ids(case):
+    ids, group, index = case
+    n = len(group)
+    batch = SampleBatch(np.arange(1.0, n + 1), np.full(n, 2.0), np.full(n, 80.0),
+                        ids, group)
+    want = np.asarray(ids)[np.asarray(group, dtype=int)][index].tolist()
+    for out in (batch.take(index), batch[index]):
+        assert out.group.dtype == np.int32
+        assert out.ids.tolist() == sorted(set(want))  # sorted, distinct, each used
+        assert out.source_id.tolist() == want
+        shifted = out.with_path_loss(out.path_loss + 1.0)
+        assert shifted.ids is out.ids and shifted.group is out.group
+
+
+def test_a_batch_holds_28_bytes_a_row_plus_its_ids():
+    n = 1000
+    batch = SampleBatch(np.ones(n), np.ones(n), np.ones(n), ["a", "bb"],
+                        np.arange(n) % 2)
+    rows = (batch.distance, batch.frequency, batch.path_loss, batch.group)
+    assert sum(a.nbytes for a in rows) == 28 * n
+    assert batch.ids.nbytes == 2 * 2 * 4  # two ids of at most two UCS-4 characters
+    assert set(batch.__slots__) == {"distance", "frequency", "path_loss", "ids", "group"}
 
 
 def _samples(d, f, y, sid="m"):
-    return SampleBatch(d, f, y, [sid] * len(d))
+    return sample_batch(d, f, y, [sid] * len(d))
 
 
 def test_build_design_system_shapes():

@@ -25,7 +25,7 @@ from pathfuse.synthesis import (
     synthesize_from_model,
 )
 
-from conftest import make_model
+from conftest import make_model, sample_batch
 
 QUIET = 1e-6  # shadow sigma for effectively noiseless corpora (must be > 0)
 
@@ -55,7 +55,7 @@ def quiet_corpus(points=40, seed=0):
 
 def two_group_samples():
     d = 10.0 * np.array([1, 2, 1, 2, 3, 4, 5, 6])
-    return SampleBatch(d, np.full(8, 2.0), np.full(8, 100.0), ["a"] * 2 + ["b"] * 6)
+    return sample_batch(d, np.full(8, 2.0), np.full(8, 100.0), ["a"] * 2 + ["b"] * 6)
 
 
 def test_identity_weights_are_flat():
@@ -91,7 +91,7 @@ def test_weighting_error_cases():
     with pytest.raises(ConfigError):
         compute_weights(samples, "Magic")
     with pytest.raises(ConfigError):
-        compute_weights(SampleBatch([], [], [], []), "Identity")
+        compute_weights(SampleBatch([], [], [], [], []), "Identity")
     with pytest.raises(ConfigError):
         compute_weights(samples, "Mixture")  # sigmas required
     with pytest.raises(DataError):
@@ -208,7 +208,7 @@ def test_zero_scatter_groups_are_never_clipped():
     # filter keeps every group whole rather than slicing at zero width
     m = make_model()
     d = np.linspace(30.0, 200.0, 25)
-    samples = SampleBatch(d, np.full(25, m.frequency), m.predict(d), [m.id] * 25)
+    samples = sample_batch(d, np.full(25, m.frequency), m.predict(d), [m.id] * 25)
     cfg = PipelineConfig(order=1, weighting="Identity",
                          robust="TheilSen",
                          gas_correction=False)
@@ -248,7 +248,7 @@ def test_theilsen_prefilter_calls_the_public_fit_once_per_group(monkeypatch):
         substream(5, "pipe"),
     )
     pair = corpus.take(np.arange(2))
-    corpus = SampleBatch(
+    corpus = sample_batch(
         np.concatenate([corpus.distance, pair.distance]),
         np.concatenate([corpus.frequency, pair.frequency]),
         np.concatenate([corpus.path_loss, pair.path_loss]),
@@ -276,8 +276,8 @@ def test_theilsen_prefilter_calls_the_public_fit_once_per_group(monkeypatch):
 
 def test_theilsen_prefilter_rejects_a_single_distance_group():
     m = make_model()
-    samples = SampleBatch(np.full(5, 50.0), np.full(5, m.frequency),
-                          np.arange(5.0) + 100.0, [m.id] * 5)
+    samples = sample_batch(np.full(5, 50.0), np.full(5, m.frequency),
+                           np.arange(5.0) + 100.0, [m.id] * 5)
     with pytest.raises(DegenerateDataError):
         fit_pathloss_model(samples, PipelineConfig(order=1, gas_correction=False))
 

@@ -26,7 +26,6 @@ from pathfuse.io import load_registry, sigma_map
 from pathfuse.models import (
     ORDER_SIZES,
     CoefficientSet,
-    SampleBatch,
     coefficient_names,
     design_matrix,
 )
@@ -39,6 +38,8 @@ from pathfuse.synthesis import (
     sample_rayleigh,
     synthesize_corpus,
 )
+
+from conftest import sample_batch
 
 TABLE = load_default_table()
 
@@ -363,7 +364,7 @@ def test_design_columns_nest_across_orders(d, f):
 @settings(max_examples=60, deadline=None)
 @given(d=distances, f=freqs, loss=st.floats(min_value=20.0, max_value=250.0))
 def test_absorption_removal_round_trips(d, f, loss):
-    (clean,) = remove_gas_loss(TABLE, SampleBatch([d], [f], [loss], ["x"]))
+    (clean,) = remove_gas_loss(TABLE, sample_batch([d], [f], [loss], ["x"]))
     back = clean.path_loss + TABLE.gas_loss(d, f)
     assert abs(back - loss) <= 1e-12 * max(1.0, abs(loss))
 
@@ -449,8 +450,8 @@ def test_renaming_every_source_changes_no_bit(seed, data, models):
     names = data.draw(st.lists(source_names, min_size=len(ids), max_size=len(ids),
                                unique=True))
     rename = dict(zip(ids, names))
-    renamed = SampleBatch(corpus.distance, corpus.frequency, corpus.path_loss,
-                          [rename[s] for s in corpus.source_id.tolist()])
+    renamed = sample_batch(corpus.distance, corpus.frequency, corpus.path_loss,
+                           [rename[s] for s in corpus.source_id.tolist()])
     sigmas = sigma_map(models)
     renamed_sigmas = {rename[s]: sigma for s, sigma in sigmas.items()}
     for robust in (None, "TheilSen", "RANSAC"):

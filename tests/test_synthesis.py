@@ -16,7 +16,7 @@ from pathfuse.synthesis import (
     synthesize_from_model,
 )
 
-from conftest import make_model
+from conftest import make_model, sample_batch
 
 
 class _FixedUniform:
@@ -122,6 +122,14 @@ def test_corpus_per_model_streams_are_stable():
     flipped = synthesize_corpus([b, a], SynthesisSpec(points_per_model=20),
                                 substream(7, "corpus"))
     assert [s.path_loss for s in flipped] == [s.path_loss for s in both]
+    # model k's rows carry code k
+    assert flipped.ids.tolist() == ["a-2ghz", "b-28ghz"]
+    assert flipped.source_id.tolist() == ["a-2ghz"] * 20 + ["b-28ghz"] * 20
+
+
+def test_a_corpus_of_no_models_is_empty():
+    corpus = synthesize_corpus([], SynthesisSpec(), substream(0))
+    assert len(corpus) == 0 and corpus.ids.size == 0 and corpus.group.dtype == np.int32
 
 
 def test_corpus_rejects_duplicate_ids():
@@ -145,7 +153,7 @@ def test_outlier_spec_validation():
 
 def _flat_corpus(n=200, lo=30.0, hi=230.0):
     d = np.linspace(lo, hi, n)
-    return SampleBatch(d, np.full(n, 28.0), make_model().predict(d), ["flat"] * n)
+    return sample_batch(d, np.full(n, 28.0), make_model().predict(d), ["flat"] * n)
 
 
 def test_injection_hits_the_requested_share_of_the_band():
@@ -187,7 +195,7 @@ def test_injection_is_deterministic():
 
 def test_injection_error_cases():
     with pytest.raises(ConfigError):
-        inject_outliers(SampleBatch([], [], [], []), OutlierSpec(), substream(0))
+        inject_outliers(SampleBatch([], [], [], [], []), OutlierSpec(), substream(0))
 
 
 def test_scattering_noise_lifts_every_sample():
