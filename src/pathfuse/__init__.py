@@ -56,8 +56,8 @@ _EXPORTS = {
     "evaluation": "EvaluationReport ExperimentSpec StudyResult error_ratio "
                   "evaluate_gates loocv run_experiment run_integration_study "
                   "run_order_study run_outlier_study run_robust_study",
-    "io": "load_registry load_samples save_model save_samples sigma_map",
-    "models": "CoefficientSet FittedModel PathLossSample SampleBatch SourceModel "
+    "io": "SourceModel load_registry load_samples save_model save_samples sigma_map",
+    "models": "CoefficientSet FittedModel PathLossSample SampleBatch "
               "build_design_system design_matrix predict_abg",
     "pipeline": "WEIGHTING_POLICIES PipelineConfig compute_weights fit_pathloss_model",
     "seeding": "substream",

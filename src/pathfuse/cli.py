@@ -20,6 +20,7 @@ from .evaluation import STUDIES, ExperimentSpec, evaluate_gates, run_experiment
 from .io import (
     POSITIVE,
     SCENARIO_BANDS,
+    SCENARIOS,
     band_label,
     check,
     load_model,
@@ -32,7 +33,7 @@ from .io import (
     write_study_csv,
     write_study_json,
 )
-from .models import ORDER_SIZES, SCENARIOS
+from .models import ORDER_SIZES
 from .pipeline import SIGMA_WEIGHTINGS, PipelineConfig, fit_pathloss_model
 from .seeding import substream
 from .synthesis import DISTANCE_SAMPLINGS, SynthesisSpec, synthesize_corpus
@@ -249,7 +250,7 @@ def build_parser():
 
     p = sub.add_parser("synth", help="synthesize a sample corpus from the registry")
     p.add_argument("--registry", help="registry CSV (default: bundled)")
-    p.add_argument("--scenario", choices=sorted(SCENARIOS))
+    p.add_argument("--scenario", choices=SCENARIOS)
     p.add_argument("--band", help="frequency band LO:HI in GHz, inclusive")
     p.add_argument(
         "--points-per-model",

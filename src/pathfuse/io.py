@@ -2,9 +2,10 @@
 # reference targets, study reports.  Fitted models and study reports carry their
 # provenance (resolved config, seed); sample and grid CSVs hold only their columns.
 # Each JSON file's fields are declared once, as a schema that ``check`` walks,
-# and so are each config's, beside its class; the targets' vocabulary lives here
-# too: study arms, robust methods, and ``SCENARIO_BANDS``, which holds each study
-# cell's samples per source model.
+# and so are each config's, beside its class, and the registry row's: one table
+# gives each ``SourceModel`` field its column, cell parser and leaf.  The rows'
+# and the targets' vocabularies live here too: scenarios, study arms, robust
+# methods, and ``SCENARIO_BANDS``, each study cell's samples per source model.
 # ``save_study`` writes a study's whole ``--out-dir`` bundle.  Every load and
 # save raises DataError naming the path it cannot read or write.
 
@@ -22,15 +23,16 @@ import numpy as np
 
 from .errors import DataError
 from .models import (
-    SCENARIOS,
+    ORDER,
     CoefficientSet,
     FittedModel,
     InvalidSampleError,
     SampleBatch,
-    SourceModel,
+    predict_abg,
 )
 
 __all__ = [
+    "SourceModel",
     "data_path",
     "load_registry",
     "sigma_map",
@@ -52,54 +54,10 @@ _SAMPLE_FIELDS = ("distance_m", "freq_ghz", "path_loss_db", "source_id")
 _CANONICAL_ROW = np.dtype([(name, float) for name in _SAMPLE_FIELDS[:3]]
                           + [(_SAMPLE_FIELDS[3], object)])
 
-#: the registry CSV's column for each ``SourceModel`` field, in field order
-_REGISTRY_COLUMNS = ("id", "env", "scenario", "freq_ghz", "source", "n_points",
-                     "dist_min_m", "dist_max_m", "type", "alpha", "beta_db",
-                     "gamma", "sigma_db")
-#: how a registry cell becomes the value of its field, by the field's type
-_CELL_PARSERS = {"str": str.strip, "int": int, "float": float}
-
 
 def data_path(name):
     """The data file ``name`` of ``PATHFUSE_DATA_DIR`` if set, else the bundled one."""
     return os.path.join(os.environ.get("PATHFUSE_DATA_DIR") or _DATA_DIR, name)
-
-
-def load_registry(path=None):
-    """Source models from a registry CSV (the data directory's by default);
-    a bad row raises DataError at ``path:line``."""
-    if path is None:
-        path = data_path(_REGISTRY_FILE)
-    parsers = [_CELL_PARSERS[f.type] for f in dataclasses.fields(SourceModel)]
-    models = []
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                try:
-                    cells = [row.get(column) for column in _REGISTRY_COLUMNS]
-                    if None in cells:
-                        missing = _REGISTRY_COLUMNS[cells.index(None)]
-                        raise ValueError(f"no {missing!r} cell")
-                    models.append(SourceModel(*(parse(cell) for parse, cell
-                                                in zip(parsers, cells))))
-                except ValueError as exc:
-                    raise DataError(
-                        f"{path}:{reader.line_num}: bad registry row: {exc}"
-                    ) from exc
-    except OSError as exc:
-        raise DataError(f"cannot read registry {path}: {exc}") from exc
-    if not models:
-        raise DataError(f"registry {path} contains no models")
-    ids = [m.id for m in models]
-    if len(set(ids)) != len(ids):
-        raise DataError(f"registry {path} has duplicate model ids")
-    return models
-
-
-def sigma_map(models):
-    """id -> published shadow-fading sigma, for the weighting policies."""
-    return {m.id: m.sigma for m in models}
 
 
 def load_samples(path):
@@ -338,10 +296,104 @@ NONNEGATIVE = ("a finite number >= 0", lambda v: finite(v) and v >= 0)
 #: the fields ``load_model`` reads, in an open object: a saved model may hold
 #: keys that nothing reads, and a missing ``provenance`` reads as {}
 _MODEL_FIELDS = {
-    "order": INTEGER, "sigma_db": POSITIVE, "gas_corrected": BOOLEAN,
+    "order": ORDER, "sigma_db": POSITIVE, "gas_corrected": BOOLEAN,
     "coefficients": _NUMBERS, "freq_range_ghz": _SPAN, "dist_range_m": _SPAN,
     "provenance": _OBJECT, ...: None,
 }
+
+#: the vocabularies of a registry row
+ENVIRONMENTS = ("NLOS",)
+SCENARIOS = ("UMa", "UMiOS", "UMiSC")
+DATA_TYPES = ("Measurement", "Mixed", "RayTracing")
+
+
+@dataclasses.dataclass(frozen=True)
+class SourceModel:
+    """A published single-frequency fit and its campaign: one registry row."""
+
+    id: str
+    environment: str
+    scenario: str
+    frequency: float  # GHz
+    source: str
+    n_points: int
+    dist_min: float  # m
+    dist_max: float  # m
+    data_type: str
+    alpha: float
+    beta: float  # dB
+    gamma: float
+    sigma: float  # dB, shadow-fading std of the published fit
+
+    def __post_init__(self):
+        check(vars(self), _SOURCE_LEAVES, ValueError)
+        if not self.dist_min < self.dist_max:
+            raise ValueError(f"dist_min must be < dist_max, "
+                             f"got [{self.dist_min}, {self.dist_max}]")
+
+    def predict(self, d, f=None):
+        """Path loss (dB) at distance d and frequency f (default: its own)."""
+        if f is None:
+            f = self.frequency
+        return predict_abg(self.alpha, self.beta, self.gamma, d, f)
+
+
+_TEXT = ("a non-empty string", lambda v: type(v) is str and v != "")
+#: each ``SourceModel`` field: its registry column, how a cell becomes its
+#: value, and what the value must be
+_SOURCE_FIELDS = {
+    "id": ("id", str.strip, _TEXT),
+    "environment": ("env", str.strip, one_of(ENVIRONMENTS)),
+    "scenario": ("scenario", str.strip, one_of(SCENARIOS)),
+    "frequency": ("freq_ghz", float, POSITIVE),
+    "source": ("source", str.strip, _TEXT),
+    "n_points": ("n_points", int, COUNT),
+    "dist_min": ("dist_min_m", float, POSITIVE),
+    "dist_max": ("dist_max_m", float, POSITIVE),
+    "data_type": ("type", str.strip, one_of(DATA_TYPES)),
+    "alpha": ("alpha", float, _FINITE),
+    "beta": ("beta_db", float, _FINITE),
+    "gamma": ("gamma", float, _FINITE),
+    "sigma": ("sigma_db", float, POSITIVE),
+}
+_SOURCE_LEAVES = {name: leaf for name, (_, _, leaf) in _SOURCE_FIELDS.items()}
+
+
+def load_registry(path=None):
+    """Source models from a registry CSV (the data directory's by default);
+    a bad row raises DataError at ``path:line``."""
+    if path is None:
+        path = data_path(_REGISTRY_FILE)
+    models = []
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            for row in reader:
+                try:
+                    fields = {}
+                    for name, (column, parse, _) in _SOURCE_FIELDS.items():
+                        if row.get(column) is None:
+                            raise ValueError(f"no {column!r} cell")
+                        fields[name] = parse(row[column])
+                    models.append(SourceModel(**fields))
+                except ValueError as exc:
+                    raise DataError(
+                        f"{path}:{reader.line_num}: bad registry row: {exc}"
+                    ) from exc
+    except OSError as exc:
+        raise DataError(f"cannot read registry {path}: {exc}") from exc
+    if not models:
+        raise DataError(f"registry {path} contains no models")
+    ids = [m.id for m in models]
+    if len(set(ids)) != len(ids):
+        raise DataError(f"registry {path} has duplicate model ids")
+    return models
+
+
+def sigma_map(models):
+    """id -> published shadow-fading sigma, for the weighting policies."""
+    return {m.id: m.sigma for m in models}
+
 
 #: the method names of the reference targets, by study
 ORDER_ARMS = ("linear-abg", "quadratic-abg", "cubic-abg")
@@ -357,7 +409,7 @@ SCENARIO_BANDS = {
     "UMa": {(2.0, 18.0): 1285, (28.0, 73.5): 927, (2.0, 73.5): 1080},
 }
 
-_CELL = {"scenario": one_of(sorted(SCENARIOS)), "band_ghz": _SPAN}
+_CELL = {"scenario": one_of(SCENARIOS), "band_ghz": _SPAN}
 _ROW = {**_CELL, "method": one_of(STUDY_ARMS)}
 _NEEDS = (f"an object of true or false under some of {', '.join(ORDER_ARMS)}",
           lambda v: type(v) is dict and v.keys() <= set(ORDER_ARMS)

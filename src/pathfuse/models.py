@@ -1,4 +1,4 @@
-"""Core types: published source models, samples, and log-polynomial surfaces.
+"""Core types: samples and log-polynomial surfaces (``io`` holds source models).
 
 A path-loss surface over distance d (metres) and carrier frequency f (GHz) is
 a polynomial in the decibel-domain coordinates
@@ -32,8 +32,6 @@ is only the row that indexing a batch hands out, and nothing in the package
 iterates a batch row by row.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,11 +39,8 @@ import numpy as np
 from .errors import InsufficientDataError, NumericError
 
 __all__ = [
-    "ENVIRONMENTS",
-    "SCENARIOS",
-    "DATA_TYPES",
     "ORDER_SIZES",
-    "SourceModel",
+    "ORDER",
     "PathLossSample",
     "SampleBatch",
     "InvalidSampleError",
@@ -58,12 +53,10 @@ __all__ = [
     "build_design_system",
 ]
 
-ENVIRONMENTS = frozenset({"NLOS"})
-SCENARIOS = frozenset({"UMiSC", "UMiOS", "UMa"})
-DATA_TYPES = frozenset({"Measurement", "RayTracing", "Mixed"})
-
 #: number of free coefficients per polynomial order
 ORDER_SIZES = {1: 3, 2: 6, 3: 10}
+#: what an order must be, as a leaf of ``io.check``: an int key of ORDER_SIZES
+ORDER = ("one of 1, 2, 3", lambda v: type(v) is int and v in ORDER_SIZES)
 
 #: an order's coefficient and design-column names are a prefix of these
 _COEFF_NAMES = (
@@ -90,8 +83,9 @@ def coefficient_names(order: int) -> tuple[str, ...]:
 
 
 def _check_order(order: int) -> None:
-    if order not in ORDER_SIZES:
-        raise ValueError(f"order must be one of {sorted(ORDER_SIZES)}, got {order!r}")
+    wording, test = ORDER
+    if not test(order):
+        raise ValueError(f"order must be {wording}, got {order!r}")
 
 
 def _check_positive_finite(name: str, value) -> None:
@@ -100,55 +94,6 @@ def _check_positive_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
     if np.any(arr <= 0.0):
         raise ValueError(f"{name} must be > 0, got {value!r}")
-
-
-@dataclass(frozen=True)
-class SourceModel:
-    """A published single-frequency path-loss fit plus its campaign metadata."""
-
-    id: str
-    environment: str
-    scenario: str
-    frequency: float  # GHz
-    source: str
-    n_points: int
-    dist_min: float  # m
-    dist_max: float  # m
-    data_type: str
-    alpha: float
-    beta: float  # dB
-    gamma: float
-    sigma: float  # dB, shadow-fading std of the published fit
-
-    def __post_init__(self):
-        if not self.id:
-            raise ValueError("id must be non-empty")
-        if self.environment not in ENVIRONMENTS:
-            raise ValueError(f"unknown environment {self.environment!r}")
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.data_type not in DATA_TYPES:
-            raise ValueError(f"unknown data type {self.data_type!r}")
-        _check_positive_finite("frequency", self.frequency)
-        _check_positive_finite("dist_min", self.dist_min)
-        _check_positive_finite("sigma", self.sigma)
-        if not np.isfinite([self.alpha, self.beta, self.gamma]).all():
-            raise ValueError("alpha/beta/gamma must be finite")
-        if not self.dist_min < self.dist_max:
-            raise ValueError(
-                f"dist_min must be < dist_max, got [{self.dist_min}, {self.dist_max}]"
-            )
-        if self.n_points < 1:
-            raise ValueError(f"n_points must be >= 1, got {self.n_points}")
-
-    def predict(self, d, f=None):
-        """Path loss (dB) of this published model at distance d, frequency f.
-
-        ``f`` defaults to the model's own carrier frequency.
-        """
-        if f is None:
-            f = self.frequency
-        return predict_abg(self.alpha, self.beta, self.gamma, d, f)
 
 
 @dataclass(frozen=True)

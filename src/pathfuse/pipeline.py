@@ -52,6 +52,7 @@ from .estimators import (
 )
 from .io import BOOLEAN, INTEGER, POSITIVE, check, finite, one_of
 from .models import (
+    ORDER,
     ORDER_SIZES,
     CoefficientSet,
     FittedModel,
@@ -92,7 +93,7 @@ class PipelineConfig:
 
 #: every field of ``PipelineConfig``, and what it must be
 _CONFIG_FIELDS = {
-    "order": one_of(tuple(ORDER_SIZES)), "weighting": one_of(WEIGHTING_POLICIES),
+    "order": ORDER, "weighting": one_of(WEIGHTING_POLICIES),
     "robust": one_of(("TheilSen", "RANSAC", None)), "gas_correction": BOOLEAN,
     "freq_band": ("None or two finite numbers 0 < lo < hi", lambda v: v is None
                   or type(v) in (tuple, list) and len(v) == 2 and all(map(finite, v))

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .io import COUNT, NONNEGATIVE, POSITIVE, check, finite, one_of
-from .models import SampleBatch, SourceModel, predict_abg
+from .io import COUNT, NONNEGATIVE, POSITIVE, SourceModel, check, finite, one_of
+from .models import SampleBatch, predict_abg
 
 __all__ = [
     "DISTANCE_SAMPLINGS",

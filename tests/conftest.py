@@ -15,7 +15,8 @@ from pathfuse.evaluation import (
     run_outlier_study,
     run_robust_study,
 )
-from pathfuse.models import SampleBatch, SourceModel
+from pathfuse.io import SourceModel
+from pathfuse.models import SampleBatch
 
 ORDER_SEED = 0
 ROBUST_SEED = 1

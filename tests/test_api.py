@@ -3,15 +3,20 @@ imports another's private names."""
 
 import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pathfuse
+from pathfuse.evaluation import ROBUST_STUDY_AMBIENT_SCALE
+
+from conftest import ROBUST_SEED
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(pathfuse.__path__))
 
@@ -167,3 +172,18 @@ def test_the_calibration_script_still_builds_its_specs():
                            "--section", "magnitude"], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_the_calibration_script_draws_the_robust_studys_clean_corpora(robust_result):
+    # scripts/calibrate.py rebuilds the Robust trials' clean corpora with its
+    # own copy of their substream labels: its OLS sigma is the study's, exactly
+    path = PERFBENCH.parent / "scripts" / "calibrate.py"
+    spec = importlib.util.spec_from_file_location("calibrate", path)
+    calibrate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(calibrate)
+    assert (calibrate.SEED, calibrate.TRIALS) == (ROBUST_SEED, 10)
+    model = calibrate._study_model()
+    sigma = np.mean([calibrate._ols_sigma(calibrate._clean_corpus(
+        model, ROBUST_STUDY_AMBIENT_SCALE, t)) for t in range(10)])
+    ols = next(report for report in robust_result.reports if report.method == "ols")
+    assert sigma == ols.sigma_clean_db

@@ -73,6 +73,21 @@ def test_synth_short_registry_row_is_a_data_error(tmp_path, capsys):
     assert f"{registry}:3: bad registry row: no 'scenario' cell" in err
 
 
+def test_synth_overflowing_registry_cell_is_a_data_error(tmp_path, capsys):
+    # float("1e309") is inf: the row is refused, not drawn from
+    bundled = Path(pathfuse.__file__).with_name("data") / "table1_nlos.csv"
+    header, first = (line.split(",") for line in bundled.read_text().splitlines()[:2])
+    first[header.index("dist_max_m")] = "1e309"
+    registry = tmp_path / "registry.csv"
+    registry.write_text(f"{','.join(header)}\n{','.join(first)}\n")
+    rc, out, err = run(capsys, "synth", "--registry", str(registry),
+                       "--points-per-model", "5", "--out", str(tmp_path / "x.csv"))
+    assert rc == 3
+    assert out == ""
+    assert (f"{registry}:2: bad registry row: dist_max must be a finite number > 0, "
+            "got inf") in err
+
+
 def test_synth_into_a_missing_directory_is_a_data_error(tmp_path, capsys):
     out = tmp_path / "missing" / "x.csv"
     rc, _, err = run(capsys, "synth", "--scenario", "UMiOS", "--band", "2:18",

@@ -20,6 +20,7 @@ from pathfuse import io as pio
 from pathfuse.errors import ConfigError, DataError
 from pathfuse.evaluation import STUDIES, ExperimentSpec, evaluate_gates
 from pathfuse.io import (
+    SourceModel,
     load_model,
     load_reference_targets,
     load_registry,
@@ -32,10 +33,12 @@ from pathfuse.models import CoefficientSet, FittedModel
 from pathfuse.pipeline import WEIGHTING_POLICIES, PipelineConfig, fit_pathloss_model
 from pathfuse.seeding import substream
 from pathfuse.synthesis import (
+    DISTANCE_SAMPLINGS,
     OutlierSpec,
     SynthesisSpec,
     inject_outliers,
     synthesize_corpus,
+    synthesize_from_model,
 )
 
 from conftest import make_model
@@ -315,6 +318,28 @@ def test_a_changed_registry_cell_loads_or_is_a_data_error(row, column, new,
         load_registry(path)
     except DataError:
         pass
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SourceModel)])
+def test_a_changed_source_model_field_is_a_value_error_or_synthesizes(name):
+    # a model that builds expands into samples under both samplings, or its
+    # corpus is refused with ValueError (an alpha of 1e308 overflows the loss)
+    crashes = []
+    for new in VALUES + ("28",):
+        try:
+            model = make_model(**{name: new})
+        except ValueError:
+            continue
+        for sampling in DISTANCE_SAMPLINGS:
+            spec = SynthesisSpec(points_per_model=5, distance_sampling=sampling)
+            try:
+                with np.errstate(over="ignore"):
+                    synthesize_from_model(model, spec, np.random.default_rng(0))
+            except ValueError:
+                pass
+            except (TypeError, OverflowError) as exc:
+                crashes.append(f"{name}={new!r} ({sampling}): {exc!r}")
+    assert crashes == []
 
 
 @settings(max_examples=150, deadline=None)

@@ -43,6 +43,18 @@ def test_invalid_order_rejected():
         design_matrix(4, [10.0], [2.0])
 
 
+@pytest.mark.parametrize("order", [True, 1.0, 2.0])
+def test_an_order_that_only_equals_an_int_is_rejected(order):
+    # True == 1 and 2.0 == 2, but a model of such an order would be saved as
+    # true or 2.0, which load_model refuses
+    values = (30.0, 20.0, 2.0, 0.0, 0.0, 0.0)[:ORDER_SIZES[int(order)]]
+    for call in (partial(CoefficientSet, order, values),
+                 partial(design_matrix, order, [10.0], [2.0]),
+                 partial(column_names, order)):
+        with pytest.raises(ValueError, match="order must be one of 1, 2, 3"):
+            call()
+
+
 def design_row(order, d, f):
     """The design row of one (d, f) point: row 0 of ``design_matrix``."""
     return design_matrix(order, d, f)[0]
