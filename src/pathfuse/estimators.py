@@ -491,14 +491,14 @@ def fit_elasticnet(X, Y, lam1: float, lam2: float):
 
 
 def _draw_subsets(rng, n, p, count):
-    """``count`` random p-subsets of range(n), one per row, drawn in row
-    blocks of ``ROW_BLOCK`` uniforms (the same stream as one big fill): each
-    row's p least uniforms, ascending, ties to the lower index, by p ``argmin``
-    passes (0.2 ms at 1000 x 200 and p = 2, where ``argpartition`` took 2.5 ms)."""
+    """``count`` rows, each the p least of n uniforms (ascending, ties to the lower
+    index), filled ``ROW_BLOCK`` at a time into one buffer: one big fill's stream.  At
+    1000 x 200, p = 2, the fill takes 0.5 ms and the ``argmin`` passes 0.1 ms."""
     rows = max(1, ROW_BLOCK // n)
     out = np.empty((count, p), dtype=np.intp)
+    buf = np.empty((min(rows, count), n))
     for k in range(0, count, rows):
-        u = rng.random((min(rows, count - k), n))
+        u = rng.random(out=buf[:count - k])
         for j in range(p):
             pick = out[k:k + rows, j] = u.argmin(axis=1)
             u[np.arange(u.shape[0]), pick] = np.inf
@@ -506,16 +506,23 @@ def _draw_subsets(rng, n, p, count):
 
 
 def _solve_elemental(X, Y, subsets):
-    """Solve the p x p system for each subset; singular ones are masked out."""
-    A = X[subsets]  # (k, p, p)
-    B = Y[subsets]  # (k, p)
-    U, S, Vt = np.linalg.svd(A)
-    good = S[:, -1] > RANK_RTOL * np.maximum(S[:, 0], np.finfo(float).tiny)
-    t = np.einsum("kpi,kp->ki", U, B)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = t / S
-    coefs = np.einsum("kip,ki->kp", Vt, t)
-    return coefs, good
+    """Solve the p x p system for each subset; singular ones are masked out.
+    A 2 x 2 [[a, b], [c, d]] takes Cramer's rule over a power of two near its
+    largest entry (a batched SVD calls LAPACK once per subset).  As s_min s_max
+    = |det|, the SVD's s_min > ``RANK_RTOL`` s_max is |det| > ``RANK_RTOL`` s_max^2,
+    where s_max^2 = (F + sqrt(F^2 - 4 det^2)) / 2 and F = a^2 + b^2 + c^2 + d^2."""
+    A, B = X[subsets], Y[subsets]  # (k, p, p), (k, p)
+    with np.errstate(all="ignore"):  # a masked subset's coefficients go unread
+        if A.shape[1] != 2:
+            U, S, Vt = np.linalg.svd(A)
+            t = np.einsum("kip,ki->kp", Vt, np.einsum("kpi,kp->ki", U, B) / S)
+            return t, S[:, -1] > RANK_RTOL * np.maximum(S[:, 0], np.finfo(float).tiny)
+        m = np.ldexp(1.0, np.frexp(np.abs(A).max(axis=(1, 2)))[1] - 1)
+        (a, b), (c, d) = np.moveaxis(A / m[:, None, None], 0, -1)
+        det, F = a * d - b * c, a * a + b * b + c * c + d * d
+        s2 = (F + np.sqrt(np.maximum(F * F - 4.0 * det * det, 0.0))) / 2.0
+        t = np.stack([B[:, 0] * d - b * B[:, 1], a * B[:, 1] - c * B[:, 0]], 1)
+        return t / (det * m)[:, None], np.abs(det) > RANK_RTOL * s2
 
 
 def fit_ransac(
@@ -529,8 +536,9 @@ def fit_ransac(
     is None it defaults to twice the MAD scale of a Theil-Sen prefit's
     residuals, which needs a line design [x, constant].
     """
+    from .io import POSITIVE  # here: at the top it would load csv, json and models
     threshold = inlier_threshold
-    if threshold is not None and not (np.isfinite(threshold) and threshold > 0.0):
+    if threshold is not None and not POSITIVE[1](threshold):
         raise ConfigError(f"inlier_threshold must be > 0 or None, got {threshold!r}")
     X, Y, _ = _as_system(X, Y)
     n, p = X.shape
@@ -543,14 +551,10 @@ def fit_ransac(
         if p != 2 or _find_intercept_column(X) < 0:
             raise ConfigError("RANSAC needs inlier_threshold unless the "
                               "design is a line [x, constant]")
-        prefit = fit_theilsen(X, Y)
-        scale = mad_scale(Y - X @ prefit.coefficients)
-        if scale <= 0.0:
-            scale = np.finfo(float).eps
-        threshold = 2.0 * scale
+        scale = mad_scale(Y - X @ fit_theilsen(X, Y).coefficients)
+        threshold = 2.0 * (np.finfo(float).eps if scale <= 0.0 else scale)
 
-    rng = substream(seed, "ransac")
-    subsets = _draw_subsets(rng, n, p, RANSAC_DRAWS)
+    subsets = _draw_subsets(substream(seed, "ransac"), n, p, RANSAC_DRAWS)
     coefs, good = _solve_elemental(X, Y, subsets)
 
     rows, best, mask = max(1, ROW_BLOCK // n), -1, None

@@ -268,7 +268,8 @@ def check(value, schema, error, prefix="", where=""):
 def finite(v):
     """A number that a float holds: not a bool, nan, infinite or too large."""
     return (isinstance(v, (int, float, np.integer, np.floating)) and type(v) is not bool
-            and abs(v) <= sys.float_info.max)
+            and abs(float(v) if isinstance(v, np.floating) else v)
+            <= sys.float_info.max)
 
 
 def one_of(choices):

@@ -26,10 +26,10 @@ Samples travel as columns: a ``SampleBatch`` holds float64 ``distance`` (m),
 ``frequency`` (GHz) and ``path_loss`` (dB), sorted distinct source ``ids`` and
 each row's int32 ``group`` code into them: 28 bytes a row.  It is checked once,
 with vector operations, when built (the rules of ``PathLossSample``; the codes
-index the ids, and ids no row uses are dropped) and never changed.  Every
-function in the package that takes samples takes a batch.  ``PathLossSample``
-is only the row that indexing a batch hands out, and nothing in the package
-iterates a batch row by row.
+index the ids, and ids no row uses are dropped) and never changed; the batches
+``take`` and ``with_path_loss`` derive check only a new loss column.  Every
+function in the package that takes samples takes a batch.  ``PathLossSample`` is
+only the row that indexing a batch hands out; nothing iterates a batch by row.
 """
 
 from dataclasses import dataclass, field
@@ -143,12 +143,7 @@ class SampleBatch:
         if group.size and (group.dtype.kind not in "iu" or group.min() < 0
                            or group.max() >= ids.size):
             raise ValueError(f"group codes must be integers in [0, {ids.size})")
-        group = group.astype(np.int32, copy=False)
-        counts = np.bincount(group, minlength=ids.size)
-        if not counts.all():  # drop the ids that no row uses
-            used = counts > 0
-            ids, group = ids[used], (np.cumsum(used, dtype=np.int32) - 1)[group]
-        self.ids, self.group = ids, group
+        self.ids, self.group = _drop_unused(ids, group.astype(np.int32, copy=False))
         bad = ~(
             np.isfinite(self.distance) & (self.distance > 0.0)
             & np.isfinite(self.frequency) & (self.frequency > 0.0)
@@ -178,21 +173,38 @@ class SampleBatch:
 
     def take(self, index) -> "SampleBatch":
         """The rows selected by ``index`` (a slice, boolean mask or index array)."""
-        return SampleBatch(self.distance[index], self.frequency[index],
-                           self.path_loss[index], self.ids, self.group[index])
+        cols = (c[index] for c in (self.distance, self.frequency, self.path_loss))
+        return _derived(*cols, *_drop_unused(self.ids, self.group[index]))
 
     def with_path_loss(self, path_loss) -> "SampleBatch":
-        """The same rows with ``path_loss`` as their loss column."""
-        return SampleBatch(self.distance, self.frequency, path_loss, self.ids, self.group)
+        """The same rows with ``path_loss`` as their loss column, the one checked."""
+        cols = self.distance, self.frequency, np.asarray(path_loss, dtype=float)
+        if cols[2].shape != self.path_loss.shape or not np.isfinite(cols[2]).all():
+            return SampleBatch(*cols, self.ids, self.group)  # raises, naming the row
+        return _derived(*cols, self.ids, self.group)
+
+
+def _drop_unused(ids, group):
+    """``ids`` and int32 ``group`` codes less the ids that no row uses."""
+    used = np.bincount(group, minlength=ids.size) > 0
+    if used.all():
+        return ids, group
+    return ids[used], (np.cumsum(used, dtype=np.int32) - 1)[group]
+
+
+def _derived(*columns):
+    """A ``SampleBatch`` of columns that a checked one gave, not checked again."""
+    batch = object.__new__(SampleBatch)
+    for name, column in zip(SampleBatch.__slots__, columns):
+        setattr(batch, name, column)
+    return batch
 
 
 def predict_abg(alpha: float, beta: float, gamma: float, d, f):
     """Order-1 surface: alpha*10*log10(d) + beta + gamma*10*log10(f)."""
     _check_positive_finite("d", d)
     _check_positive_finite("f", f)
-    ld = 10.0 * np.log10(d)
-    lf = 10.0 * np.log10(f)
-    out = alpha * ld + beta + gamma * lf
+    out = alpha * (10.0 * np.log10(d)) + beta + gamma * (10.0 * np.log10(f))
     return float(out) if np.ndim(d) == 0 and np.ndim(f) == 0 else out
 
 
@@ -201,14 +213,9 @@ def design_matrix(order: int, d, f) -> np.ndarray:
     _check_order(order)
     _check_positive_finite("d", d)
     _check_positive_finite("f", f)
-    ld, lf = np.broadcast_arrays(
-        10.0 * np.log10(np.asarray(d, dtype=float)),
-        10.0 * np.log10(np.asarray(f, dtype=float)),
-    )
-    ld = np.atleast_1d(ld).ravel()
-    lf = np.atleast_1d(lf).ravel()
-    ones = np.ones_like(ld)
-    cols = [ld, ones, lf]
+    ld, lf = map(np.ravel, np.broadcast_arrays(*(
+        10.0 * np.log10(np.asarray(v, dtype=float)) for v in (d, f))))
+    cols = [ld, np.ones_like(ld), lf]
     if order >= 2:
         cols += [ld * ld, ld * lf, lf * lf]
     if order >= 3:
@@ -243,8 +250,7 @@ class CoefficientSet:
 
     def predict(self, d, f):
         """Path loss (dB) at (d, f); exact dot of design row and values."""
-        rows = design_matrix(self.order, d, f)
-        out = rows @ self.as_array()
+        out = design_matrix(self.order, d, f) @ self.as_array()
         return float(out[0]) if np.ndim(d) == 0 and np.ndim(f) == 0 else out
 
 

@@ -18,11 +18,15 @@ import zlib
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = ["substream"]
 
 
 def substream(seed: int, *labels: object) -> np.random.Generator:
     """Return a Generator for the stream identified by ``(seed, *labels)``."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
     entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF]
     entropy.extend(zlib.crc32(str(lab).encode("utf-8")) for lab in labels)
     return np.random.default_rng(np.random.SeedSequence(entropy))

@@ -699,6 +699,92 @@ def test_subsets_are_each_rows_least_uniforms_in_ascending_order(p):
     assert np.array_equal(got, np.argsort(u, kind="stable")[:, :p])
 
 
+def _svd_elemental(X, Y, subsets):
+    """Every subset's solve by one batched SVD, as before the 2 x 2 closed form."""
+    A, B = X[subsets], Y[subsets]
+    U, S, Vt = np.linalg.svd(A)
+    good = S[:, -1] > estimators.RANK_RTOL * np.maximum(S[:, 0], np.finfo(float).tiny)
+    with np.errstate(all="ignore"):
+        t = np.einsum("kpi,kp->ki", U, B) / S
+    return np.einsum("kip,ki->kp", Vt, t), good
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(-150, 150), st.integers(-100, 100))
+def test_closed_form_subset_solve_matches_the_svd(seed, scale, y_scale):
+    # half the subsets random, half a second row that is a multiple of the
+    # first plus a relative 10^-k, so s_min / s_max runs from 1 down past u
+    rng = np.random.default_rng(seed)
+    k = 1000
+    A = rng.standard_normal((k, 2, 2))
+    near = np.nonzero(rng.random(k) < 0.5)[0]
+    A[near, 1] = (rng.standard_normal((near.size, 1)) * A[near, 0]
+                  + 10.0 ** -rng.integers(0, 18, (near.size, 1))
+                  * rng.standard_normal((near.size, 2)))
+    A *= 10.0 ** (scale + rng.uniform(-1.0, 1.0, (k, 1, 1)))
+    X, Y = A.reshape(2 * k, 2), rng.standard_normal(2 * k) * 10.0**y_scale
+    subsets = np.arange(2 * k).reshape(k, 2)
+    coefs, good = estimators._solve_elemental(X, Y, subsets)
+    want, want_good = _svd_elemental(X, Y, subsets)
+    S = np.linalg.svd(A, compute_uv=False)
+    ratio = S[:, 1] / S[:, 0]
+    rtol = estimators.RANK_RTOL
+    away = (ratio > 2.0 * rtol) | (ratio < rtol / 2.0)  # off the rank boundary
+    assert np.array_equal(good[away], want_good[away])
+    assert good.any() and not good.all()
+    both = good & want_good
+    err = np.abs(coefs - want)[both].max(axis=1)
+    size = np.abs(want)[both].max(axis=1)
+    assert np.all(err <= 8.0 * np.finfo(float).eps / ratio[both] * size)
+
+
+def test_exactly_singular_subsets_are_masked():
+    rows = np.random.default_rng(3).standard_normal((3, 2)) * [[1e-120], [1.0], [1e120]]
+    pairs = [(r, r) for r in rows] + [(r, 0.0 * r) for r in rows]
+    pairs += [(0.0 * r, r) for r in rows] + [(r, t * r) for r in rows
+                                            for t in (3.0, -0.1, 1e-3, 7e5)]
+    X = np.array(pairs).reshape(-1, 2)
+    subsets = np.arange(X.shape[0]).reshape(-1, 2)
+    Y = np.arange(X.shape[0], dtype=float)
+    for solve in (estimators._solve_elemental, _svd_elemental):
+        assert not solve(X, Y, subsets)[1].any()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_robust_study_is_the_same_with_the_svd_subset_solve(seed, monkeypatch):
+    # the study's forked workers inherit the patched solve
+    spec = ExperimentSpec(which="RobustStudy", trials=10, seed=seed)
+    shipped = evaluation.run_robust_study(spec)
+    monkeypatch.setattr(estimators, "_solve_elemental", _svd_elemental)
+    svd = evaluation.run_robust_study(spec)
+    assert repr(svd.reports) == repr(shipped.reports)
+    assert repr(svd.raw) == repr(shipped.raw)
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", None])
+def test_a_seed_that_is_not_an_integer_is_a_config_error(seed):
+    X = np.column_stack([np.arange(1.0, 31.0), np.ones(30)])
+    Y = 2.0 * X[:, 0] + np.sin(X[:, 0])
+    for draw in (lambda: substream(seed, "ransac"),
+                 lambda: fit_ransac(X, Y, seed=seed, inlier_threshold=1.0),
+                 lambda: tune_penalty_kfold(X, Y, "Ridge", [0.0, 1.0], seed=seed)):
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            draw()
+    assert substream(np.int64(7), "x").random() == substream(7, "x").random()
+
+
+@pytest.mark.parametrize("threshold", ["1", True, np.array([1.0, 2.0]),
+                                       np.float32("inf"), np.float32("nan")])
+def test_a_threshold_that_is_not_a_positive_number_is_a_config_error(threshold):
+    X = np.column_stack([np.arange(1.0, 31.0), np.ones(30)])
+    Y = 2.0 * X[:, 0] + np.sin(X[:, 0])
+    with pytest.raises(ConfigError, match="inlier_threshold must be > 0 or None"):
+        fit_ransac(X, Y, inlier_threshold=threshold)
+    fit = fit_ransac(X, Y, inlier_threshold=np.float32(0.5))
+    assert np.array_equal(fit.inlier_mask,
+                          fit_ransac(X, Y, inlier_threshold=0.5).inlier_mask)
+
+
 # ---------------------------------------------------------------------------
 # penalty tuning
 # ---------------------------------------------------------------------------

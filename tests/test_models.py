@@ -12,6 +12,7 @@ from pathfuse.models import (
     ORDER_SIZES,
     CoefficientSet,
     FittedModel,
+    InvalidSampleError,
     PathLossSample,
     SampleBatch,
     build_design_system,
@@ -227,6 +228,21 @@ def test_taken_batch_groups_match_its_own_ids(case):
         assert out.source_id.tolist() == want
         shifted = out.with_path_loss(out.path_loss + 1.0)
         assert shifted.ids is out.ids and shifted.group is out.group
+        for derived in (out, shifted):  # as if built and checked afresh
+            rebuilt = SampleBatch(*(getattr(derived, k) for k in SampleBatch.__slots__))
+            for name in SampleBatch.__slots__:
+                kept, fresh = getattr(derived, name), getattr(rebuilt, name)
+                assert kept.dtype == fresh.dtype and np.array_equal(kept, fresh)
+
+
+def test_a_new_loss_column_names_its_first_bad_row():
+    batch = SampleBatch([10.0, 20.0, 30.0], [2.0] * 3, [80.0] * 3, ["a"], [0, 0, 0])
+    with pytest.raises(InvalidSampleError, match="^sample 1: path_loss must be "
+                                                 "finite, got nan$") as info:
+        batch.with_path_loss([80.0, np.nan, np.inf])
+    assert info.value.row == 1
+    with pytest.raises(ValueError, match="one length"):
+        batch.with_path_loss([80.0, 81.0])
 
 
 def test_a_batch_holds_28_bytes_a_row_plus_its_ids():
