@@ -3,7 +3,7 @@
 
 Run from the root of a checkout:
 
-    PYTHONPATH=src python3 scripts/time_theilsen.py [--seconds 1.0]
+    PYTHONPATH=src python3 scripts/time_theilsen.py [--seconds 1.0] [--case NAME ...]
 
 Each case is a contaminated campaign line (abscissae 10*log10 of uniform
 distances in 10..500 m, slope 2, 6 dB noise, a fifth of the rows raised by
@@ -14,14 +14,18 @@ rounding guard sized by the least x gap would make every bound useless;
 the guard per pair counts those pairs by their slopes instead.  For each
 case the kernel (``estimators._theilsen_line``) runs untimed once, then
 repeatedly for ``--seconds`` (at least three times); the line printed holds
-the median and the spread of those times and the tracemalloc peak of one
-further call.  The untimed call also counts its interval passes
-(``_inversions`` calls) and the ranks each selection round draws from the
-pivot stream ("-": all pairs at once, no round): round one draws 16n random
-row pairs, a later round only what aims its interval at ``PAIR_BUDGET``/4.
+the median and the spread of those times, the tracemalloc peak of one
+further call and the resident memory one more call adds at its peak, in a
+forked child (Linux only; ``-`` elsewhere).  The untimed call also
+counts its interval passes (``_inversions`` calls) and the ranks each
+selection round draws from the pivot stream ("-": all pairs at once, no
+round): round one draws 16n random row pairs, a later round only what aims
+its interval at ``PAIR_BUDGET``/4.  ``--case`` runs the named cases only, in
+the order given; ``n=1000000`` (about a minute) runs only when named.
 """
 
 import argparse
+import os
 import statistics
 import time
 import tracemalloc
@@ -36,6 +40,8 @@ CASES = (("n=150", 150, 0), ("n=200", 200, 0), ("n=1080", 1080, 0),
          ("n=8000", 8000, 0), ("one-ulp n=8000", 8000, 1),
          ("one-ulp n=16000", 16000, 1), ("close-pairs n=8000", 8000, 50),
          ("n=100000", 100000, 0))
+#: cases that run only when named by ``--case``
+NAMED_ONLY = (("n=1000000", 1000000, 0),)
 SEED = 3
 
 
@@ -54,12 +60,22 @@ def counted_line(X, y):
     """One kernel call; also its interval passes and the ranks drawn per round."""
     passes, draws = [], []
 
-    class Pivots:  # the pivot stream, recording how many ranks each draw takes
+    class Pivots:  # the pivot stream, summing the ranks of each round's blocks
         def __init__(self, rng):
-            self.rng = rng
+            self.rng, self.blocks = rng, 0  # blocks of the current round to come
+
+        def multinomial(self, total, pvals):  # a later round, block by block
+            draws.append(total)
+            self.blocks = len(pvals)
+            return self.rng.multinomial(total, pvals)
 
         def integers(self, low, high, size):
-            draws.append(size[-1] if isinstance(size, tuple) else size)
+            if isinstance(size, tuple):  # a block of round one's row pairs
+                draws[:1] = [sum(draws[:1]) + size[-1]]
+            elif self.blocks:  # a block of a later round, counted above
+                self.blocks -= 1
+            else:  # the pivots of a streamed selection
+                draws.append(size)
             return self.rng.integers(low, high, size)
 
     inversions, substream = estimators._inversions, estimators.substream
@@ -72,12 +88,49 @@ def counted_line(X, y):
     return beta, pairs, len(passes), draws
 
 
+def rss_growth_mb(call):
+    """MB of resident memory ``call()`` adds at its peak (Linux; else None).
+
+    It runs in a forked child, whose high-water mark starts from its own
+    resident size, not from this process's largest one.  The package runs
+    OpenBLAS on one thread unless OPENBLAS_NUM_THREADS says otherwise, so
+    the child starts with no thread left behind.
+    """
+    if not os.path.exists("/proc/self/statm"):
+        return None
+    import resource
+
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: its resident size now, its high-water mark after
+        status = 1
+        try:
+            with open("/proc/self/statm") as statm:
+                start = int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+            call()
+            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+            os.write(write, str((peak - start) / 2**20).encode())
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    with os.fdopen(read) as child:
+        growth = child.read()
+    if os.waitpid(pid, 0)[1]:
+        raise RuntimeError("the forked kernel call failed")
+    return float(growth)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seconds", type=float, default=1.0, help="timing per case")
+    parser.add_argument("--case", action="append", metavar="NAME",
+                        choices=[name for name, _, _ in CASES + NAMED_ONLY],
+                        help="run this case (repeatable); default: all but n=1000000")
     args = parser.parse_args(argv)
-    for name, n, moved in CASES:
-        X, y = campaign_line(n, moved)
+    cases = {name: (n, moved) for name, n, moved in CASES + NAMED_ONLY}
+    for name in args.case or [name for name, _, _ in CASES]:
+        X, y = campaign_line(*cases[name])
         beta, pairs, passes, draws = counted_line(X, y)
         times, stop = [], time.perf_counter() + args.seconds
         while len(times) < 3 or time.perf_counter() < stop:
@@ -88,10 +141,12 @@ def main(argv=None):
         _theilsen_line(X, y, 1, 0)
         peak = tracemalloc.get_traced_memory()[1] / 2**20
         tracemalloc.stop()
+        rss = rss_growth_mb(lambda: _theilsen_line(X, y, 1, 0))
         q1, _, q3 = statistics.quantiles(times, n=4)
         print(f"{name:<19s} median {1e3 * statistics.median(times):9.3f} ms"
               f"  (q1 {1e3 * q1:.3f}, q3 {1e3 * q3:.3f}, {len(times)} runs)"
-              f"  peak {peak:6.2f} MB  pairs {pairs}  slope {float(beta[0])!r}"
+              f"  peak {peak:6.2f} MB  rss +{'-' if rss is None else f'{rss:.1f}'} MB"
+              f"  pairs {pairs}  slope {float(beta[0])!r}"
               f"  passes {passes}  draws {'/'.join(map(str, draws)) or '-'}")
 
 

@@ -31,16 +31,15 @@ solves and scores all its folds, kinds and candidates in one pass.
 Theil-Sen fits lines only: a two-column [x, constant] design.  The exact
 line selects its median slope without building all n(n-1)/2 slopes: the
 slopes below t are the inversions of ``y - t*x`` in x order (Matousek 1991;
-Dillencourt, Mount & Netanyahu 1992).  At most ``PAIR_BUDGET`` slopes exist
-at a time; the closest pairs are placed by their slopes and a rounding guard
+Dillencourt, Mount & Netanyahu 1992).  A round holds at most 16n slopes at
+a time; the closest pairs are placed by their slopes and a rounding guard
 for one cutoff gap covers the rest, so the result is ``np.median``'s to the
-bit.  Rounds after the first draw just enough pairs to aim the next interval
-at ``PAIR_BUDGET``/4.  Each selection is one single-kth ``np.partition`` per
-rank: numpy selects one kth 5-9 times faster than several.  RANSAC's subset
-draws and consensus scoring run in row blocks of ``ROW_BLOCK`` numbers, with
-the same draws and the same first largest consensus as one pass.  2^16 (512
-KB) stays in cache: one pass built 1000 x n temporaries (1.6 MB at n = 200)
-whose pages faulted in afresh on every call, and cost a third of its time.
+bit.  Each selection is one single-kth ``np.partition`` per rank: numpy
+selects one kth 5-9 times faster than several.  RANSAC's subset draws and
+consensus scoring run in row blocks of ``ROW_BLOCK`` numbers, with the same
+draws and the same first largest consensus as one pass.  2^16 (512 KB) stays
+in cache: one pass built 1000 x n temporaries (1.6 MB at n = 200) whose
+pages faulted in afresh on every call, and cost a third of its time.
 
 Fits solve on one OpenBLAS thread unless the user sets
 ``OPENBLAS_NUM_THREADS``, by the rule that importing the package applies
@@ -102,8 +101,8 @@ RANK_RTOL = 1e-10
 #: default search grid for penalty tuning: 0 plus 21 log-spaced points
 DEFAULT_PENALTY_GRID = (0.0,) + tuple(np.logspace(-4.0, 0.0, 21))
 
-#: the most pairwise slopes the exact Theil-Sen line builds at one time: up to
-#: this many pairs are listed whole, more are drawn from or streamed in blocks
+#: the most pairwise slopes the exact Theil-Sen line lists whole: more are
+#: drawn from, PAIR_BUDGET/8 or more at a time, or streamed in blocks
 PAIR_BUDGET = 1 << 16
 #: rounding guard of a slope bound, eps * (max|y| + |t| max|x| + 1) / cutoff gap
 SLOPE_GUARD = 16.0
@@ -593,47 +592,46 @@ def _level_order(seq, b):
 def _inversions(seq):
     """Count the strict inversions of ``seq``, a permutation of range(n), and rank them.
 
-    Level b holds the pairs that first differ in bit b: after a stable sort
-    on the higher bits, each 0 bit after a 1 of its group is one inversion.
-    The k-th 0 bit of level b, at position p of group g = p >> (b+1), follows
-    p - k - g 2^b 1 bits of its group, as each group before g holds 2^b 0 bits
-    (see ``_inversion_count``).  Also returns
-    ``pairs``: inversion ranks (sorted, or ``slice(None)`` for all in order)
-    -> (earlier, later) positions.  Its O(n log n) index arrays live as long
-    as ``pairs``: ``_inversion_count`` only counts, in O(n).
+    Level b holds the pairs that first differ in bit b.  Ordered stably by
+    seq >> (b+1), group g holds positions [g, g+1) * 2^(b+1) and each 0 bit
+    after a 1 of its group is one inversion; ordered by seq >> b, it lists its
+    0 bits, then its 1 bits (where bit b of the position is set).  Levels in a
+    row, the z-th 0 bit's place in the first order less z counts the 1 bits
+    before it; less its place in the second, those of its group.  ``pairs``
+    maps inversion ranks (sorted, or ``slice(None)`` for all in order) to
+    (earlier, later) intp positions, from 10 n log2(n) bytes.
     """
-    n = seq.size
-    levels = np.arange(max(n - 1, 1).bit_length(), dtype=np.int32)
-    seq = seq.astype(np.int32)
-    order = np.concatenate([_level_order(seq, b) for b in levels])
-    bit = (seq[order] >> np.repeat(levels, n)) & 1
-    zero_at, one_at = np.flatnonzero(bit == 0), np.flatnonzero(bit)  # levels in a row
-    b, p = np.divmod(zero_at, n)
-    k = np.arange(zero_at.size) - np.searchsorted(zero_at, levels * n)[b]
-    weight = p - k - (p >> (b + 1) << b)
-    cum = np.cumsum(weight)
+    n, top = seq.size, max(seq.size - 1, 1).bit_length()
+    bits = 1 << np.arange(top, dtype=np.int32)[:, None]
+    seq, order = seq.astype(np.int32), np.empty((top, n), np.int32)
+    first = np.empty_like(order)  # row b: seq by seq >> (b+1); order[b]: by seq >> b
+    order[0, seq], first[-1] = np.arange(n), seq
+    for b in range(1, top):
+        order[b] = at = _level_order(seq, b - 1)
+        first[b - 1] = seq[at]
+    first = np.flatnonzero(np.bitwise_and(first, bits, out=first) == 0)  # the 0 bits
+    high = (np.arange(n, dtype=np.int32) & bits != 0).ravel()  # the second's 1 bits
+    zeros, ones = np.compress(~high, order), np.compress(high, order)
+    del order
+    cum = np.flatnonzero(~high)  # w: each 0 bit's place in the first order less this
+    np.cumsum(np.subtract(first, cum, out=cum), out=cum)
+    group = np.subtract(first, np.arange(first.size, dtype=np.int32), dtype=np.int32)
 
     def pairs(ranks):
-        if isinstance(ranks, slice):  # zero z holds the ranks below cum[z]
-            z, ranks = np.repeat(np.arange(weight.size), weight), np.arange(cum[-1])
+        if isinstance(ranks, slice):  # rank r: the 0 bits whose cum is at most r
+            z = np.cumsum(np.bincount(cum, minlength=cum[-1] + 1)[:-1])
+            ranks = np.arange(cum[-1])
         else:
             z = np.searchsorted(cum, ranks, side="right")
-        # zero_at[z] - z 1 bits come before zero z, its group's last just before it
-        first = one_at[zero_at[z] - z + ranks - cum[z]]
-        return order[first], order[zero_at[z]]
+        return ones[group[z] + ranks - cum[z]].astype(np.intp), zeros[z].astype(np.intp)
 
     return int(cum[-1]), pairs
 
 
 def _inversion_count(seq):
-    """The count of ``_inversions``, one level at a time in O(n) memory.
-
-    After level b's stable sort, the block [g, g+1) * 2^(b+1) of positions
-    holds exactly group g's values, as ``seq`` is a permutation: z_g =
-    min(2^b, n - g 2^(b+1)) of them have bit b 0.  The k-th of those 0 bits,
-    at position p_k, follows p_k - g 2^(b+1) - k 1 bits of its group, so the
-    level counts sum(p_k) - sum_g (z_g g 2^(b+1) + z_g (z_g - 1) / 2).
-    """
+    """The count of ``_inversions``, a level at a time in O(n) memory: the 0 bits'
+    places in the first order less those in the second, where group g's z_g =
+    min(2^b, n - g 2^(b+1)) 0 bits fill g 2^(b+1) + [0, z_g)."""
     n, total, at = seq.size, 0, np.arange(seq.size)
     seq = seq.astype(np.min_scalar_type(max(n - 1, 0)))  # its keys seldom need a cast
     for b in range(max(n - 1, 1).bit_length()):
@@ -744,20 +742,32 @@ def _middle_slopes(xs, ys, ranks, count, rng):
         ok = inside - ci.size + kept.sum() == hi[2] - lo[2]
         return first, inside + extra.size, slopes, ok
 
-    def pair_draws():  # 16n random row pairs, less those of equal x
-        i, j = rng.integers(0, n, (2, 16 * n))
+    def pair_draws(m):  # m random row pairs, less those of equal x
+        i, j = rng.integers(0, n, (2, m))
         keep = xs[i] != xs[j]
         return _slopes(xs, ys, i[keep], j[keep])
+
+    def pivots(slopes, total):  # slopes of ``total`` draws just below and above ranks
+        cuts = np.arange(max(1, total // (PAIR_BUDGET // 8)) + 1)
+        cuts = (size if slopes else total) * cuts // cuts[-1]
+        take = rng.multinomial(total, np.diff(cuts) / size) if slopes else np.diff(cuts)
+        s, m = np.empty(total), 0
+        for a, b, k in zip(cuts, cuts[1:], take):  # a block: ranks in [a, b), sorted
+            v = slopes(np.sort(rng.integers(a, b, k))) if slopes else pair_draws(k)
+            s[m:m + v.size], m = v, m + v.size
+        at = (np.subtract(ranks, first) / size + np.array([-2, 2]) / math.sqrt(m)) * m
+        k_lo, k_hi = np.clip(at.astype(int), 0, m - 1)
+        s[:m].partition(k_lo)  # in place, one kth at a time
+        t_lo = s[k_lo]
+        s[k_lo:m].partition(k_hi - k_lo)
+        return t_lo, s[k_hi]
 
     lo, hi = bound(-math.inf), bound(math.inf)
     rounds = count > PAIR_BUDGET and 2.0 * tol * xmax < 1.0  # else bounds prove nothing
     first, size, slopes, ok = (0, count, None, True) if rounds else interval(lo, hi)
     while rounds and size > PAIR_BUDGET:
         draws = min(16 * n, max(1024, (16 * size) ** 2 // PAIR_BUDGET**2))
-        s = slopes(np.sort(rng.integers(0, size, draws))) if slopes else pair_draws()
-        at = np.subtract(ranks, first) / size
-        at = (at + np.array([-2, 2]) / math.sqrt(s.size)) * s.size
-        t_lo, t_hi = _kth(s, np.clip(at.astype(int), 0, s.size - 1))
+        (t_lo, t_hi), slopes = pivots(slopes, draws if slopes else 16 * n), None
         new_lo, new_hi = bound(t_lo - guard(t_lo)), bound(t_hi + guard(t_hi))
         below = [b[2] + np.count_nonzero(close < b[0]) for b in (new_lo, new_hi)]
         lo = new_lo if lo[0] < new_lo[0] and below[0] <= ranks[0] else lo
@@ -781,11 +791,11 @@ def _theilsen_line(X, Y, const_col, var_col):
     """Exact pairwise-median line fit for the two-column case.
 
     The slope is ``np.median`` of every pair's ``(Y[i] - Y[j]) / (x[i] - x[j])``
-    (pairs sharing an abscissa give none), bit for bit, in O(n log n +
-    ``PAIR_BUDGET``) memory: one broadcast difference of the sorted rows if
-    all n(n-1)/2 pairs fit the budget, else ``_middle_slopes``.  Its pivots
-    come from the fixed stream ``substream(0, "theilsen", "pivots")``: any
-    draws give the same slope.  Selections are single-kth.
+    (pairs sharing an abscissa give none), bit for bit, in about 16n floats and
+    10 n log2(n) bytes: one broadcast difference of the sorted rows if all n(n-1)/2
+    pairs fit the budget, else ``_middle_slopes``.  Its pivots come from the
+    fixed stream ``substream(0, "theilsen", "pivots")``: any draws give the
+    same slope.  Selections are single-kth.
     """
     x = X[:, var_col]
     n = x.shape[0]
@@ -817,7 +827,7 @@ def fit_theilsen(X, Y) -> FitDiagnostics:
     distinct x are counted; the mask is ``mad_inliers`` at RESIDUAL_MULTIPLIER.
     Any other design raises ConfigError; a line that is not finite, NumericError.
     """
-    X, Y, _ = _as_system(X, Y)
+    X, Y = _as_system(X, Y)[:2]
     n, p = X.shape
     if n <= p:
         raise DegenerateDataError(

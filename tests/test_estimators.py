@@ -462,11 +462,13 @@ PIVOT_LINES = {
 }
 
 
-# at 3,000 rows every family takes two rounds of draws
+# at 3,000 rows every family takes two rounds of draws; 363 rows are the first
+# past listing every pair, and 1,025 and 4,097 add a level of bits to rank by
+# and draw 16n = 16,400 and 65,552 row pairs, in blocks of 8,200 and 8,194
 @pytest.mark.parametrize(
     "family, n",
     [(family, n) for family in LINE_FAMILIES
-     for n in (3, 40, 362, 363, 700, 2000, 3000)]
+     for n in (3, 40, 362, 363, 700, 1025, 2000, 3000, 4097)]
     + [pytest.param(name, None, id=f"pivots-{name}") for name in PIVOT_LINES],
 )
 def test_selected_line_equals_the_pairwise_median(family, n):
@@ -475,6 +477,18 @@ def test_selected_line_equals_the_pairwise_median(family, n):
     slope, intercept, pairs = pairwise_median_line(x, y)
     assert fit.coefficients[0] == slope
     assert fit.coefficients[1] == intercept
+    assert fit.iterations_used == pairs
+
+
+@pytest.mark.parametrize("family", LINE_FAMILIES)
+def test_rounds_of_many_blocks_keep_the_pairwise_median(family, monkeypatch):
+    # a 2,048-pair budget cuts 1,500 rows' rounds into blocks of 256 or more:
+    # round two's 24,000 ranks come in 93 blocks of one rank range each
+    monkeypatch.setattr(estimators, "PAIR_BUDGET", 2048)
+    x, y = line_data(family, 1500, seed=15)
+    fit = fit_line(x, y)
+    slope, intercept, pairs = pairwise_median_line(x, y)
+    assert fit.coefficients.tolist() == [slope, intercept]
     assert fit.iterations_used == pairs
 
 
@@ -614,20 +628,37 @@ def test_line_of_25k_rows_fits_in_bounded_memory():
     assert fit.iterations_used == n * (n - 1) // 2
 
 
+@pytest.mark.parametrize("n", [8_000, 25_000])
+def test_line_needs_a_few_hundred_bytes_a_row(n):
+    # a round's 16n drawn slopes (128 bytes a row) and the 10 log2(n) bytes a
+    # row that rank an interval's pairs peak at 321 and 357 bytes a row
+    x, y = contaminated_campaign(n, seed=3)
+    fit, peak = peak_mb(lambda: fit_line(x, y))
+    assert peak * 2**20 / n <= 400.0
+    assert fit.iterations_used == n * (n - 1) // 2
+
+
 def test_later_rounds_draw_only_what_the_budget_needs(monkeypatch):
     # round two draws enough ranks to aim its interval at PAIR_BUDGET/4, not 16n
     n = 8_000
     passes, inversions = [], estimators._inversions
     monkeypatch.setattr(estimators, "_inversions",
                         lambda seq: passes.append(seq.size) or inversions(seq))
-    draws = []
+    rounds = []  # per round: the top of its range and the sizes it draws
 
-    class Pivots:  # the pivot stream, recording each draw's (range, size)
+    class Pivots:  # the pivot stream, summing what each round draws, block by block
         def __init__(self, rng):
             self.rng = rng
 
+        def multinomial(self, total, pvals):  # a later round: its blocks follow
+            rounds.append([0, 0])
+            return self.rng.multinomial(total, pvals)
+
         def integers(self, low, high, size):
-            draws.append((high, size))
+            if not rounds:  # round one: row pairs
+                rounds.append([0, 0])
+            rounds[-1][0] = max(rounds[-1][0], high)
+            rounds[-1][1] += size[1] if isinstance(size, tuple) else size
             return self.rng.integers(low, high, size)
 
     monkeypatch.setattr(estimators, "substream",
@@ -635,8 +666,8 @@ def test_later_rounds_draw_only_what_the_budget_needs(monkeypatch):
     x, y = contaminated_campaign(n, seed=3)
     fit = fit_line(x, y)
     assert len(passes) == 2  # two interval passes
-    (_, first), (size, second) = draws  # round one: 16n row pairs
-    assert first == (2, 16 * n)
+    (rows, first), (size, second) = rounds  # round one: 16n row pairs
+    assert rows == n and first == 16 * n
     assert second == (16 * size) ** 2 // estimators.PAIR_BUDGET**2 <= 2 * n
     slope, intercept, pairs = pairwise_median_line(x, y)
     assert fit.coefficients.tolist() == [slope, intercept]
