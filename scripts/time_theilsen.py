@@ -11,7 +11,10 @@ distances in 10..500 m, slope 2, 6 dB noise, a fifth of the rows raised by
 ``one-ulp`` lines have one abscissa moved one ulp away from another, and
 ``close-pairs`` 50 abscissae each moved 1-3 ulps away from another: a
 rounding guard sized by the least x gap would make every bound useless;
-the guard per pair counts those pairs by their slopes instead.  For each
+the guard per pair counts those pairs by their slopes instead.  ``ties``
+rounds the distances to whole metres, so that its abscissae take 491
+values: the row sort and the bounds at +-inf take the stable sort that a
+tie calls for, where the others keep numpy's default one.  For each
 case the kernel (``estimators._theilsen_line``) runs untimed once, then
 repeatedly for ``--seconds`` (at least three times); the line printed holds
 the median and the spread of those times, the tracemalloc peak of one
@@ -35,19 +38,21 @@ import numpy as np
 from pathfuse import estimators
 from pathfuse.estimators import _theilsen_line
 
-#: (name, rows, abscissae moved a few ulps away from another)
-CASES = (("n=150", 150, 0), ("n=200", 200, 0), ("n=1080", 1080, 0),
-         ("n=8000", 8000, 0), ("one-ulp n=8000", 8000, 1),
-         ("one-ulp n=16000", 16000, 1), ("close-pairs n=8000", 8000, 50),
-         ("n=100000", 100000, 0))
+#: (name, rows, abscissae moved a few ulps away from another, whole metres)
+CASES = (("n=150", 150, 0, False), ("n=200", 200, 0, False),
+         ("n=1080", 1080, 0, False), ("n=8000", 8000, 0, False),
+         ("one-ulp n=8000", 8000, 1, False), ("one-ulp n=16000", 16000, 1, False),
+         ("close-pairs n=8000", 8000, 50, False), ("ties n=8000", 8000, 0, True),
+         ("n=100000", 100000, 0, False))
 #: cases that run only when named by ``--case``
-NAMED_ONLY = (("n=1000000", 1000000, 0),)
+NAMED_ONLY = (("n=1000000", 1000000, 0, False),)
 SEED = 3
 
 
-def campaign_line(n, moved):
+def campaign_line(n, moved, whole_metres):
     rng = np.random.default_rng(SEED)
-    x = 10.0 * np.log10(rng.uniform(10.0, 500.0, n))
+    d = rng.uniform(10.0, 500.0, n)
+    x = 10.0 * np.log10(np.round(d) if whole_metres else d)
     y = 2.0 * x + 30.0 + rng.normal(0.0, 6.0, n)
     hit = rng.random(n) < 0.2
     y[hit] += rng.uniform(20.0, 55.0, hit.sum())
@@ -125,11 +130,11 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seconds", type=float, default=1.0, help="timing per case")
     parser.add_argument("--case", action="append", metavar="NAME",
-                        choices=[name for name, _, _ in CASES + NAMED_ONLY],
+                        choices=[case[0] for case in CASES + NAMED_ONLY],
                         help="run this case (repeatable); default: all but n=1000000")
     args = parser.parse_args(argv)
-    cases = {name: (n, moved) for name, n, moved in CASES + NAMED_ONLY}
-    for name in args.case or [name for name, _, _ in CASES]:
+    cases = {name: line for name, *line in CASES + NAMED_ONLY}
+    for name in args.case or [case[0] for case in CASES]:
         X, y = campaign_line(*cases[name])
         beta, pairs, passes, draws = counted_line(X, y)
         times, stop = [], time.perf_counter() + args.seconds

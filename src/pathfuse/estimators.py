@@ -580,13 +580,24 @@ def _slopes(x, y, i, j):
         return (y[i] - y[j]) / (x[i] - x[j])  # the slopes whose median Theil-Sen takes
 
 
+def _stable_order(key, tied=None):
+    """``np.argsort(key, kind="stable")``, or ``tied()`` if given: numpy's default
+    sort where the sorted keys strictly increase, as the order is then the only
+    one, else (on any tie, +-0.0 and NaN too) the stable one."""
+    order = np.argsort(key)
+    s = key[order]
+    if (s[1:] > s[:-1]).all():
+        return order
+    return tied() if tied else np.argsort(key, kind="stable")
+
+
 def _level_order(seq, b):
     """The stable order of ``seq``, a permutation of range(n), by its bits above
-    b: numpy radix-sorts 16-bit keys, so they are the keys wherever they fit."""
+    b: numpy radix-sorts keys of up to 16 bits a byte a pass, so each key takes
+    the least unsigned type that holds the largest."""
     key = seq >> (b + 1)
-    if (seq.size - 1) >> (b + 1) < 1 << 16:
-        key = key.astype(np.uint16, copy=False)
-    return np.argsort(key, kind="stable")
+    top = np.min_scalar_type((seq.size - 1) >> (b + 1))
+    return np.argsort(key.astype(top, copy=False), kind="stable")
 
 
 def _inversions(seq):
@@ -717,9 +728,9 @@ def _middle_slopes(xs, ys, ranks, count, rng):
     def guard(t):
         return tol * (ymax + abs(t) * xmax + 1.0)
 
-    def bound(t):  # (t, order of ys - t*xs, far pairs ordered, close ones ordered)
+    def bound(t):  # (t, stable order of ys - t*xs, far pairs ordered, close ones too)
         key = ys - t * xs if math.isfinite(t) else -np.sign(t) * xs  # exact at +-inf
-        order, ordered = np.argsort(key, kind="stable"), key[cj] < key[ci]
+        order, ordered = _stable_order(key), key[cj] < key[ci]
         far = _inversion_count(order) if math.isfinite(t) else count * (t > 0)
         return t, order, far - int(ordered.sum()), ordered
 
@@ -792,21 +803,22 @@ def _theilsen_line(X, Y, const_col, var_col):
 
     The slope is ``np.median`` of every pair's ``(Y[i] - Y[j]) / (x[i] - x[j])``
     (pairs sharing an abscissa give none), bit for bit, in about 16n floats and
-    10 n log2(n) bytes: one broadcast difference of the sorted rows if all n(n-1)/2
-    pairs fit the budget, else ``_middle_slopes``.  Its pivots come from the
-    fixed stream ``substream(0, "theilsen", "pivots")``: any draws give the
-    same slope.  Selections are single-kth.
+    10 n log2(n) bytes: one broadcast difference of the rows by x (any order
+    gives these slopes) if all n(n-1)/2 pairs fit the budget, else ``_middle_slopes``
+    of the rows by (x, Y), pivots from ``substream(0, "theilsen", "pivots")``
+    (any draws give the same slope).  Selections are single-kth.
     """
     x = X[:, var_col]
     n = x.shape[0]
-    order = np.lexsort((Y, x))
+    every = n * (n - 1) // 2 <= PAIR_BUDGET  # all slopes at once: x ties in any order
+    order = np.argsort(x) if every else _stable_order(x, lambda: np.lexsort((Y, x)))
     xs, ys = x[order], Y[order]
     ties = np.diff(np.flatnonzero(np.diff(xs, prepend=-np.inf, append=np.inf)))
     count = (n * n - int(ties @ ties)) // 2  # the pairs of distinct x
     if count == 0:
         raise DegenerateDataError("all sample pairs share the same abscissa")
     ranks = [(count - 1) // 2, count // 2]
-    if n * (n - 1) // 2 <= PAIR_BUDGET:
+    if every:
         dx = xs - xs[:, None]
         wide = dx > 0.0
         with np.errstate(over="ignore"):  # as in ``_slopes``: +-inf still sorts

@@ -16,6 +16,7 @@ import json
 import math
 import operator
 import os
+import re
 import sys
 from functools import partial
 
@@ -75,23 +76,24 @@ def load_samples(path):
 
 
 def _load_canonical(path):
-    """The batch of a canonical samples CSV, or None.  ``np.loadtxt`` parses
-    each float with ``float``'s own parser (it refuses some that ``float``
-    takes, as ``1_0``), refuses a row of other than four fields and skips
-    empty lines as ``csv`` does; each id is stripped."""
+    """The batch of a canonical samples CSV, or None.  Once its text passes,
+    ``np.loadtxt`` reads the file: ``float``'s parser for each float (yet it refuses
+    ``1_0``), four fields a row, empty lines skipped as by ``csv``; ids stripped."""
     try:
         with open(path, newline="") as fh:
-            head, _, body = fh.read().replace("\r\n", "\n").partition("\n")
-        if (head != ",".join(_SAMPLE_FIELDS) or not body.strip()
-                or any(c in body for c in '"\r')):
+            text = fh.read()
+        if (not re.match(",".join(_SAMPLE_FIELDS) + r"\r?\n\s*\S", text)  # and a row
+                or '"' in text or re.search("\r(?!\n)", text)):  # a quote, a lone CR
             return None
-        rows = np.loadtxt(body.split("\n"), dtype=_CANONICAL_ROW, delimiter=",",
-                          comments=None, ndmin=1)
-        ids = [source.strip() for source in rows["source_id"].tolist()]
+        del text  # loadtxt reads in universal newline mode, where CRLF ends a line
+        rows = np.loadtxt(path, dtype=_CANONICAL_ROW, delimiter=",", comments=None,
+                          skiprows=1, ndmin=1)
+        at = {}  # each stripped id's place in first-seen order
+        first = [at.setdefault(s.strip(), len(at)) for s in rows["source_id"].tolist()]
+        names, rank = np.unique(list(at), return_inverse=True)  # the distinct ids
         columns = (rows[name].copy() for name in _SAMPLE_FIELDS[:3])
-        codes = np.unique(ids, return_inverse=True)
-        return SampleBatch(*columns, *codes) if all(ids) else None
-    except (OSError, ValueError):  # InvalidSampleError too
+        return SampleBatch(*columns, names, rank[first]) if "" not in at else None
+    except (OSError, ValueError):  # InvalidSampleError and UnicodeDecodeError too
         return None
 
 
@@ -127,7 +129,7 @@ def _load_rows(path):
                         f"{path}:{reader.line_num}: bad sample row: {exc}"
                     ) from exc
                 lines.append(reader.line_num)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read samples {path}: {exc}") from exc
     if not d:
         raise DataError(f"{path} contains no samples")
@@ -334,8 +336,7 @@ class SourceModel:
 
     def predict(self, d, f=None):
         """Path loss (dB) at distance d and frequency f (default: its own)."""
-        if f is None:
-            f = self.frequency
+        f = self.frequency if f is None else f
         return predict_abg(self.alpha, self.beta, self.gamma, d, f)
 
 
@@ -363,8 +364,7 @@ _SOURCE_LEAVES = {name: leaf for name, (_, _, leaf) in _SOURCE_FIELDS.items()}
 def load_registry(path=None):
     """Source models from a registry CSV (the data directory's by default);
     a bad row raises DataError at ``path:line``."""
-    if path is None:
-        path = data_path(_REGISTRY_FILE)
+    path = data_path(_REGISTRY_FILE) if path is None else path
     models = []
     try:
         with open(path, newline="") as fh:
@@ -381,7 +381,7 @@ def load_registry(path=None):
                     raise DataError(
                         f"{path}:{reader.line_num}: bad registry row: {exc}"
                     ) from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read registry {path}: {exc}") from exc
     if not models:
         raise DataError(f"registry {path} contains no models")

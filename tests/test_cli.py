@@ -73,6 +73,22 @@ def test_synth_short_registry_row_is_a_data_error(tmp_path, capsys):
     assert f"{registry}:3: bad registry row: no 'scenario' cell" in err
 
 
+#: Latin-1 bytes that UTF-8 cannot decode (the tests run in a UTF-8 locale, or in
+#: Python's UTF-8 mode)
+UNDECODABLE = "m\u00fcnchen".encode("latin-1")
+
+
+def test_synth_undecodable_registry_is_a_data_error(tmp_path, capsys):
+    bundled = Path(pathfuse.__file__).with_name("data") / "table1_nlos.csv"
+    registry = tmp_path / "registry.csv"
+    registry.write_bytes(bundled.read_bytes() + UNDECODABLE + b",NLOS\n")
+    rc, out, err = run(capsys, "synth", "--registry", str(registry),
+                       "--out", str(tmp_path / "x.csv"))
+    assert rc == 3
+    assert out == ""
+    assert f"error: cannot read registry {registry}: 'utf-8' codec can't decode" in err
+
+
 def test_synth_overflowing_registry_cell_is_a_data_error(tmp_path, capsys):
     # float("1e309") is inf: the row is refused, not drawn from
     bundled = Path(pathfuse.__file__).with_name("data") / "table1_nlos.csv"
@@ -155,6 +171,16 @@ def test_fit_with_too_few_samples_is_a_numeric_error(tmp_path, capsys):
 def test_fit_missing_samples_file_is_a_data_error(tmp_path, capsys):
     rc, _, err = run(capsys, "fit", "--samples", str(tmp_path / "nope.csv"))
     assert rc == 3
+
+
+def test_fit_undecodable_samples_file_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "samples.csv"
+    path.write_bytes(b"distance_m,freq_ghz,path_loss_db,source_id\n"
+                     b"50,28,100," + UNDECODABLE + b"\n")
+    rc, out, err = run(capsys, "fit", "--samples", str(path))
+    assert rc == 3
+    assert out == ""
+    assert f"error: cannot read samples {path}: 'utf-8' codec can't decode" in err
 
 
 def write_huge_corpus(path):

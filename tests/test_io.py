@@ -7,6 +7,7 @@ import csv
 import dataclasses
 import json
 import os
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -197,7 +198,9 @@ LINE_CHANGES = {"blank line": "", "whitespace line": " \t", "form feed line": "\
 @settings(max_examples=150, deadline=None)
 @given(values=st.lists(st.tuples(st.floats(1e-3, 1e4), st.floats(0.5, 100.0),
                                  st.floats(-50.0, 250.0),
-                                 st.sampled_from(["a", "b-28ghz", " c d "])),
+                                 # " a " is "a" once stripped
+                                 st.sampled_from(["a", "b-28ghz", " c d ", " a ",
+                                                  "münchen-28ghz"])),
                        min_size=1, max_size=6),
        change=st.sampled_from([None, *ROW_CHANGES, *LINE_CHANGES]),
        at=st.integers(0, 100), every_row=st.booleans(),
@@ -237,6 +240,24 @@ def test_a_saved_file_takes_the_c_path(tmp_path):
     assert fast is not None
     assert _outcome(lambda path: fast, None) == _outcome(pio._load_rows,
                                                          tmp_path / "samples.csv")
+
+
+def test_a_saved_file_loads_in_bounded_memory(tmp_path):
+    # the C path reads the file itself: no copy of its text, no list of its
+    # lines, no fixed-width id field
+    rows = 8000
+    corpus = synthesize_corpus([make_model()], SynthesisSpec(points_per_model=rows),
+                               substream(5, "io"))
+    path = tmp_path / "samples.csv"
+    save_samples(corpus, path)
+    assert pio._load_canonical(path) is not None
+    tracemalloc.start()
+    try:
+        load_samples(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 250 * rows
 
 
 # ---------------------------------------------------------------------------

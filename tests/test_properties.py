@@ -256,15 +256,52 @@ def test_inversion_routines_at_level_boundaries(n):
 
 @pytest.mark.parametrize("n", [1 << 16, (1 << 16) + 1, 1 << 17, (1 << 17) + 1])
 def test_inversion_count_around_its_key_width(n):
-    # a level sorts 16-bit keys while its higher bits fit them: every level
-    # up to 2^17 values, all but the lowest just past it.  Past 2^16 values
-    # the count's own copy of seq is wider than its keys.  Reversed, every
-    # pair is inverted
+    # a level's keys take the least unsigned type that holds them: 16 bits or
+    # fewer at every level up to 2^17 values, all but the lowest just past it.
+    # Past 2^16 values the count's own copy of seq is wider than its keys.
+    # Reversed, every pair is inverted
     for count in (estimators._inversion_count, lambda s: estimators._inversions(s)[0]):
         assert count(np.arange(n)[::-1].copy()) == n * (n - 1) // 2
         seq = np.arange(n)
         seq[[0, -1]] = seq[[-1, 0]]  # one swap of the ends: 2(n-2) + 1 inversions
         assert count(seq) == 2 * (n - 2) + 1
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 1 << 16, (1 << 16) + 1, (1 << 17) + 1])
+def test_level_order_is_the_stable_order_of_the_wide_key(n):
+    # one byte, two bytes or four hold a level's keys, at either end of each
+    seq = np.random.default_rng(n).permutation(n)
+    for narrow in (seq.astype(np.int32), seq.astype(np.min_scalar_type(n - 1))):
+        for b in range((n - 1).bit_length()):
+            expected = np.argsort(seq.astype(np.int64) >> (b + 1), kind="stable")
+            assert np.array_equal(estimators._level_order(narrow, b), expected)
+
+
+# keys with ties: both zeros, the infinities, nan (sorted last) and repeats
+tie_keys = st.sampled_from([-np.inf, -2.5, -0.0, 0.0, 1.0, np.inf, np.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=st.lists(tie_keys | st.floats(), max_size=300)
+       | st.lists(st.floats(allow_nan=False), max_size=300, unique=True),
+       copies=st.integers(0, 3))
+def test_the_tie_checked_sort_is_the_stable_sort(keys, copies):
+    key = np.array(keys + keys[:copies], dtype=float)
+    assert np.array_equal(estimators._stable_order(key), np.argsort(key, kind="stable"))
+    # as the row sort uses it: by x, ties by y
+    y = np.random.default_rng(key.size).integers(0, 3, key.size).astype(float)
+    rows = estimators._stable_order(key, lambda: np.lexsort((y, key)))
+    assert np.array_equal(rows, np.lexsort((y, key)))
+
+
+def test_the_tie_checked_sort_falls_back_on_a_tie_only():
+    key = np.random.default_rng(8000).normal(size=8000)
+    fast = estimators._stable_order(key, lambda: None)
+    assert np.array_equal(fast, np.argsort(key, kind="stable"))
+    for ties in ({4000: key[17]}, {4000: np.nan}, {17: -0.0, 4000: 0.0}):
+        tied = key.copy()
+        tied[list(ties)] = list(ties.values())
+        assert estimators._stable_order(tied, lambda: None) is None
 
 
 #: every 2^k - 1, 2^k and 2^k + 1 up to 2,049, and 24 sizes drawn from 1-2,100
