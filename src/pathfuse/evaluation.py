@@ -36,9 +36,9 @@ one data directory: ``PATHFUSE_DATA_DIR`` if set, else the bundled data.
 :mod:`pathfuse.io` checks every field of the targets and that every cell of
 ``SCENARIO_BANDS`` has an integration row, so the reduces and rules check none.
 
-Protocol constants that are calibration targets (ambient scattering scale,
-outlier magnitudes, the robust filter multiplier) are module constants here
-or in :mod:`pathfuse.synthesis`; ``scripts/calibrate.py`` reproduces them.
+The protocol constants that are calibrated (the ambient scattering scale, the
+blocker offsets, the robust filter multiplier and inlier threshold) are module
+names here; ``scripts/calibrate.py`` sweeps each one through its study.
 """
 
 from __future__ import annotations
@@ -81,6 +81,7 @@ from .models import build_design_system, coefficient_names, design_matrix
 from .pipeline import PipelineConfig, fit_pathloss_model
 from .seeding import substream
 from .synthesis import (
+    DEFAULT_OUTLIER_MAGNITUDE_DB,
     OutlierSpec,
     SynthesisSpec,
     add_scattering_noise,
@@ -382,7 +383,7 @@ _PENALIZED_METHODS = {
 }
 
 
-def _robust_method_sigma(method, X, Y, seed, *, reject=True, lam=None):
+def _robust_method_sigma(method, X, Y, seed, *, reject, lam):
     """Fit one method; return its sigma over its evaluation set.
 
     The plain fit and the shrinkage fits, at their tuned ``lam``, are scored
@@ -407,13 +408,11 @@ def _robust_method_sigma(method, X, Y, seed, *, reject=True, lam=None):
         coef = fit.coefficients
         if reject:
             keep = fit.inlier_mask
-    elif method == "theil-sen":
+    else:  # theil-sen: ROBUST_METHODS names no other
         coef = fit_theilsen(X, Y).coefficients
         if reject:
             keep = mad_inliers(Y - X @ coef, ROBUST_STUDY_FILTER_MULTIPLIER)
             coef = solve_wls(X[keep], Y[keep])
-    else:
-        raise ConfigError(f"unknown robust-study method {method!r}")
     return weighted_rms(Y[keep] - X[keep] @ coef)
 
 
@@ -426,8 +425,8 @@ def _robust_task(task):
     corpus = synthesize_from_model(model, synth, rng)
     corpus = add_scattering_noise(corpus, ROBUST_STUDY_AMBIENT_SCALE, STUDY_RHO,
                                   substream(seed, "robust", "ambient", t))
-    outliers = OutlierSpec(rho=STUDY_RHO, band_width=ROBUST_STUDY_BAND_WIDTH_M,
-                           contamination_fraction=STUDY_CONTAMINATION)
+    outliers = OutlierSpec(STUDY_RHO, ROBUST_STUDY_BAND_WIDTH_M, STUDY_CONTAMINATION,
+                           DEFAULT_OUTLIER_MAGNITUDE_DB)
     contaminated, _ = inject_outliers(corpus, outliers,
                                       substream(seed, "robust", "inject", t))
     outcome = {}

@@ -66,13 +66,11 @@ def load_samples(path):
 
     A ``source_id`` must not be blank.  An optional ``weight`` column is
     accepted only with the value 1 (or empty): no fit reads per-sample weights.
-    A file as ``save_samples`` writes it (that header, four fields a row, no
-    quote or lone CR) is parsed in C by ``np.loadtxt``; any other file, or one
-    that the C path refuses, is read by ``_load_rows``, the reference: every
-    file gives the reference's columns and ids, or its DataError.
+    A file as ``save_samples`` writes it (that header, four fields a row, no quote)
+    is parsed in C by ``np.loadtxt``, the rest by ``_load_rows``, the reference:
+    every file gives the reference's columns and ids, or its DataError.
     """
-    batch = _load_canonical(path)
-    return _load_rows(path) if batch is None else batch
+    return _load_canonical(path) or _load_rows(path)
 
 
 def _load_canonical(path):
@@ -82,17 +80,14 @@ def _load_canonical(path):
     try:
         with open(path, newline="") as fh:
             text = fh.read()
-        if (not re.match(",".join(_SAMPLE_FIELDS) + r"\r?\n\s*\S", text)  # and a row
-                or '"' in text or re.search("\r(?!\n)", text)):  # a quote, a lone CR
-            return None
-        del text  # loadtxt reads in universal newline mode, where CRLF ends a line
+        if not re.match(",".join(_SAMPLE_FIELDS) + r"\r?\n\s*\S", text) or '"' in text:
+            return None  # not the header and a row, or a quote
+        del text  # loadtxt reads in universal newline mode: CRLF or a lone CR ends a line
         rows = np.loadtxt(path, dtype=_CANONICAL_ROW, delimiter=",", comments=None,
                           skiprows=1, ndmin=1)
-        at = {}  # each stripped id's place in first-seen order
-        first = [at.setdefault(s.strip(), len(at)) for s in rows["source_id"].tolist()]
-        names, rank = np.unique(list(at), return_inverse=True)  # the distinct ids
+        names, codes = _coded(s.strip() for s in rows["source_id"].tolist())
         columns = (rows[name].copy() for name in _SAMPLE_FIELDS[:3])
-        return SampleBatch(*columns, names, rank[first]) if "" not in at else None
+        return SampleBatch(*columns, names, codes) if "" not in names else None
     except (OSError, ValueError):  # InvalidSampleError and UnicodeDecodeError too
         return None
 
@@ -134,9 +129,17 @@ def _load_rows(path):
     if not d:
         raise DataError(f"{path} contains no samples")
     try:
-        return SampleBatch(d, f, y, *np.unique(ids, return_inverse=True))
+        return SampleBatch(d, f, y, *_coded(ids))
     except InvalidSampleError as exc:
         raise DataError(f"{path}:{lines[exc.row]}: bad sample row: {exc}") from exc
+
+
+def _coded(ids):
+    """``np.unique(ids, return_inverse=True)``, sorting only the distinct ids."""
+    at = {}  # each id's place in first-seen order
+    first = [at.setdefault(s, len(at)) for s in ids]
+    names, rank = np.unique(list(at), return_inverse=True)
+    return names, rank[first]
 
 
 def _write(path, kind, write):

@@ -44,9 +44,9 @@ __all__ = [
 
 DISTANCE_SAMPLINGS = ("UniformDistance", "UniformLogDistance")
 
-#: calibrated so that an OLS refit of a contaminated single-frequency corpus
-#: (20% of a 50 m band hit, rho=0.75) lands near the benchmark sigma; see the
-#: robust-comparison study.  Value pinned by scripts/calibrate.py.
+#: ``OutlierSpec``'s blocker offset, which the Robust study passes to it: calibrated
+#: so that the study's OLS refit of a contaminated corpus (20% of a 50 m band hit,
+#: rho=0.75) lands near the benchmark sigma (``calibrate.py --section magnitude``)
 DEFAULT_OUTLIER_MAGNITUDE_DB = 10.0
 
 

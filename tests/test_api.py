@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 import pathfuse
-from pathfuse.evaluation import ROBUST_STUDY_AMBIENT_SCALE
-
-from conftest import ROBUST_SEED
+from pathfuse import evaluation
+from pathfuse.errors import ConfigError
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(pathfuse.__path__))
 
@@ -163,27 +162,31 @@ def test_numpy_loaded_first_gets_one_blas_thread_from_the_import():
     assert _blas_pool("import numpy\nimport pathfuse.io\n") == 1
 
 
-def test_the_calibration_script_still_builds_its_specs():
-    # scripts/calibrate.py builds SynthesisSpec and OutlierSpec itself; its
-    # two quickest sections run both
-    script = PERFBENCH.parent / "scripts" / "calibrate.py"
+CALIBRATE = PERFBENCH.parent / "scripts" / "calibrate.py"
+
+
+def test_the_calibration_sweeps_print_the_robust_studys_ols_sigmas(robust_result):
+    # scripts/calibrate.py sweeps the ambient scale and the blocker offset
+    # through the Robust study at its pinned seed: at the pinned values, its
+    # rows are the study's own OLS report
     env = {**os.environ, "PYTHONPATH": str(Path(pathfuse.__file__).parent.parent)}
-    done = subprocess.run([sys.executable, str(script), "--section", "ambient",
+    done = subprocess.run([sys.executable, str(CALIBRATE), "--section", "ambient",
                            "--section", "magnitude"], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    ols = next(report for report in robust_result.reports if report.method == "ols")
+    rows = done.stdout.splitlines()
+    assert (f"  scale {evaluation.ROBUST_STUDY_AMBIENT_SCALE:<5} -> clean OLS sigma "
+            f"{ols.sigma_clean_db:.3f}") in rows
+    assert (f"  offset {evaluation.DEFAULT_OUTLIER_MAGNITUDE_DB:<5} -> OLS sigma_with "
+            f"{ols.sigma_db:.3f}") in rows
 
 
-def test_the_calibration_script_draws_the_robust_studys_clean_corpora(robust_result):
-    # scripts/calibrate.py rebuilds the Robust trials' clean corpora with its
-    # own copy of their substream labels: its OLS sigma is the study's, exactly
-    path = PERFBENCH.parent / "scripts" / "calibrate.py"
-    spec = importlib.util.spec_from_file_location("calibrate", path)
+def test_the_calibration_sweep_restores_its_constant_when_the_study_raises():
+    spec = importlib.util.spec_from_file_location("calibrate", CALIBRATE)
     calibrate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(calibrate)
-    assert (calibrate.SEED, calibrate.TRIALS) == (ROBUST_SEED, 10)
-    model = calibrate._study_model()
-    sigma = np.mean([calibrate._ols_sigma(calibrate._clean_corpus(
-        model, ROBUST_STUDY_AMBIENT_SCALE, t)) for t in range(10)])
-    ols = next(report for report in robust_result.reports if report.method == "ols")
-    assert sigma == ols.sigma_clean_db
+    pinned = evaluation.ROBUST_STUDY_AMBIENT_SCALE
+    with pytest.raises(ConfigError, match="scale must be .* got -1.0"):
+        next(calibrate._sweep("ROBUST_STUDY_AMBIENT_SCALE", [-1.0]))
+    assert evaluation.ROBUST_STUDY_AMBIENT_SCALE == pinned

@@ -242,6 +242,21 @@ def test_a_saved_file_takes_the_c_path(tmp_path):
                                                          tmp_path / "samples.csv")
 
 
+def test_lone_crs_take_the_c_path_once_the_header_ends_in_lf(tmp_path):
+    # np.loadtxt, like csv, ends a line at a lone CR: a body that mixes LF and
+    # lone CRs is canonical; a header that ends in a lone CR is not
+    corpus = synthesize_corpus([make_model(), make_model(id="b-28ghz")],
+                               SynthesisSpec(points_per_model=300), substream(6, "io"))
+    save_samples(corpus, tmp_path / "saved.csv")
+    with open(tmp_path / "saved.csv", newline="") as fh:
+        header, *rows = fh.read().split("\r\n")[:-1]
+    mixed = header + "\n" + "".join(row + ("\r", "\n")[i % 2] for i, row in enumerate(rows))
+    for name, text, canonical in (("mixed", mixed, True),
+                                  ("lone-cr", "\r".join([header, *rows, ""]), False)):
+        _check_both_paths_agree(tmp_path / f"{name}.csv", text)
+        assert (pio._load_canonical(tmp_path / f"{name}.csv") is not None) == canonical
+
+
 def test_a_saved_file_loads_in_bounded_memory(tmp_path):
     # the C path reads the file itself: no copy of its text, no list of its
     # lines, no fixed-width id field
