@@ -17,6 +17,8 @@ import pathfuse
 from pathfuse import evaluation
 from pathfuse.errors import ConfigError
 
+from conftest import ROBUST_SEED
+
 MODULES = sorted(m.name for m in pkgutil.iter_modules(pathfuse.__path__))
 
 
@@ -165,10 +167,11 @@ def test_numpy_loaded_first_gets_one_blas_thread_from_the_import():
 CALIBRATE = PERFBENCH.parent / "scripts" / "calibrate.py"
 
 
-def test_the_calibration_sweeps_print_the_robust_studys_ols_sigmas(robust_result):
-    # scripts/calibrate.py sweeps the ambient scale and the blocker offset
-    # through the Robust study at its pinned seed: at the pinned values, its
-    # rows are the study's own OLS report
+def test_the_calibration_script_still_builds_its_specs(robust_result):
+    # scripts/calibrate.py builds an ExperimentSpec per swept value; its two
+    # quickest sections sweep the ambient scale and the blocker offset through
+    # the Robust study, and at the pinned values its rows are the study's own
+    # OLS report
     env = {**os.environ, "PYTHONPATH": str(Path(pathfuse.__file__).parent.parent)}
     done = subprocess.run([sys.executable, str(CALIBRATE), "--section", "ambient",
                            "--section", "magnitude"], env=env, capture_output=True,
@@ -182,10 +185,27 @@ def test_the_calibration_sweeps_print_the_robust_studys_ols_sigmas(robust_result
             f"{ols.sigma_db:.3f}") in rows
 
 
-def test_the_calibration_sweep_restores_its_constant_when_the_study_raises():
+def _calibrate():
     spec = importlib.util.spec_from_file_location("calibrate", CALIBRATE)
     calibrate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(calibrate)
+    return calibrate
+
+
+def test_the_calibration_script_draws_the_robust_studys_clean_corpora(robust_result):
+    # the ambient sweep runs the Robust study itself at its seed and trial
+    # count: at the pinned scale its clean OLS sigma is the study's, exactly
+    calibrate = _calibrate()
+    assert (calibrate.SEED, calibrate.TRIALS) == (ROBUST_SEED, 10)
+    pinned = evaluation.ROBUST_STUDY_AMBIENT_SCALE
+    [(scale, _, by)] = calibrate._sweep("ROBUST_STUDY_AMBIENT_SCALE", [pinned])
+    ols = next(report for report in robust_result.reports if report.method == "ols")
+    assert scale == pinned
+    assert by["ols"].sigma_clean_db == ols.sigma_clean_db
+
+
+def test_the_calibration_sweep_restores_its_constant_when_the_study_raises():
+    calibrate = _calibrate()
     pinned = evaluation.ROBUST_STUDY_AMBIENT_SCALE
     with pytest.raises(ConfigError, match="scale must be .* got -1.0"):
         next(calibrate._sweep("ROBUST_STUDY_AMBIENT_SCALE", [-1.0]))
